@@ -5,7 +5,7 @@ Two measurements, one JSON artifact
 (``benchmarks/results/BENCH_chaos.json``):
 
 1. **Armed-but-idle cluster overhead** — a bag of sleep-calibrated
-   units through ``run_cluster`` at two workers, once bare and once
+   units through ``scheduled_map`` at two workers, once bare and once
    with a zero-fault plan armed (transported to the workers via
    ``$REPRO_CHAOS_PLAN``, wire hook installed, every spec at
    probability zero so the draw machinery runs on every site but
@@ -30,7 +30,8 @@ import time
 from pathlib import Path
 
 from repro.chaos import FaultPlan, FaultSpec, env_plan, wire_faults
-from repro.cluster import run_cluster
+from repro.cluster import scheduled_map
+from repro.cluster.worker import _sleep_unit
 from repro.store import (
     ArtifactStore,
     NetworkBackend,
@@ -45,8 +46,6 @@ except ImportError:  # standalone run: benchmarks/ not on sys.path
     from _bench_utils import report
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-_SLEEP_FN = "repro.cluster.worker:_sleep_unit"
 
 #: Calibrated bag: 8 x 0.4s of pure wait (3.2s serial, ~1.6s at two
 #: workers) — long enough that fork jitter is noise against the gate,
@@ -74,10 +73,10 @@ def _timed_cluster(armed: bool) -> float:
     start = time.perf_counter()
     if armed:
         with env_plan(_zero_fault_plan()):
-            results, _reports = run_cluster(_SLEEP_FN, _UNITS,
-                                            workers=2)
+            results, _reports = scheduled_map(_sleep_unit, _UNITS,
+                                              workers=2)
     else:
-        results, _reports = run_cluster(_SLEEP_FN, _UNITS, workers=2)
+        results, _reports = scheduled_map(_sleep_unit, _UNITS, workers=2)
     elapsed = time.perf_counter() - start
     assert results == _UNITS, "cluster changed unit results"
     return elapsed
@@ -161,7 +160,7 @@ def run_chaos_benchmark() -> dict:
 def bench_chaos_fabric(benchmark):
     payload = run_chaos_benchmark()
     benchmark.pedantic(
-        run_cluster, args=(_SLEEP_FN, _UNITS),
+        scheduled_map, args=(_sleep_unit, _UNITS),
         kwargs={"workers": 2}, iterations=1, rounds=1)
     assert payload["cluster"]["overhead"] < 0.05
 

@@ -1,12 +1,12 @@
-"""Cluster fabric scaling — work stealing, sharding, bit-identity.
+"""Warm-phase scheduler scaling — work stealing, sharding, bit-identity.
 
 Three measurements, one JSON artifact
 (``benchmarks/results/BENCH_cluster.json``):
 
 1. **Scheduler scaling** — a bag of sleep-calibrated units (pure
    wait, so wall-clock scales across worker *processes* regardless of
-   how many CPUs the runner has) through ``run_cluster`` at 1, 2 and
-   4 workers.  Acceptance bars: >= 1.7x at two workers, >= 3.0x at
+   how many CPUs the runner has) through ``scheduled_map`` at 1, 2
+   and 4 workers.  Acceptance bars: >= 1.7x at two workers, >= 3.0x at
    four.
 2. **Skew resistance** — one oversized unit plus a tail of small
    ones.  Largest-first hand-out must keep the makespan near the
@@ -14,7 +14,7 @@ Three measurements, one JSON artifact
    tail drains through the other); the same bag with inverted hints
    (smallest-first) is recorded for comparison.
 3. **Sweep bit-identity** — a real Fig. 11-style grid, serial vs.
-   ``cluster=2`` with separate SQLite stores: rows (modulo wall
+   ``workers=2`` with separate SQLite stores: rows (modulo wall
    time) and persisted artifact key sets must match exactly.  The
    cluster-vs-serial wall-clock ratio is recorded always but only
    gated when the runner has the CPUs to show it (identification is
@@ -34,7 +34,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.cluster import run_cluster
+from repro.cluster import scheduled_map
+from repro.cluster.worker import _sleep_unit
 from repro.explore import SweepSpec, run_sweep
 from repro.store import ArtifactStore
 
@@ -45,8 +46,6 @@ except ImportError:  # standalone run: benchmarks/ not on sys.path
     from _bench_utils import report
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-_SLEEP_FN = "repro.cluster.worker:_sleep_unit"
 
 #: Calibrated scheduler bag: 16 x 0.5s of pure wait (8s serial).
 #: Long enough that per-process fork overhead is noise next to the
@@ -74,10 +73,10 @@ def _strip_timing(rows):
 
 
 def _timed_cluster(payloads, workers, hints=None):
-    """(wall seconds, worker name set) of one run_cluster invocation."""
+    """(wall seconds, worker name set) of one scheduled_map call."""
     start = time.perf_counter()
-    results, reports = run_cluster(_SLEEP_FN, payloads,
-                                   size_hints=hints, workers=workers)
+    results, reports = scheduled_map(_sleep_unit, payloads,
+                                     size_hints=hints, workers=workers)
     elapsed = time.perf_counter() - start
     assert results == payloads, "cluster changed unit results"
     return elapsed, {r.worker for r in reports}
@@ -85,7 +84,7 @@ def _timed_cluster(payloads, workers, hints=None):
 
 def _bench_scheduler() -> dict:
     """Leg 1: sleep-unit scaling at 1/2/4 workers, with gates."""
-    serial_s, _ = _timed_cluster(_UNITS, workers=0)
+    serial_s, _ = _timed_cluster(_UNITS, workers=1)
     two_s, two_workers = _timed_cluster(_UNITS, workers=2)
     four_s, four_workers = _timed_cluster(_UNITS, workers=4)
     degraded = (two_workers == {"leader-inline"}
@@ -131,7 +130,7 @@ def _bench_skew() -> dict:
 
 
 def _bench_sweep_identity() -> dict:
-    """Leg 3: real grid, serial vs cluster=2, bit-identity + ratio."""
+    """Leg 3: real grid, serial vs workers=2, bit-identity + ratio."""
     serial_dir = tempfile.mkdtemp(prefix="bench-cluster-serial-")
     cluster_dir = tempfile.mkdtemp(prefix="bench-cluster-shard-")
     try:
@@ -143,7 +142,7 @@ def _bench_sweep_identity() -> dict:
         cluster_store = ArtifactStore(
             f"sqlite:{cluster_dir}/store.sqlite")
         start = time.perf_counter()
-        clustered = run_sweep(SPEC, store=cluster_store, cluster=2)
+        clustered = run_sweep(SPEC, store=cluster_store, workers=2)
         cluster_s = time.perf_counter() - start
         assert _strip_timing(serial.rows) == \
             _strip_timing(clustered.rows), "cluster changed sweep rows"
@@ -205,7 +204,7 @@ def run_cluster_benchmark() -> dict:
 def bench_cluster_fabric(benchmark):
     payload = run_cluster_benchmark()
     benchmark.pedantic(
-        run_cluster, args=(_SLEEP_FN, _UNITS),
+        scheduled_map, args=(_sleep_unit, _UNITS),
         kwargs={"workers": 2}, iterations=1, rounds=1)
     assert payload["sweep"]["rows_bit_identical"]
 

@@ -6,7 +6,7 @@ twice:
 
 1. **Reference** — serial, against a pristine SQLite store: the
    fault-free rows and store key set;
-2. **Chaos** — ``--cluster N`` workers against the same kind of store
+2. **Chaos** — ``--workers N`` workers against the same kind of store
    served over TCP through a :class:`~repro.chaos.backend.
    FaultyBackend`, under a seeded :class:`~repro.chaos.plan.
    FaultPlan` injecting flaky store reads, wire resets/truncations, a
@@ -283,7 +283,7 @@ def run_chaos(
                           probe_every=25)
 
     # ---- 4. the chaos sweep -------------------------------------------
-    say(f"chaos: cluster sweep under faults ({workers} worker(s), "
+    say(f"chaos: sweep under faults ({workers} worker(s), "
         f"store {live.spec})")
     start = time.perf_counter()
     try:
@@ -292,7 +292,7 @@ def run_chaos(
             if saboteur is not None:
                 saboteur.start()
             outcome = run_sweep(
-                spec, store=store, workers=1, cluster=workers,
+                spec, store=store, workers=workers,
                 echo=say, unit_attempts=unit_attempts,
                 unit_deadline=unit_deadline,
                 cluster_deadline=cluster_deadline)

@@ -38,7 +38,7 @@ Subcommands:
   store over TCP so other processes and nodes mount it as
   ``--store-dir tcp://HOST:PORT``;
 * ``worker`` — join a running ``repro sweep --listen`` leader and
-  pull warm-phase units until its queue drains (``--cluster N``
+  pull warm-phase units until its queue drains (``--workers N``
   shards the same queue over local processes).
 
 Verbs that execute programs accept ``--backend walk|block|compiled``
@@ -136,13 +136,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_backend(parser)
 
 
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=None,
-                        help="processes for per-block searches "
-                             "(default: $REPRO_WORKERS, else serial; "
-                             "0 = one per CPU)")
-
-
 def _limits(args) -> Optional[SearchLimits]:
     if args.limit is None:
         return None
@@ -203,10 +196,6 @@ def cmd_identify(args) -> int:
 
 def cmd_select(args) -> int:
     session = _make_session(args)
-    if (args.workers is not None
-            and args.algo in ("clubbing", "maxmiso")):
-        print(f"note: --workers has no effect for --algo {args.algo}",
-              file=sys.stderr)
     result = session.select(
         args.workload, algorithm=args.algo, nin=args.nin, nout=args.nout,
         ninstr=args.ninstr, limits=_limits(args), n=args.n,
@@ -257,6 +246,14 @@ def _csv_list(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _workload_names(text: str) -> List[str]:
+    """Registry names from a comma-separated list, or every registered
+    workload for ``all``."""
+    if text.strip().lower() == "all":
+        return sorted(WORKLOADS)
+    return _csv_list(text)
+
+
 def _csv_ints(text: str) -> List[int]:
     try:
         return [int(item) for item in _csv_list(text)]
@@ -288,7 +285,7 @@ def cmd_sweep(args) -> int:
 
     try:
         spec = SweepSpec(
-            workloads=tuple(_csv_list(args.workloads)),
+            workloads=tuple(_workload_names(args.workloads)),
             ports=tuple(_parse_ports(args)),
             ninstrs=tuple(_csv_ints(args.ninstr)),
             algorithms=tuple(_csv_list(args.algos)),
@@ -307,7 +304,7 @@ def cmd_sweep(args) -> int:
     echo = (lambda line: print(line, file=sys.stderr)) \
         if not args.quiet else None
     outcome = session.sweep(spec, use_cache=not args.no_cache, echo=echo,
-                            cluster=args.cluster, listen=args.listen)
+                            listen=args.listen)
     print(format_table(outcome.rows))
     cache_note = ""
     if outcome.cache_stats is not None:
@@ -330,10 +327,7 @@ def cmd_sweep(args) -> int:
 def cmd_speedup(args) -> int:
     from .exec import format_speedup_table
 
-    if args.workloads.strip().lower() == "all":
-        names = sorted(WORKLOADS)
-    else:
-        names = _csv_list(args.workloads)
+    names = _workload_names(args.workloads)
     session = _make_session(args)
     try:
         rows = session.speedup(
@@ -499,10 +493,7 @@ def cmd_check(args) -> int:
     Pure analysis — nothing is executed; exit status 1 on any
     error-severity diagnostic (warnings are reported but pass).
     """
-    if args.workload.strip().lower() == "all":
-        names = sorted(WORKLOADS)
-    else:
-        names = _csv_list(args.workload)
+    names = _workload_names(args.workload)
     session = _make_session(args)
     reports = [
         session.check(name, algorithm=args.algo, nin=args.nin,
@@ -691,7 +682,7 @@ def cmd_chaos(args) -> int:
     ninstrs = tuple(_csv_ints(args.ninstr))
     algorithms = tuple(_csv_list(args.algos))
     report = run_chaos(
-        seed=args.seed, workers=args.cluster, workloads=workloads,
+        seed=args.seed, workers=args.workers, workloads=workloads,
         ports=tuple(ports), ninstrs=ninstrs, algorithms=algorithms,
         limit=args.limit, n=args.n, server=args.server,
         unit_attempts=args.unit_attempts,
@@ -784,7 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="select Ninstr cuts (Problem 2)")
     _add_common(p)
-    _add_workers(p)
     p.add_argument("--ninstr", type=int, default=16)
     p.add_argument("--algo", choices=["iterative", "optimal", "clubbing",
                                       "maxmiso", "area"],
@@ -801,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare all four algorithms")
     _add_common(p)
-    _add_workers(p)
     p.add_argument("--ninstr", type=int, default=16)
     p.add_argument("--max-nodes", type=int, default=40,
                    help="node guard for the Optimal row (oversized "
@@ -813,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a design-space grid in one invocation "
              "(memoized identification, JSON/CSV artifacts)")
     p.add_argument("--workloads", required=True,
-                   help="comma-separated registry names")
+                   help="comma-separated registry names, or 'all'")
     p.add_argument("--ports", default=None,
                    help="comma-separated NINxNOUT pairs, e.g. 2x1,4x2 "
                         "(overrides --nins/--nouts)")
@@ -852,16 +841,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the flat per-point table here")
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress lines on stderr")
-    p.add_argument("--cluster", type=int, default=None, metavar="N",
-                   help="shard the warm phase across N local worker "
-                        "processes through the leader/worker fabric "
-                        "(results bit-identical to serial)")
+    p.add_argument("--workers", type=int, default=None, metavar="N",
+                   help="warm-phase worker processes (default: "
+                        "$REPRO_WORKERS, else serial; 0 = one per CPU; "
+                        "results bit-identical to serial)")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
                    help="additionally accept remote 'repro worker "
                         "--connect' nodes on this address (use a "
                         "shared tcp:// or sqlite: --store-dir so "
                         "they reach the same artifacts)")
-    _add_workers(p)
     _add_store(p)
     _add_backend(p)
     p.set_defaults(fn=cmd_sweep)
@@ -908,7 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 2.0)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the machine-readable rows here")
-    _add_workers(p)
     _add_store(p)
     _add_backend(p)
     p.set_defaults(fn=cmd_speedup)
@@ -979,7 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PATH",
                    help="machine-readable report: to PATH, or stdout "
                         "when no path is given")
-    _add_workers(p)
     _add_store(p)
     _add_backend(p)
     p.set_defaults(fn=cmd_check)
@@ -1025,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="fault-schedule seed (default 0); same seed, "
                         "same faults")
-    p.add_argument("--cluster", type=int, default=2, metavar="N",
+    p.add_argument("--workers", type=int, default=2, metavar="N",
                    help="local worker processes for the chaos sweep "
                         "(default 2)")
     p.add_argument("--workloads", default="fir,crc32",
@@ -1070,7 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("afu", help="emit Verilog for selected AFUs")
     _add_common(p)
-    _add_workers(p)
     p.add_argument("--ninstr", type=int, default=2)
     p.set_defaults(fn=cmd_afu)
 

@@ -13,10 +13,12 @@ fabric:
   worker, and records per-unit telemetry;
 * :func:`~repro.cluster.worker.worker_loop` — the worker side:
   connect, pull, execute, report, repeat (``repro worker --connect``);
-* :func:`~repro.cluster.leader.run_cluster` — the one-call local
-  topology: start a leader, fork N store-connected local worker
-  processes, optionally also listen for remote workers, collect
-  everything (``repro sweep --cluster N [--listen HOST:PORT]``).
+* :func:`~repro.cluster.leader.scheduled_map` — the one function that
+  dispatches warm units: start a leader, fork N local worker processes
+  (``repro sweep --workers N``), optionally also listen for remote
+  workers (``--listen HOST:PORT``), collect everything.  With one
+  worker and no listener the leader drains the queue inline — no
+  socket, no thread, the same quarantine and report semantics.
 
 Results are bit-identical to a serial sweep regardless of topology:
 units are pure functions of their payload, the shared artifact store
@@ -24,7 +26,7 @@ units are pure functions of their payload, the shared artifact store
 the leader evaluates the grid itself from the merged cache.
 """
 
-from .leader import ClusterLeader, run_cluster
+from .leader import ClusterLeader, scheduled_map
 from .worker import worker_loop
 
-__all__ = ["ClusterLeader", "run_cluster", "worker_loop"]
+__all__ = ["ClusterLeader", "scheduled_map", "worker_loop"]

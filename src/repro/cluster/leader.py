@@ -1,4 +1,4 @@
-"""The leader side of the sweep cluster.
+"""The leader side of the sweep cluster, and the warm-phase scheduler.
 
 The leader owns the bag of units and serves it over the same framed
 wire protocol the store server speaks.  Scheduling is pull-based work
@@ -6,7 +6,9 @@ stealing: the queue is a max-heap on the units' size hints, and
 whichever worker asks next receives the largest pending unit — so the
 one oversized Optimal block pins exactly one worker while every other
 unit drains through the rest, and a fast worker automatically "steals"
-the queue share a slow one cannot take.  Robustness invariants:
+the queue share a slow one cannot take.  A worker's ``get`` blocks on
+the leader until a unit is available or the run is resolved, so no
+worker ever sleeps in a poll loop.  Robustness invariants:
 
 * a unit is *outstanding* from hand-out to result; if the worker's
   connection drops first, the unit is requeued for the next puller;
@@ -21,32 +23,36 @@ the queue share a slow one cannot take.  Robustness invariants:
   unit can no longer cascade through the whole fleet;
 * a unit held past ``unit_deadline`` seconds (hung worker) is requeued
   by :meth:`ClusterLeader.expire_deadlines` under the same attempts
-  cap, and an overall ``deadline`` on :func:`run_cluster` abandons
+  cap, and an overall ``deadline`` on :func:`scheduled_map` abandons
   whatever is unresolved (recorded as failures) instead of hanging;
-* :func:`run_cluster` is never stranded — if every worker dies (or
+* :func:`scheduled_map` is never stranded — if every worker dies (or
   none could be forked), the leader runs the leftovers in-process,
   so the cluster path degrades to serial, never to a hang.
 
-Results are reassembled in unit order (``None`` for failed units),
-bit-identical to a serial map over the payloads, with per-unit
-telemetry (:class:`~repro.core.parallel.UnitReport`) in completion
-order.
+:func:`scheduled_map` is the one function that dispatches warm units.
+Serial runs go through the same leader (drained inline, with no
+socket and no thread), so they share the attempt, quarantine and
+report semantics of parallel ones.  Results are reassembled in unit
+order (``None`` for failed units), bit-identical to a serial map over
+the payloads, with per-unit telemetry
+(:class:`~repro.core.parallel.UnitReport`) in completion order.
 """
 
 from __future__ import annotations
 
 import heapq
+import socket
 import socketserver
 import threading
 import time
 import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.parallel import UnitReport
+from ..core.parallel import UnitReport, resolve_workers
 from ..wire import WireError, parse_address, recv_msg, send_msg
 from .worker import resolve_callable
 
-__all__ = ["ClusterLeader", "run_cluster"]
+__all__ = ["ClusterLeader", "scheduled_map"]
 
 #: Default port of ``repro sweep --listen`` (store server uses 9723).
 DEFAULT_PORT = 9724
@@ -62,6 +68,9 @@ class _LeaderServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    # server_close() must not join handler threads: one may sit in
+    # recv on a hung worker for up to idle_timeout.
+    block_on_close = False
 
     def __init__(self, address, leader: "ClusterLeader") -> None:
         """Bind on *address* and attach *leader* for the handlers."""
@@ -70,7 +79,8 @@ class _LeaderServer(socketserver.ThreadingTCPServer):
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    """One connected worker: hello → welcome, then get/result rounds."""
+    """One connected worker: hello → welcome, get → unit, then each
+    result (or error) report → the next unit, until done."""
 
     def handle(self) -> None:
         """Serve one worker connection until EOF; requeue on loss."""
@@ -92,27 +102,24 @@ class _Handler(socketserver.BaseRequestHandler):
                         "units": leader.pending_count(),
                         "store": leader.store_spec,
                     }))
-                elif op == "get":
+                elif op in ("get", "result", "error"):
+                    # A report is answered with the next unit, like a
+                    # get: one round trip per unit.
+                    if op == "result":
+                        _tag, index, result, elapsed, reporter = message
+                        leader.complete(index, result, elapsed,
+                                        str(reporter))
+                    elif op == "error":
+                        _tag, index, error, elapsed, reporter = message
+                        leader.fail(index, str(error), elapsed,
+                                    str(reporter))
+                    claimed = None
                     status, index, payload = leader.take(name)
                     if status == "unit":
                         claimed = index
                         send_msg(sock, ("unit", index, payload))
-                    elif status == "wait":
-                        send_msg(sock, ("wait",))
                     else:
                         send_msg(sock, ("done",))
-                elif op == "result":
-                    _tag, index, result, elapsed, reporter = message
-                    leader.complete(index, result, elapsed,
-                                    str(reporter))
-                    claimed = None
-                    send_msg(sock, ("ok",))
-                elif op == "error":
-                    _tag, index, error, elapsed, reporter = message
-                    leader.fail(index, str(error), elapsed,
-                                str(reporter))
-                    claimed = None
-                    send_msg(sock, ("ok",))
                 elif op == "ping":
                     send_msg(sock, ("pong",))
                 else:
@@ -125,16 +132,18 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class ClusterLeader:
-    """Unit queue + result collector behind a TCP accept loop.
+    """Unit queue + result collector, optionally behind a TCP accept
+    loop.
 
     Serves *payloads* largest-first (by *size_hints*) to connecting
     workers, which execute the module-level callable named by
     *fn_path* (``module:callable``).  ``take``/``complete``/``requeue``
     are the scheduling core — also used directly by the leader's own
-    in-process fallback — and are thread-safe.
+    inline drain — and are thread-safe.  Nothing is bound until
+    :meth:`start`, so a leader drained inline opens no socket.
     """
 
-    def __init__(self, fn_path: str, payloads: Sequence,
+    def __init__(self, fn_path: Optional[str], payloads: Sequence,
                  size_hints: Optional[Sequence[float]] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  store_spec: Optional[str] = None,
@@ -172,35 +181,47 @@ class ClusterLeader:
         self._failed: dict = {}
         self._attempts: dict = {}
         self._reports: List[UnitReport] = []
-        self._lock = threading.Lock()
+        # One condition guards all state; takers wait on it for a
+        # pending unit or the end of the run.
+        self._cond = threading.Condition()
+        self._closed = False
         self._done = threading.Event()
         if not self._payloads:
             self._done.set()
-        self._server = _LeaderServer((host, port), self)
+        self._bind = (host, port)
+        self._server: Optional[_LeaderServer] = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
-    # Scheduling core (thread-safe; shared by handlers and fallback).
+    # Scheduling core (thread-safe; shared by handlers and inline drain).
     # ------------------------------------------------------------------
-    def take(self, worker: str) -> Tuple[str, Optional[int], object]:
+    def take(self, worker: str, timeout: Optional[float] = None
+             ) -> Tuple[str, Optional[int], object]:
         """Claim the largest pending unit for *worker*.
 
-        Returns ``("unit", index, payload)``, or ``("wait", None,
-        None)`` when the queue is empty but units are still
-        outstanding elsewhere (one may be requeued yet), or
-        ``("done", None, None)`` when every unit is resolved (result
-        or recorded failure).  Every hand-out counts one attempt
-        against the unit's ``max_attempts`` budget.
+        Blocks while the queue is empty but units are still outstanding
+        elsewhere (one may be requeued yet).  Returns ``("unit", index,
+        payload)``, or ``("done", None, None)`` once every unit is
+        resolved (result or recorded failure) or the leader shut down,
+        or ``("wait", None, None)`` if *timeout* seconds pass first.
+        Every hand-out counts one attempt against the unit's
+        ``max_attempts`` budget.
         """
-        with self._lock:
-            if self._pending:
-                _neg, index = heapq.heappop(self._pending)
-                self._attempts[index] = self._attempts.get(index, 0) + 1
-                self._outstanding[index] = (worker, time.monotonic())
-                return "unit", index, self._payloads[index]
-            if self._resolved_locked():
-                return "done", None, None
-            return "wait", None, None
+        give_up = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while True:
+                if self._pending:
+                    _neg, index = heapq.heappop(self._pending)
+                    self._attempts[index] = self._attempts.get(index, 0) + 1
+                    self._outstanding[index] = (worker, time.monotonic())
+                    return "unit", index, self._payloads[index]
+                if self._closed or self._resolved_locked():
+                    return "done", None, None
+                remaining = (None if give_up is None
+                             else give_up - time.monotonic())
+                if remaining is not None and remaining <= 0:
+                    return "wait", None, None
+                self._cond.wait(remaining)
 
     def _resolved_locked(self) -> bool:
         return (len(self._results) + len(self._failed)
@@ -209,6 +230,7 @@ class ClusterLeader:
     def _check_done_locked(self) -> None:
         if self._resolved_locked():
             self._done.set()
+            self._cond.notify_all()
 
     def complete(self, index: int, result, elapsed: float,
                  worker: str) -> None:
@@ -217,7 +239,7 @@ class ClusterLeader:
         late success from a worker that outlived the unit's failure
         verdict supersedes it: a real result always beats a failure
         record."""
-        with self._lock:
+        with self._cond:
             self._outstanding.pop(index, None)
             if index in self._results:
                 return
@@ -241,18 +263,36 @@ class ClusterLeader:
         ``max_attempts``; at the cap the unit is quarantined — a
         structured ``status="error"`` report with the last traceback —
         and the run finishes around it."""
-        with self._lock:
+        with self._cond:
             self._outstanding.pop(index, None)
-            if index in self._results or index in self._failed:
-                return
-            if self._attempts.get(index, 0) < self.max_attempts:
-                heapq.heappush(self._pending,
-                               (-self._hints[index], index))
-                return
-            self._record_failure_locked(index, error, elapsed, worker)
+            self._retry_locked(index, error, elapsed, worker)
 
-    def _record_failure_locked(self, index: int, error: str,
-                               elapsed: float, worker: str) -> None:
+    def requeue(self, index: int) -> None:
+        """Return a lost unit (worker died mid-run) to the queue —
+        under the same attempts cap as :meth:`fail`, so a unit that
+        kills every worker that touches it is eventually quarantined
+        instead of cycling forever."""
+        with self._cond:
+            self._outstanding.pop(index, None)
+            self._retry_locked(
+                index, f"unit lost with worker after "
+                       f"{self._attempts.get(index, 0)} attempt(s)",
+                0.0, "leader")
+
+    def _retry_locked(self, index: int, error: str, elapsed: float,
+                      worker: str) -> None:
+        """Requeue unresolved unit *index* while hand-outs remain under
+        ``max_attempts``, else quarantine it with *error*."""
+        if index in self._results or index in self._failed:
+            return
+        if self._attempts.get(index, 0) < self.max_attempts:
+            heapq.heappush(self._pending, (-self._hints[index], index))
+            self._cond.notify()
+            return
+        self._quarantine_locked(index, error, elapsed, worker)
+
+    def _quarantine_locked(self, index: int, error: str, elapsed: float,
+                           worker: str) -> None:
         self._failed[index] = str(error)
         self._reports.append(UnitReport(
             index=index, size_hint=self._hints[index],
@@ -260,24 +300,6 @@ class ClusterLeader:
             status="error", attempts=self._attempts.get(index, 0),
             error=str(error)))
         self._check_done_locked()
-
-    def requeue(self, index: int) -> None:
-        """Return a lost unit (worker died mid-run) to the queue —
-        under the same attempts cap as :meth:`fail`, so a unit that
-        kills every worker that touches it is eventually quarantined
-        instead of cycling forever."""
-        with self._lock:
-            self._outstanding.pop(index, None)
-            if index in self._results or index in self._failed:
-                return
-            if self._attempts.get(index, 0) < self.max_attempts:
-                heapq.heappush(self._pending,
-                               (-self._hints[index], index))
-                return
-            self._record_failure_locked(
-                index, f"unit lost with worker after "
-                       f"{self._attempts.get(index, 0)} attempt(s)",
-                0.0, "leader")
 
     def expire_deadlines(self) -> int:
         """Requeue units outstanding past ``unit_deadline`` (hung or
@@ -288,62 +310,67 @@ class ClusterLeader:
             return 0
         now = time.monotonic()
         expired = 0
-        with self._lock:
+        with self._cond:
             for index, (worker, since) in list(self._outstanding.items()):
                 if now - since < self.unit_deadline:
                     continue
                 self._outstanding.pop(index, None)
                 expired += 1
-                if index in self._results or index in self._failed:
-                    continue
-                if self._attempts.get(index, 0) < self.max_attempts:
-                    heapq.heappush(self._pending,
-                                   (-self._hints[index], index))
-                else:
-                    self._record_failure_locked(
-                        index, f"unit deadline of "
-                               f"{self.unit_deadline}s exceeded on "
-                               f"{worker}", self.unit_deadline, worker)
+                self._retry_locked(
+                    index, f"unit deadline of {self.unit_deadline}s "
+                           f"exceeded on {worker}",
+                    self.unit_deadline, worker)
         return expired
 
     def abandon(self, reason: str) -> int:
         """Fail every unresolved unit with *reason* and finish the run
         (the overall-deadline path); returns units abandoned."""
-        with self._lock:
+        with self._cond:
             self._pending = []
             self._outstanding.clear()
             abandoned = 0
             for index in range(len(self._payloads)):
                 if index in self._results or index in self._failed:
                     continue
-                self._record_failure_locked(index, reason, 0.0,
-                                            "leader")
+                # The last quarantine resolves the run and wakes takers.
+                self._quarantine_locked(index, reason, 0.0, "leader")
                 abandoned += 1
-            self._done.set()
             return abandoned
 
     def pending_count(self) -> int:
         """Units not yet handed out (outstanding ones excluded)."""
-        with self._lock:
+        with self._cond:
             return len(self._pending)
 
     def failed(self) -> dict:
         """``{index: error}`` for every quarantined unit so far."""
-        with self._lock:
+        with self._cond:
             return dict(self._failed)
 
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
     def start(self) -> "ClusterLeader":
-        """Start accepting workers on a daemon thread; returns self."""
-        # Tight poll interval: shutdown() blocks for up to one poll,
-        # and half a second of teardown would dwarf a small warm phase.
+        """Bind and start accepting workers on a daemon thread; returns
+        self."""
+        self._server = _LeaderServer(self._bind, self)
         self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="repro-cluster-leader", daemon=True)
+            target=self._accept_loop, name="repro-cluster-leader",
+            daemon=True)
         self._thread.start()
         return self
+
+    def _accept_loop(self) -> None:
+        # A blocking accept instead of serve_forever's select poll:
+        # shutdown() wakes it at once by shutting the socket down, so
+        # teardown never waits out a poll interval.
+        server = self._server
+        while True:
+            try:
+                request, client = server.socket.accept()
+            except OSError:
+                return
+            server.process_request(request, client)
 
     @property
     def address(self) -> str:
@@ -357,31 +384,31 @@ class ClusterLeader:
         """Block until every unit has a result (or *timeout*)."""
         return self._done.wait(timeout)
 
-    def run_pending_inline(self, fn: Optional[Callable] = None,
+    def run_pending_inline(self, fn: Callable,
                            poll_s: float = 0.05) -> int:
-        """Drain the queue in the calling process (fallback path).
+        """Drain the queue in the calling process, running *fn*.
 
-        Used when no workers could be forked or all of them died:
-        the leader claims and executes units itself until every unit
-        is resolved, briefly polling while units are outstanding on
-        still-connected remote workers.  Inline units are quarantined
-        exactly like remote ones (an exception consumes one attempt,
-        never propagates), and a chaos plan's unit faults still apply
-        — minus process kills, which degrade to poison.  Returns the
-        units run inline successfully.
+        The serial path, and the fallback when no workers could be
+        forked or all of them died: the leader claims and executes
+        units itself until every unit is resolved, waiting up to
+        *poll_s* at a time (expiring deadlines in between) while units
+        are outstanding on still-connected remote workers.  Inline
+        units are quarantined exactly like remote ones (an exception
+        consumes one attempt, never propagates), and a chaos plan's
+        unit faults still apply — minus process kills, which degrade
+        to poison.  Returns the units run inline successfully.
         """
         from ..chaos.plan import plan_from_env
 
-        fn = fn or resolve_callable(self.fn_path)
         plan = plan_from_env()
         ran = 0
         while True:
-            status, index, payload = self.take("leader-inline")
+            status, index, payload = self.take("leader-inline",
+                                               timeout=poll_s)
             if status == "done":
                 return ran
             if status == "wait":
                 self.expire_deadlines()
-                time.sleep(poll_s)
                 continue
             start = time.perf_counter()
             try:
@@ -401,26 +428,58 @@ class ClusterLeader:
         call after :meth:`wait` returns true.  Quarantined units hold
         ``None`` in the results list; their reports carry
         ``status="error"``."""
-        with self._lock:
+        with self._cond:
             ordered = [self._results.get(i)
                        for i in range(len(self._payloads))]
             return ordered, list(self._reports)
 
     def shutdown(self) -> None:
-        """Stop accepting workers and release the socket (idempotent).
+        """Stop accepting workers, release the socket and wake every
+        blocked taker (idempotent).
 
         Handler threads already serving a connection are daemonic and
         finish (or die with the process) on their own.
         """
-        self._server.shutdown()
-        self._server.server_close()
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        server, self._server = self._server, None
+        if server is None:
+            return
+        try:
+            # Wakes the blocked accept() (and refuses new connections
+            # on the descriptor forked workers inherited).
+            server.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        server.server_close()
+        self._thread.join(timeout=1.0)
 
 
-def run_cluster(
-    fn_path: str,
-    payloads: Sequence,
+def _callable_path(fn: Callable) -> str:
+    """The ``module:qualname`` path workers import *fn* by.
+
+    Raises ``ValueError`` unless the path resolves back to *fn* itself
+    (a lambda, a nested function or a bound method does not)."""
+    path = (f"{getattr(fn, '__module__', None)}:"
+            f"{getattr(fn, '__qualname__', None)}")
+    try:
+        resolved = resolve_callable(path)
+    except (ImportError, AttributeError, ValueError):
+        resolved = None
+    if resolved is not fn:
+        raise ValueError(
+            f"{fn!r} cannot run on worker processes: they import it as "
+            f"{path!r}, which does not resolve to it (use a "
+            f"module-level function)")
+    return path
+
+
+def scheduled_map(
+    fn: Callable,
+    items: Sequence,
+    workers: Optional[int] = None,
     size_hints: Optional[Sequence[float]] = None,
-    workers: int = 0,
     listen: Optional[str] = None,
     store_spec: Optional[str] = None,
     echo: Optional[Callable[[str], None]] = None,
@@ -429,57 +488,54 @@ def run_cluster(
     unit_deadline: Optional[float] = None,
     deadline: Optional[float] = None,
 ) -> Tuple[List, List[UnitReport]]:
-    """Map *payloads* through a leader/worker cluster, in unit order.
+    """Work-stealing ``map`` of *fn* over *items*: results in input
+    order, per-unit reports in completion order.
 
-    Starts a :class:`ClusterLeader` for the module-level callable
-    named by *fn_path*, forks *workers* local worker processes
-    against it, and — when *listen* gives a ``HOST:PORT`` — also
-    accepts remote ``repro worker --connect`` nodes on that address.
-    Blocks until every unit is resolved and returns ``(results,
-    unit_reports)`` exactly like
-    :func:`~repro.core.parallel.scheduled_map` — except that a unit
-    whose function failed on ``max_attempts`` hand-outs resolves to
-    ``None`` with a ``status="error"`` report instead of propagating.
+    Units are handed out largest-first by *size_hints* (input order
+    without hints).  ``resolve_workers(workers) >= 2`` forks that many
+    local worker processes (at most one per item); *listen*
+    (``HOST:PORT``) additionally accepts remote ``repro worker
+    --connect`` nodes.  *fn* must then be a module-level callable —
+    workers import it by its ``module:qualname`` path — or
+    ``ValueError`` is raised.  With no forks and no *listen*, the
+    leader drains the queue inline: no socket, no thread, same
+    semantics.
 
-    Never hangs: units lost to a dead worker are requeued (same
-    attempts cap), units outstanding past *unit_deadline* seconds are
-    taken back from their worker, an overall *deadline* (seconds)
-    abandons whatever is unresolved, and if no workers remain (or
-    none could be forked) the leftovers run in the calling process —
-    degradation is to serial execution, not to failure.
+    A unit whose function failed on ``max_attempts`` hand-outs
+    resolves to ``None`` with a ``status="error"`` report instead of
+    propagating.  Never hangs: units lost to a dead worker are
+    requeued (same attempts cap), units outstanding past
+    *unit_deadline* seconds are taken back from their worker, an
+    overall *deadline* (seconds) abandons whatever is unresolved, and
+    if no workers remain (or none could be forked) the leftovers run
+    in the calling process.
     """
     say = echo or (lambda _line: None)
-    if not payloads:
-        return [], []
+    count = resolve_workers(workers)
+    fn_path = _callable_path(fn) if count >= 2 or listen else None
+    forks = min(count, len(items)) if count >= 2 else 0
     host, port = ("127.0.0.1", 0)
     if listen:
         host, port = parse_address(listen, default_port=DEFAULT_PORT)
-    leader = ClusterLeader(fn_path, payloads, size_hints=size_hints,
+    leader = ClusterLeader(fn_path, items, size_hints=size_hints,
                            host=host, port=port,
                            store_spec=store_spec,
                            max_attempts=max_attempts,
-                           unit_deadline=unit_deadline).start()
+                           unit_deadline=unit_deadline)
     started = time.monotonic()
     procs: List = []
     try:
-        if workers > 0:
-            try:
-                import multiprocessing
-                for i in range(workers):
-                    proc = multiprocessing.Process(
-                        target=_spawn_target,
-                        args=(leader.address, i), daemon=True)
-                    proc.start()
-                    procs.append(proc)
-            except _SPAWN_ERRORS:
-                procs = [p for p in procs if p.is_alive()]
-        if listen:
-            say(f"cluster: leader on {leader.address} "
-                f"({len(payloads)} unit(s), {len(procs)} local "
-                f"worker(s); repro worker --connect {leader.address})")
+        if items and (forks >= 2 or listen):
+            leader.start()
+            procs = _fork_workers(leader.address, forks)
+            if listen:
+                say(f"cluster: leader on {leader.address} "
+                    f"({len(items)} unit(s), {len(procs)} local "
+                    f"worker(s); repro worker --connect "
+                    f"{leader.address})")
         if not procs and not listen:
             # Nothing will ever pull: run everything in-process.
-            leader.run_pending_inline()
+            leader.run_pending_inline(fn)
         while not leader.wait(timeout=poll_s):
             leader.expire_deadlines()
             if (deadline is not None
@@ -495,7 +551,7 @@ def run_cluster(
                 # the leftovers here rather than hang.
                 say("cluster: local workers exited early; "
                     "running remaining units inline")
-                leader.run_pending_inline()
+                leader.run_pending_inline(fn)
         for proc in procs:
             proc.join(timeout=10.0)
     finally:
@@ -503,17 +559,31 @@ def run_cluster(
             if proc.is_alive():
                 proc.terminate()
         leader.shutdown()
-    results, reports = leader.results()
     failed = leader.failed()
     if failed:
         say(f"cluster: {len(failed)} unit(s) failed after "
-            f"{max_attempts} attempt(s): "
-            f"{sorted(failed)}")
-    return results, reports
+            f"{max_attempts} attempt(s): {sorted(failed)}")
+    return leader.results()
+
+
+def _fork_workers(address: str, count: int) -> List:
+    """Start *count* local worker processes against *address*; returns
+    those that started (none where processes cannot be forked)."""
+    procs: List = []
+    try:
+        import multiprocessing
+        for i in range(count):
+            proc = multiprocessing.Process(
+                target=_spawn_target, args=(address, i), daemon=True)
+            proc.start()
+            procs.append(proc)
+    except _SPAWN_ERRORS:
+        procs = [p for p in procs if p.is_alive()]
+    return procs
 
 
 def _spawn_target(address: str, index: int) -> None:
-    """Module-level fork target (kept here so ``run_cluster`` and the
+    """Module-level fork target (kept here so ``scheduled_map`` and the
     worker loop stay importable under ``spawn`` start methods)."""
     from .worker import _local_worker
     _local_worker(address, index)

@@ -32,10 +32,6 @@ from typing import Callable, Optional
 from ..chaos.plan import plan_from_env
 from ..wire import WireError, connect, recv_msg, send_msg
 
-#: Seconds a worker sleeps when the leader says "wait" (queue empty
-#: but units still outstanding elsewhere — one may yet be requeued).
-WAIT_POLL_S = 0.05
-
 _name_counter = itertools.count()
 
 
@@ -89,7 +85,9 @@ def worker_loop(address: str, name: Optional[str] = None,
     """Serve one leader until its queue drains; returns units done.
 
     Connects to ``HOST:PORT``, resolves the unit callable the leader
-    announces, then pulls units until the leader answers ``done``.
+    announces, then pulls units until the leader answers ``done`` (a
+    ``get`` blocks on the leader while the queue is empty but units
+    are still outstanding elsewhere).
     Raises ``ConnectionError``/``OSError`` if the leader is
     unreachable; a connection lost mid-run simply ends the loop (the
     leader requeues whatever this worker held).
@@ -110,14 +108,13 @@ def worker_loop(address: str, name: Optional[str] = None,
         say(f"{worker_name}: connected to {address}, "
             f"{meta.get('units', '?')} unit(s) pending, fn {meta['fn']}"
             + (f", store {meta['store']}" if meta.get("store") else ""))
+        # The leader answers every report with the next unit (or
+        # "done"), so a unit costs one round trip.
+        send_msg(sock, ("get",))
         while True:
-            send_msg(sock, ("get",))
             message = recv_msg(sock)
             if message is None or message[0] == "done":
                 break
-            if message[0] == "wait":
-                time.sleep(WAIT_POLL_S)
-                continue
             if message[0] != "unit":
                 raise WireError(f"unexpected reply {message[0]!r}")
             _tag, index, payload = message
@@ -125,29 +122,20 @@ def worker_loop(address: str, name: Optional[str] = None,
             try:
                 if plan is not None:
                     plan.check_unit(index, allow_kill=allow_kill)
-                result = fn(payload)
+                report = ("result", index, fn(payload))
             except Exception:
                 # The unit is poison, not the worker: ship the
                 # traceback and keep serving — quarantine (or retry)
                 # is the leader's call.
-                elapsed = time.perf_counter() - start
-                send_msg(sock, ("error", index,
-                                traceback.format_exc(limit=20),
-                                elapsed, worker_name))
-                ack = recv_msg(sock)
-                if ack is None:
-                    break
+                report = ("error", index, traceback.format_exc(limit=20))
+            elapsed = time.perf_counter() - start
+            send_msg(sock, report + (elapsed, worker_name))
+            if report[0] == "result":
+                done += 1
+                say(f"{worker_name}: unit {index} in {elapsed:.2f}s")
+            else:
                 say(f"{worker_name}: unit {index} failed "
                     f"in {elapsed:.2f}s")
-                continue
-            elapsed = time.perf_counter() - start
-            send_msg(sock, ("result", index, result, elapsed,
-                            worker_name))
-            ack = recv_msg(sock)
-            if ack is None:
-                break
-            done += 1
-            say(f"{worker_name}: unit {index} in {elapsed:.2f}s")
     finally:
         try:
             sock.close()

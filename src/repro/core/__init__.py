@@ -11,11 +11,12 @@ which cannot beat the incumbent — the same best cut, fewer cuts
 examined; the subtrees it removes are counted in ``SearchStats.
 ub_pruned`` and search progress in ``SearchStats.space_covered``.
 
-The per-block searches of the selection strategies are independent and
-can fan out across processes: pass ``workers=`` to ``select_iterative``
-/ ``select_optimal`` / ``select_area_constrained`` (or set the
-``REPRO_WORKERS`` environment variable; serial by default, with a
-silent serial fallback wherever process pools are unavailable).
+The selection strategies run in the calling process.  Their expensive
+first rounds (one exhaustive search per block) are exactly what a
+sweep's warm phase precomputes, so the parallel work lives there: one
+scheduler, :func:`repro.cluster.scheduled_map`, shards the
+*(block, constraint)* units over ``workers`` processes (or the
+``REPRO_WORKERS`` environment variable; serial by default).
 
 Identification calls additionally accept a duck-typed ``cache=`` memo
 (``repro.explore.SearchCache``): hits skip the exponential searches
@@ -26,7 +27,7 @@ invocation per grid point (DESIGN.md §8).
 
 from .cut import Constraints, Cut, cut_is_feasible, evaluate_cut
 from .engine import run_multi_cut, run_single_cut
-from .parallel import cached_parallel_map, parallel_map, resolve_workers
+from .parallel import resolve_workers
 from .single_cut import (
     SearchLimits,
     SearchResult,
@@ -59,7 +60,7 @@ __all__ = [
     "find_best_cut", "enumerate_feasible_cuts", "search_statistics",
     "SearchStats", "SearchLimits", "SearchResult",
     "run_single_cut", "run_multi_cut",
-    "parallel_map", "cached_parallel_map", "resolve_workers",
+    "resolve_workers",
     "find_best_cuts", "MultiCutResult",
     "SelectionResult", "make_result",
     "select_iterative", "select_optimal", "BlockTooLargeError",

@@ -1,59 +1,29 @@
-"""Process-parallel execution of independent per-block searches.
+"""The worker-count knob and the per-unit telemetry record.
 
-The identification of the best cut in one basic block is completely
-independent of every other block, so the first round of each selection
-strategy (one exhaustive search per DFG) parallelises embarrassingly.
-This module provides the primitives the strategies and the sweep
-runner need, together with the knob that controls them:
+A sweep's warm phase (one exhaustive identification per *(block,
+constraint)* pair) is the only parallel work in the toolchain, and one
+scheduler runs it: :func:`repro.cluster.scheduled_map`, the cluster
+leader with optional forked local workers.  This module holds the two
+small pieces that scheduler shares with its callers:
 
-* ``workers=`` argument on ``select_iterative`` / ``select_optimal`` /
-  ``select_area_constrained`` (and ``--workers`` on the CLI);
-* the ``REPRO_WORKERS`` environment variable as the default when the
-  argument is omitted.
+* :func:`resolve_workers` — how many worker processes ``workers=`` (or
+  the ``REPRO_WORKERS`` environment variable) asks for;
+* :class:`UnitReport` — who ran one unit, for how long, and whether it
+  ended quarantined (``SweepOutcome.unit_reports``).
 
-:func:`scheduled_map` is the work-stealing scheduler: units are
-dispatched **largest-first** (by a caller-supplied size hint) into a
-shared process pool, completions are consumed **unordered**
-(``as_completed``), and results are reassembled **in input order** —
-so one oversized unit can no longer serialize the tail of a sweep
-behind an arbitrary chunk boundary, while results stay bit-identical
-to the serial path.  Per-unit wall time and the executing worker are
-reported for telemetry (``SweepOutcome.unit_reports``).
-:func:`parallel_map` keeps the classic ordered-``map`` surface on top
-of the same scheduler.
-
-The default is serial (``workers=1``): results are bit-identical either
-way, but forking has a real cost, so parallelism is opt-in.  Any failure
-to parallelise (no ``fork`` support, unpicklable payloads, sandboxed
-environments without semaphores) degrades silently to the serial path —
-parallelism is a performance knob, never a correctness requirement.
+The selection strategies themselves are plain serial loops: their
+first rounds are cache hits once a sweep's warm phase has run.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass
-from typing import (
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Optional
 
 #: Environment variable consulted when ``workers`` is not given.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Infrastructure failures that degrade to the serial path.  Exceptions
-#: raised by the mapped function itself are real errors and propagate.
-_POOL_ERRORS: Tuple = (OSError, ImportError, NotImplementedError,
-                       PermissionError)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -101,163 +71,3 @@ class UnitReport:
     def as_dict(self) -> dict:
         """Flat JSON-ready record (the sweep artifact's telemetry)."""
         return asdict(self)
-
-
-def _dispatch_order(count: int,
-                    size_hints: Optional[Sequence[float]]) -> List[int]:
-    """Unit indexes in dispatch order: largest hint first (stable on
-    ties, so equal-sized units keep input order); input order when no
-    hints are given."""
-    if size_hints is None:
-        return list(range(count))
-    return sorted(range(count), key=lambda i: (-size_hints[i], i))
-
-
-def _timed_unit(job: Tuple) -> Tuple:
-    """Module-level pool entry: run one unit, clock it, name the
-    worker.  Must stay picklable (it crosses the process boundary)."""
-    fn, index, item = job
-    start = time.perf_counter()
-    result = fn(item)
-    return index, result, time.perf_counter() - start, f"pid{os.getpid()}"
-
-
-def scheduled_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-    size_hints: Optional[Sequence[float]] = None,
-) -> Tuple[List[R], List[UnitReport]]:
-    """Work-stealing ``map``: unordered completion, ordered results.
-
-    Units are submitted largest-first (by *size_hints*; input order
-    without hints) into one process pool whose idle workers pull the
-    next pending unit — dynamic load balancing, so a skewed unit-size
-    distribution keeps every worker busy instead of serializing the
-    tail behind the biggest unit.  Results are reassembled in input
-    order, bit-identical to ``[fn(x) for x in items]``; the second
-    return value reports per-unit wall time and worker for telemetry.
-
-    *fn* must be a module-level (picklable) callable.  With one
-    worker, one item, or any pool-infrastructure failure, the serial
-    path runs instead (identical results, ``worker="serial"``).
-    """
-    workers = resolve_workers(workers)
-    order = _dispatch_order(len(items), size_hints)
-
-    def _serial() -> Tuple[List[R], List[UnitReport]]:
-        results: List[Optional[R]] = [None] * len(items)
-        reports: List[UnitReport] = []
-        for index in order:
-            start = time.perf_counter()
-            results[index] = fn(items[index])
-            reports.append(UnitReport(
-                index=index,
-                size_hint=(float(size_hints[index])
-                           if size_hints is not None else 0.0),
-                elapsed_s=time.perf_counter() - start,
-                worker="serial"))
-        return results, reports  # type: ignore[return-value]
-
-    if workers <= 1 or len(items) <= 1:
-        return _serial()
-
-    import pickle
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    results: List[Optional[R]] = [None] * len(items)
-    reports: List[UnitReport] = []
-    try:
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(items))) as pool:
-            futures = [pool.submit(_timed_unit, (fn, index, items[index]))
-                       for index in order]
-            for future in as_completed(futures):
-                index, result, elapsed, worker = future.result()
-                results[index] = result
-                reports.append(UnitReport(
-                    index=index,
-                    size_hint=(float(size_hints[index])
-                               if size_hints is not None else 0.0),
-                    elapsed_s=elapsed,
-                    worker=worker))
-    except (BrokenProcessPool, pickle.PicklingError,
-            AttributeError) + _POOL_ERRORS:
-        # AttributeError covers multiprocessing's refusal to pickle
-        # local callables (it raises that, not PicklingError).
-        # Environment/payload problems degrade to the serial path:
-        # identical results, just slower.  (Units are pure functions of
-        # their item, so re-running any that already completed in the
-        # pool cannot change the outcome.)
-        return _serial()
-    return results, reports  # type: ignore[return-value]
-
-
-def _apply_chunk(job: Tuple) -> List:
-    """Module-level pool entry for :func:`parallel_map`'s chunking:
-    map *fn* over one chunk of items in order."""
-    fn, chunk = job
-    return [fn(item) for item in chunk]
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-    chunksize: int = 1,
-) -> List[R]:
-    """Ordered ``[fn(x) for x in items]``, fanned out across processes.
-
-    A thin wrapper over :func:`scheduled_map`: items are grouped into
-    *chunksize*-sized units (worth raising when there are many small
-    items — one inter-process message per chunk), dispatched in input
-    order, completed unordered, and flattened back to input order.
-    *fn* must be a module-level (picklable) callable and the items and
-    results must pickle.  With one worker, one item, or any executor
-    failure, the plain serial comprehension runs instead.
-    """
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    chunksize = max(1, chunksize)
-    chunks = [(fn, list(items[i:i + chunksize]))
-              for i in range(0, len(items), chunksize)]
-    grouped, _reports = scheduled_map(_apply_chunk, chunks,
-                                      workers=workers)
-    return [result for group in grouped for result in group]
-
-
-def cached_parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-    lookup: Optional[Callable[[T], Optional[R]]] = None,
-    store: Optional[Callable[[T, R], None]] = None,
-) -> List[R]:
-    """:func:`parallel_map` with a memo in front of the fan-out.
-
-    Pool workers cannot mutate a parent-process memo, so every caller
-    with a cache needs the same dance: resolve hits in-process, fan
-    only the misses out, store the computed results afterwards.  This
-    helper is that dance — *lookup* returns a cached result or ``None``
-    (``lookup=None`` disables the memo entirely), *store* records a
-    freshly computed one.  Results are identical to the uncached path.
-    """
-    if lookup is None:
-        return parallel_map(fn, items, workers=workers)
-    results: List[Optional[R]] = [None] * len(items)
-    miss_indices: List[int] = []
-    for i, item in enumerate(items):
-        hit = lookup(item)
-        if hit is not None:
-            results[i] = hit
-        else:
-            miss_indices.append(i)
-    computed = parallel_map(fn, [items[i] for i in miss_indices],
-                            workers=workers)
-    for i, result in zip(miss_indices, computed):
-        if store is not None:
-            store(items[i], result)
-        results[i] = result
-    return results

@@ -29,7 +29,6 @@ from ..hwmodel.latency import CostModel
 from ..hwmodel.merit import cut_area
 from ..ir.dfg import DataFlowGraph
 from .cut import Constraints, Cut
-from .parallel import cached_parallel_map
 from .selection import SelectionResult, make_result, merge_stats
 from .single_cut import SearchLimits, SearchStats, find_best_cut
 
@@ -53,16 +52,21 @@ class AreaCandidate:
         return self.merit / self.area
 
 
-def _block_candidates(job: Tuple) -> Tuple[List[AreaCandidate], SearchStats]:
-    """Module-level worker: exhaust one block's candidate pool
-    (picklable; independent of every other block).
+def _block_candidates(
+    dfg: DataFlowGraph,
+    constraints: Constraints,
+    model: CostModel,
+    limits: Optional[SearchLimits],
+    max_per_block: int,
+    cache=None,
+) -> Tuple[List[AreaCandidate], SearchStats]:
+    """Exhaust one block's candidate pool (independent of every other
+    block).
 
-    An optional sixth job element is an identification memo threaded
-    into the per-round searches — the sweep warm phase uses it so the
-    chain it computes here also serves the iterative algorithm.
+    *cache* is threaded into the per-round searches — the sweep warm
+    phase passes one so the chain it computes here also serves the
+    iterative algorithm.
     """
-    dfg, constraints, model, limits, max_per_block = job[:5]
-    cache = job[5] if len(job) > 5 else None
     stats = SearchStats()
     candidates: List[AreaCandidate] = []
     current = dfg
@@ -86,30 +90,27 @@ def enumerate_candidates(
     limits: Optional[SearchLimits] = None,
     max_per_block: int = 32,
     stats: Optional[SearchStats] = None,
-    workers: Optional[int] = None,
     cache=None,
 ) -> List[AreaCandidate]:
-    """Exhaust the iterative identifier on every block, optionally
-    fanning the independent per-block pools out over processes.
+    """Exhaust the iterative identifier on every block.
 
     Returns non-overlapping candidates (cuts from the same block never
     share operations, by construction of the collapse step).  *cache*
     is an optional memo (duck-typed ``get_pool``/``put_pool``); hits
     skip a block's searches entirely, with identical results.
     """
-    per_block = cached_parallel_map(
-        _block_candidates,
-        [(dfg, constraints, model, limits, max_per_block) for dfg in dfgs],
-        workers=workers,
-        lookup=(lambda job: cache.get_pool(job[0], constraints, model,
-                                           limits, max_per_block))
-        if cache is not None else None,
-        store=lambda job, result: cache.put_pool(
-            job[0], constraints, model, limits, max_per_block,
-            result[0], result[1]),
-    )
     candidates: List[AreaCandidate] = []
-    for block_cands, block_stats in per_block:
+    for dfg in dfgs:
+        pool = (cache.get_pool(dfg, constraints, model, limits,
+                               max_per_block)
+                if cache is not None else None)
+        if pool is None:
+            pool = _block_candidates(dfg, constraints, model, limits,
+                                     max_per_block)
+            if cache is not None:
+                cache.put_pool(dfg, constraints, model, limits,
+                               max_per_block, *pool)
+        block_cands, block_stats = pool
         if stats is not None:
             merge_stats(stats, block_stats)
         candidates.extend(block_cands)
@@ -214,7 +215,6 @@ def select_area_constrained(
     limits: Optional[SearchLimits] = None,
     method: str = "knapsack",
     max_per_block: int = 32,
-    workers: Optional[int] = None,
     cache=None,
 ) -> SelectionResult:
     """Select cuts maximising merit under both port and area budgets.
@@ -227,8 +227,6 @@ def select_area_constrained(
         method: ``"knapsack"`` (exact DP) or ``"greedy"`` (density
             heuristic).
         max_per_block: candidate-pool depth per basic block.
-        workers: processes for the per-block candidate pools (default:
-            the ``REPRO_WORKERS`` environment variable, else serial).
         cache: optional identification memo (e.g. ``repro.explore.
             SearchCache``) for the candidate pools.
 
@@ -241,7 +239,7 @@ def select_area_constrained(
     stats = SearchStats()
     pool = enumerate_candidates(dfgs, constraints, model, limits,
                                 max_per_block=max_per_block,
-                                stats=stats, workers=workers, cache=cache)
+                                stats=stats, cache=cache)
     if method == "knapsack":
         picked = knapsack_select(pool, area_budget,
                                  max_count=constraints.ninstr)

@@ -7,50 +7,23 @@ non-convex through it.  Globally, at every round the block offering the
 largest merit improvement contributes the next instruction — the same
 greedy outer loop as optimal selection, but with the cheap identifier.
 
-The expensive first round (one exhaustive identification per block) is
-independent across blocks and fans out over processes when ``workers``
-(or ``REPRO_WORKERS``) asks for it; results are identical either way.
+The expensive first round is one exhaustive identification per block.
+With a ``cache`` it is a lookup per block: a sweep's warm phase fills
+the cache beforehand, sharded over worker processes
+(:func:`repro.cluster.scheduled_map`), so selection itself stays a
+plain loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..hwmodel.latency import CostModel
 from ..ir.dfg import DataFlowGraph
 from .cut import Constraints, Cut
-from .parallel import cached_parallel_map
 from .selection import SelectionResult, make_result, merge_stats
-from .single_cut import SearchLimits, SearchResult, SearchStats, find_best_cut
-
-
-def _search_one_block(job: Tuple) -> SearchResult:
-    """Module-level worker: one per-block identification (picklable)."""
-    dfg, constraints, model, limits = job
-    return find_best_cut(dfg, constraints, model, limits)
-
-
-def _cached_first_round(
-    dfgs: Sequence[DataFlowGraph],
-    constraints: Constraints,
-    model: CostModel,
-    limits: Optional[SearchLimits],
-    workers: Optional[int],
-    cache,
-) -> List[SearchResult]:
-    """One identification per block: cache hits in-process, misses
-    fanned out (results identical to the uncached path)."""
-    return cached_parallel_map(
-        _search_one_block,
-        [(dfg, constraints, model, limits) for dfg in dfgs],
-        workers=workers,
-        lookup=(lambda job: cache.get_single(job[0], constraints, model,
-                                             limits))
-        if cache is not None else None,
-        store=lambda job, result: cache.put_single(
-            job[0], constraints, model, limits, result),
-    )
+from .single_cut import SearchLimits, SearchStats, find_best_cut
 
 
 @dataclass
@@ -69,7 +42,6 @@ def select_iterative(
     constraints: Constraints,
     model: Optional[CostModel] = None,
     limits: Optional[SearchLimits] = None,
-    workers: Optional[int] = None,
     cache=None,
 ) -> SelectionResult:
     """Choose up to ``constraints.ninstr`` cuts across all blocks.
@@ -79,8 +51,6 @@ def select_iterative(
         constraints: I/O port limits and the instruction budget.
         model: cost model for the merit function.
         limits: optional per-identification search budget.
-        workers: processes for the per-block first round (default: the
-            ``REPRO_WORKERS`` environment variable, else serial).
         cache: optional identification memo (e.g. ``repro.explore.
             SearchCache``); hits skip per-block searches, results are
             bit-identical either way.
@@ -89,10 +59,9 @@ def select_iterative(
     stats = SearchStats()
     complete = True
 
-    first_round = _cached_first_round(dfgs, constraints, model, limits,
-                                      workers, cache)
     states: List[_BlockState] = []
-    for dfg, result in zip(dfgs, first_round):
+    for dfg in dfgs:
+        result = find_best_cut(dfg, constraints, model, limits, cache=cache)
         merge_stats(stats, result.stats)
         complete = complete and result.complete
         states.append(_BlockState(

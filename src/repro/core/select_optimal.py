@@ -16,21 +16,14 @@ of silently hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..hwmodel.latency import CostModel
 from ..ir.dfg import DataFlowGraph
 from .cut import Constraints, Cut
 from .multi_cut import MultiCutResult, find_best_cuts
-from .parallel import cached_parallel_map
 from .selection import SelectionResult, make_result, merge_stats
 from .single_cut import SearchLimits, SearchStats
-
-
-def _search_one_block(job: Tuple) -> MultiCutResult:
-    """Module-level worker: one per-block multi-cut search (picklable)."""
-    dfg, constraints, num_cuts, model, limits = job
-    return find_best_cuts(dfg, constraints, num_cuts, model, limits)
 
 
 class BlockTooLargeError(RuntimeError):
@@ -56,7 +49,6 @@ def select_optimal(
     model: Optional[CostModel] = None,
     limits: Optional[SearchLimits] = None,
     max_nodes: Optional[int] = 40,
-    workers: Optional[int] = None,
     cache=None,
 ) -> SelectionResult:
     """Optimal selection of up to ``constraints.ninstr`` cuts.
@@ -68,8 +60,6 @@ def select_optimal(
         limits: optional search budget per identification call.
         max_nodes: refuse blocks larger than this (``None`` disables the
             guard).  Raises :class:`BlockTooLargeError`.
-        workers: processes for the per-block ``V_b(1)`` round (default:
-            the ``REPRO_WORKERS`` environment variable, else serial).
         cache: optional identification memo (e.g. ``repro.explore.
             SearchCache``); hits skip multi-cut searches, results are
             bit-identical either way.
@@ -86,18 +76,10 @@ def select_optimal(
 
     stats = SearchStats()
     complete = True
-    first_round = cached_parallel_map(
-        _search_one_block,
-        [(dfg, constraints, 1, model, limits) for dfg in dfgs],
-        workers=workers,
-        lookup=(lambda job: cache.get_multi(job[0], constraints, 1, model,
-                                            limits))
-        if cache is not None else None,
-        store=lambda job, result: cache.put_multi(
-            job[0], constraints, 1, model, limits, result),
-    )
     states: List[_BlockState] = []
-    for dfg, result in zip(dfgs, first_round):
+    for dfg in dfgs:
+        result = find_best_cuts(dfg, constraints, 1, model, limits,
+                                cache=cache)
         merge_stats(stats, result.stats)
         complete = complete and result.complete
         states.append(_BlockState(

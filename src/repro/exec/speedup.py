@@ -347,19 +347,16 @@ def measure_batch(app: Application, count: int,
 ALGORITHMS = ("iterative", "optimal", "clubbing", "maxmiso", "area")
 
 
-def dispatch_selection(algorithm, dfgs, cons, model, limits, workers,
-                       max_nodes, area_budget, area_method="knapsack",
-                       cache=None):
+def dispatch_selection(algorithm, dfgs, cons, model, limits, max_nodes,
+                       area_budget, area_method="knapsack", cache=None):
     """Run one selection algorithm by name (all five families) — the
     single dispatcher behind ``Session.select``, ``repro select`` and
     ``repro speedup``, so every path wires the same knobs."""
     if algorithm == "iterative":
-        return select_iterative(dfgs, cons, model, limits, workers=workers,
-                                cache=cache)
+        return select_iterative(dfgs, cons, model, limits, cache=cache)
     if algorithm == "optimal":
         return select_optimal(dfgs, cons, model, limits,
-                              max_nodes=max_nodes, workers=workers,
-                              cache=cache)
+                              max_nodes=max_nodes, cache=cache)
     if algorithm == "clubbing":
         return select_clubbing(dfgs, cons, model)
     if algorithm == "maxmiso":
@@ -367,7 +364,7 @@ def dispatch_selection(algorithm, dfgs, cons, model, limits, workers,
     if algorithm == "area":
         return select_area_constrained(dfgs, cons, area_budget, model,
                                        limits, method=area_method,
-                                       workers=workers, cache=cache)
+                                       cache=cache)
     known = ", ".join(ALGORITHMS)
     raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
 
@@ -382,7 +379,6 @@ def run_speedup(
     limits: Optional[SearchLimits] = None,
     n: Optional[int] = None,
     unroll: Optional[int] = None,
-    workers: Optional[int] = None,
     max_nodes: int = 40,
     area_budget: float = 2.0,
     area_method: str = "knapsack",
@@ -431,7 +427,7 @@ def run_speedup(
         constraints = Constraints(nin=nin, nout=nout, ninstr=ninstr)
         try:
             selection = dispatch_selection(
-                algorithm, app.dfgs, constraints, model, limits, workers,
+                algorithm, app.dfgs, constraints, model, limits,
                 max_nodes, area_budget, area_method=area_method,
                 cache=cache)
         except BlockTooLargeError as exc:

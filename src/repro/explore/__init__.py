@@ -13,8 +13,8 @@ such grids in one process invocation:
   that vary only ``Ninstr`` or the algorithm never repeat the
   exponential per-block searches;
 * :mod:`repro.explore.runner` — the engine: prepares each workload
-  once, warms the cache at *(block, constraint)* granularity over
-  :mod:`repro.core.parallel`, then evaluates every grid point through
+  once, warms the cache at *(block, constraint)* granularity through
+  :func:`repro.cluster.scheduled_map`, then evaluates every grid point through
   the ordinary selection algorithms;
 * :mod:`repro.explore.report` — Fig. 11-style tables plus JSON/CSV
   artifacts.

@@ -89,9 +89,8 @@ class SearchCache:
     plain dict.  :meth:`entries`/:meth:`merge` move entries between
     caches — the sweep runner's workers each fill a local cache and the
     parent merges what they return, which shares the memo across
-    processes without requiring OS-level shared memory (unavailable in
-    some sandboxes; cf. the silent serial fallback of
-    ``core/parallel.py``).
+    processes without requiring OS-level shared memory (a store-less
+    sweep has no other channel back from its workers).
 
     ``backing`` optionally adds a persistent tier (an
     :class:`repro.store.ArtifactStore`): gets fall through to it on an

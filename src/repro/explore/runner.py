@@ -7,10 +7,10 @@ phases:
    exactly once (the seed CLI re-did this per grid point);
 2. **Warm** — the unique identification obligations implied by the grid
    are planned at *(block, constraint)* granularity, deduplicated by
-   cache key, and fanned out largest-first over the work-stealing
-   :func:`repro.core.parallel.scheduled_map` (or, with ``cluster=``/
-   ``listen=``, over the leader/worker fabric of
-   :mod:`repro.cluster`).  Each worker fills a local
+   cache key, and handed out largest-first by the cluster leader's
+   work-stealing :func:`repro.cluster.scheduled_map` — to ``workers``
+   forked local processes, to remote ``repro worker`` nodes
+   (``listen=``), or inline when serial.  Each worker fills a local
    :class:`~repro.explore.cache.SearchCache` and returns its entries
    (or spills them into the shared persistent store); the parent
    merges them, which shares the memo across processes — and, through
@@ -47,7 +47,7 @@ from ..core import (
     select_maxmiso,
     select_optimal,
 )
-from ..core.parallel import scheduled_map
+from ..cluster import scheduled_map
 from ..core.select_area import _block_candidates, select_area_constrained
 from ..core.selection import SelectionResult
 from ..hwmodel.merit import cut_area
@@ -82,7 +82,7 @@ def _warm_unit(job: Tuple) -> List[Tuple[Tuple, object]]:
             # labels are excluded from cache digests, so the single-cut
             # entries it warms serve the iterative algorithm too.
             candidates, stats = _block_candidates(
-                (dfg, cons, model, limits, arg, cache))
+                dfg, cons, model, limits, arg, cache=cache)
             cache.put_pool(dfg, cons, model, limits, arg, candidates, stats)
         elif kind == "chain":
             current = dfg
@@ -202,7 +202,7 @@ class SweepOutcome:
     cache_entries: int = 0
     code_memo: Optional[dict] = None
     unit_reports: List[dict] = field(default_factory=list)
-    #: Warm units the cluster quarantined (``status="error"`` reports:
+    #: Warm units the scheduler quarantined (``status="error"`` reports:
     #: index, worker, attempts, last traceback).  The sweep still
     #: completes — the evaluation phase recomputes a failed unit's
     #: obligations inline through the shared cache, so rows stay
@@ -227,7 +227,6 @@ def _run_point(
     spec: SweepSpec,
     model,
     cache: Optional[SearchCache],
-    workers: Optional[int],
     baselines: Optional[Dict[Tuple[str, str], tuple]] = None,
     store: Optional[ArtifactStore] = None,
     backend: Optional[str] = None,
@@ -248,20 +247,18 @@ def _run_point(
     try:
         if point.algorithm == "iterative":
             result = select_iterative(app.dfgs, cons, model, limits,
-                                      workers=workers, cache=cache)
+                                      cache=cache)
         elif point.algorithm == "clubbing":
             result = select_clubbing(app.dfgs, cons, model)
         elif point.algorithm == "maxmiso":
             result = select_maxmiso(app.dfgs, cons, model)
         elif point.algorithm == "optimal":
             result = select_optimal(app.dfgs, cons, model, limits,
-                                    max_nodes=spec.max_nodes,
-                                    workers=workers, cache=cache)
+                                    max_nodes=spec.max_nodes, cache=cache)
         elif point.algorithm == "area":
             result = select_area_constrained(
                 app.dfgs, cons, spec.area_budget, model, limits,
-                max_per_block=spec.max_per_block,
-                workers=workers, cache=cache)
+                max_per_block=spec.max_per_block, cache=cache)
         else:  # unreachable: SweepSpec validates algorithms
             raise ValueError(f"unknown algorithm {point.algorithm!r}")
     except BlockTooLargeError as exc:
@@ -362,7 +359,6 @@ def run_sweep(
     store: Optional[ArtifactStore] = None,
     prepare: Optional[Callable] = None,
     backend: Optional[str] = None,
-    cluster: Optional[int] = None,
     listen: Optional[str] = None,
     unit_attempts: int = 3,
     unit_deadline: Optional[float] = None,
@@ -377,8 +373,9 @@ def run_sweep(
             invocations would).
         cache: optional pre-warmed cache to reuse across sweeps; a
             fresh one is created when omitted and ``use_cache`` is on.
-        workers: process fan-out for the warm phase and for cache-miss
-            identification (default: ``REPRO_WORKERS``, else serial).
+        workers: local worker processes for the warm phase (default:
+            ``REPRO_WORKERS``, else serial); see
+            :func:`repro.cluster.scheduled_map`.
         echo: optional progress sink (e.g. ``print``).
         store: optional persistent :class:`repro.store.ArtifactStore`:
             workload preparation, warm-phase search entries and measure
@@ -394,22 +391,17 @@ def run_sweep(
         backend: execution backend for profiling and ``measure=True``
             runs (``"walk"``/``"compiled"``; default ``$REPRO_BACKEND``,
             else compiled).  Rows are byte-identical either way.
-        cluster: when given, the warm phase runs through the
-            leader/worker fabric (:func:`repro.cluster.run_cluster`)
-            with this many local worker processes instead of the
-            in-process pool.  Rows are bit-identical either way.
-        listen: ``HOST:PORT`` the cluster leader additionally accepts
-            remote ``repro worker --connect`` nodes on (implies the
-            cluster path even with ``cluster=0``); point the store at
-            a shared medium (``tcp://`` / ``sqlite:``) so remote
-            workers reach the same artifacts.
-        unit_attempts: cluster-path hand-out budget per warm unit
-            before it is quarantined into ``failed_units`` (the sweep
-            then recomputes its obligations during evaluation).
+        listen: ``HOST:PORT`` the leader additionally accepts remote
+            ``repro worker --connect`` nodes on; point the store at a
+            shared medium (``tcp://`` / ``sqlite:``) so remote workers
+            reach the same artifacts.
+        unit_attempts: hand-out budget per warm unit before it is
+            quarantined into ``failed_units`` (the sweep then
+            recomputes its obligations).
         unit_deadline: seconds one warm unit may stay outstanding on
-            a cluster worker before the leader requeues it.
-        cluster_deadline: overall warm-phase deadline (seconds) on the
-            cluster path; unresolved units are abandoned into
+            a worker before the leader requeues it.
+        cluster_deadline: overall warm-phase deadline (seconds) while
+            workers run; unresolved units are abandoned into
             ``failed_units`` instead of hanging the sweep.
     """
     say = echo or (lambda _line: None)
@@ -442,19 +434,11 @@ def run_sweep(
                       else None)
         jobs = _plan_units(spec, apps, cache, store_spec=store_spec)
         outcome.warm_units = len(jobs)
-        hints = [_unit_hint(job) for job in jobs]
-        if cluster is not None or listen:
-            from ..cluster import run_cluster
-            unit_entries, reports = run_cluster(
-                "repro.explore.runner:_warm_unit", jobs,
-                size_hints=hints, workers=(cluster or 0),
-                listen=listen, store_spec=store_spec, echo=say,
-                max_attempts=unit_attempts,
-                unit_deadline=unit_deadline,
-                deadline=cluster_deadline)
-        else:
-            unit_entries, reports = scheduled_map(
-                _warm_unit, jobs, workers=workers, size_hints=hints)
+        unit_entries, reports = scheduled_map(
+            _warm_unit, jobs, workers=workers,
+            size_hints=[_unit_hint(job) for job in jobs], listen=listen,
+            store_spec=store_spec, echo=say, max_attempts=unit_attempts,
+            unit_deadline=unit_deadline, deadline=cluster_deadline)
         for entries in unit_entries:
             if entries is not None:
                 cache.merge(entries)
@@ -496,7 +480,7 @@ def run_sweep(
     start = time.perf_counter()
     for point in spec.expand():
         row = _run_point(point, apps[point.workload], spec,
-                         models[point.model], cache, workers,
+                         models[point.model], cache,
                          baselines=baselines, store=store,
                          backend=backend)
         outcome.rows.append(row)

@@ -11,7 +11,7 @@ owns the three things worth keeping instead:
 * a cost model and a :class:`~repro.explore.SearchCache` backed by the
   store, shared by every call so ``identify`` warms ``select`` warms
   ``sweep``;
-* the worker-pool width used by parallel selection rounds.
+* the number of worker processes a sweep's warm phase runs on.
 
 The facade exposes the complete API surface — :meth:`prepare`,
 :meth:`identify`, :meth:`select`, :meth:`sweep`, :meth:`speedup`,
@@ -69,7 +69,7 @@ class Session:
                 ``False``/``None`` for a purely in-memory session, a
                 path, or an :class:`ArtifactStore`.
             model: cost model shared by every call (default paper model).
-            workers: worker-pool width for parallel selection rounds
+            workers: worker processes for a sweep's warm phase
                 (default: ``$REPRO_WORKERS``, else serial).
             limits: default search budget applied when a call does not
                 pass its own.
@@ -137,29 +137,29 @@ class Session:
         return dispatch_selection(
             algorithm, app.dfgs,
             Constraints(nin=nin, nout=nout, ninstr=ninstr),
-            self.model, self._limits(limits), self.workers, max_nodes,
-            area_budget, area_method=area_method, cache=self.cache)
+            self.model, self._limits(limits), max_nodes, area_budget,
+            area_method=area_method, cache=self.cache)
 
     # ------------------------------------------------------------------
     def sweep(self, spec, use_cache: bool = True, echo=None,
-              cluster=None, listen=None, unit_attempts: int = 3,
+              listen=None, unit_attempts: int = 3,
               unit_deadline=None, cluster_deadline=None):
         """Run a whole design-space grid (:func:`repro.explore.
         run_sweep`) through the session's cache and store — a repeated
         identical sweep skips preparation and the warm phase entirely.
-        ``cluster``/``listen`` route the warm phase through the
-        leader/worker fabric (``repro sweep --cluster N``); rows are
-        bit-identical to the in-process path.  ``unit_attempts`` /
-        ``unit_deadline`` / ``cluster_deadline`` are the cluster
-        path's robustness knobs (poison-unit quarantine, hung-worker
-        requeue, overall warm-phase deadline)."""
+        The warm phase runs on the session's ``workers`` processes;
+        ``listen`` additionally accepts remote ``repro worker`` nodes.
+        Rows are bit-identical to a serial sweep either way.
+        ``unit_attempts`` / ``unit_deadline`` / ``cluster_deadline``
+        are the warm phase's robustness knobs (poison-unit
+        quarantine, hung-worker requeue, overall deadline)."""
         from .explore.runner import run_sweep
 
         return run_sweep(spec, use_cache=use_cache,
                          cache=self.cache if use_cache else None,
                          workers=self.workers, echo=echo,
                          store=self.store, backend=self.backend,
-                         cluster=cluster, listen=listen,
+                         listen=listen,
                          unit_attempts=unit_attempts,
                          unit_deadline=unit_deadline,
                          cluster_deadline=cluster_deadline,
@@ -183,8 +183,8 @@ class Session:
             workloads, nin=nin, nout=nout, ninstr=ninstr,
             algorithm=algorithm, model=self.model,
             limits=self._limits(limits), n=n, unroll=unroll,
-            workers=self.workers, max_nodes=max_nodes,
-            area_budget=area_budget, area_method=area_method,
+            max_nodes=max_nodes, area_budget=area_budget,
+            area_method=area_method,
             store=self.store, cache=self.cache, backend=self.backend,
             prepare=lambda name, size, unr: self.prepare(
                 name, n=size, unroll=unr))

@@ -7,8 +7,8 @@ import threading
 
 import pytest
 
-from repro.cluster import ClusterLeader, run_cluster, worker_loop
-from repro.cluster.worker import resolve_callable
+from repro.cluster import ClusterLeader, scheduled_map, worker_loop
+from repro.cluster.worker import _sleep_unit, resolve_callable
 from repro.explore import SweepSpec, run_sweep
 from repro.store import ArtifactStore
 from repro.wire import connect, recv_msg, send_msg
@@ -95,28 +95,30 @@ class TestLeaderProtocol:
         with pytest.raises(ValueError):
             resolve_callable("no_colon_here")
         with pytest.raises(ValueError):
-            resolve_callable("repro.cluster.worker:WAIT_POLL_S")
+            resolve_callable("repro.cluster.leader:DEFAULT_PORT")
 
 
 class TestRunCluster:
+    """scheduled_map's local topology: a leader plus forked workers."""
+
     def test_local_workers_match_serial(self):
         payloads = [0.0, 0.01, 0.0, 0.02]
-        results, reports = run_cluster(
-            "repro.cluster.worker:_sleep_unit", payloads,
-            size_hints=[1, 2, 1, 3], workers=2)
+        results, reports = scheduled_map(
+            _sleep_unit, payloads, size_hints=[1, 2, 1, 3], workers=2)
         assert results == payloads
         assert sorted(r.index for r in reports) == [0, 1, 2, 3]
         assert all(r.elapsed_s >= 0.0 for r in reports)
+        assert all(r.worker.startswith("local") for r in reports)
 
     def test_zero_workers_run_inline(self):
-        results, reports = run_cluster(
-            "repro.cluster.worker:_sleep_unit", [0.0, 0.0], workers=0)
+        # One worker means zero forks: the leader drains the queue.
+        results, reports = scheduled_map(_sleep_unit, [0.0, 0.0],
+                                         workers=1)
         assert results == [0.0, 0.0]
         assert {r.worker for r in reports} == {"leader-inline"}
 
     def test_empty_payloads(self):
-        assert run_cluster("repro.cluster.worker:_sleep_unit",
-                           [], workers=2) == ([], [])
+        assert scheduled_map(_sleep_unit, [], workers=2) == ([], [])
 
 
 def _small_spec():
@@ -151,7 +153,7 @@ class TestClusterSweep:
         serial_outcome, serial_store = serial
         root = tmp_path_factory.mktemp("cluster-store")
         store = ArtifactStore(f"sqlite:{root / 'store.sqlite'}")
-        outcome = run_sweep(_small_spec(), store=store, cluster=2)
+        outcome = run_sweep(_small_spec(), store=store, workers=2)
         assert _strip_timing(outcome.rows) == \
             _strip_timing(serial_outcome.rows)
         # The persistent media hold the same artifact key sets: the
@@ -165,14 +167,14 @@ class TestClusterSweep:
         # the pre-warmed artifacts: zero warm units, identical rows.
         serial_outcome, serial_store = serial
         outcome = run_sweep(_small_spec(), store=serial_store,
-                            cluster=2)
+                            workers=2)
         assert outcome.warm_units == 0
         assert _strip_timing(outcome.rows) == \
             _strip_timing(serial_outcome.rows)
 
     def test_unit_telemetry_reaches_the_outcome(self, tmp_path):
         store = ArtifactStore(f"sqlite:{tmp_path / 'store.sqlite'}")
-        outcome = run_sweep(_small_spec(), store=store, cluster=2)
+        outcome = run_sweep(_small_spec(), store=store, workers=2)
         assert outcome.warm_units > 0
         assert len(outcome.unit_reports) == outcome.warm_units
         for record in outcome.unit_reports:
@@ -211,7 +213,7 @@ class TestRemoteWorkerSweep:
 
         lurker = threading.Thread(target=_lurk, daemon=True)
         lurker.start()
-        outcome = run_sweep(_small_spec(), store=store, cluster=0,
+        outcome = run_sweep(_small_spec(), store=store, workers=1,
                             listen="127.0.0.1:0", echo=_echo_line)
         lurker.join(timeout=10)
         assert joined and joined[0] == outcome.warm_units

@@ -3,11 +3,10 @@ worker naming — the hardening half of the chaos PR."""
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.chaos import FaultPlan, FaultSpec, env_plan
-from repro.cluster import ClusterLeader, run_cluster, worker_loop
+from repro.cluster import ClusterLeader, scheduled_map, worker_loop
 from repro.cluster.worker import default_worker_name
 from repro.explore import SweepSpec, run_sweep
 from repro.store import ArtifactStore
@@ -38,9 +37,8 @@ class TestWorkerNames:
 
 class TestPoisonQuarantine:
     def test_inline_poison_unit_is_quarantined(self):
-        results, reports = run_cluster(
-            "tests.cluster.test_robustness:_explode",
-            ["a", "bad", "b"], workers=0, max_attempts=2)
+        results, reports = scheduled_map(
+            _explode, ["a", "bad", "b"], workers=1, max_attempts=2)
         assert results == [("ran", "a"), None, ("ran", "b")]
         failed = [r for r in reports if r.status == "error"]
         assert len(failed) == 1
@@ -71,9 +69,8 @@ class TestPoisonQuarantine:
         plan = FaultPlan(seed=0, specs=(
             FaultSpec(site="unit", kind="poison", ops=("1",)),))
         with env_plan(plan):
-            results, reports = run_cluster(
-                "tests.cluster.test_robustness:_echo",
-                ["a", "b", "c"], workers=0, max_attempts=2)
+            results, reports = scheduled_map(
+                _echo, ["a", "b", "c"], workers=1, max_attempts=2)
         assert results == [("ran", "a"), None, ("ran", "c")]
         assert [r.index for r in reports if r.status == "error"] == [1]
 
@@ -132,10 +129,9 @@ class TestDeadlines:
         # A listening leader with no workers: nothing ever pulls, so
         # the overall deadline must end the run with structured
         # failures instead of hanging.
-        results, reports = run_cluster(
-            "tests.cluster.test_robustness:_echo", ["a", "b"],
-            workers=0, listen="127.0.0.1:0", poll_s=0.02,
-            deadline=0.2)
+        results, reports = scheduled_map(
+            _echo, ["a", "b"], workers=1, listen="127.0.0.1:0",
+            poll_s=0.02, deadline=0.2)
         assert results == [None, None]
         assert all(r.status == "error" for r in reports)
         assert all("deadline" in r.error for r in reports)
@@ -159,8 +155,8 @@ class TestSweepFailedUnits:
             FaultSpec(site="unit", kind="poison", ops=("0",)),))
         store = ArtifactStore(f"sqlite:{tmp_path / 'chaos.sqlite'}")
         with env_plan(plan):
-            outcome = run_sweep(spec, store=store, workers=1,
-                                cluster=2, unit_attempts=2)
+            outcome = run_sweep(spec, store=store, workers=2,
+                                unit_attempts=2)
         assert [u["index"] for u in outcome.failed_units] == [0]
         assert outcome.failed_units[0]["status"] == "error"
         assert outcome.failed_units[0]["attempts"] == 2

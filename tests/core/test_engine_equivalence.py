@@ -24,10 +24,11 @@ from repro.core import (
     evaluate_cut,
     find_best_cut,
     find_best_cuts,
-    parallel_map,
     resolve_workers,
     select_iterative,
 )
+from repro.cluster import scheduled_map
+from repro.explore import SearchCache
 from repro.core.bruteforce import best_cut_bruteforce
 from repro.hwmodel import CostModel
 from repro.ir.synth import make_dfg, random_dag_dfg
@@ -240,19 +241,23 @@ class TestParallelSelection:
                 for k in range(3)]
 
     def test_workers_do_not_change_selection(self):
+        # First-round searches computed on worker processes and merged
+        # into a cache give the same selection as a cold serial run.
         dfgs = self._dfgs()
         cons = Constraints(nin=3, nout=2, ninstr=4)
-        serial = select_iterative(dfgs, cons, MODEL, workers=1)
-        forked = select_iterative(dfgs, cons, MODEL, workers=2)
+        serial = select_iterative(dfgs, cons, MODEL)
+        cache = SearchCache()
+        entries, _ = scheduled_map(
+            _first_round_entries, [(dfg, cons) for dfg in dfgs],
+            workers=2)
+        for unit in entries:
+            cache.merge(unit)
+        forked = select_iterative(dfgs, cons, MODEL, cache=cache)
+        assert cache.stats.hits >= len(dfgs)
         assert ([sorted(c.nodes) for c in serial.cuts]
                 == [sorted(c.nodes) for c in forked.cuts])
         assert serial.total_merit == forked.total_merit
         assert serial.stats.cuts_considered == forked.stats.cuts_considered
-
-    def test_parallel_map_matches_serial(self):
-        items = list(range(7))
-        assert parallel_map(_square, items, workers=2) == \
-            [x * x for x in items]
 
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -265,5 +270,9 @@ class TestParallelSelection:
         assert resolve_workers(None) == 1
 
 
-def _square(x: int) -> int:
-    return x * x
+def _first_round_entries(job):
+    """Worker unit: one block's first-round search, as cache entries."""
+    dfg, cons = job
+    cache = SearchCache()
+    find_best_cut(dfg, cons, MODEL, cache=cache)
+    return cache.entries()

@@ -1,20 +1,15 @@
-"""Tests for the work-stealing scheduler and the workers knob."""
+"""Tests for the warm-phase scheduler and the workers knob."""
 
 from __future__ import annotations
 
 import os
+import socket
 import time
 
 import pytest
 
-from repro.core.parallel import (
-    WORKERS_ENV,
-    UnitReport,
-    _dispatch_order,
-    parallel_map,
-    resolve_workers,
-    scheduled_map,
-)
+from repro.cluster import scheduled_map
+from repro.core.parallel import WORKERS_ENV, UnitReport, resolve_workers
 
 
 def _square(x):
@@ -24,6 +19,18 @@ def _square(x):
 def _nap(x):
     time.sleep(float(x))
     return x
+
+
+def _reciprocal(x):
+    return 1 / x
+
+
+def _dispatch_order(count, hints):
+    """Unit order of a serial run: with no forks the leader drains its
+    queue inline, so completion order is the dispatch order."""
+    _, reports = scheduled_map(_square, list(range(count)), workers=1,
+                               size_hints=hints)
+    return [r.index for r in reports]
 
 
 class TestResolveWorkers:
@@ -100,7 +107,7 @@ class TestScheduledMap:
 
     def test_serial_path_reports_serial_worker(self):
         _, reports = scheduled_map(_square, [1, 2, 3], workers=1)
-        assert {r.worker for r in reports} == {"serial"}
+        assert {r.worker for r in reports} == {"leader-inline"}
 
     def test_serial_dispatch_runs_largest_first(self):
         # With one worker the reports land in dispatch order, which
@@ -109,28 +116,35 @@ class TestScheduledMap:
                                    size_hints=[1.0, 3.0, 2.0])
         assert [r.index for r in reports] == [1, 2, 0]
 
-    def test_pool_path_uses_process_workers(self):
-        results, reports = scheduled_map(_square, list(range(8)),
-                                         workers=2)
-        assert results == [x * x for x in range(8)]
-        # Pool workers report their pid; a pool-infrastructure failure
-        # degrades to the serial path, which is equally correct.
-        workers = {r.worker for r in reports}
-        assert workers == {"serial"} or all(
-            w.startswith("pid") for w in workers)
+    def test_serial_path_opens_no_socket(self, monkeypatch):
+        def _no_sockets(*_args, **_kwargs):
+            raise AssertionError("serial scheduled_map opened a socket")
 
-    def test_unpicklable_fn_degrades_to_serial(self):
-        results, reports = scheduled_map(lambda x: x + 1, [1, 2, 3],
-                                         workers=2)
+        monkeypatch.setattr(socket, "socket", _no_sockets)
+        results, reports = scheduled_map(_square, [1, 2, 3], workers=1)
+        assert results == [1, 4, 9]
+        assert len(reports) == 3
+
+    def test_lambda_with_workers_raises(self):
+        with pytest.raises(ValueError, match="module-level"):
+            scheduled_map(lambda x: x + 1, [1, 2, 3], workers=2)
+
+    def test_lambda_runs_serially(self):
+        results, _ = scheduled_map(lambda x: x + 1, [1, 2, 3], workers=1)
         assert results == [2, 3, 4]
-        assert {r.worker for r in reports} == {"serial"}
 
     def test_empty_items(self):
         assert scheduled_map(_square, [], workers=2) == ([], [])
 
-    def test_exceptions_propagate(self):
-        with pytest.raises(ZeroDivisionError):
-            scheduled_map(_reciprocal, [1, 0], workers=1)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_unit_is_quarantined(self, workers):
+        results, reports = scheduled_map(_reciprocal, [1, 0, 2],
+                                         workers=workers, max_attempts=2)
+        assert results == [1.0, None, 0.5]
+        failed = [r for r in reports if r.status == "error"]
+        assert [r.index for r in failed] == [1]
+        assert failed[0].attempts == 2
+        assert "ZeroDivisionError" in failed[0].error
 
     def test_unit_report_as_dict(self):
         record = UnitReport(index=2, size_hint=4.0, elapsed_s=0.5,
@@ -138,17 +152,3 @@ class TestScheduledMap:
         assert record == {"index": 2, "size_hint": 4.0,
                           "elapsed_s": 0.5, "worker": "pid9",
                           "status": "ok", "attempts": 1, "error": None}
-
-
-def _reciprocal(x):
-    return 1 / x
-
-
-class TestParallelMap:
-    def test_matches_serial(self):
-        items = list(range(17))
-        assert parallel_map(_square, items, workers=2, chunksize=3) == \
-            [x * x for x in items]
-
-    def test_serial_fallback(self):
-        assert parallel_map(_square, [3], workers=4) == [9]

@@ -184,10 +184,10 @@ entry:
 
 
 class TestPickledCuts:
-    # Parallel selection (--workers) returns cuts pickled back from
-    # worker processes: their DFG nodes hold *copies* of the module's
-    # instructions, so identity-based location must fall back to the
-    # structural (dfg name + node label) path.
+    # A selection that crossed a process boundary holds pickled cuts:
+    # their DFG nodes hold *copies* of the module's instructions, so
+    # identity-based location must fall back to the structural (dfg
+    # name + node label) path.
     def test_cut_survives_pickle_roundtrip(self):
         import pickle
 

@@ -215,6 +215,35 @@ class TestSweep:
             main(["sweep", "--workloads", "fir", "--ninstr", "2;4",
                   "--quiet"])
 
+    def test_all_workloads(self, capsys):
+        code = main(["sweep", "--workloads", "all", "--ports", "2x1",
+                     "--ninstr", "2", "--algos", "maxmiso", "--n", "8",
+                     "--quiet", "--no-store"])
+        assert code == 0
+        out = capsys.readouterr().out
+        from repro.workloads import WORKLOADS
+        for name in WORKLOADS:
+            assert name in out
+
+    def test_workers_stdout_matches_serial(self, capsys):
+        argv = ["sweep", "--workloads", "fir,crc32", "--ports", "2x1,4x2",
+                "--ninstr", "2", "--algos", "iterative,area",
+                "--limit", "100000", "--n", "16", "--quiet",
+                "--no-store"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workloads", "fir", "--cluster", "2"],
+        ["select", "fir", "--workers", "2"],
+        ["speedup", "--workers", "2"],
+    ])
+    def test_removed_parallel_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+
 
 class TestStoreFlags:
     """Byte-identity across store modes plus the ``cache`` verb."""

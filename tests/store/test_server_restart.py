@@ -126,8 +126,7 @@ class TestServerRestart:
         import os
         os.environ["REPRO_STORE_RETRIES"] = "8"
         try:
-            outcome = run_sweep(spec, store=store, workers=1,
-                                cluster=2)
+            outcome = run_sweep(spec, store=store, workers=2)
         finally:
             os.environ.pop("REPRO_STORE_RETRIES", None)
             bouncer.join(timeout=10)
