@@ -10,15 +10,24 @@ second** two ways, on the warm compiled backend:
   memo) and executes once;
 * **batch** — :func:`repro.interp.run_batch` over ``N = 10_000`` lanes
   in one call: the driver runs once, tables and closures bind once,
-  and the memory image is reset in place between lanes.
+  and the memory image is reset in place between lanes;
+* **rewritten** — the same batch over the ISE-rewritten program
+  (iterative selection, Nin 4 / Nout 2 / Ninstr 16), whose custom
+  instructions run as inlined gate netlists.
 
 It is a CI **gate**, not telemetry: the job fails when
 
 * any workload's batch throughput is below ``MIN_BATCH_SPEEDUP`` (3x)
   over warm single-input execution (the ISSUE's floor; target ~5x);
+* any workload's rewritten batch throughput is below
+  ``MIN_REWRITTEN_RATIO`` (0.85x) of its baseline batch throughput —
+  the rewritten program executes fewer steps, so it must not run
+  slower in wall-clock time (the margin absorbs shared-runner noise);
 * any lane of a full-size verification batch diverges from a golden
   reference lane executed on the **walker** and checked against the
-  workload's golden model — value or any memory word.
+  workload's golden model — value or any memory word — on the
+  baseline or the rewritten program;
+* any block of a rewritten program falls back to the walker.
 
 Emits ``benchmarks/results/BENCH_batch.json``.
 
@@ -39,13 +48,12 @@ from repro.interp import (
     run_batch,
 )
 from repro.interp.compile import code_memo_stats
-from repro.pipeline import compile_workload
 
 try:
-    from _bench_utils import RESULTS_DIR, report
+    from _bench_utils import RESULTS_DIR, report, rewritten_workload
 except ImportError:  # standalone run: benchmarks/ not on sys.path
     sys.path.insert(0, str(Path(__file__).parent))
-    from _bench_utils import RESULTS_DIR, report
+    from _bench_utils import RESULTS_DIR, report, rewritten_workload
 
 #: Hard floor for batch-vs-single inputs/sec, per workload (the ISSUE's
 #: acceptance bar; the target is 5x).
@@ -58,6 +66,9 @@ MIN_BATCH_SPEEDUP = 3.0
 #: is one whole SHA-1 block (~6.7k steps, 3-10x every other workload's
 #: lane), which caps its measurable speedup near 2.9x.
 FLOORS = {"sha": 2.0}
+
+#: Floor for rewritten-vs-baseline batch inputs/s, per workload.
+MIN_REWRITTEN_RATIO = 0.85
 
 #: Lanes per timed batch — the N of the headline "inputs/sec at N=10k".
 BATCH_LANES = 10_000
@@ -98,49 +109,79 @@ def _single_input_s(module, workload, n) -> float:
     return best / SINGLE_RUNS
 
 
+def _reference_lane(module, workload, lanes, n):
+    """Golden lane on the *walker*, accepted by the workload's model:
+    the oracle every timed lane is held to bit-for-bit."""
+    reference = run_batch(
+        module, workload.entry, lanes[:1], backend="walk",
+        keep_arrays=True,
+        verify=lambda memory, lane: workload.verify(memory, n))
+    return reference.lanes[0]
+
+
+def _timed_batch(module, entry, lanes, ref):
+    """Best-of-``REPEATS`` seconds of one warm batch, and whether every
+    lane of an untimed full-size pass matches *ref* word-for-word with
+    the reference's exact step count."""
+    run_batch(module, entry, lanes[:1])         # warm the code memo
+    best = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        batch = run_batch(module, entry, lanes)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    checked = run_batch(module, entry, lanes,
+                        verify=image_verifier(ref.value, ref.arrays))
+    identical = (checked.verified_count == len(lanes)
+                 and batch.total_steps == checked.total_steps
+                 == ref.steps * len(lanes))
+    return best, identical
+
+
 def main() -> int:
     rows = {}
     failures = []
     for name in sorted(WORKLOADS):
         workload = WORKLOADS[name]
-        module = compile_workload(workload)
+        app, rewritten = rewritten_workload(name)
+        module = app.module
         n = SIZES.get(name, DEFAULT_SIZE)
         lanes = driver_lanes(module, workload.driver, n, BATCH_LANES)
 
-        # Golden reference on the *walker*, accepted by the workload's
-        # model: the oracle every lane is held to bit-for-bit.
-        reference = run_batch(
-            module, workload.entry, lanes[:1], backend="walk",
-            keep_arrays=True,
-            verify=lambda memory, lane: workload.verify(memory, n))
-        ref = reference.lanes[0]
-        if not ref.ok or ref.verified is not True:
+        ref = _reference_lane(module, workload, lanes, n)
+        rewritten_ref = _reference_lane(rewritten, workload, lanes, n)
+        if not all(lane.ok and lane.verified is True
+                   for lane in (ref, rewritten_ref)):
+            reason = (ref.trap or rewritten_ref.trap
+                      or "golden model rejected")
             failures.append(f"{name}: walker reference lane failed "
-                            f"({ref.trap or 'golden model rejected'})")
+                            f"({reason})")
             continue
 
-        # Warm the code memo once, then time.
-        run_batch(module, workload.entry, lanes[:1])
         single_s = _single_input_s(module, workload, n)
-        best = None
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            batch = run_batch(module, workload.entry, lanes)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
+        best, identical = _timed_batch(module, workload.entry, lanes, ref)
         per_lane_s = best / BATCH_LANES
-
-        # Full-size verification pass (untimed): every lane must match
-        # the walker reference image word-for-word.
-        checked = run_batch(module, workload.entry, lanes,
-                            verify=image_verifier(ref.value, ref.arrays))
-        identical = (checked.verified_count == BATCH_LANES
-                     and batch.total_steps == checked.total_steps
-                     and batch.total_steps
-                     == ref.steps * BATCH_LANES)
         if not identical:
             failures.append(f"{name}: batch lanes diverged from the "
                             f"walker reference")
+
+        fallbacks = code_memo_stats().fallbacks
+        rewritten_s, rewritten_identical = _timed_batch(
+            rewritten, workload.entry, lanes, rewritten_ref)
+        rewritten_identical = (
+            rewritten_identical and rewritten_ref.value == ref.value
+            and rewritten_ref.arrays == ref.arrays)
+        if not rewritten_identical:
+            failures.append(f"{name}: rewritten lanes diverged from the "
+                            f"walker reference")
+        if code_memo_stats().fallbacks != fallbacks:
+            failures.append(f"{name}: rewritten blocks fell back to "
+                            f"the walker")
+        ratio = best / rewritten_s
+        if ratio < MIN_REWRITTEN_RATIO:
+            failures.append(
+                f"{name}: rewritten batch at {ratio:.2f}x of baseline "
+                f"< {MIN_REWRITTEN_RATIO:.2f}x")
 
         speedup = single_s / per_lane_s
         floor = FLOORS.get(name, MIN_BATCH_SPEEDUP)
@@ -158,23 +199,36 @@ def main() -> int:
             "batch_inputs_per_s": BATCH_LANES / best,
             "batch_speedup": speedup,
             "identical": identical,
+            "rewritten_steps_per_lane": rewritten_ref.steps,
+            "rewritten_batch_s": rewritten_s,
+            "rewritten_inputs_per_s": BATCH_LANES / rewritten_s,
+            "rewritten_ratio": ratio,
+            "rewritten_identical": rewritten_identical,
         }
+        bit_exact = identical and rewritten_identical
         report("batch",
                f"{name:14s} n={n} lanes={BATCH_LANES} "
                f"single={1.0 / single_s:9,.0f}/s "
                f"batch={BATCH_LANES / best:9,.0f}/s "
                f"speedup={speedup:6.2f}x "
-               f"bit-exact={'yes' if identical else 'NO'}")
+               f"rewritten={BATCH_LANES / rewritten_s:9,.0f}/s "
+               f"({ratio:4.2f}x) "
+               f"bit-exact={'yes' if bit_exact else 'NO'}")
 
     worst = min((r["batch_speedup"] for r in rows.values()),
                 default=0.0)
+    worst_ratio = min((r["rewritten_ratio"] for r in rows.values()),
+                      default=0.0)
     memo = code_memo_stats().as_dict()
     report("batch",
            f"worst batch speedup {worst:.2f}x "
-           f"(gate {MIN_BATCH_SPEEDUP:.1f}x); code memo: {memo}")
+           f"(gate {MIN_BATCH_SPEEDUP:.1f}x); worst rewritten ratio "
+           f"{worst_ratio:.2f}x (gate {MIN_REWRITTEN_RATIO:.2f}x); "
+           f"code memo: {memo}")
 
     payload = {
         "config": {"min_batch_speedup": MIN_BATCH_SPEEDUP,
+                   "min_rewritten_ratio": MIN_REWRITTEN_RATIO,
                    "floors": FLOORS,
                    "batch_lanes": BATCH_LANES,
                    "sizes": {name: SIZES.get(name, DEFAULT_SIZE)
@@ -183,6 +237,7 @@ def main() -> int:
         "workloads": rows,
         "code_memo": memo,
         "worst_batch_speedup": worst,
+        "worst_rewritten_ratio": worst_ratio,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_batch.json"

@@ -10,12 +10,17 @@ For every registered workload this measures interpreter throughput
 * **compiled warm** — the same run with the memo populated, the state
   every repeated sweep/measure invocation sees.
 
+Each workload is measured twice: as compiled, and ISE-rewritten
+(iterative selection, Nin 4 / Nout 2 / Ninstr 16), where the compiled
+backend inlines every custom instruction's gate netlist.
+
 It is a CI **gate**, not telemetry: the job fails when
 
 * any workload's warm compiled throughput is below ``MIN_SPEEDUP`` (3x)
-  over the walker — the PR's headline obligation;
+  over the walker, baseline or rewritten;
 * any backend pair disagrees on the result value, step count, block
-  profile or final memory image;
+  profile or final memory image, or the rewritten program's value or
+  final memory image differs from the baseline's;
 * ``repro speedup``-style rows measured under the two backends are not
   byte-identical (the Fig. 9/10 artifact must not depend on the engine).
 
@@ -33,13 +38,12 @@ from repro import SearchLimits, WORKLOADS
 from repro.exec.speedup import run_speedup
 from repro.interp import Interpreter, Memory
 from repro.interp.compile import clear_code_memo, code_memo_stats
-from repro.pipeline import compile_workload
 
 try:
-    from _bench_utils import RESULTS_DIR, report
+    from _bench_utils import RESULTS_DIR, report, rewritten_workload
 except ImportError:  # standalone run: benchmarks/ not on sys.path
     sys.path.insert(0, str(Path(__file__).parent))
-    from _bench_utils import RESULTS_DIR, report
+    from _bench_utils import RESULTS_DIR, report, rewritten_workload
 
 #: Hard floor for warm compiled-vs-walker throughput, per workload
 #: (the ISSUE's acceptance bar; the target is 5x, typically exceeded).
@@ -83,53 +87,64 @@ def _execute(module, workload, backend, repeats=REPEATS, pre_run=None):
     return first[0], first[1], first[2], best
 
 
+def _measure(module, workload):
+    """Walk, cold and warm compiled runs of one module: (row, outcome).
+
+    ``row["identical"]`` holds the three runs to each other; *outcome*
+    is the (value, memory image) a rewritten program must reproduce.
+    """
+    walk, walk_prof, walk_mem, walk_s = _execute(module, workload, "walk")
+    cold, cold_prof, cold_mem, cold_s = _execute(
+        module, workload, "compiled", pre_run=clear_code_memo)
+    warm, warm_prof, warm_mem, warm_s = _execute(
+        module, workload, "compiled")
+    identical = (
+        walk.value == cold.value == warm.value
+        and walk.steps == cold.steps == warm.steps
+        and walk_prof == cold_prof == warm_prof
+        and walk_mem == cold_mem == warm_mem
+    )
+    row = {
+        "steps": walk.steps,
+        "walk_s": walk_s,
+        "compiled_cold_s": cold_s,
+        "compiled_warm_s": warm_s,
+        "walk_steps_per_s": walk.steps / walk_s,
+        "compiled_warm_steps_per_s": warm.steps / warm_s,
+        "speedup_cold": walk_s / cold_s,
+        "speedup_warm": walk_s / warm_s,
+        "identical": identical,
+    }
+    return row, (walk.value, walk_mem)
+
+
 def main() -> int:
     rows = {}
+    rewritten_rows = {}
     failures = []
     for name in sorted(WORKLOADS):
         workload = WORKLOADS[name]
-        module = compile_workload(workload)
-
-        walk, walk_prof, walk_mem, walk_s = _execute(
-            module, workload, "walk")
-        cold, cold_prof, cold_mem, cold_s = _execute(
-            module, workload, "compiled", pre_run=clear_code_memo)
-        warm, warm_prof, warm_mem, warm_s = _execute(
-            module, workload, "compiled")
-
-        identical = (
-            walk.value == cold.value == warm.value
-            and walk.steps == cold.steps == warm.steps
-            and walk_prof == cold_prof == warm_prof
-            and walk_mem == cold_mem == warm_mem
-        )
-        if not identical:
-            failures.append(f"{name}: compiled run diverged from walker")
-
-        speedup_warm = walk_s / warm_s
-        speedup_cold = walk_s / cold_s
-        if speedup_warm < MIN_SPEEDUP:
-            failures.append(
-                f"{name}: warm compiled speedup {speedup_warm:.2f}x "
-                f"< {MIN_SPEEDUP:.1f}x")
-        rows[name] = {
-            "steps": walk.steps,
-            "walk_s": walk_s,
-            "compiled_cold_s": cold_s,
-            "compiled_warm_s": warm_s,
-            "walk_steps_per_s": walk.steps / walk_s,
-            "compiled_warm_steps_per_s": warm.steps / warm_s,
-            "speedup_cold": speedup_cold,
-            "speedup_warm": speedup_warm,
-            "identical": identical,
-        }
-        report("interp",
-               f"{name:14s} steps={walk.steps:8d} "
-               f"walk={walk_s * 1e3:8.2f}ms "
-               f"warm={warm_s * 1e3:8.2f}ms "
-               f"cold={cold_s * 1e3:8.2f}ms "
-               f"speedup={speedup_warm:6.2f}x "
-               f"bit-exact={'yes' if identical else 'NO'}")
+        app, rewritten = rewritten_workload(name)
+        rows[name], outcome = _measure(app.module, workload)
+        rewritten_rows[name], rewritten_outcome = _measure(rewritten,
+                                                           workload)
+        rewritten_rows[name]["identical"] &= rewritten_outcome == outcome
+        for kind, row in (("baseline", rows[name]),
+                          ("rewritten", rewritten_rows[name])):
+            if not row["identical"]:
+                failures.append(f"{name} ({kind}): compiled run diverged "
+                                f"from walker")
+            if row["speedup_warm"] < MIN_SPEEDUP:
+                failures.append(
+                    f"{name} ({kind}): warm compiled speedup "
+                    f"{row['speedup_warm']:.2f}x < {MIN_SPEEDUP:.1f}x")
+            report("interp",
+                   f"{name:14s} {kind:9s} steps={row['steps']:8d} "
+                   f"walk={row['walk_s'] * 1e3:8.2f}ms "
+                   f"warm={row['compiled_warm_s'] * 1e3:8.2f}ms "
+                   f"cold={row['compiled_cold_s'] * 1e3:8.2f}ms "
+                   f"speedup={row['speedup_warm']:6.2f}x "
+                   f"bit-exact={'yes' if row['identical'] else 'NO'}")
 
     # Differential artifact gate: measured-speedup rows byte-identical.
     diff_rows = {}
@@ -147,7 +162,8 @@ def main() -> int:
            f"{'byte-identical' if rows_identical else 'DIVERGED'}")
 
     memo = code_memo_stats().as_dict()
-    worst = min(r["speedup_warm"] for r in rows.values())
+    worst = min(r["speedup_warm"]
+                for r in (*rows.values(), *rewritten_rows.values()))
     report("interp",
            f"worst warm speedup {worst:.2f}x (gate {MIN_SPEEDUP:.1f}x); "
            f"code memo: {memo}")
@@ -157,6 +173,7 @@ def main() -> int:
                    "diff_workloads": list(DIFF_WORKLOADS),
                    "diff_n": DIFF_N},
         "workloads": rows,
+        "rewritten": rewritten_rows,
         "rows_identical": rows_identical,
         "code_memo": memo,
         "worst_warm_speedup": worst,

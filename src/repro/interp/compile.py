@@ -31,8 +31,11 @@ generated Python source:
   ``SELECT``, ``COPY`` over canonical operands) — the differential suite
   in ``tests/interp/test_backend_equivalence.py`` holds the generated
   code bit-identical to ``evaluate_pure_op``;
-* ``ISEInstruction`` nodes call a **pre-bound** ``FusedAFU.evaluate``
-  (captured as a default argument, no attribute walk per execution);
+* ``ISEInstruction`` nodes **inline their AFU's gate netlist** as
+  straight-line locals built from the same per-opcode expressions as
+  software ops (:func:`_pure_expr`); an internal division that can hit
+  zero raises the walker's exact ``TrapError``, and no dest register is
+  written until the last gate has run;
 * step counting is accumulated as **per-segment constants**: a segment
   (the ops between ``CALL`` boundaries, usually the whole block) commits
   ``I._steps += K`` once.  When the step budget would expire inside the
@@ -74,8 +77,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..ir.cfg import predecessors
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import Instruction, ISEInstruction
-from ..ir.opcodes import Opcode
-from ..ir.values import Const, Reg
+from ..ir.opcodes import Opcode, opinfo
+from ..ir.values import Const, Reg, wrap32
 from ..store.keys import canonical_digest
 
 __all__ = [
@@ -102,8 +105,9 @@ class UndefinedEntryRead(Exception):
 #: the old generator must not be reused by a process mixing versions
 #: (the memo is in-process only, so this mostly documents intent).
 #: v2: region compilation — closures take the per-frame profile counts
-#: dict ``C`` as a seventh parameter.
-CODEGEN_VERSION = 2
+#: dict ``C`` as a seventh parameter.  v3: AFU netlists are inlined as
+#: straight-line gate locals instead of calling ``FusedAFU.evaluate``.
+CODEGEN_VERSION = 3
 
 _MASK = "4294967295"            # 0xFFFFFFFF
 _SIGN = "2147483648"            # 0x80000000
@@ -182,9 +186,9 @@ class CodeMemoStats:
 
 #: Memo capacity.  Eviction is least-recently-used, one entry at a
 #: time: a long-lived session sweeping huge grids cannot accumulate
-#: closures (each of which pins its generated source and any pre-bound
-#: AFU netlists) without bound, while the hot working set — re-looked
-#: up on every run — stays warm instead of being dropped wholesale.
+#: closures (each of which pins its generated source and code object)
+#: without bound, while the hot working set — re-looked up on every
+#: run — stays warm instead of being dropped wholesale.
 #: Far above any realistic working set, so eviction is a backstop.
 MEMO_LIMIT = 4096
 
@@ -318,6 +322,72 @@ def _wrap_unsigned(expr: str) -> str:
     return f"(({expr}) ^ {_SIGN}) - {_SIGN}"
 
 
+_DIVISIONS = (Opcode.DIV, Opcode.REM)
+_COMPARISONS = {Opcode.EQ: "==", Opcode.NE: "!=", Opcode.SLT: "<",
+                Opcode.SLE: "<=", Opcode.SGT: ">", Opcode.SGE: ">="}
+
+
+def _may_divide_by_zero(gate) -> bool:
+    """True when an AFU *gate* is a DIV/REM whose divisor is not a
+    non-zero constant — the only way a fused instruction can trap."""
+    if gate.opcode not in _DIVISIONS:
+        return False
+    divisor = gate.inputs[1] if len(gate.inputs) > 1 else None
+    return not isinstance(divisor, int) or divisor == 0
+
+
+def _pure_expr(op: Opcode, reads: Sequence[str],
+               operands: Sequence) -> str:
+    """Expression text inlining ``evaluate_pure_op`` for one pure op.
+
+    The one opcode table of the generator, shared by software ops and
+    AFU netlist gates.  *reads* are the operand expressions (atoms,
+    self-delimiting); *operands* the matching operands, consulted only
+    for constness.  DIV/REM assume a non-zero divisor: the caller emits
+    the trap guard (:meth:`_BlockCompiler._emit_division_guard`).
+    """
+    if op is Opcode.DIV:
+        # int(a / b): float division truncates toward zero and is exact
+        # for 32-bit magnitudes; only -2**31 / -1 leaves the canonical
+        # range, hence the wrap.
+        return _wrap(f"int({reads[0]} / {reads[1]})")
+    if op is Opcode.REM:
+        # |a - trunc(a/b)*b| < |b| <= 2**31: wrap is identity.
+        return f"{reads[0]} - int({reads[0]} / {reads[1]}) * {reads[1]}"
+    if op is Opcode.ADD:
+        return _wrap(f"{reads[0]} + {reads[1]}")
+    if op is Opcode.SUB:
+        return _wrap(f"{reads[0]} - {reads[1]}")
+    if op is Opcode.MUL:
+        return _wrap(f"{reads[0]} * {reads[1]}")
+    if op is Opcode.NEG:
+        return _wrap(f"-{reads[0]}")
+    if op is Opcode.AND:
+        return f"{reads[0]} & {reads[1]}"
+    if op is Opcode.OR:
+        return f"{reads[0]} | {reads[1]}"
+    if op is Opcode.XOR:
+        return f"{reads[0]} ^ {reads[1]}"
+    if op is Opcode.NOT:
+        return f"~{reads[0]}"
+    if op in (Opcode.SHL, Opcode.LSHR, Opcode.ASHR):
+        amount = operands[1]
+        shift = (f"({amount.value & 31})" if isinstance(amount, Const)
+                 else f"({reads[1]} & 31)")
+        if op is Opcode.SHL:
+            return _wrap(f"({reads[0]} & {_MASK}) << {shift}")
+        if op is Opcode.LSHR:
+            return _wrap_unsigned(f"({reads[0]} & {_MASK}) >> {shift}")
+        return f"{reads[0]} >> {shift}"  # canonical ASHR stays canonical
+    if op in _COMPARISONS:
+        return f"1 if {reads[0]} {_COMPARISONS[op]} {reads[1]} else 0"
+    if op is Opcode.COPY:
+        return reads[0]
+    if op is Opcode.SELECT:
+        return f"{reads[1]} if {reads[0]} != 0 else {reads[2]}"
+    raise _UnsupportedBlock("C001", f"opcode {op}")
+
+
 class _BlockCompiler:
     """Translates a straight-line block chain into one Python closure.
 
@@ -332,7 +402,7 @@ class _BlockCompiler:
         self.locals: Dict[str, str] = {}      # register name -> local
         self.defined: set = set()             # registers defined so far
         self.entry_reads: List[str] = []      # registers loaded at entry
-        self.bindings: Dict[str, object] = {} # default-arg environment
+        self.gate_locals = 0                  # AFU gate locals emitted
         self.out = _Emitter()
 
     # -- naming --------------------------------------------------------
@@ -359,11 +429,6 @@ class _BlockCompiler:
         self.defined.add(reg_name)
         return local
 
-    def _bind(self, prefix: str, value) -> str:
-        name = f"_{prefix}{len(self.bindings)}"
-        self.bindings[name] = value
-        return name
-
     # -- per-op emission ----------------------------------------------
     def _emit_insn(self, insn: Instruction, indent: int) -> None:
         """Emit one instruction (never a terminator) at *indent*."""
@@ -388,20 +453,58 @@ class _BlockCompiler:
         self._emit_pure(insn, indent)
 
     def _emit_ise(self, insn: ISEInstruction, indent: int) -> None:
-        evaluate = self._bind("A", insn.afu.evaluate)
-        args = ", ".join(self._read(op) for op in insn.operands)
-        args = f"({args},)" if insn.operands else "()"
+        """Inline the bound AFU's gate netlist as straight-line locals.
+
+        Mirrors :meth:`FusedAFU.evaluate` plus the walker's write-back:
+        input ports bind the operand reads (a repeated port keeps its
+        last value, as in the walker's dict), every gate writes a fresh
+        ``g<k>`` local through the same :func:`_pure_expr` as software
+        ops, and the dest registers are assigned only after the last
+        gate, in one parallel assignment — an AFU that traps writes no
+        dest, and an output forwarding a port sees its entry value.
+        Netlists the walker would crash on (undriven wires, short
+        gates, non-canonical constants) fall back to it instead.
+        """
+        afu = insn.afu
+        reads = [self._read(operand) for operand in insn.operands]
+        wires: Dict[str, str] = dict(zip(afu.input_ports, reads))
         msg = (f"trap inside custom instruction {insn} "
                f"(division by zero)")
         emit = self.out.emit
-        emit("try:", indent)
-        emit(f"    _t = {evaluate}({args})", indent)
-        emit("except ZeroDivisionError:", indent)
-        emit(f"    raise _TE({msg!r})", indent)
-        # Positional indexing mirrors the walker's zip(dests, outputs):
-        # lengths are equal by construction (rewrite.py builds both).
-        for i, dest in enumerate(insn.dests):
-            emit(f"{self._define(dest)} = _t[{i}]", indent)
+        for gate in afu.gates:
+            op = gate.opcode
+            if len(gate.inputs) < opinfo(op).arity:
+                raise _UnsupportedBlock(
+                    "V101", f"{insn}: gate {gate.output} arity")
+            args, operands = [], []
+            for wire in gate.inputs:
+                if isinstance(wire, int):
+                    if wire != wrap32(wire):
+                        raise _UnsupportedBlock(
+                            "C002", f"{insn}: constant {wire!r}")
+                    args.append(f"({wire})")
+                    operands.append(Const(wire))
+                elif wire in wires:
+                    args.append(wires[wire])
+                    operands.append(Reg(wire))
+                else:
+                    raise _UnsupportedBlock(
+                        "V303", f"{insn}: undriven wire {wire!r}")
+            expr = _pure_expr(op, args, operands)
+            self._emit_division_guard(op, operands, args, msg, indent)
+            local = f"g{self.gate_locals}"
+            self.gate_locals += 1
+            emit(f"{local} = {expr}", indent)
+            wires[gate.output] = local
+        missing = [w for w in afu.output_wires if w not in wires]
+        if missing:
+            raise _UnsupportedBlock(
+                "V303", f"{insn}: undriven output {missing[0]!r}")
+        pairs = list(zip(insn.dests, afu.output_wires))
+        if pairs:
+            values = ", ".join(wires[wire] for _, wire in pairs)
+            dests = ", ".join(self._define(dest) for dest, _ in pairs)
+            emit(f"{dests} = {values}", indent)
 
     def _emit_call(self, insn: Instruction, indent: int) -> None:
         args = ", ".join(self._read(op) for op in insn.operands)
@@ -416,85 +519,37 @@ class _BlockCompiler:
         emit(f"    raise _TE({void_msg!r})", indent)
         emit(f"{self._define(insn.dest)} = _t", indent)
 
+    def _emit_division_guard(self, op: Opcode, operands: Sequence,
+                             reads: Sequence[str], msg: str,
+                             indent: int) -> None:
+        """Emit the ``TrapError`` check of a DIV/REM (no-op otherwise).
+
+        A constant zero divisor traps unconditionally, exactly like the
+        walker reaching the op, so emission ends there (``_DeadCode``);
+        a non-zero constant needs no check at all.
+        """
+        if op not in _DIVISIONS:
+            return
+        divisor = operands[1]
+        if isinstance(divisor, Const):
+            if divisor.value == 0:
+                self.out.emit(f"raise _TE({msg!r})", indent)
+                raise _DeadCode()
+            return
+        self.out.emit(f"if {reads[1]} == 0:", indent)
+        self.out.emit(f"    raise _TE({msg!r})", indent)
+
     def _emit_pure(self, insn: Instruction, indent: int) -> None:
         """Inline the ``evaluate_pure_op`` semantics of one pure op."""
-        op = insn.opcode
-        emit = self.out.emit
         reads = [self._read(operand) for operand in insn.operands]
         if insn.dest is None:
             raise _UnsupportedBlock("V102",
                                     f"pure op without dest: {insn}")
-
-        if op in (Opcode.DIV, Opcode.REM):
-            a, b = reads
-            msg = f"trap in {insn} (division by zero?)"
-            divisor = insn.operands[1]
-            if isinstance(divisor, Const) and divisor.value == 0:
-                # Constant zero divisor: unconditionally traps, exactly
-                # like the walker reaching this op.
-                emit(f"raise _TE({msg!r})", indent)
-                raise _DeadCode()
-            if not isinstance(divisor, Const):
-                emit(f"if {b} == 0:", indent)
-                emit(f"    raise _TE({msg!r})", indent)
-            dst = self._define(insn.dest)
-            if op is Opcode.DIV:
-                # int(a / b): float division truncates toward zero and
-                # is exact for 32-bit magnitudes; only -2**31 / -1
-                # leaves the canonical range, hence the wrap.
-                emit(f"{dst} = {_wrap(f'int({a} / {b})')}", indent)
-            else:
-                # |a - trunc(a/b)*b| < |b| <= 2**31: wrap is identity.
-                emit(f"{dst} = {a} - int({a} / {b}) * {b}", indent)
-            return
-
-        dst = self._define(insn.dest)
-        if op is Opcode.ADD:
-            expr = _wrap(f"{reads[0]} + {reads[1]}")
-        elif op is Opcode.SUB:
-            expr = _wrap(f"{reads[0]} - {reads[1]}")
-        elif op is Opcode.MUL:
-            expr = _wrap(f"{reads[0]} * {reads[1]}")
-        elif op is Opcode.NEG:
-            expr = _wrap(f"-{reads[0]}")
-        elif op is Opcode.AND:
-            expr = f"{reads[0]} & {reads[1]}"
-        elif op is Opcode.OR:
-            expr = f"{reads[0]} | {reads[1]}"
-        elif op is Opcode.XOR:
-            expr = f"{reads[0]} ^ {reads[1]}"
-        elif op is Opcode.NOT:
-            expr = f"~{reads[0]}"
-        elif op in (Opcode.SHL, Opcode.LSHR, Opcode.ASHR):
-            amount = insn.operands[1]
-            shift = (f"({amount.value & 31})" if isinstance(amount, Const)
-                     else f"({reads[1]} & 31)")
-            if op is Opcode.SHL:
-                expr = _wrap(f"({reads[0]} & {_MASK}) << {shift}")
-            elif op is Opcode.LSHR:
-                expr = _wrap_unsigned(
-                    f"({reads[0]} & {_MASK}) >> {shift}")
-            else:       # ASHR of a canonical value stays canonical
-                expr = f"{reads[0]} >> {shift}"
-        elif op is Opcode.EQ:
-            expr = f"1 if {reads[0]} == {reads[1]} else 0"
-        elif op is Opcode.NE:
-            expr = f"1 if {reads[0]} != {reads[1]} else 0"
-        elif op is Opcode.SLT:
-            expr = f"1 if {reads[0]} < {reads[1]} else 0"
-        elif op is Opcode.SLE:
-            expr = f"1 if {reads[0]} <= {reads[1]} else 0"
-        elif op is Opcode.SGT:
-            expr = f"1 if {reads[0]} > {reads[1]} else 0"
-        elif op is Opcode.SGE:
-            expr = f"1 if {reads[0]} >= {reads[1]} else 0"
-        elif op is Opcode.COPY:
-            expr = reads[0]
-        elif op is Opcode.SELECT:
-            expr = f"{reads[1]} if {reads[0]} != 0 else {reads[2]}"
-        else:
-            raise _UnsupportedBlock("C001", f"opcode {op}")
-        self.out.emit(f"{dst} = {expr}", indent)
+        expr = _pure_expr(insn.opcode, reads, insn.operands)
+        self._emit_division_guard(insn.opcode, insn.operands, reads,
+                                  f"trap in {insn} (division by zero?)",
+                                  indent)
+        self.out.emit(f"{self._define(insn.dest)} = {expr}", indent)
 
     def _emit_internal_exit(self, insn: Instruction,
                             fallthrough: str) -> None:
@@ -561,9 +616,11 @@ class _BlockCompiler:
         segment's full pre-commit is already exact at recursion time.
         """
         op = insn.opcode
-        if op in (Opcode.LOAD, Opcode.STORE, Opcode.ISE):
+        if op in (Opcode.LOAD, Opcode.STORE):
             return True
-        if op in (Opcode.DIV, Opcode.REM):
+        if op is Opcode.ISE:
+            return any(_may_divide_by_zero(g) for g in insn.afu.gates)
+        if op in _DIVISIONS:
             divisor = insn.operands[1]
             return not isinstance(divisor, Const) or divisor.value == 0
         return False
@@ -709,7 +766,6 @@ class _BlockCompiler:
         header = _Emitter()
         params = ["I", "R", "LOAD", "STORE", "CALL", "FN", "C"]
         params += [f"{name}={name}" for name in ("_TE", "_ELE", "_UE")]
-        params += [f"{name}={name}" for name in self.bindings]
         header.emit(f"def _block({', '.join(params)}):", 0)
         if self.entry_reads:
             # A missing live-in register punts this entry back to the
@@ -730,7 +786,6 @@ class _BlockCompiler:
             "_TE": TrapError, "_ELE": ExecutionLimitExceeded,
             "_UE": UndefinedEntryRead,
         }
-        namespace.update(self.bindings)
         kind = "block" if last == 0 else "region"
         code = compile(source, f"<repro:{kind}:{digest[:12]}>", "exec")
         exec(code, namespace)
@@ -764,11 +819,12 @@ def compile_region(blocks: Sequence[BasicBlock],
                    digest: Optional[str] = None) -> BlockCode:
     """Compile a straight-line chain of blocks into one closure.
 
-    The chain must be linked head-to-tail by unconditional ``JMP``
-    terminators (as produced by :func:`discover_regions`); anything
-    else — or any member block codegen cannot translate — returns a
-    fallback artifact (``fn=None``), and the caller degrades to
-    per-block compilation for the head.
+    Each member must link into the next by a ``JMP`` to it or a ``BR``
+    with it as one of two distinct targets (as produced by
+    :func:`discover_regions`); anything else — or any member block
+    codegen cannot translate — returns a fallback artifact
+    (``fn=None``), and the caller degrades to per-block compilation
+    for the head.
     """
     blocks = list(blocks)
     digest = digest if digest is not None else region_digest(blocks)

@@ -149,8 +149,8 @@ class ISEInstruction(Instruction):
     every other instruction it may define *several* registers — one per
     AFU output port — carried in :attr:`dests` (``dest`` stays ``None``).
     ``operands`` hold the input-port values in port order; ``afu`` is the
-    bound functional unit (anything with ``evaluate(values) -> list`` and
-    integer ``latency_cycles``), which the interpreter dispatches to.
+    bound :class:`~repro.exec.rewrite.FusedAFU` — the walker calls its
+    ``evaluate``, the compiled backends inline its gate netlist.
     """
 
     __slots__ = ("afu", "dests")
