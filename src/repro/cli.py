@@ -65,7 +65,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .core import BlockTooLargeError, SearchLimits
-from .session import Session
+from .session import ALGORITHMS, Session
 from .store.artifacts import ArtifactStore, resolve_store, stock_store_dir
 from .workloads import WORKLOADS
 
@@ -261,20 +261,25 @@ def _csv_ints(text: str) -> List[int]:
         raise SystemExit(f"bad integer list {text!r} (expected e.g. 2,4)")
 
 
+def _port_pairs(text: str) -> List[Tuple[int, int]]:
+    """``NINxNOUT`` pairs of a comma-separated ``--ports`` value."""
+    pairs = []
+    for token in _csv_list(text):
+        try:
+            nin, nout = token.lower().split("x")
+            pairs.append((int(nin), int(nout)))
+        except ValueError:
+            raise SystemExit(
+                f"bad --ports entry {token!r} (expected NINxNOUT, "
+                f"e.g. 4x2)")
+    return pairs
+
+
 def _parse_ports(args) -> List[Tuple[int, int]]:
     """Port pairs: explicit ``--ports 2x1,4x2`` wins over the cross
     product of ``--nins`` and ``--nouts``."""
     if args.ports:
-        pairs = []
-        for token in _csv_list(args.ports):
-            try:
-                nin, nout = token.lower().split("x")
-                pairs.append((int(nin), int(nout)))
-            except ValueError:
-                raise SystemExit(
-                    f"bad --ports entry {token!r} (expected NINxNOUT, "
-                    f"e.g. 4x2)")
-        return pairs
+        return _port_pairs(args.ports)
     return [(nin, nout)
             for nin in _csv_ints(args.nins)
             for nout in _csv_ints(args.nouts)]
@@ -671,14 +676,7 @@ def cmd_chaos(args) -> int:
     echo = (lambda line: print(line, file=sys.stderr)) \
         if not args.quiet else None
     workloads = tuple(_csv_list(args.workloads))
-    ports = []
-    for token in _csv_list(args.ports):
-        try:
-            nin, nout = token.lower().split("x")
-            ports.append((int(nin), int(nout)))
-        except ValueError:
-            raise SystemExit(f"bad --ports entry {token!r} "
-                             f"(expected NINxNOUT, e.g. 4x2)")
+    ports = _port_pairs(args.ports)
     ninstrs = tuple(_csv_ints(args.ninstr))
     algorithms = tuple(_csv_list(args.algos))
     report = run_chaos(
@@ -776,9 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="select Ninstr cuts (Problem 2)")
     _add_common(p)
     p.add_argument("--ninstr", type=int, default=16)
-    p.add_argument("--algo", choices=["iterative", "optimal", "clubbing",
-                                      "maxmiso", "area"],
-                   default="iterative")
+    p.add_argument("--algo", choices=ALGORITHMS, default="iterative")
     p.add_argument("--max-nodes", type=int, default=40,
                    help="node guard for the optimal algorithm")
     p.add_argument("--area-budget", type=float, default=2.0,
@@ -886,9 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ninstr", type=int, default=16)
     p.add_argument("--limit", type=int, default=None,
                    help="max cuts considered per search")
-    p.add_argument("--algo", choices=["iterative", "optimal", "clubbing",
-                                      "maxmiso", "area"],
-                   default="iterative")
+    p.add_argument("--algo", choices=ALGORITHMS, default="iterative")
     p.add_argument("--max-nodes", type=int, default=40,
                    help="node guard for --algo optimal")
     p.add_argument("--area-budget", type=float, default=2.0,
@@ -912,9 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rewrite", action="store_true",
                    help="select custom instructions and execute the "
                         "ISE-rewritten program instead of the baseline")
-    p.add_argument("--algo", choices=["iterative", "optimal", "clubbing",
-                                      "maxmiso", "area"],
-                   default="iterative",
+    p.add_argument("--algo", choices=ALGORITHMS, default="iterative",
                    help="selection algorithm for --rewrite")
     p.add_argument("--nin", type=int, default=4,
                    help="register-file read ports for --rewrite")
@@ -956,9 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instruction budget (default 16)")
     p.add_argument("--limit", type=int, default=None,
                    help="max cuts considered per search")
-    p.add_argument("--algo", choices=["iterative", "optimal", "clubbing",
-                                      "maxmiso", "area"],
-                   default="iterative",
+    p.add_argument("--algo", choices=ALGORITHMS, default="iterative",
                    help="selection algorithm whose cuts are checked")
     p.add_argument("--max-nodes", type=int, default=40,
                    help="node guard for --algo optimal")

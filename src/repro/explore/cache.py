@@ -38,13 +38,17 @@ strategies; :mod:`repro.explore.runner` shares one across processes by
 warming per-``(block, constraint)`` entries in workers and merging the
 returned entries into the parent's store.
 
-**Persistence.**  A cache may be *backed* by a
-:class:`repro.store.ArtifactStore`: in-memory misses fall through to
-the disk store (hits promote into memory), puts spill to disk, and —
-because the disk tier is shared at the filesystem level — warm workers
+**Memory and persistence.**  The cache's dict is the one in-process
+memo of search results.  A cache may also be *backed* by a
+:class:`repro.store.ArtifactStore`, which is persistence only:
+in-memory misses fall through to the store (hits promote into the
+dict), puts spill to it, and — because the store's medium is shared
+(a directory, an SQLite file or a ``tcp://`` server) — warm workers
 and later processes inherit every entry without pickled round-trips.
-Keys are already pure content (digests plus plain numbers), so the
-in-memory tuple key hashes directly into a store key.
+While the store is down or degraded the dict still serves everything
+this process computed.  Keys are already pure content (digests plus
+plain numbers), so the in-memory tuple key hashes directly into a
+store key.
 """
 
 from __future__ import annotations
@@ -85,26 +89,25 @@ class CacheStats:
 class SearchCache:
     """Process-shared memo of identification results (see module doc).
 
-    The in-memory ``store`` is any mutable mapping; the default is a
-    plain dict.  :meth:`entries`/:meth:`merge` move entries between
-    caches — the sweep runner's workers each fill a local cache and the
-    parent merges what they return, which shares the memo across
-    processes without requiring OS-level shared memory (a store-less
-    sweep has no other channel back from its workers).
+    The in-memory memo is the plain dict ``store``.  :meth:`entries`/
+    :meth:`merge` move entries between caches — the sweep runner's
+    workers each fill a local cache and the parent merges what they
+    return, which shares the memo across processes without requiring
+    OS-level shared memory (a store-less sweep has no other channel
+    back from its workers).
 
-    ``backing`` optionally adds a persistent tier (an
+    ``backing`` optionally adds persistence (an
     :class:`repro.store.ArtifactStore`): gets fall through to it on an
     in-memory miss and promote on hit, puts spill to it, and presence
     checks consult it — which is how warm-start sessions and sibling
-    worker processes share one memo through the filesystem.
+    worker processes share one memo through the store's medium.
     """
 
     #: Artifact kind of spilled entries in the backing store.
     KIND = "search"
 
-    def __init__(self, store: Optional[dict] = None,
-                 backing=None) -> None:
-        self.store: dict = store if store is not None else {}
+    def __init__(self, backing=None) -> None:
+        self.store: dict = {}
         self.backing = backing
         self.stats = CacheStats()
         # Per-model digest memo with an identity guard (recycled id()s

@@ -69,32 +69,40 @@ def _warm_unit(job: Tuple) -> List[Tuple[Tuple, object]]:
     ``sqlite:PATH`` or ``tcp://HOST:PORT``), the worker's cache spills
     every entry straight into that shared store and returns nothing —
     the parent (and any later process, on any node) reads the entries
-    back through its own backing tier instead of a pickled round-trip."""
+    back through its own backing store instead of a pickled round-trip.
+    The store is closed before returning, so a ``tcp://`` unit never
+    leaves its socket behind for the garbage collector."""
     dfg, nin, nout, model_name, limits, tasks, store_spec = job
     backing = ArtifactStore(store_spec) if store_spec is not None else None
     cache = SearchCache(backing=backing)
-    model = resolve_model(model_name)
-    cons = Constraints(nin=nin, nout=nout)
-    for kind, arg in tasks:
-        if kind == "pool":
-            # The pool chain is the real _block_candidates, with the
-            # cache threaded into its per-round searches: collapse
-            # labels are excluded from cache digests, so the single-cut
-            # entries it warms serve the iterative algorithm too.
-            candidates, stats = _block_candidates(
-                dfg, cons, model, limits, arg, cache=cache)
-            cache.put_pool(dfg, cons, model, limits, arg, candidates, stats)
-        elif kind == "chain":
-            current = dfg
-            for k in range(arg):
-                result = find_best_cut(current, cons, model, limits,
-                                       cache=cache)
-                if result.cut is None or result.cut.merit <= 0:
-                    break
-                current = current.collapse(result.cut.nodes,
-                                           label=f"warm{k + 1}")
-        elif kind == "multi":
-            find_best_cuts(dfg, cons, arg, model, limits, cache=cache)
+    try:
+        model = resolve_model(model_name)
+        cons = Constraints(nin=nin, nout=nout)
+        for kind, arg in tasks:
+            if kind == "pool":
+                # The pool chain is the real _block_candidates, with
+                # the cache threaded into its per-round searches:
+                # collapse labels are excluded from cache digests, so
+                # the single-cut entries it warms serve the iterative
+                # algorithm too.
+                candidates, stats = _block_candidates(
+                    dfg, cons, model, limits, arg, cache=cache)
+                cache.put_pool(dfg, cons, model, limits, arg,
+                               candidates, stats)
+            elif kind == "chain":
+                current = dfg
+                for k in range(arg):
+                    result = find_best_cut(current, cons, model, limits,
+                                           cache=cache)
+                    if result.cut is None or result.cut.merit <= 0:
+                        break
+                    current = current.collapse(result.cut.nodes,
+                                               label=f"warm{k + 1}")
+            elif kind == "multi":
+                find_best_cuts(dfg, cons, arg, model, limits, cache=cache)
+    finally:
+        if backing is not None:
+            backing.close()
     return [] if backing is not None else cache.entries()
 
 

@@ -6,11 +6,13 @@ payloads, where *kind* names an artifact family (``"app"`` for compiled
 ``"baseline"`` for baseline execution runs) and *key* is a SHA-256 hex
 digest derived from content (:mod:`repro.store.keys`).  Properties:
 
-* **Two tiers.**  Every hit is promoted into an in-process LRU (the hot
-  tier); the persistent tier is a pluggable
+* **Persistence only.**  Every operation goes to a pluggable
   :class:`~repro.store.backend.StoreBackend` — a directory tree, a
   WAL-mode SQLite file, or a TCP client to ``repro store serve`` —
   that survives the process and is shared by concurrent workers.
+  In-process reuse lives with each artifact's consumer (the
+  :class:`~repro.explore.cache.SearchCache` dict, ``Session``'s
+  application memo, the sweep's baseline dict), never here.
 * **Atomic writes.**  Payloads are pickled once here and published
   atomically by the backend — readers see the old blob or the complete
   new one, never a torn write.  Concurrent writers of the same key
@@ -24,13 +26,13 @@ digest derived from content (:mod:`repro.store.keys`).  Properties:
   way.
 * **Degraded mode.**  After ``degrade_after`` consecutive backend
   failures the store flips to pass-through (reads are fast misses,
-  writes stay hot-tier-only) instead of paying a timeout per operation
+  writes are skipped) instead of paying a timeout per operation
   against a dead medium; every ``probe_every``-th skipped operation
   re-probes, and one success recovers.  Counted in
   ``stats.degraded_skips`` / ``stats.degraded_events``.
-* **Statistics.**  ``stats`` counts hits (split by tier), misses, puts,
-  errors and hot-tier evictions — the numbers ``repro cache stats``
-  and the session benchmark report.
+* **Statistics.**  ``stats`` counts hits, misses, puts, errors and
+  degraded-mode events — the numbers ``repro cache stats`` and the
+  session benchmark report.
 
 The default root is ``~/.cache/repro``, overridden by the
 ``REPRO_STORE`` environment variable (a backend spec — a path,
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -109,10 +110,7 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
     errors: int = 0
-    evictions: int = 0
     #: Backend operations skipped while the store was degraded
     #: (pass-through mode after consecutive backend failures).
     degraded_skips: int = 0
@@ -135,8 +133,8 @@ class StoreStats:
 class ArtifactStore:
     """Backend-agnostic content-addressed artifact store (module doc)."""
 
-    def __init__(self, root=None, hot_limit: int = 4096,
-                 degrade_after: int = 8, probe_every: int = 64) -> None:
+    def __init__(self, root=None, degrade_after: int = 8,
+                 probe_every: int = 64) -> None:
         """Open the store over the medium *root* names.
 
         Args:
@@ -145,11 +143,9 @@ class ArtifactStore:
                 :class:`~repro.store.backend.StoreBackend`; defaults
                 to :func:`default_store_spec` (raises ``ValueError``
                 if the environment disables it).
-            hot_limit: in-memory hot-tier entry bound, enforced by
-                one-at-a-time LRU eviction (artifacts stay persistent).
             degrade_after: consecutive backend failures before the
                 store flips to degraded pass-through mode (reads are
-                fast misses, writes stay hot-tier-only) instead of
+                fast misses, writes are skipped) instead of
                 paying a timeout per operation against a dead medium;
                 ``0`` disables degradation.
             probe_every: while degraded, every Nth skipped backend
@@ -165,11 +161,9 @@ class ArtifactStore:
                     f"pass an explicit root to force one")
         self.backend: StoreBackend = open_backend(root)
         self.root = getattr(self.backend, "root", self.backend.spec)
-        self.hot_limit = hot_limit
         self.degrade_after = degrade_after
         self.probe_every = max(1, probe_every)
         self.stats = StoreStats()
-        self._hot: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
         self._consecutive_errors = 0
         self._degraded = False
         self._skips_since_probe = 0
@@ -181,7 +175,7 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     # Degraded mode: after ``degrade_after`` consecutive backend
-    # failures the persistent tier is assumed down and skipped (a dead
+    # failures the backend is assumed down and skipped (a dead
     # TCP medium would otherwise cost a timeout per operation for the
     # rest of a sweep).  Count-based re-probing keeps recovery cheap
     # and deterministic: every ``probe_every``-th skipped operation
@@ -235,15 +229,8 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def get(self, kind: str, key: str):
-        """The stored payload, or ``None`` on a miss.  Backend hits are
-        promoted to the hot tier; unreadable blobs count as misses."""
-        hot_key = (kind, key)
-        value = self._hot.get(hot_key)
-        if value is not None:
-            self._hot.move_to_end(hot_key)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            return value
+        """The stored payload, or ``None`` on a miss; unreadable blobs
+        count as misses."""
         if not self._backend_gate():
             self.stats.misses += 1
             return None
@@ -273,20 +260,17 @@ class ArtifactStore:
                 self._backend_failed()
             return None
         self.stats.hits += 1
-        self.stats.disk_hits += 1
-        self._remember(hot_key, value)
         return value
 
     def put(self, kind: str, key: str, value) -> None:
         """Persist *value* under ``(kind, key)`` atomically.
 
         ``None`` payloads are rejected (``None`` is the miss sentinel).
-        Backend failures degrade to hot-tier-only caching — persistence
-        is a performance layer, never a correctness requirement.
+        Backend failures drop the write — persistence is a performance
+        layer, never a correctness requirement.
         """
         if value is None:
             raise ValueError("cannot store None (the miss sentinel)")
-        self._remember((kind, key), value)
         self.stats.puts += 1
         try:
             blob = pickle.dumps((_HEADER, kind, value),
@@ -306,8 +290,6 @@ class ArtifactStore:
 
     def contains(self, kind: str, key: str) -> bool:
         """Presence check (no payload decode, no hit/miss accounting)."""
-        if (kind, key) in self._hot:
-            return True
         if not self._backend_gate():
             return False
         try:
@@ -318,31 +300,18 @@ class ArtifactStore:
         self._backend_succeeded()
         return present
 
-    def _remember(self, hot_key: Tuple[str, str], value) -> None:
-        """Insert into the hot tier, evicting the least recently used
-        entries one at a time at ``hot_limit`` (never the whole tier —
-        a hot working set must survive a stream of cold inserts)."""
-        if hot_key in self._hot:
-            self._hot.move_to_end(hot_key)
-        else:
-            while len(self._hot) >= self.hot_limit:
-                self._hot.popitem(last=False)
-                self.stats.evictions += 1
-        self._hot[hot_key] = value
-
     # ------------------------------------------------------------------
     # Maintenance (the ``repro cache`` verb).
     # ------------------------------------------------------------------
     def info(self) -> StoreInfo:
-        """Entry/byte counts of the persistent tier, per artifact kind."""
+        """Entry/byte counts of the backend, per artifact kind."""
         try:
             return self.backend.info()
         except BackendError:
             return StoreInfo(root=str(self.root))
 
     def clear(self) -> int:
-        """Drop both tiers; returns the number of entries removed."""
-        self._hot.clear()
+        """Drop every artifact; returns the number of entries removed."""
         try:
             return self.backend.clear()
         except BackendError:
@@ -350,9 +319,7 @@ class ArtifactStore:
 
     def gc(self, max_age_days: float = 30.0) -> Tuple[int, int]:
         """Remove persistent artifacts older than *max_age_days*;
-        returns ``(entries_removed, bytes_freed)``.  The hot tier is
-        dropped too — it may alias removed entries."""
-        self._hot.clear()
+        returns ``(entries_removed, bytes_freed)``."""
         try:
             return self.backend.gc(max_age_days)
         except BackendError:

@@ -2,7 +2,7 @@
 
 An :class:`~repro.store.artifacts.ArtifactStore` is split in two: the
 *policy* layer (content keys, the pickled payload schema, corruption
-tolerance, the in-process hot tier, statistics) lives in
+tolerance, degraded mode, statistics) lives in
 :mod:`repro.store.artifacts`; the *medium* — where encoded artifact
 bytes actually live — is a :class:`StoreBackend`.  Three media ship:
 

@@ -169,3 +169,39 @@ class TestArtifacts:
                           max_nodes=2)
         table = format_table(run_sweep(spec).rows)
         assert "n/a" in table
+
+
+class TestWarmUnitStore:
+    def test_warm_units_close_their_network_store(self, tmp_path):
+        # Each store-backed warm unit opens its own store; it must
+        # close it, or a tcp:// unit leaks its socket to the collector.
+        import gc
+        import warnings
+
+        from repro.core import SearchLimits
+        from repro.explore.runner import _warm_unit
+        from repro.pipeline import prepare_application
+        from repro.store import ArtifactStore, SQLiteBackend, StoreServer
+
+        dfg = prepare_application("fir", n=16).hot_dfg
+        inner = SQLiteBackend(tmp_path / "served.sqlite")
+        server = StoreServer(inner, host="127.0.0.1", port=0).start()
+        limits = SearchLimits(max_considered=100_000)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for nin, nout in ((2, 1), (4, 2), (4, 1)):
+                    job = (dfg, nin, nout, "default", limits,
+                           (("chain", 1),), server.spec)
+                    assert _warm_unit(job) == []
+                gc.collect()
+            leaked = [w for w in caught
+                      if issubclass(w.category, ResourceWarning)]
+            assert leaked == []
+            # The units did spill their entries into the served store.
+            store = ArtifactStore(server.spec)
+            assert store.info().entries >= 3
+            store.close()
+        finally:
+            server.shutdown()
+            inner.close()

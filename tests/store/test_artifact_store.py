@@ -19,7 +19,6 @@ class TestRoundtrip:
         assert store.get("search", key) == {"nodes": (1, 2), "merit": 6.0}
         assert store.stats.puts == 1
         assert store.stats.hits == 1
-        assert store.stats.memory_hits == 1
 
     def test_disk_tier_survives_the_instance(self, tmp_path):
         first = ArtifactStore(tmp_path)
@@ -27,10 +26,10 @@ class TestRoundtrip:
         first.put("app", key, [1, 2, 3])
         second = ArtifactStore(tmp_path)
         assert second.get("app", key) == [1, 2, 3]
-        assert second.stats.disk_hits == 1
-        # Promoted: the next read is a memory hit.
+        assert second.stats.hits == 1
+        # Every read goes to the backend: no in-process copy.
         assert second.get("app", key) == [1, 2, 3]
-        assert second.stats.memory_hits == 1
+        assert second.stats.hits == 2
 
     def test_miss_is_counted(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -175,54 +174,3 @@ class TestEnvironment:
         store = ArtifactStore(tmp_path)
         assert resolve_store(store) is store
         assert resolve_store(tmp_path).root == tmp_path
-
-
-class TestHotTierLRU:
-    def test_cap_is_never_exceeded(self, tmp_path):
-        store = ArtifactStore(tmp_path, hot_limit=8)
-        for i in range(50):
-            store.put("app", f"{i:064d}", {"i": i})
-            assert len(store._hot) <= 8
-        assert store.stats.evictions == 50 - 8
-
-    def test_eviction_is_one_at_a_time_oldest_first(self, tmp_path):
-        store = ArtifactStore(tmp_path, hot_limit=3)
-        for i in range(4):
-            store.put("app", f"{i:064d}", {"i": i})
-        # Only the single oldest entry left the hot tier; the rest
-        # (not the whole tier) are still memory hits.
-        assert store.stats.evictions == 1
-        store.get("app", f"{1:064d}")
-        store.get("app", f"{3:064d}")
-        assert store.stats.memory_hits == 2
-
-    def test_hot_key_survives_a_stream_of_cold_inserts(self, tmp_path):
-        store = ArtifactStore(tmp_path, hot_limit=4)
-        hot = "ff" * 32
-        store.put("app", hot, {"hot": True})
-        for i in range(40):
-            store.put("app", f"{i:064d}", {"i": i})
-            store.get("app", hot)   # keep it recently used
-        # 40 cold inserts cycled through a tier of 4, yet every one of
-        # the interleaved reads of the hot key was a memory hit.
-        assert store.stats.memory_hits == 40
-        assert store.stats.evictions == 40 - 3
-
-    def test_rewriting_a_hot_key_does_not_evict(self, tmp_path):
-        store = ArtifactStore(tmp_path, hot_limit=2)
-        key = "aa" * 32
-        for _ in range(5):
-            store.put("app", key, {"v": 1})
-        assert store.stats.evictions == 0
-        assert len(store._hot) == 1
-
-    def test_backend_hit_promotion_respects_the_cap(self, tmp_path):
-        warm = ArtifactStore(tmp_path)
-        for i in range(10):
-            warm.put("app", f"{i:064d}", {"i": i})
-        cold = ArtifactStore(tmp_path, hot_limit=4)
-        for i in range(10):
-            assert cold.get("app", f"{i:064d}") == {"i": i}
-            assert len(cold._hot) <= 4
-        assert cold.stats.disk_hits == 10
-        assert cold.stats.evictions == 10 - 4

@@ -31,6 +31,16 @@ def _restart_on(port: int, backend) -> StoreServer:
 KEY = "12" * 32
 
 
+class _CountingClient(NetworkBackend):
+    """A network client that counts the operations it sends."""
+
+    operations = 0
+
+    def _roundtrip(self, message):
+        self.operations += 1
+        return super()._roundtrip(message)
+
+
 class TestResolveRetries:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_RETRIES", "9")
@@ -65,7 +75,6 @@ class TestServerRestart:
             store.put("search", KEY, {"answer": 42})
             server.shutdown()
             server = _restart_on(port, inner)
-            store._hot.clear()               # force the network path
             assert store.get("search", KEY) == {"answer": 42}
             assert client.retry_count >= 1
             assert store.stats.errors == 0   # absorbed, not surfaced
@@ -154,7 +163,6 @@ class TestDegradedMode:
         store = ArtifactStore(client, degrade_after=2, probe_every=3)
         store.put("app", KEY, b"seed")
         server.shutdown()
-        store._hot.clear()
         assert store.get("app", KEY) is None     # error 1
         assert store.get("app", KEY) is None     # error 2 -> degraded
         assert store.degraded
@@ -165,15 +173,32 @@ class TestDegradedMode:
         client.close()
         inner.close()
 
-    def test_degraded_store_still_serves_the_hot_tier(self, tmp_path):
+    def test_search_cache_still_serves_while_the_store_is_down(
+            self, tmp_path):
+        # The store is persistence only; what a process computed while
+        # the store is down is still served, from the SearchCache dict,
+        # without touching the dead medium again.
+        from repro.core import Constraints, find_best_cut
+        from repro.explore import SearchCache
+        from repro.hwmodel import CostModel
+        from repro.pipeline import prepare_application
+
+        dfg = prepare_application("fir", n=16).hot_dfg
         inner = SQLiteBackend(tmp_path / "served.sqlite")
         server = StoreServer(inner, host="127.0.0.1", port=0).start()
-        client = NetworkBackend(server.spec, retries=0)
-        store = ArtifactStore(client, degrade_after=1, probe_every=100)
+        client = _CountingClient(server.spec, retries=0)
         server.shutdown()
-        store.put("search", KEY, {"answer": 42})  # hot-tier only
+        store = ArtifactStore(client, degrade_after=1, probe_every=100)
+        cache = SearchCache(backing=store)
+        cons = Constraints(nin=4, nout=2)
+        first = find_best_cut(dfg, cons, CostModel(), cache=cache)
         assert store.degraded
-        assert store.get("search", KEY) == {"answer": 42}
+        operations = client.operations
+        second = find_best_cut(dfg, cons, CostModel(), cache=cache)
+        assert second.cut.nodes == first.cut.nodes
+        assert second.cut.merit == first.cut.merit
+        assert cache.stats.hits == 1
+        assert client.operations == operations
         client.close()
         inner.close()
 
@@ -185,7 +210,6 @@ class TestDegradedMode:
                                 backoff_s=0.01)
         store = ArtifactStore(client, degrade_after=1, probe_every=2)
         server.shutdown()
-        store._hot.clear()
         assert store.get("app", KEY) is None
         assert store.degraded
         server = _restart_on(port, inner)

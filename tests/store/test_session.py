@@ -25,7 +25,7 @@ class TestPrepareMemo:
 
         second = Session(store=tmp_path)
         warm = second.prepare("fir", n=16)
-        assert second.store.stats.disk_hits >= 1
+        assert second.store.stats.hits >= 1
         assert str(warm.module) == str(cold.module)
         assert [d.weight for d in warm.dfgs] == [d.weight for d in cold.dfgs]
 

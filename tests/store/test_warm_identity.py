@@ -45,7 +45,7 @@ def test_select_identical_nostore_cold_warm(tmp_path, workload, algorithm):
     assert nostore.describe() == cold.describe() == warm.describe()
     if algorithm == "iterative":
         # The warm run actually warm-started (prepare + identification).
-        assert warm_session.store.stats.disk_hits >= 1
+        assert warm_session.store.stats.hits >= 1
 
 
 def _strip_timing(rows):
@@ -117,7 +117,7 @@ def test_speedup_rows_identical_nostore_cold_warm(tmp_path):
     assert as_dicts(nostore) == as_dicts(cold) == as_dicts(warm)
     assert all(row.identical for row in warm)
     # Baseline artifacts were shared: the warm run re-ran no baseline.
-    assert warm_session.store.stats.disk_hits >= len(names)
+    assert warm_session.store.stats.hits >= len(names)
 
 
 def test_measured_sweep_identical_with_baseline_artifact(tmp_path):
