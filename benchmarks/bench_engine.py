@@ -9,12 +9,14 @@ trajectory to regress against.
 Three numbers matter:
 
 * **raw throughput** — cuts considered per second on the *identical*
-  tree walk (no extra pruning): pure per-cut speed;
-* **upper-bound mode** — wall-clock to *complete* the paper-constraint
-  search with the admissible merit bound enabled (same optimum, far
-  fewer cuts examined);
+  tree walk (a budget that cannot be reached, so no extra pruning):
+  pure per-cut speed;
+* **default pruning** — wall-clock to *complete* the paper-constraint
+  search with the default walk (merit upper bound plus permanent-input
+  pruning) against the paper walk: same optimum, far fewer cuts
+  examined, both prune counters reported;
 * **effective throughput** — the reference path's cut count retired per
-  second of engine+bound wall-clock: how fast the engine disposes of
+  second of default-search wall-clock: how fast the engine disposes of
   the search obligations the seed implementation had.
 
 Runs standalone (``python benchmarks/bench_engine.py``) or under the
@@ -66,6 +68,7 @@ def run_engine_benchmark(app=None) -> dict:
     if app is None:
         app = prepare_application("adpcm-decode", n=96)
     dfg = app.hot_dfg
+    paper_walk = SearchLimits(max_considered=2 ** dfg.n)
 
     payload = {
         "block": dfg.name,
@@ -74,7 +77,8 @@ def run_engine_benchmark(app=None) -> dict:
     }
 
     for name, cons in RAW_SCENARIOS:
-        t_eng, r_eng = _best_time(find_best_cut, dfg, cons, MODEL)
+        t_eng, r_eng = _best_time(find_best_cut, dfg, cons, MODEL,
+                                  paper_walk)
         t_ref, r_ref = _best_time(find_best_cut_reference, dfg, cons, MODEL)
         assert r_eng.merit == r_ref.merit, "engine diverged from reference"
         assert (r_eng.stats.cuts_considered
@@ -91,39 +95,47 @@ def run_engine_benchmark(app=None) -> dict:
                          f"reference {cuts / t_ref:,.0f} cuts/s "
                          f"({t_ref / t_eng:.2f}x)")
 
-    # Upper-bound mode: same optimum, pruned walk, compared on the
-    # reference's complete 4/2 search.
+    # Default pruning: same optimum, pruned walk, compared on the
+    # reference's complete 4/2 search and on the engine's paper walk.
     cons = Constraints(nin=4, nout=2)
     t_ref, r_ref = _best_time(find_best_cut_reference, dfg, cons, MODEL)
-    t_ub, r_ub = _best_time(
-        find_best_cut, dfg, cons, MODEL,
-        SearchLimits(use_upper_bound=True))
-    assert r_ub.merit == r_ref.merit, "bound changed the optimum"
+    t_walk, r_walk = _best_time(find_best_cut, dfg, cons, MODEL,
+                                paper_walk)
+    t_def, r_def = _best_time(find_best_cut, dfg, cons, MODEL)
+    assert r_def.merit == r_ref.merit, "pruning changed the optimum"
+    assert r_def.cut.nodes == r_walk.cut.nodes, "pruning changed the cut"
     ref_cuts = r_ref.stats.cuts_considered
-    payload["upper_bound"] = {
+    stats = r_def.stats
+    payload["default_pruning"] = {
         "reference_cuts": ref_cuts,
-        "engine_cuts": r_ub.stats.cuts_considered,
-        "ub_pruned_subtrees": r_ub.stats.ub_pruned,
-        "wallclock_speedup": t_ref / t_ub,
-        "effective_cuts_per_sec": ref_cuts / t_ub,
+        "paper_walk_cuts": r_walk.stats.cuts_considered,
+        "engine_cuts": stats.cuts_considered,
+        "ub_pruned_subtrees": stats.ub_pruned,
+        "nin_pruned_subtrees": stats.nin_pruned,
+        "paper_walk_s": t_walk,
+        "default_s": t_def,
+        "speedup_vs_paper_walk": t_walk / t_def,
+        "effective_cuts_per_sec": ref_cuts / t_def,
         "reference_cuts_per_sec": ref_cuts / t_ref,
-        "effective_speedup": (ref_cuts / t_ub) / (ref_cuts / t_ref),
+        "effective_speedup": t_ref / t_def,
     }
     report("engine",
-           f"upper-bound mode: {r_ub.stats.cuts_considered} of {ref_cuts} "
-           f"cuts examined ({r_ub.stats.ub_pruned} subtrees pruned), "
-           f"same optimum, {t_ref / t_ub:.1f}x wall-clock — effective "
-           f"{ref_cuts / t_ub:,.0f} cuts/s vs {ref_cuts / t_ref:,.0f}")
+           f"default pruning: {stats.cuts_considered} of {ref_cuts} "
+           f"cuts examined ({stats.ub_pruned} subtrees cut by the merit "
+           f"bound, {stats.nin_pruned} by permanent inputs), same "
+           f"optimum, {t_walk / t_def:.1f}x the paper walk, "
+           f"{t_ref / t_def:.1f}x the reference — effective "
+           f"{ref_cuts / t_def:,.0f} cuts/s vs {ref_cuts / t_ref:,.0f}")
 
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(RESULTS_DIR / "BENCH_engine.json", "w") as fh:
         json.dump(payload, fh, indent=2)
 
     # The acceptance bars, with headroom for noisy shared runners
-    # (locally measured ~25x effective and ~5x raw): the engine must
+    # (measured ~100x effective and ~5x raw on 2 CPUs): the engine must
     # retire the reference's search obligations >= 5x faster, and be
     # >= 2.5x on the identical raw walk.
-    assert payload["upper_bound"]["effective_speedup"] >= 5.0, payload
+    assert payload["default_pruning"]["effective_speedup"] >= 5.0, payload
     for scenario in payload["scenarios"]:
         assert scenario["speedup"] >= 2.5, scenario
     return payload
@@ -135,10 +147,9 @@ def bench_engine_throughput(benchmark, paper_apps):
     payload = run_engine_benchmark(app)
     benchmark.pedantic(
         find_best_cut,
-        args=(dfg, Constraints(nin=4, nout=2), MODEL,
-              SearchLimits(use_upper_bound=True)),
+        args=(dfg, Constraints(nin=4, nout=2), MODEL),
         iterations=1, rounds=3)
-    assert payload["upper_bound"]["effective_speedup"] >= 5.0
+    assert payload["default_pruning"]["effective_speedup"] >= 5.0
 
 
 if __name__ == "__main__":

@@ -42,9 +42,9 @@ def bench_runtime_tight_constraints(benchmark, paper_apps, nin, nout):
 def bench_runtime_loose_constraints_hit_budget(benchmark, paper_apps):
     """Loose constraints blow past a small budget (the paper's 'hours').
 
-    The merit upper bound must let the same 400k-cut budget decide
-    strictly more of the search space (pruned subtrees count as decided:
-    they provably hold nothing better than the incumbent).
+    A budgeted search walks the paper's tree and stops incomplete; the
+    default search prunes with the merit upper bound and must complete
+    the same case outright, with the same best merit found so far.
     """
     app = paper_apps["adpcm-decode"]
     cons = Constraints(nin=10_000, nout=6, ninstr=1)
@@ -58,16 +58,17 @@ def bench_runtime_loose_constraints_hit_budget(benchmark, paper_apps):
                       f"complete={result.complete} (budget 400k cuts)")
     assert not result.complete
 
-    bounded = select_iterative(
-        app.dfgs, cons, MODEL,
-        SearchLimits(max_considered=400_000, use_upper_bound=True))
+    start = time.perf_counter()
+    pruned = select_iterative(app.dfgs, cons, MODEL)
+    elapsed = time.perf_counter() - start
     report("runtime",
-           f"  same budget with merit upper bound: "
-           f"space covered {bounded.stats.space_covered:.4f} "
-           f"vs {result.stats.space_covered:.4f}, "
-           f"{bounded.stats.ub_pruned} subtrees pruned, "
-           f"complete={bounded.complete}")
-    assert bounded.stats.space_covered > result.stats.space_covered
+           f"  default (pruned) search: complete={pruned.complete} in "
+           f"{pruned.stats.cuts_considered} cuts, {elapsed:.3f}s "
+           f"({pruned.stats.ub_pruned} subtrees cut by the merit bound, "
+           f"{pruned.stats.nin_pruned} by permanent inputs)")
+    assert pruned.complete
+    assert pruned.stats.cuts_considered < 400_000
+    assert pruned.total_merit >= result.total_merit
 
 
 def bench_runtime_scaling_with_nout(benchmark, paper_apps):

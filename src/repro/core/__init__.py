@@ -5,11 +5,14 @@ Both identification algorithms run on the shared bitset branch-and-bound
 engine (:mod:`repro.core.engine`): an iterative decision-tree walk whose
 incremental convexity/IO state is packed into Python-int bitsets, with
 the search budget as a plain loop condition.  On top of the paper's
-monotone output-port/convexity pruning, ``SearchLimits(use_upper_bound=
-True)`` enables an admissible merit upper bound that discards subtrees
-which cannot beat the incumbent — the same best cut, fewer cuts
-examined; the subtrees it removes are counted in ``SearchStats.
-ub_pruned`` and search progress in ``SearchStats.space_covered``.
+monotone output-port/convexity pruning, unbudgeted single-cut searches
+prune by default with an admissible merit upper bound and the
+permanent-input rule — the same best cut, far fewer cuts examined; the
+subtrees they remove are counted in ``SearchStats.ub_pruned`` and
+``SearchStats.nin_pruned``.  A ``SearchLimits(max_considered=...)``
+budget walks the paper's exact tree instead (the Figs. 5/7/8
+statistics), and search progress is reported in
+``SearchStats.space_covered``.
 
 The selection strategies run in the calling process.  Their expensive
 first rounds (one exhaustive search per block) are exactly what a

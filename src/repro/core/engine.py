@@ -32,19 +32,28 @@ The recursion is converted to an explicit decision stack (no
 ``sys.setrecursionlimit`` games), and the search budget is a plain loop
 condition instead of a control-flow exception.
 
-Beyond the paper's monotone output/convexity pruning, the engine
-optionally applies an **admissible merit upper bound**: at level ``i``
-no extension can add more software mass than the summed software latency
-of the undecided, non-forbidden nodes ``i..n-1``, while the hardware
-cycle count can only grow — so when
+Beyond the paper's monotone output/convexity pruning, the engine applies
+two exact subtree rules to every unbudgeted search (see
+:class:`SearchLimits`):
 
-``weight * (sw_sum + suffix_sw[i] - ceil_cycles(cp_max)) <= best_merit``
+* an **admissible merit upper bound**: at level ``i`` no extension can
+  add more software mass than the summed software latency of the
+  undecided, non-forbidden nodes ``i..n-1``, while the hardware cycle
+  count can only grow — so when
+  ``weight * (sw_sum + suffix_sw[i] - ceil_cycles(cp_max)) <= best_merit``
+  the subtree is pruned;
+* **permanent inputs** (Pozzi, Atasu & Ienne, IEEE TCAD 25(7), 2006):
+  an input of the cut whose producer is block-external, a supernode
+  value, forbidden, or already excluded can never be absorbed by a later
+  inclusion, so at level ``i`` the popcount of
+  ``prod_union & ~(member | open_[i])`` (``open_[i]`` = non-forbidden
+  nodes ``i..n-1``) is a lower bound on the inputs of every cut below;
+  once it exceeds Nin the subtree is pruned.
 
-the whole subtree is pruned.  This never changes the returned best cut
-(the bound is admissible and ties never replace the incumbent); it is
-off by default so default searches reproduce the paper's statistics
-exactly, and the subtrees it removes are reported separately in
-``SearchStats.ub_pruned``.
+Neither rule removes a cut that could become the incumbent (ties never
+replace it), so the best cut and its tie-break are those of the paper's
+walk.  The removed subtrees are counted in ``SearchStats.ub_pruned`` and
+``SearchStats.nin_pruned``.
 """
 
 from __future__ import annotations
@@ -63,11 +72,13 @@ class SearchStats:
     """Counters describing one identification run (cf. Figs. 7 and 8)."""
 
     graph_nodes: int = 0
-    cuts_considered: int = 0   # tree nodes reached through a 1-branch
+    cuts_considered: int = 0   # 1-branch tree nodes examined (after
+    #   pruning: the paper's count only under a budget)
     cuts_feasible: int = 0     # passed output-port AND convexity checks
     cuts_infeasible: int = 0   # failed a monotone check (subtree pruned)
     best_updates: int = 0
     ub_pruned: int = 0         # subtrees cut by the merit upper bound
+    nin_pruned: int = 0        # subtrees cut by permanent inputs > Nin
     space_covered: float = 0.0  # fraction of the 2^n node assignments
     #   decided when the search stopped: 1.0 on complete runs, the mass
     #   left of the DFS frontier on budget-stopped ones (single-cut
@@ -82,18 +93,20 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Optional budget and extra pruning for the exponential search.
+    """Optional budget for the exponential search.
 
     ``max_considered`` bounds the number of cuts examined; when exhausted
     the search stops early and the result is flagged incomplete.
-    ``use_upper_bound`` additionally prunes subtrees whose admissible
-    merit upper bound cannot beat the incumbent — same best cut, fewer
-    cuts examined (single-cut searches only; ignored while enumerating,
-    which must visit every feasible cut, and by the multi-cut search).
+
+    Unbudgeted single-cut searches prune with two exact rules (the merit
+    upper bound and permanent inputs, see the module doc): same best
+    cut, far fewer cuts examined.  Budgeted searches and enumerations
+    walk exactly the paper's Fig. 6 tree, so a budget reaches the same
+    cuts as the paper's algorithm; a budget that cannot be reached
+    (``2 ** dfg.n``) gives the paper's complete-walk statistics.
     """
 
     max_considered: Optional[int] = None
-    use_upper_bound: bool = False
 
 
 def ceil_cycles(critical_path: float) -> int:
@@ -117,8 +130,9 @@ def run_single_cut(
     """Exact best-cut search; returns ``(best_nodes, best_merit, stats,
     complete)``.
 
-    Visits tree nodes in exactly the order of the recursive reference
-    (include branch first), so statistics and tie-breaks are identical.
+    Visits tree nodes in the order of the recursive reference (include
+    branch first), so tie-breaks are identical; under a budget (no
+    pruning, see :class:`SearchLimits`) the statistics are identical too.
     ``on_feasible`` is invoked for every feasible cut within the input
     constraint, with the member tuple (ascending) and its merit.
     """
@@ -141,19 +155,23 @@ def run_single_cut(
     for j in range(n - 1, -1, -1):
         suffix_sw[j] = sw[j] + suffix_sw[j + 1]
     lowmask = [(1 << j) - 1 for j in range(n)]
+    # Nodes i..n-1 that may still join a cut: every other producer bit
+    # outside the cut is a permanent input (see module doc).
+    selectable = masks.all_nodes & ~forbidden
+    open_ = [selectable & ~lm for lm in lowmask]
     ceil_ = math.ceil
 
     weight = dfg.weight
     nin = constraints.nin
     nout = constraints.nout
-    if limits is None:
+    if limits is None or limits.max_considered is None:
         limit: float = math.inf
-        use_ub = False
     else:
-        limit = math.inf if limits.max_considered is None \
-            else limits.max_considered
-        use_ub = limits.use_upper_bound and on_feasible is None
+        limit = limits.max_considered
     has_cb = on_feasible is not None
+    # Pruning changes which cuts a budget reaches and skips cuts an
+    # enumeration must see, so those searches walk the paper's tree.
+    prune = limit == math.inf and not has_cb
     # When Nin can never be exceeded the popcount test is dead weight.
     union_all = 0
     for pm in producer_mask:
@@ -189,14 +207,21 @@ def run_single_cut(
     feasible = 0
     best_updates = 0
     ub_pruned = 0
+    nin_pruned = 0
     complete = True
 
     i = 0
     while True:
-        if i == n or (use_ub
-                      and sw_sum + suffix_sw[i] - cycles <= best_rel):
-            if i < n:
+        dead = i == n
+        if prune and not dead:
+            if sw_sum + suffix_sw[i] - cycles <= best_rel:
                 ub_pruned += 1
+                dead = True
+            elif check_nin and (
+                    prod_union & ~(member | open_[i])).bit_count() > nin:
+                nin_pruned += 1
+                dead = True
+        if dead:
             # Backtrack to the deepest live inclusion.
             if not sp:
                 break
@@ -277,8 +302,8 @@ def run_single_cut(
             cp_max = cp
             c2 = ceil_(cp - 1e-9)
             cycles = c2 if c2 > 1 else 1
-        # Candidate incumbent (input constraint is not monotone: it only
-        # filters, never prunes).
+        # Candidate incumbent (the input count is not monotone: it
+        # filters here, and only its permanent part prunes).
         if not check_nin or (prod_union & ~member).bit_count() <= nin:
             rel = sw_sum - cycles
             if has_cb:
@@ -306,6 +331,7 @@ def run_single_cut(
     stats.cuts_feasible = feasible
     stats.best_updates = best_updates
     stats.ub_pruned = ub_pruned
+    stats.nin_pruned = nin_pruned
     best_merit = 0.0 if best_nodes is None else weight * best_rel
     return best_nodes, best_merit, stats, complete
 

@@ -102,4 +102,5 @@ def merge_stats(target: SearchStats, source: SearchStats) -> None:
     target.cuts_infeasible += source.cuts_infeasible
     target.best_updates += source.best_updates
     target.ub_pruned += source.ub_pruned
+    target.nin_pruned += source.nin_pruned
     target.space_covered += source.space_covered

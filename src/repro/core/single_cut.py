@@ -14,8 +14,11 @@ leaf path of 1-branches:
 
 Whenever the output-port constraint or the convexity constraint fails at a
 tree node, the entire subtree below it is pruned.  The input constraint is
-**not** monotone (adding a producer can remove inputs), so it only filters
-which cuts may become the incumbent best solution.
+**not** monotone (adding a producer can remove inputs), so in the paper it
+only filters which cuts may become the incumbent best solution.  Its
+*permanent* part is monotone, though: unbudgeted searches prune on it and
+on a merit upper bound (a ``max_considered`` budget turns both off; see
+:mod:`repro.core.engine`).
 
 The tree walk itself lives in :mod:`repro.core.engine`: an iterative
 branch-and-bound whose incremental state (the refs/reach/bad/cpl

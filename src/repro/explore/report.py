@@ -18,7 +18,8 @@ from .runner import SweepOutcome
 CSV_COLUMNS = [
     "workload", "nin", "nout", "ninstr", "algorithm", "model", "status",
     "speedup", "measured_speedup", "measured_identical", "total_merit",
-    "num_instructions", "complete", "cuts_considered", "elapsed_s",
+    "num_instructions", "complete", "cuts_considered", "ub_pruned",
+    "nin_pruned", "elapsed_s",
 ]
 
 

@@ -339,6 +339,8 @@ def _result_fields(result: SelectionResult, point: SweepPoint,
         "num_instructions": result.num_instructions,
         "complete": result.complete,
         "cuts_considered": result.stats.cuts_considered,
+        "ub_pruned": result.stats.ub_pruned,
+        "nin_pruned": result.stats.nin_pruned,
         "cuts": [
             {
                 "block": cut.dfg.name,

@@ -13,7 +13,8 @@ bit-identical (DESIGN.md §11–§12), plus the static gates of §13:
    trap messages all bit-identical;
 3. **selection** — iterative selection over the profiled DFGs; every
    returned cut re-validated by the independent mask checker
-   (``S0xx`` codes);
+   (``S0xx`` codes), and a budgeted selection that completed must pick
+   the same cuts as the default pruned search (``selection-prune``);
 4. **rewrite** — the ISE-rewritten clone passes ``check_rewrite``
    (full verifier + memory-chain preservation) and behaves identically
    to the optimised baseline on all three backends (its step counts
@@ -70,7 +71,7 @@ __all__ = ["DEFAULT_LIMITS", "PHASE_OF_STAGE", "Divergence",
 PHASE_OF_STAGE = {
     "frontend": 0, "verifier": 0,
     "backend": 1, "optimizer": 1,
-    "selection": 2, "selection-check": 2,
+    "selection": 2, "selection-check": 2, "selection-prune": 2,
     "rewrite": 3, "rewrite-check": 3, "rewritten": 3,
     "rewritten-backend": 3,
     "batch": 4, "rewritten-batch": 4,
@@ -269,11 +270,10 @@ def run_differential(
             dfgs.extend(function_dfgs(func, weights, min_nodes=2))
     dfgs = [d for d in dfgs if d.weight > 0]
     selection = None
+    cons = Constraints(nin=nin, nout=nout, ninstr=ninstr)
     if dfgs:
         try:
-            selection = select_iterative(
-                dfgs, Constraints(nin=nin, nout=nout, ninstr=ninstr),
-                model, limits)
+            selection = select_iterative(dfgs, cons, model, limits)
         except Exception as exc:  # noqa: BLE001 - any crash is a find
             report.fail("selection", f"{type(exc).__name__}: {exc}")
             return report
@@ -283,6 +283,18 @@ def run_differential(
             if bad:
                 report.fail("selection-check", "; ".join(
                     f"{d.code}: {d.message}" for d in bad[:5]))
+        if selection.complete:
+            # A budgeted search walks the paper's tree; once it finished,
+            # the pruned default search must land on the same cuts.
+            try:
+                pruned = _cut_keys(
+                    select_iterative(dfgs, cons, model, None))
+            except Exception as exc:  # noqa: BLE001 - any crash is a find
+                pruned = f"{type(exc).__name__}: {exc}"
+            if pruned != _cut_keys(selection):
+                report.fail("selection-prune",
+                            f"pruned {pruned} != budgeted "
+                            f"{_cut_keys(selection)}")
 
     if report.failures or phases <= 2:
         return report
@@ -359,6 +371,12 @@ def run_differential(
                         f"{_describe(got)} != single "
                         f"{_describe(want)}")
     return report
+
+
+def _cut_keys(selection) -> List[Tuple]:
+    """The selected cuts as ``(block, nodes, merit)``, in pick order."""
+    return [(cut.dfg.name, tuple(sorted(cut.nodes)), cut.merit)
+            for cut in selection.cuts]
 
 
 def _profile(module, entry: str, args: Sequence[int],

@@ -43,7 +43,7 @@ PIPELINE_VERSION = 1
 #: Bump when search/engine semantics change (pruning, feasibility,
 #: tie-breaking, result encoding): persisted ``search`` artifacts from
 #: the old engine must read as misses, not replay stale cut sets.
-SEARCH_VERSION = 1
+SEARCH_VERSION = 2
 
 _DIGEST_ATTR = "_explore_digest"
 
@@ -116,8 +116,8 @@ def model_digest(model) -> str:
 def limits_key(limits) -> Tuple:
     """Canonical tuple of a ``SearchLimits`` (``None`` = unbounded)."""
     if limits is None:
-        return (None, False)
-    return (limits.max_considered, limits.use_upper_bound)
+        return (None,)
+    return (limits.max_considered,)
 
 
 def callable_fingerprint(fn) -> Tuple:

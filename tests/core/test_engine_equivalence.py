@@ -5,9 +5,10 @@ The engine (``repro.core.engine``) encodes the search state in Python-int
 bitsets; these tests pin it, property-style, against the from-scratch
 oracles (``dfg.is_convex`` / ``cut_inputs`` / ``cut_outputs`` /
 ``evaluate_cut``), against brute-force enumeration, and — for the
-upper-bound pruning mode, which must never change the returned optimum —
-against the engine's own exhaustive default on randomized DFGs and on
-every registered workload.
+default pruned walk, which must never change the returned optimum —
+against the engine's own exhaustive paper walk on randomized DFGs,
+blocks of generated programs and every registered workload, at every
+round of the collapse chains iterative selection walks through.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import check_cut_record, errors_of
 from repro.core import (
     Constraints,
     SearchLimits,
@@ -31,10 +33,12 @@ from repro.cluster import scheduled_map
 from repro.explore import SearchCache
 from repro.core.bruteforce import best_cut_bruteforce
 from repro.hwmodel import CostModel
+from repro.ir.dfg import function_dfgs
 from repro.ir.synth import make_dfg, random_dag_dfg
 from repro.ir.opcodes import Opcode
 from repro.pipeline import prepare_application
 from repro.workloads import WORKLOADS
+from strategies import compile_program, programs
 
 MODEL = CostModel()
 
@@ -73,6 +77,58 @@ def dag_and_constraints(draw):
     nin = draw(st.integers(1, 6))
     nout = draw(st.integers(1, 4))
     return dfg, Constraints(nin=nin, nout=nout)
+
+
+def _nodes(result):
+    return result.cut.nodes if result.cut is not None else None
+
+
+def assert_same_optimum(dfg, cons, budget=None):
+    """Compare the paper walk with the default pruned search on one graph.
+
+    The paper walk is a budgeted search (budgets never prune beyond the
+    paper's checks); ``budget=None`` gives one it cannot reach.  Returns
+    the paper-walk result, or ``None`` when it ran out of budget.
+    """
+    walk = find_best_cut(dfg, cons, MODEL, SearchLimits(
+        max_considered=2 ** dfg.n if budget is None else budget))
+    if not walk.complete:
+        return None
+    pruned = find_best_cut(dfg, cons, MODEL)
+    assert pruned.complete
+    assert _nodes(pruned) == _nodes(walk)
+    assert pruned.merit == walk.merit
+    assert pruned.stats.cuts_considered <= walk.stats.cuts_considered
+    assert walk.stats.ub_pruned == walk.stats.nin_pruned == 0
+    if walk.cut is not None:
+        members = set(walk.cut.nodes)
+        assert dfg.is_convex(members)
+        assert len(dfg.cut_inputs(members)) == walk.cut.num_inputs
+        assert len(dfg.cut_outputs(members)) == walk.cut.num_outputs
+    for result in (walk, pruned):
+        if result.cut is not None:
+            assert not errors_of(
+                check_cut_record(result.cut, cons.nin, cons.nout))
+    if dfg.n <= 10:
+        brute = best_cut_bruteforce(dfg, cons, MODEL)
+        assert pruned.merit == (brute.merit if brute else 0.0)
+    return walk
+
+
+def assert_same_chain(dfg, cons, budget=None, max_rounds: int = 8) -> int:
+    """Walk a collapse chain, comparing both searches at every round;
+    returns the number of rounds compared."""
+    rounds = 0
+    current = dfg
+    while rounds < max_rounds:
+        walk = assert_same_optimum(current, cons, budget)
+        if walk is None:
+            break
+        rounds += 1
+        if walk.cut is None:
+            break
+        current = current.collapse(walk.cut.nodes, label=f"ise{rounds}")
+    return rounds
 
 
 class TestMasks:
@@ -145,23 +201,64 @@ class TestAgainstNaiveOracles:
 
 
 class TestUpperBoundPruning:
-    """The admissible bound may only discard subtrees that cannot beat
-    the incumbent: identical best cut, never more work."""
+    """The default pruning (merit bound, permanent inputs) may only
+    discard subtrees that cannot beat the incumbent: identical best cut,
+    never more work."""
 
-    UB = SearchLimits(use_upper_bound=True)
-
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(dag_and_constraints())
     def test_same_best_cut_fewer_cuts(self, case):
         dfg, cons = case
-        plain = find_best_cut(dfg, cons, MODEL)
-        pruned = find_best_cut(dfg, cons, MODEL, limits=self.UB)
-        plain_nodes = plain.cut.nodes if plain.cut else None
-        pruned_nodes = pruned.cut.nodes if pruned.cut else None
-        assert plain_nodes == pruned_nodes
-        assert plain.merit == pruned.merit
-        assert pruned.stats.cuts_considered <= plain.stats.cuts_considered
-        assert plain.stats.ub_pruned == 0
+        assert assert_same_optimum(dfg, cons) is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(dag_and_constraints())
+    def test_same_collapse_chain(self, case):
+        dfg, cons = case
+        assert assert_same_chain(dfg, cons) >= 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(programs(("portlimit", "mixed")),
+           st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)]))
+    def test_generated_blocks_same_collapse_chains(self, program, ports):
+        # Fuzz programs shaped against the Nin frontier; the paper walk
+        # is budgeted so a dense block cannot stall the suite.
+        cons = Constraints(nin=ports[0], nout=ports[1])
+        for func in compile_program(program).functions.values():
+            for dfg in function_dfgs(func, min_nodes=2):
+                assert_same_chain(dfg, cons, budget=200_000)
+
+    def test_permanent_inputs_prune_where_the_bound_cannot(self):
+        # Eight independent MULs, each reading two external inputs: with
+        # Nin=1 no cut is feasible, so the incumbent stays empty and the
+        # merit bound (positive software mass left) never fires.  Every
+        # inclusion makes two permanent inputs, so each subtree dies as
+        # soon as it opens (the last one has no subtree left to prune).
+        dfg = make_dfg([Opcode.MUL] * 8, [], live_out=list(range(8)))
+        cons = Constraints(nin=1, nout=8)
+        walk = assert_same_optimum(dfg, cons)
+        pruned = find_best_cut(dfg, cons, MODEL)
+        assert walk.cut is None and pruned.cut is None
+        assert walk.stats.cuts_considered == 2 ** 8 - 1
+        assert pruned.stats.ub_pruned == 0
+        assert pruned.stats.nin_pruned == 7
+        assert pruned.stats.cuts_considered == 8
+
+    def test_excluded_producer_is_permanent(self):
+        # Chain 0 -> 1 -> 2 of MULs (node 2 is the sink).  Once the sink
+        # is in and its producer excluded, that value can never be
+        # absorbed; with Nin=1 the remaining subtree is dead.
+        dfg = make_dfg([Opcode.MUL] * 3, [(0, 1), (1, 2)], live_out=[2])
+        cons = Constraints(nin=1, nout=1)
+        assert assert_same_optimum(dfg, cons) is not None
+        assert find_best_cut(dfg, cons, MODEL).stats.nin_pruned > 0
+
+    def test_budgeted_search_walks_the_paper_tree(self):
+        dfg = make_dfg([Opcode.MUL] * 8, [], live_out=list(range(8)))
+        budgeted = find_best_cut(dfg, Constraints(nin=1, nout=8), MODEL,
+                                 SearchLimits(max_considered=10_000))
+        assert budgeted.stats.cuts_considered == 2 ** 8 - 1
+        assert budgeted.stats.nin_pruned == budgeted.stats.ub_pruned == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31))
@@ -188,31 +285,17 @@ class TestUpperBoundPruning:
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("nin,nout", [(4, 2), (2, 1)])
 def test_workload_blocks_ub_equivalence(workload, nin, nout, request):
-    """On every registered workload, the pruned search returns the exact
-    optimum of the default search on every (tractable) block, and the
-    optimum passes the naive oracles."""
+    """On every registered workload, the default (pruned) search returns
+    the exact optimum of the paper walk on every (tractable) block, at
+    every round of its collapse chain, and the optimum passes the naive
+    oracles."""
     app = _workload_app(workload, request)
     cons = Constraints(nin=nin, nout=nout)
-    limits = SearchLimits(max_considered=300_000, use_upper_bound=True)
     checked = 0
     for dfg in app.dfgs:
         if dfg.n > 40:
             continue
-        plain = find_best_cut(dfg, cons, MODEL,
-                              SearchLimits(max_considered=300_000))
-        pruned = find_best_cut(dfg, cons, MODEL, limits)
-        if not plain.complete:
-            continue
-        plain_nodes = plain.cut.nodes if plain.cut else None
-        pruned_nodes = pruned.cut.nodes if pruned.cut else None
-        assert plain_nodes == pruned_nodes
-        assert plain.merit == pruned.merit
-        if plain.cut is not None:
-            members = set(plain.cut.nodes)
-            assert dfg.is_convex(members)
-            assert len(dfg.cut_inputs(members)) == plain.cut.num_inputs
-            assert len(dfg.cut_outputs(members)) == plain.cut.num_outputs
-        checked += 1
+        checked += assert_same_chain(dfg, cons, budget=300_000)
     assert checked > 0, f"no tractable blocks checked in {workload}"
 
 

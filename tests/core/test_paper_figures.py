@@ -4,16 +4,28 @@ The reconstruction of the Fig. 4 example graph (see
 :func:`repro.ir.synth.paper_figure4_dfg`) must reproduce the search trace
 of Fig. 7 *exactly*: with ``Nout = 1`` the algorithm examines 11 of the 16
 possible cuts, finds 5 feasible, 6 infeasible, and never looks at the
-remaining 4.
+remaining 4.  Trace counts are the paper's unpruned tree walk, so those
+searches pass a budget that cannot be reached (a budgeted search never
+prunes beyond the paper's checks).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import Constraints, enumerate_feasible_cuts, find_best_cut
+from repro.core import (
+    Constraints,
+    SearchLimits,
+    enumerate_feasible_cuts,
+    find_best_cut,
+)
 from repro.core.bruteforce import all_feasible_cuts
 from repro.ir.synth import paper_figure4_dfg
+
+
+def paper_walk(dfg):
+    """A budget the search cannot reach: the paper's unpruned walk."""
+    return SearchLimits(max_considered=2 ** dfg.n)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +71,8 @@ class TestFigure7Trace:
 
     @pytest.fixture(scope="class")
     def result(self, fig4):
-        return find_best_cut(fig4, Constraints(nin=16, nout=1))
+        return find_best_cut(fig4, Constraints(nin=16, nout=1),
+                             limits=paper_walk(fig4))
 
     def test_cuts_considered(self, result):
         assert result.stats.cuts_considered == 11
@@ -91,7 +104,8 @@ class TestFigure5SearchTree:
     cut exactly once (Fig. 5 has 16 tree nodes for 4 graph nodes)."""
 
     def test_all_cuts_visited_unconstrained(self, fig4):
-        result = find_best_cut(fig4, Constraints(nin=16, nout=16))
+        result = find_best_cut(fig4, Constraints(nin=16, nout=16),
+                               limits=paper_walk(fig4))
         assert result.stats.cuts_considered == 15   # 2^4 - 1 nonempty
         assert result.stats.cuts_eliminated == 0
 
@@ -109,6 +123,7 @@ class TestTighterConstraintsPruneMore:
     def test_nout_monotonicity(self, fig4):
         considered = []
         for nout in (1, 2, 4):
-            res = find_best_cut(fig4, Constraints(nin=16, nout=nout))
+            res = find_best_cut(fig4, Constraints(nin=16, nout=nout),
+                                limits=paper_walk(fig4))
             considered.append(res.stats.cuts_considered)
         assert considered[0] <= considered[1] <= considered[2]

@@ -175,14 +175,16 @@ class TestStats:
         # Independent nodes, unconstrained: every nonempty cut is convex
         # and within ports, so all 2^n - 1 cuts get examined.
         dfg = make_dfg([Opcode.MUL] * 5, [], live_out=list(range(5)))
-        res = find_best_cut(dfg, Constraints(nin=16, nout=16), model)
+        res = find_best_cut(dfg, Constraints(nin=16, nout=16), model,
+                            limits=SearchLimits(max_considered=2 ** dfg.n))
         assert res.stats.cuts_considered == 2 ** 5 - 1
         assert res.stats.cuts_feasible == 2 ** 5 - 1
 
     def test_chain_convexity_prunes_even_unconstrained(self, model):
         # In a 5-chain only the 15 contiguous subsets are convex.
         dfg = chain(5)
-        res = find_best_cut(dfg, Constraints(nin=16, nout=16), model)
+        res = find_best_cut(dfg, Constraints(nin=16, nout=16), model,
+                            limits=SearchLimits(max_considered=2 ** dfg.n))
         assert res.stats.cuts_feasible == 15
 
     def test_graph_nodes_recorded(self, model):

@@ -134,6 +134,24 @@ class TestSingleCut:
                       SearchLimits(max_considered=10), cache=cache)
         assert cache.stats.hits == 0
 
+    def test_paper_walk_splits_the_key(self):
+        # A budget that cannot be reached walks the paper's tree: the
+        # same cut as the pruned default search, different statistics,
+        # so neither may answer the other, whichever fills the cache first.
+        dfg = chain_dfg()
+        paper_walk = SearchLimits(max_considered=2 ** dfg.n)
+        for first, second in ((paper_walk, None), (None, paper_walk)):
+            cache = SearchCache()
+            filled = find_best_cut(dfg, CONS, MODEL, first, cache=cache)
+            other = find_best_cut(dfg, CONS, MODEL, second, cache=cache)
+            assert cache.stats.hits == 0
+            assert other.cut.nodes == filled.cut.nodes
+            assert asdict(other.stats) != asdict(filled.stats)
+            assert asdict(find_best_cut(
+                dfg, CONS, MODEL, first, cache=cache).stats) \
+                == asdict(filled.stats)
+            assert cache.stats.hits == 1
+
     def test_no_profitable_cut_is_cached(self):
         cache = SearchCache()
         dfg = make_dfg([Opcode.LOAD], [], live_out=[0])

@@ -70,6 +70,29 @@ class TestRows:
         assert outcome.warm_units > 0
 
 
+class TestDefaultPruning:
+    def test_pruned_rows_match_budgeted_rows(self):
+        # Without --limit the searches prune; a budget that completes
+        # walks the paper's tree.  Only the search counters may differ.
+        counters = ("cuts_considered", "ub_pruned", "nin_pruned",
+                    "elapsed_s")
+        spec = small_spec(algorithms=("iterative",))
+        budgeted = run_sweep(spec).rows
+        pruned = run_sweep(small_spec(algorithms=("iterative",),
+                                      limit=None)).rows
+        assert all(row["complete"] for row in budgeted)
+        assert ([{k: v for k, v in row.items() if k not in counters}
+                 for row in pruned]
+                == [{k: v for k, v in row.items() if k not in counters}
+                    for row in budgeted])
+        assert all(row["ub_pruned"] == row["nin_pruned"] == 0
+                   for row in budgeted)
+        assert sum(row["ub_pruned"] + row["nin_pruned"]
+                   for row in pruned) > 0
+        assert (sum(row["cuts_considered"] for row in pruned)
+                < sum(row["cuts_considered"] for row in budgeted))
+
+
 class TestCacheEquivalence:
     def test_cached_sweep_is_bit_identical_to_cold(self):
         spec = small_spec()
@@ -157,6 +180,14 @@ class TestArtifacts:
         assert len(rows) == len(outcome.rows)
         assert rows[0]["workload"] == "fir"
         assert float(rows[0]["speedup"]) >= 1.0
+
+    def test_csv_carries_prune_counters(self, outcome, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_csv(outcome, path)
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+        at = header.index("cuts_considered")
+        assert header[at + 1:at + 3] == ["ub_pruned", "nin_pruned"]
 
     def test_table_mentions_every_algorithm(self, outcome):
         table = format_table(outcome.rows)
