@@ -24,6 +24,11 @@ It is a CI **gate**, not telemetry: the job fails when
 * ``repro speedup``-style rows measured under the two backends are not
   byte-identical (the Fig. 9/10 artifact must not depend on the engine).
 
+It also records, as telemetry without a gate, the size of the generated
+code: compiled units, total source lines and the best cold codegen
+time for building every dispatch table of all workloads, baseline plus
+rewritten, from an empty code memo.
+
 Emits ``benchmarks/results/BENCH_interp.json``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_interp.py
@@ -37,7 +42,8 @@ from pathlib import Path
 from repro import SearchLimits, WORKLOADS
 from repro.exec.speedup import run_speedup
 from repro.interp import Interpreter, Memory
-from repro.interp.compile import clear_code_memo, code_memo_stats
+from repro.interp.compile import (build_function_table, clear_code_memo,
+                                  code_memo_stats)
 
 try:
     from _bench_utils import RESULTS_DIR, report, rewritten_workload
@@ -118,13 +124,41 @@ def _measure(module, workload):
     return row, (walk.value, walk_mem)
 
 
+def _codegen_size(modules):
+    """Cold codegen of every dispatch table of *modules*.
+
+    Returns ``{"units", "lines", "cold_s"}``: the distinct compiled
+    closures, their total generated source lines, and the best-of-
+    ``REPEATS`` wall time to build all tables from an empty code memo.
+    Lazy region-tail slots stay uncompiled, as in a run that never
+    replays a block on the walker.
+    """
+    best = None
+    units = {}
+    for _ in range(REPEATS):
+        clear_code_memo()
+        units = {}
+        start = time.perf_counter()
+        for module in modules:
+            for func in module.functions.values():
+                for code, _ in build_function_table(func).values():
+                    if code is not None and code.fn is not None:
+                        units[code.digest] = code
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    lines = sum(len(code.source.splitlines()) for code in units.values())
+    return {"units": len(units), "lines": lines, "cold_s": best}
+
+
 def main() -> int:
     rows = {}
     rewritten_rows = {}
     failures = []
+    modules = []
     for name in sorted(WORKLOADS):
         workload = WORKLOADS[name]
         app, rewritten = rewritten_workload(name)
+        modules += [app.module, rewritten]
         rows[name], outcome = _measure(app.module, workload)
         rewritten_rows[name], rewritten_outcome = _measure(rewritten,
                                                            workload)
@@ -167,6 +201,11 @@ def main() -> int:
     report("interp",
            f"worst warm speedup {worst:.2f}x (gate {MIN_SPEEDUP:.1f}x); "
            f"code memo: {memo}")
+    codegen = _codegen_size(modules)
+    report("interp",
+           f"generated code, all workloads baseline+rewritten: "
+           f"{codegen['units']} units, {codegen['lines']} lines, "
+           f"cold codegen {codegen['cold_s'] * 1e3:.1f}ms")
 
     payload = {
         "config": {"min_speedup": MIN_SPEEDUP,
@@ -176,6 +215,7 @@ def main() -> int:
         "rewritten": rewritten_rows,
         "rows_identical": rows_identical,
         "code_memo": memo,
+        "codegen": codegen,
         "worst_warm_speedup": worst,
     }
     RESULTS_DIR.mkdir(exist_ok=True)

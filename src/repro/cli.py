@@ -25,7 +25,7 @@ Subcommands:
   (ISE contracts, memory-chain preservation) — text or ``--json``,
   exit 1 on any error diagnostic, nothing executed;
 * ``fuzz`` — differential fuzzing: seeded generated programs through
-  the whole stack (three backends, baseline vs rewritten, single vs
+  the whole stack (both backends, baseline vs rewritten, single vs
   batched lanes, verifier + selection checker), failures shrunk to
   minimal reproducers; ``--soak`` for open-ended runs;
 * ``chaos`` — seeded fault-injection soak (DESIGN.md §16): a
@@ -41,7 +41,7 @@ Subcommands:
   pull warm-phase units until its queue drains (``--workers N``
   shards the same queue over local processes).
 
-Verbs that execute programs accept ``--backend walk|block|compiled``
+Verbs that execute programs accept ``--backend walk|compiled``
 (default: ``$REPRO_BACKEND``, else the compiled backend, DESIGN.md
 §11–§12); every printed table and artifact is byte-identical either
 way.
@@ -106,7 +106,7 @@ def _resolve_store_args(args):
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend",
-                        choices=["walk", "block", "compiled"],
+                        choices=["walk", "compiled"],
                         default=None,
                         help="execution backend for profiling and "
                              "measurement (default: $REPRO_BACKEND, "
@@ -365,19 +365,24 @@ def cmd_speedup(args) -> int:
 
 
 def _print_fallbacks() -> None:
-    """Stderr telemetry: why blocks punted to the walker, by code.
+    """Stderr telemetry: why code ran on the walker instead.
 
-    Empty for fully compiled programs; a non-empty breakdown names the
-    diagnostic code (``C0xx`` codegen limits, ``V0xx`` ill-formed IR —
-    see :data:`repro.analysis.diagnostics.CODES`) per fallback unit.
+    Empty for fully compiled programs that never replayed; otherwise it
+    names the diagnostic code (``C0xx`` codegen limits, ``V0xx``
+    ill-formed IR — see :data:`repro.analysis.diagnostics.CODES`) per
+    fallback unit, then the count of run-time replays (a compiled unit
+    handing a block to the walker near the step budget, or on an
+    undefined live-in register).
     """
     from .interp.compile import code_memo_stats
 
-    codes = code_memo_stats().fallback_codes
-    if codes:
-        detail = ", ".join(f"{code}x{count}"
-                           for code, count in sorted(codes.items()))
-        print(f"walker fallbacks: {detail}", file=sys.stderr)
+    stats = code_memo_stats()
+    parts = [f"{code}x{count}"
+             for code, count in sorted(stats.fallback_codes.items())]
+    if stats.replays:
+        parts.append(f"{stats.replays} replays")
+    if parts:
+        print(f"walker fallbacks: {', '.join(parts)}", file=sys.stderr)
 
 
 def _run_batch_mode(args, workload, module, note) -> int:

@@ -8,7 +8,7 @@ bit-identical (DESIGN.md §11–§12), plus the static gates of §13:
    pipeline with if-conversion; the optimised module must pass the full
    IR verifier, and its observable behaviour (return value + final
    memory image) must match the *unoptimised* module run on the walker;
-2. **backends** — ``walk`` vs ``block`` vs ``compiled`` on the
+2. **backends** — ``walk`` vs ``compiled`` on the
    optimised module: values, step counts, profiles, final memory and
    trap messages all bit-identical;
 3. **selection** — iterative selection over the profiled DFGs; every
@@ -17,7 +17,7 @@ bit-identical (DESIGN.md §11–§12), plus the static gates of §13:
    the same cuts as the default pruned search (``selection-prune``);
 4. **rewrite** — the ISE-rewritten clone passes ``check_rewrite``
    (full verifier + memory-chain preservation) and behaves identically
-   to the optimised baseline on all three backends (its step counts
+   to the optimised baseline on both backends (its step counts
    differ from baseline by design but must agree *across* backends);
 5. **batch** — :func:`repro.interp.run_batch` over the argument sets
    (baseline and rewritten, every backend) must reproduce the

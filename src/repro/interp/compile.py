@@ -36,14 +36,16 @@ generated Python source:
   software ops (:func:`_pure_expr`); an internal division that can hit
   zero raises the walker's exact ``TrapError``, and no dest register is
   written until the last gate has run;
-* step counting is accumulated as **per-segment constants**: a segment
-  (the ops between ``CALL`` boundaries, usually the whole block) commits
-  ``I._steps += K`` once.  When the step budget would expire inside the
-  segment, a generated *twin* of the segment with walker-exact per-op
-  counting runs instead, so :class:`~repro.interp.interpreter.
-  ExecutionLimitExceeded` fires at exactly the same step index — with
-  exactly the side effects of the ops before it — as the reference
-  walker (the PR's step-accounting bugfix);
+* step counting is accumulated as **constants**: one ``_s =
+  I._steps`` read at unit entry, and an exact ``I._steps = _s + k``
+  commit only where the counter is observable (before an op that can
+  trap, a ``CALL`` or a terminator).  The budget is checked by one
+  **guard at unit entry**, against the unit's step count up to its
+  first ``CALL``, and once more after each ``CALL``; when it could
+  expire, the unit raises :class:`ResumeOnWalker` and the walker's
+  reference executor runs the block from there, so
+  :class:`~repro.interp.interpreter.ExecutionLimitExceeded` fires at
+  exactly the walker's step index with exactly its side effects;
 * block entry counts are tallied by the dispatch loop into a plain local
   dict and folded into :class:`~repro.interp.profile.ProfileData` once
   per call frame (aggregate-on-exit), not per entry.
@@ -82,23 +84,23 @@ from ..ir.values import Const, Reg, wrap32
 from ..store.keys import canonical_digest
 
 __all__ = [
-    "BlockCode", "CodeMemoStats", "UndefinedEntryRead", "block_digest",
+    "BlockCode", "CodeMemoStats", "ResumeOnWalker", "block_digest",
     "build_function_table", "clear_code_memo", "code_memo_stats",
     "compile_block", "compile_region", "discover_regions",
     "get_block_code", "get_region_code", "region_digest",
 ]
 
 
-class UndefinedEntryRead(Exception):
-    """Signal from a compiled block whose entry register loads failed.
+class ResumeOnWalker(Exception):
+    """Signal: run block ``args[0]`` from instruction ``args[1]`` on the
+    walker's reference executor.
 
-    The generated header reads every live-in register eagerly; when one
-    is missing, replaying the block op-by-op is the only way to
-    reproduce the walker's exact trap point, step count and committed
-    side effects (the undefined register might legitimately be read
-    only *after* stores, or after an op that traps differently).  The
-    dispatch loop catches this — raised before any op has executed —
-    and re-runs the entry on the walker's reference executor.
+    A compiled unit raises it only where the walker's exact trap point,
+    step count and committed side effects cannot be had on the fast
+    path: at entry (index 0, before any op has run) when a live-in
+    register is undefined or the step budget could expire inside the
+    unit, and after a ``CALL`` when the budget could expire before the
+    next one — then with every register the unit defined written back.
     """
 
 #: Bump when generated-code semantics change: digest-keyed closures from
@@ -107,7 +109,9 @@ class UndefinedEntryRead(Exception):
 #: v2: region compilation — closures take the per-frame profile counts
 #: dict ``C`` as a seventh parameter.  v3: AFU netlists are inlined as
 #: straight-line gate locals instead of calling ``FusedAFU.evaluate``.
-CODEGEN_VERSION = 3
+#: v4: an entry budget guard and :class:`ResumeOnWalker` replace the
+#: per-segment walker-exact twins; closures no longer take ``FN``.
+CODEGEN_VERSION = 4
 
 _MASK = "4294967295"            # 0xFFFFFFFF
 _SIGN = "2147483648"            # 0x80000000
@@ -119,16 +123,16 @@ class BlockCode:
 
     Attributes:
         fn: the generated closure, called as ``fn(I, R, LOAD, STORE,
-            CALL, FN, C)`` with the interpreter, the register dict, the
-            memory accessors, the call-back into ``Interpreter._call``,
-            the executing function's name and the per-frame profile
-            counts dict (region closures bump it at every internal
-            block boundary; single-block closures ignore it); returns
-            the successor label, or a 1-tuple ``(value,)`` for ``RET``.
-            ``None`` when codegen fell back to the walker.
+            CALL, C)`` with the interpreter, the register dict, the
+            memory accessors, the call-back into ``Interpreter._call``
+            and the per-frame profile counts dict (region closures bump
+            it at every internal block boundary; single-block closures
+            ignore it); returns the successor label, or a 1-tuple
+            ``(value,)`` for ``RET``.  ``None`` when codegen fell back
+            to the walker.
         label: the head block's label (diagnostics only).
         source: the generated Python text (debugging aid; the step
-            constants live in here as per-segment literals).
+            constants live in here as literals).
         digest: structural digest the memo is keyed on.
         span: how many source blocks the closure threads (1 for a
             plain per-block artifact, the chain length for a region).
@@ -159,6 +163,9 @@ class CodeMemoStats:
     ``fallback_codes`` breaks the fallbacks down by diagnostic code
     (see :attr:`BlockCode.reason`), so a sweep outcome or ``repro run``
     can report *why* blocks punted to the walker, not just how many.
+    ``replays`` counts run-time hand-offs of a compiled unit to the
+    walker (:class:`ResumeOnWalker`): 0 on a run whose step budget
+    never came close and whose live-in registers were all defined.
     """
 
     compiled: int = 0
@@ -166,6 +173,7 @@ class CodeMemoStats:
     fallbacks: int = 0
     regions: int = 0
     evictions: int = 0
+    replays: int = 0
     fallback_codes: Dict[str, int] = field(default_factory=dict)
 
     def count_fallback(self, code: "BlockCode") -> None:
@@ -179,7 +187,7 @@ class CodeMemoStats:
         """Flat dict for JSON artifacts and benchmark reports."""
         return {"compiled": self.compiled, "hits": self.hits,
                 "fallbacks": self.fallbacks, "regions": self.regions,
-                "evictions": self.evictions,
+                "evictions": self.evictions, "replays": self.replays,
                 "fallback_codes": dict(sorted(
                     self.fallback_codes.items()))}
 
@@ -196,25 +204,31 @@ _MEMO: "OrderedDict[str, BlockCode]" = OrderedDict()
 _STATS = CodeMemoStats()
 
 
-def _memo_get(digest: str) -> Optional[BlockCode]:
-    """LRU lookup: a hit refreshes the entry's recency."""
+def _memoised(digest: str, compiler, unit) -> BlockCode:
+    """LRU memo lookup; on a miss, ``compiler(unit, digest)`` fills it.
+
+    A hit refreshes the entry's recency; an insert evicts
+    least-recently-used entries down to the cap.  ``MEMO_LIMIT`` is
+    read at call time so tests can shrink it and observe eviction
+    without compiling thousands of blocks.
+    """
     cached = _MEMO.get(digest)
     if cached is not None:
         _MEMO.move_to_end(digest)
         _STATS.hits += 1
-    return cached
-
-
-def _memo_put(digest: str, code: BlockCode) -> None:
-    """Insert under the cap, evicting least-recently-used entries.
-
-    ``MEMO_LIMIT`` is read at call time so tests can shrink it and
-    observe eviction without compiling thousands of blocks.
-    """
+        return cached
+    code = compiler(unit, digest)
+    if code.fn is None:
+        _STATS.count_fallback(code)
+    else:
+        _STATS.compiled += 1
+        if code.span > 1:
+            _STATS.regions += 1
     while _MEMO and len(_MEMO) >= MEMO_LIMIT:
         _MEMO.popitem(last=False)
         _STATS.evictions += 1
     _MEMO[digest] = code
+    return code
 
 
 def _operand_token(operand) -> Tuple:
@@ -551,17 +565,27 @@ class _BlockCompiler:
                                   indent)
         self.out.emit(f"{self._define(insn.dest)} = {expr}", indent)
 
+    def _emit_writebacks(self, indent: int) -> None:
+        """Write every register defined so far back to the dict ``R``.
+
+        On a straight-line trace every def emitted so far has executed,
+        so this leaves the caller's register dict walker-exact.
+        """
+        for reg_name in sorted(self.defined):
+            self.out.emit(f"R[{reg_name!r}] = {self.locals[reg_name]}",
+                          indent)
+
     def _emit_internal_exit(self, insn: Instruction,
                             fallthrough: str) -> None:
         """Emit a mid-region terminator (control stays in the closure).
 
-        An internal ``JMP`` is pure fall-through — its step was counted
-        by the segment, and the next block's code follows immediately.
+        An internal ``JMP`` is pure fall-through — its step is already
+        committed, and the next block's code follows immediately.
         An internal ``BR`` keeps the on-trace side inline and emits a
         *side exit* for the other target: every register defined so far
-        (all of which executed — the trace is straight-line) is written
-        back and the off-trace label is returned to the dispatch loop,
-        exactly what the per-block backend would have done.
+        is written back and the off-trace label is returned to the
+        dispatch loop, exactly what the per-block closure would have
+        done.
         """
         op = insn.opcode
         if op is Opcode.JMP:
@@ -576,8 +600,7 @@ class _BlockCompiler:
             test, exit_label = f"{cond} != 0", then_label
         emit = self.out.emit
         emit(f"if {test}:")
-        for reg_name in sorted(self.defined):
-            emit(f"    R[{reg_name!r}] = {self.locals[reg_name]}")
+        self._emit_writebacks(indent=2)
         emit(f"    return {exit_label!r}")
 
     def _emit_terminator(self, insn: Instruction, indent: int) -> None:
@@ -587,9 +610,7 @@ class _BlockCompiler:
             # Writebacks keep the caller's register dict walker-exact
             # for successor blocks; a RET frame is discarded, so its
             # writebacks are dead and skipped.
-            for reg_name in sorted(self.defined):
-                emit(f"R[{reg_name!r}] = {self.locals[reg_name]}",
-                     indent)
+            self._emit_writebacks(indent)
         if op is Opcode.BR:
             cond = self._read(insn.operands[0])
             then_label, else_label = insn.targets
@@ -604,115 +625,53 @@ class _BlockCompiler:
         else:
             raise _UnsupportedBlock("C001", f"terminator {op}")
 
-    # -- segments ------------------------------------------------------
+    # -- step accounting -----------------------------------------------
     @staticmethod
-    def _can_trap(insn: Instruction) -> bool:
-        """True when *insn* can raise a run-time trap on the fast path.
+    def _observes_steps(insn: Instruction) -> bool:
+        """True when the step counter is observable at *insn*.
 
-        Such ops get an exact step-counter write emitted before them so
-        a trap observes the same ``Interpreter._steps`` as the walker
-        (the cumulative budget survives a caught trap identically).
-        ``CALL`` is excluded: it always ends its segment, so the
-        segment's full pre-commit is already exact at recursion time.
+        Such ops get an exact ``I._steps = _s + k`` commit emitted
+        before them: an op that can trap (a caller catching the
+        ``TrapError`` sees the walker's counter and remaining budget),
+        a ``CALL`` (the callee counts on from it) and a terminator (the
+        block is left).  Pure ops in between cannot raise, so their
+        counts are unobservable until the next commit.
         """
         op = insn.opcode
-        if op in (Opcode.LOAD, Opcode.STORE):
+        if op in (Opcode.LOAD, Opcode.STORE, Opcode.CALL):
             return True
         if op is Opcode.ISE:
             return any(_may_divide_by_zero(g) for g in insn.afu.gates)
         if op in _DIVISIONS:
             divisor = insn.operands[1]
             return not isinstance(divisor, Const) or divisor.value == 0
-        return False
+        return insn.is_terminator
 
     @staticmethod
-    def _segments(block: BasicBlock) -> List[List[Instruction]]:
-        """Split one block at CALL boundaries (a call ends its segment).
-
-        Within a segment the step count is a compile-time constant; a
-        callee's steps land between segments, so each segment's budget
-        check observes exactly the walker's counter state.  Segments
-        never span block boundaries — each block of a region carries
-        its own, so the budget twin stays per-block exact.
-        """
-        segments: List[List[Instruction]] = []
-        current: List[Instruction] = []
-        for insn in block.instructions:
-            current.append(insn)
+    def _budget(ops: Sequence[Tuple[int, int, Instruction]],
+                first: int) -> int:
+        """Steps from ``ops[first]`` up to and including the next
+        ``CALL`` (or the end of the chain): an upper bound on every
+        path — a side exit only shortens it — until a callee runs or
+        control leaves the closure."""
+        total = 0
+        for _, _, insn in ops[first:]:
+            total += 1
             if insn.opcode is Opcode.CALL:
-                segments.append(current)
-                current = []
-        if current:
-            segments.append(current)
-        return segments
+                break
+        return total
 
-    def _emit_segment(self, segment: List[Instruction],
-                      fallthrough: Optional[str]) -> None:
-        """Emit one segment: fast path + walker-exact budget twin.
-
-        *fallthrough* names the next block of the region when this
-        segment belongs to a mid-region block (``None`` in the final
-        block): its terminator still costs a step (both paths count
-        it) but is emitted by :meth:`_emit_internal_exit` — at most a
-        conditional side exit — instead of the full writeback/return
-        epilogue; on-trace control falls through to the next block's
-        segments in the same closure.
-
-        The twin runs only when the step budget expires inside this
-        segment; it counts per op and is therefore *guaranteed* to
-        raise before the segment ends, so it never needs writebacks or
-        a return of its own.
-
-        On the fast path the step counter normally commits as one
-        constant, but every op that can *trap* gets an exact
-        ``I._steps`` write first: a caller catching the ``TrapError``
-        observes the identical counter (and remaining cumulative step
-        budget) as under the walker.  Pure ops between trap points
-        cannot raise, so their counts are unobservable until the next
-        commit.
+    def _emit_resume_check(self, label: str, position: int,
+                           budget: int) -> None:
+        """Re-check the budget after a ``CALL`` returned (the callee
+        spent steps the entry guard could not know); on failure write
+        back, as a side exit does, and resume the walker at *position*.
         """
-        count = len(segment)
         emit = self.out.emit
-        limit_msg = ("'exceeded ' + str(I.max_steps) + ' steps in ' + "
-                     "repr(FN)")
         emit("_s = I._steps")
-        emit(f"if _s + {count} > I.max_steps:")
-        try:
-            for insn in segment:
-                emit("    I._steps += 1", 1)
-                emit("    if I._steps > I.max_steps:", 1)
-                emit(f"        raise _ELE({limit_msg})", 1)
-                if not insn.is_terminator:
-                    self._emit_insn(insn, indent=2)
-            # Unreachable by construction (the budget expires within
-            # the segment), kept as a hard stop should that ever drift.
-            emit(f"    raise _ELE({limit_msg})", 1)
-        except _DeadCode:
-            pass
-        has_traps = any(self._can_trap(insn) for insn in segment)
-        if not has_traps:
-            emit(f"I._steps = _s + {count}")
-        committed = 0
-        for index, insn in enumerate(segment):
-            if has_traps and self._can_trap(insn):
-                emit(f"I._steps = _s + {index + 1}")
-                committed = index + 1
-            elif (has_traps and committed < count
-                    and (insn.is_terminator
-                         or insn.opcode is Opcode.CALL)):
-                # Re-commit the full constant before anything that can
-                # observe the counter (a callee) or exit the block.
-                emit(f"I._steps = _s + {count}")
-                committed = count
-            if insn.is_terminator:
-                if fallthrough is None:
-                    self._emit_terminator(insn, indent=1)
-                else:
-                    self._emit_internal_exit(insn, fallthrough)
-            else:
-                self._emit_insn(insn, indent=1)
-        if has_traps and committed < count:
-            emit(f"I._steps = _s + {count}")
+        emit(f"if _s + {budget} > I.max_steps:")
+        self._emit_writebacks(indent=2)
+        emit(f"    raise _RW({label!r}, {position})")
 
     # -- driver --------------------------------------------------------
     def compile(self, digest: str) -> BlockCode:
@@ -744,47 +703,63 @@ class _BlockCompiler:
                     raise _UnsupportedBlock(
                         "C003",
                         "chain link is not a JMP/BR into the next block")
+        ops = [(index, position, insn)
+               for index, block in enumerate(blocks)
+               for position, insn in enumerate(block.instructions)]
         body = _Emitter()
         self.out = body
+        emit = body.emit
+        steps = 0       # steps since ``_s`` was read
         try:
-            for index, block in enumerate(blocks):
-                terminal = index == last
-                fallthrough = None if terminal else blocks[index + 1].label
-                for segment in self._segments(block):
-                    self._emit_segment(segment, fallthrough=fallthrough)
-                if not terminal:
+            for number, (index, position, insn) in enumerate(ops):
+                label = blocks[index].label
+                if position == 0 and index > 0:
                     # The walker records a block entry *before* running
-                    # the block; the bump sits between the terminator's
-                    # step accounting and the successor's first segment
-                    # so a trap or budget expiry anywhere in the region
-                    # folds identical counts into the profile.
-                    succ = blocks[index + 1].label
-                    body.emit(f"C[{succ!r}] = C.get({succ!r}, 0) + 1")
+                    # the block; the bump sits between the previous
+                    # terminator's step commit and this block's first
+                    # op, so a trap anywhere in the region folds
+                    # identical counts into the profile.
+                    emit(f"C[{label!r}] = C.get({label!r}, 0) + 1")
+                elif position and ops[number - 1][2].opcode is Opcode.CALL:
+                    self._emit_resume_check(label, position,
+                                            self._budget(ops, number))
+                    steps = 0
+                steps += 1
+                if self._observes_steps(insn):
+                    emit(f"I._steps = _s + {steps}")
+                if not insn.is_terminator:
+                    self._emit_insn(insn, indent=1)
+                elif index == last:
+                    self._emit_terminator(insn, indent=1)
+                else:
+                    self._emit_internal_exit(insn, blocks[index + 1].label)
         except _DeadCode:
             pass        # an unconditional trap ends the chain early
 
         header = _Emitter()
-        params = ["I", "R", "LOAD", "STORE", "CALL", "FN", "C"]
-        params += [f"{name}={name}" for name in ("_TE", "_ELE", "_UE")]
+        params = ["I", "R", "LOAD", "STORE", "CALL", "C"]
+        params += [f"{name}={name}" for name in ("_TE", "_RW")]
         header.emit(f"def _block({', '.join(params)}):", 0)
+        # The entry guard: no op runs unless the budget provably lasts
+        # until the first CALL.  Both punts happen before any op, so
+        # the walker's replay from index 0 is side-effect clean.
+        resume = f"raise _RW({blocks[0].label!r}, 0)"
+        header.emit("_s = I._steps")
+        header.emit(f"if _s + {self._budget(ops, 0)} > I.max_steps:")
+        header.emit(f"    {resume}")
         if self.entry_reads:
-            # A missing live-in register punts this entry back to the
-            # walker (see UndefinedEntryRead) — no op has run yet, so
-            # the replay is side-effect clean.
             header.emit("try:")
             for reg_name in self.entry_reads:
                 header.emit(f"    {self.locals[reg_name]} = "
                             f"R[{reg_name!r}]")
             header.emit("except KeyError:")
-            header.emit("    raise _UE from None")
+            header.emit(f"    {resume} from None")
 
         source = "\n".join(header.lines + body.lines) + "\n"
-        from .interpreter import ExecutionLimitExceeded
         from .memory import TrapError
 
         namespace: Dict[str, object] = {
-            "_TE": TrapError, "_ELE": ExecutionLimitExceeded,
-            "_UE": UndefinedEntryRead,
+            "_TE": TrapError, "_RW": ResumeOnWalker,
         }
         kind = "block" if last == 0 else "region"
         code = compile(source, f"<repro:{kind}:{digest[:12]}>", "exec")
@@ -807,12 +782,8 @@ def compile_block(block: BasicBlock,
     cannot be translated — the dispatch loop then runs that block on
     the walker's reference executor.
     """
-    digest = digest if digest is not None else block_digest(block)
-    try:
-        return _BlockCompiler([block]).compile(digest)
-    except _UnsupportedBlock as exc:
-        return BlockCode(fn=None, label=block.label, digest=digest,
-                         reason=exc.code, detail=exc.detail)
+    return _compile([block], digest if digest is not None
+                    else block_digest(block))
 
 
 def compile_region(blocks: Sequence[BasicBlock],
@@ -827,7 +798,11 @@ def compile_region(blocks: Sequence[BasicBlock],
     for the head.
     """
     blocks = list(blocks)
-    digest = digest if digest is not None else region_digest(blocks)
+    return _compile(blocks, digest if digest is not None
+                    else region_digest(blocks))
+
+
+def _compile(blocks: List[BasicBlock], digest: str) -> BlockCode:
     try:
         return _BlockCompiler(blocks).compile(digest)
     except _UnsupportedBlock as exc:
@@ -843,17 +818,7 @@ def get_block_code(block: BasicBlock) -> BlockCode:
     when sweeps and speedup runs clone modules per selection — share
     one compiled closure, so warm runs skip codegen entirely.
     """
-    digest = block_digest(block)
-    cached = _memo_get(digest)
-    if cached is not None:
-        return cached
-    code = compile_block(block, digest)
-    if code.fn is None:
-        _STATS.count_fallback(code)
-    else:
-        _STATS.compiled += 1
-    _memo_put(digest, code)
-    return code
+    return _memoised(block_digest(block), compile_block, block)
 
 
 def get_region_code(blocks: Sequence[BasicBlock]) -> BlockCode:
@@ -864,18 +829,7 @@ def get_region_code(blocks: Sequence[BasicBlock]) -> BlockCode:
     and CLI runs over digest-equal rewritten modules all reuse one
     region closure.
     """
-    digest = region_digest(blocks)
-    cached = _memo_get(digest)
-    if cached is not None:
-        return cached
-    code = compile_region(blocks, digest)
-    if code.fn is None:
-        _STATS.count_fallback(code)
-    else:
-        _STATS.compiled += 1
-        _STATS.regions += 1
-    _memo_put(digest, code)
-    return code
+    return _memoised(region_digest(blocks), compile_region, blocks)
 
 
 def _chain_continuation(block: BasicBlock,
@@ -971,35 +925,31 @@ def discover_regions(func: Function) -> List[List[BasicBlock]]:
     return regions
 
 
-def build_function_table(func: Function,
-                         regions: bool = True) -> Dict[str, list]:
+def build_function_table(func: Function) -> Dict[str, list]:
     """Dispatch table ``label -> [code, block]`` for one function.
 
-    With *regions* (the default) every multi-block straight-line chain
-    compiles into one closure keyed on its head label; labels covered
-    by a chain's tail get *lazy* slots (``code is None``), resolved to
-    per-block closures on first dispatch — they are only ever
-    dispatched on reference-fallback paths (a region head raising
-    :class:`UndefinedEntryRead` replays block by block).  With
-    ``regions=False`` every block gets its own eagerly compiled
-    closure (the ``"block"`` backend).  Entries are mutable lists so
+    Every chain :func:`discover_regions` returns compiles into one
+    closure keyed on its head label.  A region's tail labels are only
+    ever dispatched on replay paths (a region head raising
+    :class:`ResumeOnWalker` at entry replays its head block on the
+    walker, then dispatches the tail block by block); a label no chain
+    heads gets a *lazy* slot (``code is None``), resolved to a
+    per-block closure on first dispatch.  Entries are mutable lists so
     the dispatch loop can fill lazy slots in place.
     """
     table: Dict[str, list] = {}
-    if regions:
-        for chain in discover_regions(func):
-            head = chain[0]
-            code = (get_region_code(chain) if len(chain) > 1
-                    else get_block_code(head))
-            if code.fn is None and len(chain) > 1:
-                # Untranslatable chain: degrade to the head's own
-                # per-block artifact (which may itself be a fallback).
-                code = get_block_code(head)
-            table[head.label] = [code, head]
+    for chain in discover_regions(func):
+        head = chain[0]
+        code = (get_region_code(chain) if len(chain) > 1
+                else get_block_code(head))
+        if code.fn is None and len(chain) > 1:
+            # Untranslatable chain: degrade to the head's own
+            # per-block artifact (which may itself be a fallback).
+            code = get_block_code(head)
+        table[head.label] = [code, head]
     for block in func.blocks:
         if block.label not in table:
-            code = None if regions else get_block_code(block)
-            table[block.label] = [code, block]
+            table[block.label] = [None, block]
     return table
 
 
@@ -1012,7 +962,7 @@ def clear_code_memo() -> int:
     dropped = len(_MEMO)
     _MEMO.clear()
     _STATS.compiled = _STATS.hits = _STATS.fallbacks = 0
-    _STATS.regions = _STATS.evictions = 0
+    _STATS.regions = _STATS.evictions = _STATS.replays = 0
     _STATS.fallback_codes.clear()
     return dropped
 

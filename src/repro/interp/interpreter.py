@@ -10,21 +10,17 @@ and run-time evaluation can never diverge.  Used for:
 * measuring end-to-end cycle counts of baseline and ISE-rewritten
   programs (:mod:`repro.exec`).
 
-Three execution backends share this class (DESIGN.md §11–§12):
+Two execution backends share this class (DESIGN.md §11–§12):
 
 * ``"walk"`` — the original tree-walking reference loop, one dispatch
-  per operation.  It is the semantic oracle the compiled backends are
+  per operation.  It is the semantic oracle the compiled backend is
   differentially tested against.
-* ``"block"`` — per-block generated Python from
-  :mod:`repro.interp.compile`: register reads become locals, opcode
-  semantics are inlined, and step/profile counters are aggregated per
-  block entry.
-* ``"compiled"`` (the default) — the block backend plus *region*
-  compilation: maximal straight-line block chains become one closure,
-  so registers stay locals across internal jumps and the per-block
-  dict sync disappears from hot paths.
+* ``"compiled"`` (the default) — generated Python from
+  :mod:`repro.interp.compile`: maximal straight-line block chains
+  (regions) become one closure, register reads become locals, opcode
+  semantics are inlined, and step/profile counters are aggregated.
 
-Both compiled backends are bit-identical to the walker by obligation:
+The compiled backend is bit-identical to the walker by obligation:
 results, step counts, profiles, traps and the exact step index at which
 :class:`ExecutionLimitExceeded` fires all match.
 
@@ -46,9 +42,8 @@ from .memory import Memory, TrapError
 from .profile import ProfileData
 
 #: The recognised execution backends, fastest-first: ``"compiled"``
-#: (regions + per-block codegen), ``"block"`` (per-block codegen only),
-#: ``"walk"`` (the reference oracle).
-BACKENDS = ("compiled", "block", "walk")
+#: (region and per-block codegen) and ``"walk"`` (the reference oracle).
+BACKENDS = ("compiled", "walk")
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -95,9 +90,8 @@ class Interpreter:
             memory: memory image (a fresh one is built when omitted).
             profile: profile sink shared across runs (fresh by default).
             max_steps: cumulative step budget across ``run`` calls.
-            backend: ``"walk"``, ``"block"`` or ``"compiled"``;
-                ``None`` defers to ``$REPRO_BACKEND``, default
-                compiled.
+            backend: ``"walk"`` or ``"compiled"``; ``None`` defers to
+                ``$REPRO_BACKEND``, default compiled.
         """
         self.module = module
         self.memory = memory if memory is not None else Memory(module)
@@ -151,12 +145,15 @@ class Interpreter:
             block = get_block(outcome)
 
     def _exec_block_ref(self, func_name: str, block: BasicBlock,
-                        regs: Dict[str, int], depth: int):
+                        regs: Dict[str, int], depth: int,
+                        start: int = 0):
         """Execute one block walker-style, one dispatch per operation.
 
         Returns the successor label, or a 1-tuple ``(value,)`` when the
         block returned — the same convention the compiled closures use,
         so this doubles as the compiled backend's per-block fallback.
+        *start* skips the block's first instructions (see
+        :class:`~repro.interp.compile.ResumeOnWalker`).
         Loop-invariant lookups (the operand resolver, memory accessors,
         the step budget) are hoisted out of the hot loop; the step
         counter runs in a local mirror synced back on every exit path.
@@ -166,8 +163,11 @@ class Interpreter:
         max_steps = self.max_steps
         steps = self._steps
         next_label: Optional[str] = None
+        instructions = block.instructions
+        if start:
+            instructions = instructions[start:]
         try:
-            for insn in block.instructions:
+            for insn in instructions:
                 steps += 1
                 if steps > max_steps:
                     raise ExecutionLimitExceeded(
@@ -246,28 +246,28 @@ class Interpreter:
                       regs: Dict[str, int], depth: int) -> Optional[int]:
         """Dispatch loop over compiled region/block closures.
 
-        The per-function table maps every label to its closure; under
-        the default backend region heads carry multi-block closures
-        (which bump internal block counts themselves, via ``counts``
-        passed as the closures' ``C`` parameter) and region-tail labels
-        start lazy — they are compiled per block on first dispatch,
-        which only happens on fallback paths.  Block entry counts are
-        tallied in a local dict and folded into the profile once per
-        frame (also on exceptions, matching the walker's
-        record-before-execute order in aggregate).  Units the
-        generator refused run on :meth:`_exec_block_ref` instead, as
-        does any entry whose live-in registers are not all defined
-        (:class:`~repro.interp.compile.UndefinedEntryRead` — the
-        reference executor reproduces the walker's exact trap point,
-        replaying a region head one block at a time).
+        The per-function table maps every label to its closure: region
+        heads carry multi-block closures (which bump internal block
+        counts themselves, via ``counts`` passed as the closures' ``C``
+        parameter); a region's tail labels are dispatched only on
+        replay paths, and labels no chain heads start lazy, compiled
+        per block on first dispatch.  Block entry counts are tallied
+        in a local dict and folded into the profile once per frame
+        (also on exceptions, matching the walker's
+        record-before-execute order in aggregate).
+
+        Units the generator refused run on :meth:`_exec_block_ref`
+        instead, and a compiled unit hands a block to it on
+        :class:`~repro.interp.compile.ResumeOnWalker` (an undefined
+        live-in register, or a step budget that could expire inside
+        the unit), counted in ``code_memo_stats().replays``.
         """
-        from .compile import (UndefinedEntryRead, build_function_table,
-                              get_block_code)
+        from .compile import (ResumeOnWalker, build_function_table,
+                              code_memo_stats, get_block_code)
 
         table = self._tables.get(func_name)
         if table is None:
-            table = build_function_table(
-                func, regions=self.backend != "block")
+            table = build_function_table(func)
             self._tables[func_name] = table
         memory = self.memory
         load = memory.load
@@ -295,10 +295,13 @@ class Interpreter:
                 else:
                     try:
                         outcome = fn(self, regs, load, store, call,
-                                     func_name, counts)
-                    except UndefinedEntryRead:
+                                     counts)
+                    except ResumeOnWalker as resume:
+                        code_memo_stats().replays += 1
+                        block_label, start = resume.args
                         outcome = self._exec_block_ref(
-                            func_name, entry[1], regs, depth)
+                            func_name, func.block(block_label), regs,
+                            depth, start)
                 if outcome.__class__ is tuple:
                     return outcome[0]
                 label = outcome

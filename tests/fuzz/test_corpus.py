@@ -36,7 +36,7 @@ def test_corpus_is_populated():
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)
 def test_corpus_case_replays_clean(path):
-    """The stored source passes the whole oracle: three backends,
+    """The stored source passes the whole oracle: both backends,
     baseline vs rewritten, single vs batched lanes."""
     case = load(path)
     program = GeneratedProgram(

@@ -8,7 +8,7 @@ programs in paper-relevant shapes; each is executed (a) unoptimised,
 returned value and the final global-array state.  A second property
 drives whole programs through :func:`repro.fuzz.run_differential` —
 the same oracle ``repro fuzz`` soaks, asserting bit-identity across
-the three backends, baseline vs rewritten modules and single vs
+both backends, baseline vs rewritten modules and single vs
 batched lanes.
 """
 

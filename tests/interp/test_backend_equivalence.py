@@ -11,8 +11,9 @@ as the reference.  This suite enforces all of it:
 * randomized-input property tests over op-dense blocks (division,
   remainder, shifts, selects — everything with a wrap or a trap edge);
 * the step-limit regression: ``ExecutionLimitExceeded`` must fire at
-  the same step index with the same side effects even when the budget
-  expires in the middle of a block (or inside a callee).
+  the same step index with the same side effects and profile even when
+  the budget expires in the middle of a block, inside a callee, or
+  right after a ``CALL`` inside a loop region (the resume path).
 """
 
 from __future__ import annotations
@@ -261,31 +262,55 @@ int f(int n) {
 """
 
 
+#: A CALL in a non-head block of a loop region, with a store and
+#: arithmetic after it: the budget re-check after the call must resume
+#: the block on the walker at the exact step.
+CALL_IN_LOOP_SOURCE = """
+int a[4];
+int g(int x) { return x * 3 + 1; }
+int f(int n) {
+  int i;
+  int s = 1;
+  for (i = 0; i < n; i++) {
+    s = g(s) + i;
+    a[0] = s;
+    s = s * 2 - 3;
+  }
+  return s;
+}
+"""
+
+
 def _run_with_limit(source, args, max_steps, backend):
     module = compile_source(source)
     memory = Memory(module)
     interp = Interpreter(module, memory=memory, max_steps=max_steps,
                          backend=backend)
+    profile = interp.profile
     try:
         outcome = interp.run("f", args)
         return ("ok", outcome.value, outcome.steps, interp._steps,
-                memory.arrays)
+                memory.arrays, profile.counts, profile.calls)
     except ExecutionLimitExceeded as exc:
-        return ("limit", str(exc), interp._steps, memory.arrays)
+        return ("limit", str(exc), interp._steps, memory.arrays,
+                profile.counts, profile.calls)
 
 
 class TestStepLimitExactness:
-    def test_limit_mid_block_every_index(self):
+    @pytest.mark.parametrize("source", [LIMIT_SOURCE, CALL_IN_LOOP_SOURCE],
+                             ids=["loop", "call"])
+    def test_limit_mid_block_every_index(self, source):
         """Sweep the budget across every step index of a run whose hot
-        block stores mid-block: the limit must trip at the identical
-        index, with identical committed side effects, on both backends
-        (the regression for block-granular fast paths)."""
-        total = _run_with_limit(LIMIT_SOURCE, [4], 10**9, "walk")[2]
+        block stores mid-block — also right after a CALL in a loop
+        region, where the compiled block resumes on the walker: the
+        limit must trip at the identical index, with identical
+        committed side effects and profile, on both backends (the
+        regression for block-granular fast paths)."""
+        total = _run_with_limit(source, [4], 10**9, "walk")[2]
         assert total > 30
         for max_steps in range(1, total + 2):
-            walk = _run_with_limit(LIMIT_SOURCE, [4], max_steps, "walk")
-            comp = _run_with_limit(LIMIT_SOURCE, [4], max_steps,
-                                   "compiled")
+            walk = _run_with_limit(source, [4], max_steps, "walk")
+            comp = _run_with_limit(source, [4], max_steps, "compiled")
             assert comp == walk, f"diverged at max_steps={max_steps}"
 
     def test_limit_inside_callee_every_index(self):
@@ -297,6 +322,26 @@ class TestStepLimitExactness:
             comp = _run_with_limit(CALL_SOURCE, [5, 9], max_steps,
                                    "compiled")
             assert comp == walk, f"diverged at max_steps={max_steps}"
+
+    def test_replays_are_counted(self):
+        """Every hand-off to the walker is a counted replay: a budget
+        expiring mid-region counts some, a full workload run none."""
+        total = _run_with_limit(CALL_IN_LOOP_SOURCE, [4], 10**9,
+                                "walk")[2]
+        clear_code_memo()
+        outcome = _run_with_limit(CALL_IN_LOOP_SOURCE, [4], total // 2,
+                                  "compiled")
+        assert outcome[0] == "limit"
+        assert code_memo_stats().replays >= 1
+        assert code_memo_stats().as_dict()["replays"] >= 1
+
+        name, n = "fir", RUN_SIZES["fir"]
+        app = prepare_application(name, n=n)
+        clear_code_memo()
+        assert code_memo_stats().replays == 0
+        _run(app.module, app.entry, get_workload(name).driver, n,
+             "compiled")
+        assert code_memo_stats().replays == 0
 
     def test_infinite_loop_message(self):
         module = compile_source("void f() { while (1) { } }")

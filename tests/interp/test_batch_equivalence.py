@@ -7,8 +7,8 @@ match running that lane alone on a fresh single-input interpreter,
 and therefore (through the backend-equivalence obligation) the
 reference walker.  This suite enforces it:
 
-* every registry workload × {baseline, ISE-rewritten} × all three
-  backends (``walk``, ``block``, ``compiled``);
+* every registry workload × {baseline, ISE-rewritten} × both
+  backends (``walk``, ``compiled``);
 * lane isolation: a lane that traps mid-batch, and a lane that
   exhausts its own step budget, must not poison the lanes after it;
 * the verification hook (:func:`repro.interp.image_verifier`) and the
