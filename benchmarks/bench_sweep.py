@@ -14,6 +14,10 @@ acceptance bars:
 * the cached sweep retires >= 2x the points/s of the cold sweep;
 * the cached rows are bit-identical to the cold rows.
 
+Alongside the totals it records each sweep's evaluation time
+(``points_s``): on the cached sweep that is selection alone, with every
+search a cache hit.
+
 Runs standalone (``python benchmarks/bench_sweep.py``) or under the
 pytest benchmark harness.
 """
@@ -70,6 +74,7 @@ def run_sweep_benchmark() -> dict:
         },
         "cold": {
             "sweep_s": cold.sweep_s,
+            "points_s": cold.points_s,
             "points_per_sec": cold.points_per_second,
         },
         "cached": {
@@ -88,7 +93,8 @@ def run_sweep_benchmark() -> dict:
            f"sweep {payload['grid']['points']} points: cold "
            f"{cold.points_per_second:,.1f} points/s, cached "
            f"{warm.points_per_second:,.1f} points/s "
-           f"({payload['speedup']:.2f}x, {warm.cache_stats['hits']} "
+           f"(evaluation {warm.points_s:.3f}s; "
+           f"{payload['speedup']:.2f}x, {warm.cache_stats['hits']} "
            f"hits / {warm.cache_stats['misses']} misses, rows "
            f"bit-identical)")
 

@@ -7,11 +7,12 @@ matrix comparing the exact Iterative algorithm against the Clubbing and
 MaxMISO baselines — the table an SoC architect would use to decide how
 many ports the AFU interface needs.
 
-Each workload is compiled and profiled once, and the per-block
-identification searches are memoized across the whole grid, so this
-runs an order of magnitude faster than invoking the CLI per point (see
-``benchmarks/bench_sweep.py`` for the measured trajectory).  The same
-sweep is available as ``repro sweep`` with JSON/CSV artifacts.
+Each workload is compiled and profiled once, at its default size, and
+the per-block identification searches are memoized across the whole
+grid, so this runs an order of magnitude faster than invoking the CLI
+per point (see ``benchmarks/bench_sweep.py`` for the measured
+trajectory).  The same sweep is available as ``repro sweep`` with
+JSON/CSV artifacts.
 
 Run:  python examples/design_space_exploration.py [workload ...]
 """
@@ -33,7 +34,6 @@ def main() -> None:
         ninstrs=(NINSTR,),
         algorithms=("iterative", "clubbing", "maxmiso"),
         limit=400_000,
-        n=128,
     )
     outcome = run_sweep(spec)
     print(format_table(outcome.rows))

@@ -308,8 +308,12 @@ def cmd_sweep(args) -> int:
     session = _make_session(args)
     echo = (lambda line: print(line, file=sys.stderr)) \
         if not args.quiet else None
-    outcome = session.sweep(spec, use_cache=not args.no_cache, echo=echo,
-                            listen=args.listen)
+    try:
+        outcome = session.sweep(spec, use_cache=not args.no_cache,
+                                echo=echo, listen=args.listen)
+    except ValueError as exc:
+        # E.g. an --n too large for a workload's input arrays.
+        raise SystemExit(f"sweep: {exc}")
     print(format_table(outcome.rows))
     cache_note = ""
     if outcome.cache_stats is not None:

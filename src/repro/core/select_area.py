@@ -8,12 +8,12 @@ implements it on top of the same identification machinery:
 1. A **candidate pool** is built per basic block by running the iterative
    identification to exhaustion (every profitable cut, in discovery
    order, each collapsed before finding the next — so candidates from one
-   block never overlap).
+   block never overlap): the first ``max_per_block`` links of the
+   block's :class:`~repro.core.select_iterative.CollapseChain`.
 2. Candidates then enter a **0/1 knapsack**: maximise total merit subject
    to ``sum(area) <= area_budget`` (areas discretised to a configurable
    resolution).  The knapsack is solved exactly by dynamic programming;
-   a greedy merit-density heuristic is also provided for comparison and
-   as the fallback for very large pools.
+   a greedy merit-density heuristic is also provided for comparison.
 
 The result type is the ordinary :class:`SelectionResult`, so area-aware
 selections plug into every existing report and the cycle simulator.
@@ -23,14 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import gt
+from typing import List, Optional, Sequence
 
 from ..hwmodel.latency import CostModel
 from ..hwmodel.merit import cut_area
 from ..ir.dfg import DataFlowGraph
 from .cut import Constraints, Cut
 from .selection import SelectionResult, make_result, merge_stats
-from .single_cut import SearchLimits, SearchStats, find_best_cut
+from .select_iterative import CollapseChain
+# find_best_cut stays importable here: perfbench/tracing.py wraps the
+# search under this module's name too.
+from .single_cut import SearchLimits, SearchStats, find_best_cut  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -52,37 +56,6 @@ class AreaCandidate:
         return self.merit / self.area
 
 
-def _block_candidates(
-    dfg: DataFlowGraph,
-    constraints: Constraints,
-    model: CostModel,
-    limits: Optional[SearchLimits],
-    max_per_block: int,
-    cache=None,
-) -> Tuple[List[AreaCandidate], SearchStats]:
-    """Exhaust one block's candidate pool (independent of every other
-    block).
-
-    *cache* is threaded into the per-round searches — the sweep warm
-    phase passes one so the chain it computes here also serves the
-    iterative algorithm.
-    """
-    stats = SearchStats()
-    candidates: List[AreaCandidate] = []
-    current = dfg
-    for _ in range(max_per_block):
-        result = find_best_cut(current, constraints, model, limits,
-                               cache=cache)
-        merge_stats(stats, result.stats)
-        if result.cut is None or result.cut.merit <= 0:
-            break
-        area = cut_area(result.cut.dfg, result.cut.nodes, model)
-        candidates.append(AreaCandidate(cut=result.cut, area=area))
-        current = current.collapse(result.cut.nodes,
-                                   label=f"area{len(candidates)}")
-    return candidates, stats
-
-
 def enumerate_candidates(
     dfgs: Sequence[DataFlowGraph],
     constraints: Constraints,
@@ -91,29 +64,34 @@ def enumerate_candidates(
     max_per_block: int = 32,
     stats: Optional[SearchStats] = None,
     cache=None,
+    chains: Optional[Sequence[CollapseChain]] = None,
 ) -> List[AreaCandidate]:
     """Exhaust the iterative identifier on every block.
 
     Returns non-overlapping candidates (cuts from the same block never
     share operations, by construction of the collapse step).  *cache*
-    is an optional memo (duck-typed ``get_pool``/``put_pool``); hits
-    skip a block's searches entirely, with identical results.
+    is an optional single-cut memo threaded into the chain's searches;
+    *chains* optionally supplies the blocks' collapse chains (shared
+    with iterative selection), built fresh when omitted.
     """
+    if chains is None:
+        chains = [CollapseChain(dfg, constraints, model, limits, cache)
+                  for dfg in dfgs]
     candidates: List[AreaCandidate] = []
-    for dfg in dfgs:
-        pool = (cache.get_pool(dfg, constraints, model, limits,
-                               max_per_block)
-                if cache is not None else None)
-        if pool is None:
-            pool = _block_candidates(dfg, constraints, model, limits,
-                                     max_per_block)
-            if cache is not None:
-                cache.put_pool(dfg, constraints, model, limits,
-                               max_per_block, *pool)
-        block_cands, block_stats = pool
+    for chain in chains:
+        # The profitable cuts among the first max_per_block links; stats
+        # sum per block first, then across blocks.
+        block_stats = SearchStats()
+        for k in range(max_per_block):
+            result = chain.link(k)
+            merge_stats(block_stats, result.stats)
+            cut = result.cut
+            if cut is None or cut.merit <= 0:
+                break
+            candidates.append(AreaCandidate(
+                cut=cut, area=cut_area(cut.dfg, cut.nodes, chain.model)))
         if stats is not None:
             merge_stats(stats, block_stats)
-        candidates.extend(block_cands)
     return candidates
 
 
@@ -134,57 +112,67 @@ def knapsack_select(
             *inside* the DP state — truncating the unconstrained
             solution afterwards can be arbitrarily suboptimal (it keeps
             the highest-merit members of the wrong set).
+
+    Ties keep the earliest solution: an item replaces a cell only on a
+    strict improvement, and the answer is the first best cell.
     """
     if area_budget < 0:
         raise ValueError("area budget must be non-negative")
     capacity = int(math.floor(area_budget / resolution + 1e-9))
+    merits = [c.merit for c in candidates]
     weights = [max(0, int(math.ceil(c.area / resolution - 1e-9)))
                for c in candidates]
     # States beyond the summed item weight are unreachable; trimming
     # them keeps the DP small when the budget is effectively unlimited.
     capacity = min(capacity, sum(weights))
+    items = [i for i, merit in enumerate(merits) if merit > 0]
+    capped = max_count is not None and max_count < len(items)
+    items = [i for i in items if weights[i] <= capacity]
 
-    profitable = sum(1 for c in candidates if c.merit > 0)
-    if max_count is None or max_count >= profitable:
-        # Cardinality cap vacuous: classic one-dimensional DP.
-        best = [0.0] * (capacity + 1)
-        chosen: List[Tuple[int, ...]] = [()] * (capacity + 1)
-        for idx, cand in enumerate(candidates):
-            weight = weights[idx]
-            if cand.merit <= 0:
-                continue
-            for w in range(capacity, weight - 1, -1):
-                alternative = best[w - weight] + cand.merit
-                if alternative > best[w]:
-                    best[w] = alternative
-                    chosen[w] = chosen[w - weight] + (idx,)
-        top = max(range(capacity + 1), key=lambda w: best[w])
-        return [candidates[i] for i in chosen[top]]
+    # One DP row per item count: rows[k][w] is the best merit of at
+    # most k items within weight w (row 0 stays empty).  Without a
+    # binding cap a single row, of any count, suffices.  marks[j][k]
+    # flags the cells item items[j] improved in row k, offset by its
+    # weight; reading the marks back from the last item recovers the
+    # chosen set.
+    rows = [[0.0] * (capacity + 1)
+            for _ in range(max_count + 1 if capped else 2)]
+    marks: List[List[Optional[bytes]]] = []
+    for i in items:
+        weight, merit = weights[i], merits[i]
+        span = capacity + 1 - weight
+        item_marks: List[Optional[bytes]] = [None] * len(rows)
+        for k in range(len(rows) - 1, 0, -1):
+            # Row k-1 is not yet updated for this item (uncapped: row 1
+            # reads itself, before the update).
+            row, prev = rows[k], rows[k - 1 if capped else k]
+            old = row[weight:]
+            new = [a if a > o else o
+                   for a, o in zip([p + merit for p in prev[:span]], old)]
+            if new != old:
+                row[weight:] = new
+                item_marks[k] = bytes(map(gt, new, old))
+        marks.append(item_marks)
 
-    # dp[k][w] = best merit of exactly <= k items within weight w; the
-    # count is a DP dimension so the optimum under *both* budgets is
-    # exact.
-    best2 = [[0.0] * (capacity + 1) for _ in range(max_count + 1)]
-    chosen2: List[List[Tuple[int, ...]]] = [
-        [()] * (capacity + 1) for _ in range(max_count + 1)]
-    for idx, cand in enumerate(candidates):
-        weight = weights[idx]
-        if cand.merit <= 0:
-            continue
-        for k in range(max_count, 0, -1):
-            row, prev = best2[k], best2[k - 1]
-            crow, cprev = chosen2[k], chosen2[k - 1]
-            for w in range(capacity, weight - 1, -1):
-                alternative = prev[w - weight] + cand.merit
-                if alternative > row[w]:
-                    row[w] = alternative
-                    crow[w] = cprev[w - weight] + (idx,)
-    best_k, best_w = 0, 0
-    for k in range(max_count + 1):
-        for w in range(capacity + 1):
-            if best2[k][w] > best2[best_k][best_w]:
-                best_k, best_w = k, w
-    return [candidates[i] for i in chosen2[best_k][best_w]]
+    # The first best cell in (count, weight) order.
+    best_k, best_w, best = 0, 0, 0.0
+    for k in range(1, len(rows)):
+        top = max(rows[k])
+        if top > best:
+            best_k, best_w, best = k, rows[k].index(top), top
+    picked: List[int] = []
+    k, w = best_k, best_w
+    for j in range(len(items) - 1, -1, -1):
+        if k == 0:
+            break
+        i = items[j]
+        taken = marks[j][k]
+        if taken is not None and w >= weights[i] and taken[w - weights[i]]:
+            picked.append(i)
+            w -= weights[i]
+            if capped:
+                k -= 1
+    return [candidates[i] for i in reversed(picked)]
 
 
 def greedy_select(
@@ -216,6 +204,7 @@ def select_area_constrained(
     method: str = "knapsack",
     max_per_block: int = 32,
     cache=None,
+    chains: Optional[Sequence[CollapseChain]] = None,
 ) -> SelectionResult:
     """Select cuts maximising merit under both port and area budgets.
 
@@ -229,6 +218,8 @@ def select_area_constrained(
         max_per_block: candidate-pool depth per basic block.
         cache: optional identification memo (e.g. ``repro.explore.
             SearchCache``) for the candidate pools.
+        chains: optional per-block collapse chains shared with other
+            selections (see :func:`enumerate_candidates`).
 
     The ``ninstr`` cardinality cap is enforced *inside* the knapsack DP
     (and as a stop condition of the greedy scan) — never by truncating
@@ -239,7 +230,7 @@ def select_area_constrained(
     stats = SearchStats()
     pool = enumerate_candidates(dfgs, constraints, model, limits,
                                 max_per_block=max_per_block,
-                                stats=stats, cache=cache)
+                                stats=stats, cache=cache, chains=chains)
     if method == "knapsack":
         picked = knapsack_select(pool, area_budget,
                                  max_count=constraints.ninstr)

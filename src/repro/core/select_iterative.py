@@ -7,6 +7,11 @@ non-convex through it.  Globally, at every round the block offering the
 largest merit improvement contributes the next instruction — the same
 greedy outer loop as optimal selection, but with the cheap identifier.
 
+Each block's find-best/collapse sequence is a :class:`CollapseChain`.
+It does not depend on ``Ninstr``, so ``chains=`` lets selections share
+one chain per block: a sweep hands the same chains to the iterative and
+area rows (:mod:`repro.core.select_area`) of one (workload, Nin, Nout).
+
 The expensive first round is one exhaustive identification per block.
 With a ``cache`` it is a lookup per block: a sweep's warm phase fills
 the cache beforehand, sharded over worker processes
@@ -16,25 +21,51 @@ plain loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..hwmodel.latency import CostModel
 from ..ir.dfg import DataFlowGraph
 from .cut import Constraints, Cut
 from .selection import SelectionResult, make_result, merge_stats
-from .single_cut import SearchLimits, SearchStats, find_best_cut
+from .single_cut import SearchLimits, SearchResult, SearchStats, find_best_cut
 
 
-@dataclass
-class _BlockState:
-    """Per-basic-block state of the iterative selection loop."""
+class CollapseChain:
+    """One block's find-best/collapse sequence under fixed ports, cost
+    model and search limits.
 
-    original: DataFlowGraph
-    current: DataFlowGraph
-    candidate: Optional[Cut]
-    rounds: int = 0
-    complete: bool = True
+    Link *k* holds graph *k* — the block with the best cuts of links
+    ``0..k-1`` collapsed into forbidden supernodes ``ise1``..``isek`` —
+    and the :func:`find_best_cut` result on it.  Links are computed on
+    first use and kept while the chain lives; the chain ends at the
+    first link without a profitable cut.
+    """
+
+    def __init__(self, dfg: DataFlowGraph, constraints: Constraints,
+                 model: CostModel, limits: Optional[SearchLimits] = None,
+                 cache=None) -> None:
+        self.constraints = constraints
+        self.model = model
+        self.limits = limits
+        self.cache = cache
+        self.graphs: List[DataFlowGraph] = [dfg]
+        self.results: List[SearchResult] = []
+
+    def link(self, k: int) -> Optional[SearchResult]:
+        """The search result of link *k*, or ``None`` past the chain's
+        end."""
+        results = self.results
+        while len(results) <= k:
+            if results:
+                cut = results[-1].cut
+                if cut is None or cut.merit <= 0:
+                    return None
+                self.graphs.append(self.graphs[-1].collapse(
+                    cut.nodes, label=f"ise{len(results)}"))
+            results.append(find_best_cut(self.graphs[-1], self.constraints,
+                                         self.model, self.limits,
+                                         cache=self.cache))
+        return results[k]
 
 
 def select_iterative(
@@ -43,6 +74,7 @@ def select_iterative(
     model: Optional[CostModel] = None,
     limits: Optional[SearchLimits] = None,
     cache=None,
+    chains: Optional[Sequence[CollapseChain]] = None,
 ) -> SelectionResult:
     """Choose up to ``constraints.ninstr`` cuts across all blocks.
 
@@ -54,50 +86,41 @@ def select_iterative(
         cache: optional identification memo (e.g. ``repro.explore.
             SearchCache``); hits skip per-block searches, results are
             bit-identical either way.
+        chains: optional per-block :class:`CollapseChain` list (same
+            order as *dfgs*, same ports, model and limits) shared with
+            other selections; fresh chains are built when omitted.
     """
     model = model or CostModel()
+    if chains is None:
+        chains = [CollapseChain(dfg, constraints, model, limits, cache)
+                  for dfg in dfgs]
     stats = SearchStats()
     complete = True
-
-    states: List[_BlockState] = []
-    for dfg in dfgs:
-        result = find_best_cut(dfg, constraints, model, limits, cache=cache)
-        merge_stats(stats, result.stats)
-        complete = complete and result.complete
-        states.append(_BlockState(
-            original=dfg,
-            current=dfg,
-            candidate=result.cut,
-        ))
-
+    rounds = [0] * len(chains)          # cuts taken from each block
+    candidates: List[Optional[Cut]] = [None] * len(chains)
     chosen: List[Cut] = []
-    while len(chosen) < constraints.ninstr:
-        best_state: Optional[_BlockState] = None
-        for state in states:
-            if state.candidate is None or state.candidate.merit <= 0:
-                continue
-            if (best_state is None
-                    or state.candidate.merit > best_state.candidate.merit):
-                best_state = state
-        if best_state is None:
+    pending: Sequence[int] = range(len(chains))
+    while True:
+        # The next link of each pending block: its graph has every cut
+        # taken from the block collapsed.
+        for b in pending:
+            result = chains[b].link(rounds[b])
+            merge_stats(stats, result.stats)
+            complete = complete and result.complete
+            candidates[b] = result.cut
+        best: Optional[int] = None
+        for b, cut in enumerate(candidates):
+            if (cut is not None and cut.merit > 0
+                    and (best is None or cut.merit > candidates[best].merit)):
+                best = b
+        if best is None:
             break
-
-        cut = best_state.candidate
-        chosen.append(cut)
-        best_state.rounds += 1
+        chosen.append(candidates[best])
+        rounds[best] += 1
         if len(chosen) >= constraints.ninstr:
             break       # budget filled: a replacement candidate would
             #             never be read, so don't search for one
-
-        # Collapse the chosen cut and look for the next one in this block.
-        collapsed = best_state.current.collapse(
-            cut.nodes, label=f"ise{best_state.rounds}")
-        best_state.current = collapsed
-        result = find_best_cut(collapsed, constraints, model, limits,
-                               cache=cache)
-        merge_stats(stats, result.stats)
-        complete = complete and result.complete
-        best_state.candidate = result.cut
+        pending = (best,)
 
     return make_result(
         algorithm="Iterative",

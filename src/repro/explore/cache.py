@@ -14,20 +14,25 @@ limits, extra)`` where
   ``forbidden``/``forced_out`` flags, adjacency, external-input wiring,
   operand sources (which carry the constant shift amounts the cost
   model prices) and the block weight.  Node *labels* and the graph
-  *name* are cosmetic and excluded, so the ``ise1``/``area1`` collapse
-  chains of different callers share entries;
+  *name* are cosmetic and excluded;
 * ``nin``/``nout`` come from :class:`~repro.core.cut.Constraints`;
   ``ninstr`` is deliberately **excluded** — a single-cut search does not
   depend on it, which is what lets an Ninstr sweep reuse every search;
 * ``model_digest`` hashes the cost tables, not the object identity, so
   workers can rebuild an equal model and still hit;
 * ``extra`` carries the per-kind parameter (``num_cuts`` for multi-cut
-  searches, ``max_per_block`` for candidate pools).
+  searches).
+
+There are two kinds: ``single`` (one :func:`~repro.core.single_cut.
+find_best_cut` result) and ``multi`` (one :func:`~repro.core.multi_cut.
+find_best_cuts` result).  An area-candidate pool needs no kind of its
+own: it is a prefix of the block's collapse chain
+(:class:`~repro.core.select_iterative.CollapseChain`), read link by
+link through single-cut entries.
 
 **Values** are self-contained picklable payloads: node-index tuples
 plus the :class:`~repro.core.engine.SearchStats` counters.  Cuts are
-*rebuilt* on lookup with :func:`~repro.core.cut.evaluate_cut` (and, for
-candidate pools, by replaying the deterministic collapse chain), so a
+*rebuilt* on lookup with :func:`~repro.core.cut.evaluate_cut`, so a
 hit returns exactly what the search would have — the cache can never
 change a result, only skip recomputing it.
 
@@ -59,10 +64,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.cut import Constraints, evaluate_cut
 from ..core.engine import SearchLimits, SearchStats
 from ..core.multi_cut import MultiCutResult
-from ..core.select_area import AreaCandidate
 from ..core.single_cut import SearchResult
 from ..hwmodel.latency import CostModel
-from ..hwmodel.merit import cut_area
 from ..ir.dfg import DataFlowGraph
 from ..store.keys import (
     SEARCH_VERSION,
@@ -219,43 +222,6 @@ class SearchCache:
                    result.complete))
 
     # ------------------------------------------------------------------
-    # Candidate pools (select_area.enumerate_candidates).
-    # ------------------------------------------------------------------
-    def get_pool(self, dfg: DataFlowGraph, constraints: Constraints,
-                 model: CostModel, limits: Optional[SearchLimits],
-                 max_per_block: int,
-                 ) -> Optional[Tuple[List[AreaCandidate], SearchStats]]:
-        """Memoized area-candidate pool of one block (``None`` on miss);
-        the deterministic collapse chain is replayed so each candidate
-        lives in its round's graph, exactly as a cold enumeration."""
-        value = self._get(self._key("pool", dfg, constraints, model,
-                                    limits, max_per_block))
-        if value is None:
-            return None
-        node_sets, stats_dict = value
-        # Replay the deterministic collapse chain of _block_candidates:
-        # candidate k lives in the k-times-collapsed graph.
-        candidates: List[AreaCandidate] = []
-        current = dfg
-        for nodes in node_sets:
-            cut = evaluate_cut(current, frozenset(nodes), model)
-            area = cut_area(current, cut.nodes, model)
-            candidates.append(AreaCandidate(cut=cut, area=area))
-            current = current.collapse(cut.nodes,
-                                       label=f"area{len(candidates)}")
-        return candidates, SearchStats(**stats_dict)
-
-    def put_pool(self, dfg: DataFlowGraph, constraints: Constraints,
-                 model: CostModel, limits: Optional[SearchLimits],
-                 max_per_block: int, candidates: List[AreaCandidate],
-                 stats: SearchStats) -> None:
-        """Store one block's area-candidate pool (node sets per round)."""
-        node_sets = tuple(tuple(sorted(c.cut.nodes)) for c in candidates)
-        self._put(self._key("pool", dfg, constraints, model, limits,
-                            max_per_block),
-                  (node_sets, asdict(stats)))
-
-    # ------------------------------------------------------------------
     # Presence checks: no decoding, no hit/miss accounting.  Used by
     # the sweep planner to skip warm jobs a pre-warmed cache already
     # covers.
@@ -280,13 +246,6 @@ class SearchCache:
         """Presence check for a multi-cut entry (no decode, no stats)."""
         return self._has(self._key("multi", dfg, constraints, model,
                                    limits, num_cuts))
-
-    def has_pool(self, dfg: DataFlowGraph, constraints: Constraints,
-                 model: CostModel, limits: Optional[SearchLimits],
-                 max_per_block: int) -> bool:
-        """Presence check for a candidate-pool entry (no decode)."""
-        return self._has(self._key("pool", dfg, constraints, model,
-                                   limits, max_per_block))
 
     # ------------------------------------------------------------------
     # Cross-process sharing.

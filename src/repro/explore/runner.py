@@ -15,15 +15,18 @@ phases:
    (or spills them into the shared persistent store); the parent
    merges them, which shares the memo across processes — and, through
    a ``tcp://`` or ``sqlite:`` store, across nodes — without OS-level
-   shared memory.  A worker warms a *chain* (the find-best/collapse
-   sequence the iterative algorithm replays), a candidate *pool* (for
-   area-constrained rows) or a *multi*-cut seed (for Optimal rows);
-   per-unit wall time and worker identity land in
+   shared memory.  A worker warms a *chain* (the block's find-best/
+   collapse sequence, deep enough for both the iterative rows and the
+   area rows' candidate pools) or a *multi*-cut seed (for Optimal
+   rows); per-unit wall time and worker identity land in
    ``SweepOutcome.unit_reports``;
 3. **Evaluate** — every grid point runs through the ordinary selection
    algorithms with the shared cache.  Identification is a hit by then,
    and everything on top is polynomial — this is where a sweep over
-   ``Ninstr`` or over algorithms gains its order of magnitude.
+   ``Ninstr`` or over algorithms gains its order of magnitude.  Each
+   (model, workload, Nin, Nout) group of points shares one collapse
+   chain per block between its iterative and area rows, dropped when
+   the group ends; ``use_cache=False`` shares nothing.
 
 The cache is a pure memo (DESIGN.md §8): rows of a cached sweep are
 bit-identical to a cold one, which ``tests/explore/test_sweep.py``
@@ -40,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core import (
     BlockTooLargeError,
     Constraints,
-    find_best_cut,
     find_best_cuts,
     select_clubbing,
     select_iterative,
@@ -48,7 +50,8 @@ from ..core import (
     select_optimal,
 )
 from ..cluster import scheduled_map
-from ..core.select_area import _block_candidates, select_area_constrained
+from ..core.select_area import select_area_constrained
+from ..core.select_iterative import CollapseChain
 from ..core.selection import SelectionResult
 from ..hwmodel.merit import cut_area
 from ..pipeline import Application, prepare_application
@@ -56,7 +59,7 @@ from ..store.artifacts import ArtifactStore
 from .cache import SearchCache, dfg_digest
 from .grid import SweepPoint, SweepSpec, resolve_model
 
-#: A warm task: ("chain", depth) | ("pool", max_per_block) | ("multi", m).
+#: A warm task: ("chain", depth) | ("multi", m).
 _WarmTask = Tuple[str, int]
 
 
@@ -79,25 +82,10 @@ def _warm_unit(job: Tuple) -> List[Tuple[Tuple, object]]:
         model = resolve_model(model_name)
         cons = Constraints(nin=nin, nout=nout)
         for kind, arg in tasks:
-            if kind == "pool":
-                # The pool chain is the real _block_candidates, with
-                # the cache threaded into its per-round searches:
-                # collapse labels are excluded from cache digests, so
-                # the single-cut entries it warms serve the iterative
-                # algorithm too.
-                candidates, stats = _block_candidates(
-                    dfg, cons, model, limits, arg, cache=cache)
-                cache.put_pool(dfg, cons, model, limits, arg,
-                               candidates, stats)
-            elif kind == "chain":
-                current = dfg
-                for k in range(arg):
-                    result = find_best_cut(current, cons, model, limits,
-                                           cache=cache)
-                    if result.cut is None or result.cut.merit <= 0:
-                        break
-                    current = current.collapse(result.cut.nodes,
-                                               label=f"warm{k + 1}")
+            if kind == "chain":
+                # The first *arg* links: the single-cut entries every
+                # iterative and area row of the block reads.
+                CollapseChain(dfg, cons, model, limits, cache).link(arg - 1)
             elif kind == "multi":
                 find_best_cuts(dfg, cons, arg, model, limits, cache=cache)
     finally:
@@ -107,10 +95,10 @@ def _warm_unit(job: Tuple) -> List[Tuple[Tuple, object]]:
 
 
 #: Relative cost weight of one warm task kind, multiplied by the task
-#: argument (chain depth / pool size / cut count).  Identification is
+#: argument (chain depth / cut count).  Identification is
 #: exponential in block size, so the DFG node count dominates the hint;
 #: the weights only rank tasks on the *same* block.
-_TASK_WEIGHTS = {"chain": 1.0, "pool": 1.0, "multi": 2.0}
+_TASK_WEIGHTS = {"chain": 1.0, "multi": 2.0}
 
 
 def _unit_hint(job: Tuple) -> float:
@@ -132,8 +120,6 @@ def _task_covered(task: _WarmTask, cache: SearchCache, dfg, cons,
     warm phase is the only bulk producer and always completes its
     chain, and anything deeper is filled on demand during evaluation."""
     kind, arg = task
-    if kind == "pool":
-        return cache.has_pool(dfg, cons, model, limits, arg)
     if kind == "chain":
         return cache.has_single(dfg, cons, model, limits)
     return cache.has_multi(dfg, cons, arg, model, limits)
@@ -149,8 +135,11 @@ def _plan_units(
     deduplicated by (graph digest, ports, model) and filtered down to
     what *cache* (including its persistent backing tier) does not
     already cover — a pre-warmed store empties the warm phase."""
-    chain_depth = (max(spec.ninstrs)
-                   if "iterative" in spec.algorithms else 0)
+    # Iterative rows read at most Ninstr links of a block's chain, area
+    # rows at most max_per_block.
+    chain_depth = max(
+        max(spec.ninstrs) if "iterative" in spec.algorithms else 0,
+        spec.max_per_block if "area" in spec.algorithms else 0)
     # (digest, ports, model) -> [dfg, nin, nout, model_name, task set];
     # digest-identical blocks from different workloads merge their task
     # sets (they may disagree, e.g. on optimal_ok) instead of keeping
@@ -165,14 +154,7 @@ def _plan_units(
             for dfg in app.dfgs:
                 for nin, nout in spec.ports:
                     tasks: List[_WarmTask] = []
-                    has_pool = "area" in spec.algorithms
-                    if has_pool:
-                        tasks.append(("pool", spec.max_per_block))
-                    # A pool task already warms the single-cut chain up
-                    # to max_per_block collapses; a separate chain task
-                    # is only needed beyond that (or without area rows).
-                    if chain_depth and (not has_pool
-                                        or chain_depth > spec.max_per_block):
+                    if chain_depth:
                         tasks.append(("chain", chain_depth))
                     if optimal_ok:
                         tasks.append(("multi", 1))
@@ -238,8 +220,11 @@ def _run_point(
     baselines: Optional[Dict[Tuple[str, str], tuple]] = None,
     store: Optional[ArtifactStore] = None,
     backend: Optional[str] = None,
+    chains: Optional[List[CollapseChain]] = None,
 ) -> dict:
-    """Evaluate one grid point through the ordinary algorithms."""
+    """Evaluate one grid point through the ordinary algorithms;
+    *chains* are the point's group's shared collapse chains (``None``:
+    each selection builds its own)."""
     limits = spec.limits
     cons = point.constraints
     row = {
@@ -255,7 +240,7 @@ def _run_point(
     try:
         if point.algorithm == "iterative":
             result = select_iterative(app.dfgs, cons, model, limits,
-                                      cache=cache)
+                                      cache=cache, chains=chains)
         elif point.algorithm == "clubbing":
             result = select_clubbing(app.dfgs, cons, model)
         elif point.algorithm == "maxmiso":
@@ -266,7 +251,8 @@ def _run_point(
         elif point.algorithm == "area":
             result = select_area_constrained(
                 app.dfgs, cons, spec.area_budget, model, limits,
-                max_per_block=spec.max_per_block, cache=cache)
+                max_per_block=spec.max_per_block, cache=cache,
+                chains=chains)
         else:  # unreachable: SweepSpec validates algorithms
             raise ValueError(f"unknown algorithm {point.algorithm!r}")
     except BlockTooLargeError as exc:
@@ -487,12 +473,22 @@ def run_sweep(
 
     models = {name: resolve_model(name) for name in spec.models}
     baselines: Dict[Tuple[str, str], tuple] = {}
+    group: Optional[Tuple] = None
+    chains: Optional[List[CollapseChain]] = None
     start = time.perf_counter()
     for point in spec.expand():
-        row = _run_point(point, apps[point.workload], spec,
-                         models[point.model], cache,
+        app, model = apps[point.workload], models[point.model]
+        if cache is not None and group != (point.model, point.workload,
+                                           point.nin, point.nout):
+            # A new group: the previous group's chains (and every
+            # graph they collapsed) are dropped here.
+            group = (point.model, point.workload, point.nin, point.nout)
+            chains = [CollapseChain(dfg, point.constraints, model,
+                                    spec.limits, cache)
+                      for dfg in app.dfgs]
+        row = _run_point(point, app, spec, model, cache,
                          baselines=baselines, store=store,
-                         backend=backend)
+                         backend=backend, chains=chains)
         outcome.rows.append(row)
     outcome.points_s = time.perf_counter() - start
 

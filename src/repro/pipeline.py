@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .frontend import analyze, lower_program, parse
-from .interp import Interpreter, Memory, ProfileData
+from .interp import Interpreter, Memory, ProfileData, TrapError
 from .ir import Module
 from .ir.dfg import DataFlowGraph, function_dfgs
 from .passes import optimize_module, unroll_loops
@@ -91,6 +91,9 @@ def prepare_application(
             ``"compiled"``; default ``$REPRO_BACKEND``, else compiled).
             Profiles are bit-identical either way, so the store key
             deliberately excludes it.
+
+    An *n* that overflows one of the workload's input arrays raises
+    ``ValueError`` naming the workload, *n* and the array.
     """
     workload = (name_or_workload
                 if isinstance(name_or_workload, Workload)
@@ -107,7 +110,11 @@ def prepare_application(
     module = compile_workload(workload, unroll=unroll,
                               if_convert=if_convert)
     memory = Memory(module)
-    args = workload.driver(memory, size)
+    try:
+        args = workload.driver(memory, size)
+    except TrapError as exc:    # it only fills input arrays
+        raise ValueError(f"workload {workload.name!r}: n={size} is too "
+                         f"large ({exc})") from exc
     interpreter = Interpreter(module, memory=memory, backend=backend)
     interpreter.run(workload.entry, args)
     if verify:

@@ -4,11 +4,15 @@ future-work item)."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from dataclasses import replace
+from typing import List, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import Constraints, select_iterative
+from repro.core import Constraints, evaluate_cut, select_iterative
 from repro.core.select_area import (
     AreaCandidate,
     enumerate_candidates,
@@ -172,6 +176,111 @@ class TestKnapsack:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             knapsack_select([], -1.0)
+
+
+def reference_knapsack(candidates, area_budget, resolution=0.01,
+                       max_count=None):
+    """Frozen copy of the tuple-copying DP that ``knapsack_select``
+    replaced: the oracle for its exact answers, tie-breaks included."""
+    if area_budget < 0:
+        raise ValueError("area budget must be non-negative")
+    capacity = int(math.floor(area_budget / resolution + 1e-9))
+    weights = [max(0, int(math.ceil(c.area / resolution - 1e-9)))
+               for c in candidates]
+    capacity = min(capacity, sum(weights))
+
+    profitable = sum(1 for c in candidates if c.merit > 0)
+    if max_count is None or max_count >= profitable:
+        best = [0.0] * (capacity + 1)
+        chosen: List[Tuple[int, ...]] = [()] * (capacity + 1)
+        for idx, cand in enumerate(candidates):
+            weight = weights[idx]
+            if cand.merit <= 0:
+                continue
+            for w in range(capacity, weight - 1, -1):
+                alternative = best[w - weight] + cand.merit
+                if alternative > best[w]:
+                    best[w] = alternative
+                    chosen[w] = chosen[w - weight] + (idx,)
+        top = max(range(capacity + 1), key=lambda w: best[w])
+        return [candidates[i] for i in chosen[top]]
+
+    best2 = [[0.0] * (capacity + 1) for _ in range(max_count + 1)]
+    chosen2: List[List[Tuple[int, ...]]] = [
+        [()] * (capacity + 1) for _ in range(max_count + 1)]
+    for idx, cand in enumerate(candidates):
+        weight = weights[idx]
+        if cand.merit <= 0:
+            continue
+        for k in range(max_count, 0, -1):
+            row, prev = best2[k], best2[k - 1]
+            crow, cprev = chosen2[k], chosen2[k - 1]
+            for w in range(capacity, weight - 1, -1):
+                alternative = prev[w - weight] + cand.merit
+                if alternative > row[w]:
+                    row[w] = alternative
+                    crow[w] = cprev[w - weight] + (idx,)
+    best_k, best_w = 0, 0
+    for k in range(max_count + 1):
+        for w in range(capacity + 1):
+            if best2[k][w] > best2[best_k][best_w]:
+                best_k, best_w = k, w
+    return [candidates[i] for i in chosen2[best_k][best_w]]
+
+
+_BASE_CUT = evaluate_cut(make_dfg([Opcode.MUL], [], live_out=[0]), {0},
+                         MODEL)
+
+#: Few distinct values, so equal merits and equal weights are common;
+#: zero and negative merits must never be picked.
+_merits = st.one_of(st.sampled_from([-3.0, 0.0, 1.0, 2.0, 2.5, 7.0]),
+                    st.floats(-1.0, 40.0, allow_nan=False))
+_areas = st.one_of(st.sampled_from([0.0, 0.004, 0.01, 0.25, 0.5, 1.0]),
+                   st.floats(0.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def knapsack_cases(draw):
+    pool = [AreaCandidate(cut=replace(_BASE_CUT, merit=merit), area=area)
+            for merit, area in draw(st.lists(st.tuples(_merits, _areas),
+                                             max_size=9))]
+    total = sum(c.area for c in pool)
+    budget = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 4.0, allow_nan=False),
+        st.just(total + 1.0),           # above the total weight
+    ))
+    profitable = sum(1 for c in pool if c.merit > 0)
+    max_count = draw(st.one_of(
+        st.none(),
+        st.integers(1, max(1, profitable - 1)),     # usually binds
+        st.integers(profitable, profitable + 2),    # never binds
+    ))
+    resolution = draw(st.sampled_from([0.01, 0.05, 0.25]))
+    return pool, budget, resolution, max_count
+
+
+class TestKnapsackDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(knapsack_cases())
+    def test_matches_reference_dp(self, case):
+        pool, budget, resolution, max_count = case
+        got = knapsack_select(pool, budget, resolution, max_count)
+        want = reference_knapsack(pool, budget, resolution, max_count)
+        # Same candidate objects in the same order, not merely the same
+        # merit sum: ties must break exactly as before.
+        assert [id(c) for c in got] == [id(c) for c in want]
+
+    def test_equal_merit_at_two_counts_keeps_fewer_items(self):
+        # One big candidate and two small ones reach the same merit;
+        # under a cap of two the one-item answer comes first.
+        pool = [AreaCandidate(cut=replace(_BASE_CUT, merit=merit),
+                              area=area)
+                for merit, area in ((10.0, 0.05), (5.0, 0.01),
+                                    (5.0, 0.01))]
+        got = knapsack_select(pool, 0.05, max_count=2)
+        assert got == reference_knapsack(pool, 0.05, max_count=2)
+        assert [id(c) for c in got] == [id(pool[0])]
 
 
 class TestEndToEnd:

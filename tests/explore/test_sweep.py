@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.explore import (
     write_csv,
     write_json,
 )
+from repro.explore.cache import dfg_digest
+from repro.explore.grid import ALGORITHMS
 
 
 def small_spec(**overrides):
@@ -93,13 +96,31 @@ class TestDefaultPruning:
                 < sum(row["cuts_considered"] for row in budgeted))
 
 
+def chain_spec():
+    """All five algorithms under a search budget, with iterative rows
+    that take more cuts from one gsm block than the area rows' pool
+    depth, so the shared chains outgrow the pools."""
+    return SweepSpec(workloads=("gsm",), ports=((2, 1), (4, 2)),
+                     ninstrs=(2, 6), algorithms=ALGORITHMS,
+                     limit=100_000, n=16, max_per_block=3,
+                     area_budget=1.0)
+
+
 class TestCacheEquivalence:
-    def test_cached_sweep_is_bit_identical_to_cold(self):
-        spec = small_spec()
+    @pytest.mark.parametrize("spec", [small_spec(), chain_spec()],
+                             ids=["small", "all-algorithms"])
+    def test_cached_sweep_is_bit_identical_to_cold(self, spec):
         cold = run_sweep(spec, use_cache=False)
         warm = run_sweep(spec, use_cache=True)
         assert cold.cache_stats is None
         assert strip_timing(cold.rows) == strip_timing(warm.rows)
+        if spec.max_per_block < max(spec.ninstrs):
+            # Some iterative row must read past the pool depth.
+            assert any(
+                max(Counter(cut["block"] for cut in row["cuts"]).values())
+                > spec.max_per_block
+                for row in warm.rows
+                if row["algorithm"] == "iterative" and row["cuts"])
 
     def test_prewarmed_cache_reused_across_sweeps(self):
         spec = small_spec()
@@ -113,6 +134,34 @@ class TestCacheEquivalence:
         assert again.warm_units == 0
         assert strip_timing(again.rows) == \
             strip_timing(run_sweep(spec, use_cache=False).rows)
+
+
+class TestChainSharing:
+    def test_each_link_is_looked_up_once_per_group(self, monkeypatch):
+        # One (workload, Nin, Nout) group: two iterative and two area
+        # rows, iterative reading deeper than the pool depth.  On a
+        # warm cache every link of every block's chain is looked up
+        # exactly once across the four rows.
+        spec = SweepSpec(workloads=("gsm",), ports=((4, 2),),
+                         ninstrs=(2, 6), algorithms=("iterative", "area"),
+                         n=16, max_per_block=3)
+        cache = SearchCache()
+        run_sweep(spec, cache=cache)
+        lookups: Counter = Counter()
+        get_single = SearchCache.get_single
+
+        def counting(self, dfg, *args):
+            lookups[(dfg.name, dfg_digest(dfg))] += 1
+            return get_single(self, dfg, *args)
+
+        monkeypatch.setattr(SearchCache, "get_single", counting)
+        again = run_sweep(spec, cache=cache)
+        assert again.warm_units == 0
+        assert again.cache_stats["misses"] == 0
+        assert lookups and set(lookups.values()) == {1}
+        # Deeper than one link per block: the rows did walk chains.
+        blocks = {name for name, _digest in lookups}
+        assert len(lookups) > len(blocks)
 
 
 class TestAreaAndOptimalRows:

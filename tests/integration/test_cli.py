@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +247,32 @@ class TestSweep:
     def test_removed_parallel_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):
             main(argv)
+
+
+class TestOversizeN:
+    """An ``--n`` that overflows a workload's input arrays is a usage
+    error: one ``<verb>: ...`` line and a non-zero exit, no traceback
+    (sha's ``n`` counts 16-word blocks; its message buffer holds 64)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["speedup", "--workloads", "sha", "--n", "128"],
+        ["sweep", "--workloads", "sha", "--n", "128", "--ports", "4x2",
+         "--algos", "maxmiso", "--quiet"],
+    ], ids=["speedup", "sweep"])
+    def test_rejected_without_traceback(self, argv, tmp_path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--no-store"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{argv[0]}: ")
+        assert "'sha'" in lines[0] and "n=128" in lines[0]
+        assert "'msg'" in lines[0]
 
 
 class TestStoreFlags:

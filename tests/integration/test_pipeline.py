@@ -37,6 +37,11 @@ class TestPrepareApplication:
         large = prepare_application("fir", n=32)
         assert large.hot_dfg.weight > small.hot_dfg.weight
 
+    def test_oversize_n_is_a_value_error(self):
+        # sha's n counts 16-word blocks; its message buffer holds 64.
+        with pytest.raises(ValueError, match=r"'sha': n=128 .*'msg'"):
+            prepare_application("sha", n=128)
+
 
 class TestPaperShapes:
     """Qualitative results the reproduction must preserve (Fig. 11)."""
