@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 #: Environment variable consulted when ``workers`` is not given.
@@ -69,5 +69,7 @@ class UnitReport:
     error: Optional[str] = None
 
     def as_dict(self) -> dict:
-        """Flat JSON-ready record (the sweep artifact's telemetry)."""
-        return asdict(self)
+        """Flat JSON-ready record (the sweep artifact's telemetry).  The
+        fields are scalars, so a shallow copy of them in declaration
+        order is the record; ``dataclasses.asdict`` would deep-copy."""
+        return dict(self.__dict__)

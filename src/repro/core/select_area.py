@@ -12,8 +12,12 @@ implements it on top of the same identification machinery:
    block's :class:`~repro.core.select_iterative.CollapseChain`.
 2. Candidates then enter a **0/1 knapsack**: maximise total merit subject
    to ``sum(area) <= area_budget`` (areas discretised to a configurable
-   resolution).  The knapsack is solved exactly by dynamic programming;
-   a greedy merit-density heuristic is also provided for comparison.
+   resolution).  The knapsack is solved exactly by dynamic programming
+   with one row per item count.  A row never falls as the weight grows,
+   so it is stored as its frontier, the weights where it rises; the
+   chosen set is read back from the rows as they stood before each
+   item.  A greedy merit-density heuristic is also provided for
+   comparison.
 
 The result type is the ordinary :class:`SelectionResult`, so area-aware
 selections plug into every existing report and the cycle simulator.
@@ -22,9 +26,9 @@ selections plug into every existing report and the cycle simulator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import gt
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..hwmodel.latency import CostModel
 from ..hwmodel.merit import cut_area
@@ -35,6 +39,10 @@ from .select_iterative import CollapseChain
 # find_best_cut stays importable here: perfbench/tracing.py wraps the
 # search under this module's name too.
 from .single_cut import SearchLimits, SearchStats, find_best_cut  # noqa: F401
+
+#: A knapsack DP row as its frontier: ascending weights from 0 and the
+#: strictly rising best merits reached there.
+_Frontier = Tuple[List[int], List[float]]
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,40 @@ def enumerate_candidates(
     return candidates
 
 
+def _add_item(old: _Frontier, prev: _Frontier, weight: int, merit: float,
+              capacity: int) -> _Frontier:
+    """The frontier of ``max(old(w), prev(w - weight) + merit)`` over
+    ``0 <= w <= capacity``: *old* merged with *prev* shifted by
+    ``(weight, merit)``, keeping the points that raise the running
+    maximum, one per weight."""
+    oxs, ovs = old
+    pxs, pvs = prev
+    # Below the item's weight the old frontier stands.
+    i = bisect_left(oxs, weight)
+    xs, vs = oxs[:i], ovs[:i]
+    top = vs[-1] if i else -math.inf
+    end = len(oxs)
+    for j in range(bisect_right(pxs, capacity - weight)):
+        x = pxs[j] + weight
+        while i < end and oxs[i] <= x:
+            if ovs[i] > top:
+                top = ovs[i]
+                xs.append(oxs[i])
+                vs.append(top)
+            i += 1
+        v = pvs[j] + merit
+        if v > top:
+            top = v
+            if xs[-1] == x:
+                vs[-1] = v
+            else:
+                xs.append(x)
+                vs.append(v)
+    # Old points past the last shifted one survive once above the top.
+    i = bisect_right(ovs, top, i)
+    return xs + oxs[i:], vs + ovs[i:]
+
+
 def knapsack_select(
     candidates: Sequence[AreaCandidate],
     area_budget: float,
@@ -113,6 +155,18 @@ def knapsack_select(
             solution afterwards can be arbitrarily suboptimal (it keeps
             the highest-merit members of the wrong set).
 
+    Each DP row (the best merit of at most *k* items, per weight) is a
+    non-decreasing step function of the weight, so it is kept as its
+    frontier: the weights where its value rises, and the values there
+    (Nemhauser & Ullmann, 1969).  Adding an item merges two frontiers;
+    the values are the same float sums a dense row of ``capacity + 1``
+    cells would hold.  The rows as they stood before each item are kept
+    (frontiers are never mutated).  The backtrack takes an item at cell
+    *w* of row *k* exactly when it improved that cell:
+    ``prev(w - weight) + merit > old(w)``, with *old* row *k* and
+    *prev* row *k - 1* (row *k* itself without a binding cap) before
+    the item.
+
     Ties keep the earliest solution: an item replaces a cell only on a
     strict improvement, and the answer is the first best cell.
     """
@@ -129,49 +183,47 @@ def knapsack_select(
     capped = max_count is not None and max_count < len(items)
     items = [i for i in items if weights[i] <= capacity]
 
-    # One DP row per item count: rows[k][w] is the best merit of at
-    # most k items within weight w (row 0 stays empty).  Without a
-    # binding cap a single row, of any count, suffices.  marks[j][k]
-    # flags the cells item items[j] improved in row k, offset by its
-    # weight; reading the marks back from the last item recovers the
-    # chosen set.
-    rows = [[0.0] * (capacity + 1)
-            for _ in range(max_count + 1 if capped else 2)]
-    marks: List[List[Optional[bytes]]] = []
+    # One DP row per item count, row 0 staying empty; an item updates
+    # row k from rows k and k-1 as they were before it.  Without a
+    # binding cap a single row, of any count, suffices: it reads itself
+    # before the update.
+    shift = 1 if capped else 0
+    count_rows = max_count + 1 if capped else 2
+    rows: List[_Frontier] = [([0], [0.0])] * count_rows
+    before: List[List[_Frontier]] = []
     for i in items:
-        weight, merit = weights[i], merits[i]
-        span = capacity + 1 - weight
-        item_marks: List[Optional[bytes]] = [None] * len(rows)
-        for k in range(len(rows) - 1, 0, -1):
-            # Row k-1 is not yet updated for this item (uncapped: row 1
-            # reads itself, before the update).
-            row, prev = rows[k], rows[k - 1 if capped else k]
-            old = row[weight:]
-            new = [a if a > o else o
-                   for a, o in zip([p + merit for p in prev[:span]], old)]
-            if new != old:
-                row[weight:] = new
-                item_marks[k] = bytes(map(gt, new, old))
-        marks.append(item_marks)
+        before.append(rows)
+        # Rows past the number of items seen so far are all the same
+        # function, so they share one frontier.
+        live = min(count_rows, len(before) + 1)
+        new = [rows[0]] + [
+            _add_item(rows[k], rows[k - shift], weights[i], merits[i],
+                      capacity)
+            for k in range(1, live)]
+        rows = new + new[-1:] * (count_rows - live)
 
-    # The first best cell in (count, weight) order.
+    # The first best cell in (count, weight) order: a row's top is its
+    # last value, first reached at its last weight.
     best_k, best_w, best = 0, 0, 0.0
     for k in range(1, len(rows)):
-        top = max(rows[k])
-        if top > best:
-            best_k, best_w, best = k, rows[k].index(top), top
+        xs, vs = rows[k]
+        if vs[-1] > best:
+            best_k, best_w, best = k, xs[-1], vs[-1]
     picked: List[int] = []
     k, w = best_k, best_w
     for j in range(len(items) - 1, -1, -1):
         if k == 0:
             break
         i = items[j]
-        taken = marks[j][k]
-        if taken is not None and w >= weights[i] and taken[w - weights[i]]:
+        if w < weights[i]:
+            continue
+        oxs, ovs = before[j][k]
+        pxs, pvs = before[j][k - shift]
+        if (pvs[bisect_right(pxs, w - weights[i]) - 1] + merits[i]
+                > ovs[bisect_right(oxs, w) - 1]):
             picked.append(i)
             w -= weights[i]
-            if capped:
-                k -= 1
+            k -= shift
     return [candidates[i] for i in reversed(picked)]
 
 

@@ -129,8 +129,7 @@ def application_cycles(dfgs: Iterable[DataFlowGraph],
     frequency) — the denominator of the paper's speedup numbers."""
     total = 0.0
     for dfg in dfgs:
-        block_cycles = sum(model.sw(node) for node in dfg.nodes)
-        total += dfg.weight * block_cycles
+        total += dfg.weight * dfg.software_cycles(model)
     return total
 
 

@@ -105,6 +105,23 @@ def _bits(indices: Iterable[int]) -> int:
     return mask
 
 
+def _per_model(cache: Dict[int, Tuple], model, build):
+    """``build()``, memoised in *cache* under *model*'s identity.
+
+    Each entry holds a reference to the model, so a recycled ``id()``
+    can never alias a different model; throwaway models keep the cache
+    bounded.
+    """
+    entry = cache.get(id(model))
+    if entry is not None and entry[0] is model:
+        return entry[1]
+    value = build()
+    if len(cache) >= 8:
+        cache.clear()
+    cache[id(model)] = (model, value)
+    return value
+
+
 class DataFlowGraph:
     """The dataflow graph of one basic block, ready for cut enumeration.
 
@@ -155,7 +172,23 @@ class DataFlowGraph:
         self._value_reads: Optional[List[List[int]]] = None
         self._value_owner: Dict[int, int] = {}
         self._cost_cache: Dict[int, Tuple] = {}
+        self._cycles_cache: Dict[int, Tuple] = {}
         self._check_invariants()
+
+    def __getstate__(self) -> dict:
+        # The per-model memos are keyed by id(model), which means nothing
+        # in another process, so a pickled graph (a warm unit's job, a
+        # stored application) carries none of the models it has met.
+        # Its state keeps the attributes older stored graphs have.
+        state = self.__dict__.copy()
+        state["_cost_cache"] = {}
+        del state["_cycles_cache"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._cost_cache = {}
+        self._cycles_cache = {}
 
     # ------------------------------------------------------------------
     @property
@@ -180,21 +213,22 @@ class DataFlowGraph:
         """Per-node ``(sw, hw)`` cost vectors under *model*, cached.
 
         Forbidden nodes cost 0 software cycles (they can never be part of
-        a cut's software mass) and infinite hardware delay.  The cache is
-        keyed by model identity and holds a reference to the model so a
-        recycled ``id()`` can never alias a different model.
+        a cut's software mass) and infinite hardware delay.
         """
-        entry = self._cost_cache.get(id(model))
-        if entry is not None and entry[0] is model:
-            return entry[1], entry[2]
-        sw = [0.0 if node.forbidden else model.sw(node)
-              for node in self.nodes]
-        hw = [math.inf if node.forbidden else model.hw(node)
-              for node in self.nodes]
-        if len(self._cost_cache) >= 8:     # throwaway models: stay bounded
-            self._cost_cache.clear()
-        self._cost_cache[id(model)] = (model, sw, hw)
-        return sw, hw
+        def build():
+            sw = [0.0 if node.forbidden else model.sw(node)
+                  for node in self.nodes]
+            hw = [math.inf if node.forbidden else model.hw(node)
+                  for node in self.nodes]
+            return sw, hw
+
+        return _per_model(self._cost_cache, model, build)
+
+    def software_cycles(self, model) -> float:
+        """Summed software cycles of every node under *model*, forbidden
+        ones included (unlike :meth:`cost_vectors`), cached."""
+        return _per_model(self._cycles_cache, model, lambda: sum(
+            model.sw(node) for node in self.nodes))
 
     def _check_invariants(self) -> None:
         n = self.n

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import socket
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -147,8 +148,13 @@ class TestScheduledMap:
         assert "ZeroDivisionError" in failed[0].error
 
     def test_unit_report_as_dict(self):
-        record = UnitReport(index=2, size_hint=4.0, elapsed_s=0.5,
-                            worker="pid9").as_dict()
+        report = UnitReport(index=2, size_hint=4.0, elapsed_s=0.5,
+                            worker="pid9")
+        record = report.as_dict()
         assert record == {"index": 2, "size_hint": 4.0,
                           "elapsed_s": 0.5, "worker": "pid9",
                           "status": "ok", "attempts": 1, "error": None}
+        # Declaration order, as dataclasses.asdict gives it, and a copy.
+        assert list(record) == [f.name for f in fields(UnitReport)]
+        record["status"] = "error"
+        assert report.status == "ok"

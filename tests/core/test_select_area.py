@@ -260,6 +260,26 @@ def knapsack_cases(draw):
     return pool, budget, resolution, max_count
 
 
+#: Shaped like the sweep's real pools, which hold up to 31 candidates,
+#: several of them free (zero area), with merits that repeat.
+_sweep_merits = st.one_of(st.sampled_from([2.0, 4.0, 6.0, 12.0]),
+                          st.integers(1, 400).map(float),
+                          st.floats(0.5, 400.0, allow_nan=False))
+_sweep_areas = st.one_of(st.just(0.0),
+                         st.sampled_from([0.01, 0.02, 0.05, 0.3, 0.9, 1.8]),
+                         st.floats(0.0, 2.5, allow_nan=False))
+
+
+@st.composite
+def sweep_shaped_cases(draw):
+    size = draw(st.integers(0, 32))
+    pool = [AreaCandidate(cut=replace(_BASE_CUT, merit=merit), area=area)
+            for merit, area in draw(st.lists(
+                st.tuples(_sweep_merits, _sweep_areas),
+                min_size=size, max_size=size))]
+    return pool, draw(st.sampled_from([4, 16]))
+
+
 class TestKnapsackDifferential:
     @settings(max_examples=400, deadline=None)
     @given(knapsack_cases())
@@ -270,6 +290,28 @@ class TestKnapsackDifferential:
         # Same candidate objects in the same order, not merely the same
         # merit sum: ties must break exactly as before.
         assert [id(c) for c in got] == [id(c) for c in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_shaped_cases())
+    def test_matches_reference_dp_on_sweep_shaped_pools(self, case):
+        # The sweep's budget (2.0 MAC) and resolution (0.01).
+        pool, max_count = case
+        got = knapsack_select(pool, 2.0, 0.01, max_count)
+        want = reference_knapsack(pool, 2.0, 0.01, max_count)
+        assert [id(c) for c in got] == [id(c) for c in want]
+
+    @pytest.mark.parametrize("max_count", [None, 2])
+    def test_item_that_only_ties_the_traced_cell_is_not_taken(
+            self, max_count):
+        # The third candidate reaches the best cell's merit (5 + 3) but
+        # does not beat it, so the backtrack must pass over it and take
+        # the second one, which got there first.
+        pool = [AreaCandidate(cut=replace(_BASE_CUT, merit=merit),
+                              area=0.01)
+                for merit in (5.0, 3.0, 3.0)]
+        got = knapsack_select(pool, 0.02, max_count=max_count)
+        assert got == reference_knapsack(pool, 0.02, max_count=max_count)
+        assert [id(c) for c in got] == [id(pool[0]), id(pool[1])]
 
     def test_equal_merit_at_two_counts_keeps_fewer_items(self):
         # One big candidate and two small ones reach the same merit;

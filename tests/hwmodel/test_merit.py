@@ -105,6 +105,37 @@ class TestApplicationSpeedup:
         total = application_cycles([a, b], model)
         assert total == pytest.approx(1 * 2 + 10 * 2)
 
+    def test_application_cycles_memo_is_exact(self):
+        # A collapsed block holds a forbidden supernode: its software
+        # cycles count here, unlike in DataFlowGraph.cost_vectors.
+        collapsed = chain([Opcode.MUL, Opcode.ADD, Opcode.SHL]).collapse(
+            {0, 1}, "ise1")
+        blocks = [chain([Opcode.ADD, Opcode.MUL]),
+                  make_dfg([Opcode.MUL, Opcode.XOR], [(0, 1)],
+                           live_out=[1], weight=0.1),
+                  collapsed]
+        collapsed.weight = 3.7
+
+        def unmemoised(model):
+            total = 0.0
+            for dfg in blocks:
+                total += dfg.weight * sum(model.sw(node)
+                                          for node in dfg.nodes)
+            return total
+
+        first, twin = CostModel(), CostModel()
+        assert first == twin and first is not twin
+        slow = CostModel()
+        slow.sw_latency[Opcode.MUL] += 3
+        for model in (first, twin, first, slow, twin, slow):
+            assert application_cycles(blocks, model) == unmemoised(model)
+        assert (application_cycles(blocks, slow)
+                > application_cycles(blocks, first))
+        # The block weight stays outside the memo.
+        blocks[1].weight = 12.5
+        for model in (first, twin, slow):
+            assert application_cycles(blocks, model) == unmemoised(model)
+
     def test_estimated_speedup(self):
         assert estimated_speedup(100, 50) == pytest.approx(2.0)
         assert estimated_speedup(100, 0) == pytest.approx(1.0)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from repro.hwmodel import CostModel
 from repro.ir import (
     Const,
     Function,
@@ -18,6 +20,7 @@ from repro.ir import (
     ret,
     store,
 )
+from repro.ir.dfg import DataFlowGraph
 from repro.ir.synth import make_dfg, random_dag_dfg
 
 
@@ -204,8 +207,6 @@ class TestCollapse:
 
     def test_multi_value_supernode_engine_agrees_with_cut_inputs(self):
         from repro.core import Constraints, find_best_cut
-        from repro.hwmodel import CostModel
-
         collapsed, consumers = self._two_value_super()
         naive = len(collapsed.cut_inputs(consumers))
         # The engine must reject the pair under nin = naive - 1 and the
@@ -244,6 +245,43 @@ class TestCollapse:
         (and_inputs,) = [again.value_reads[and_node]]
         assert len(and_inputs) == 1
         assert again.value_producer(and_inputs[0]) in supers
+
+
+class TestPerModelMemos:
+    def test_pickle_drops_per_model_memos(self):
+        # The memos are keyed by id(model): another process could never
+        # hit them, so a pickled graph must not grow with the models it
+        # has met.
+        _func, bb = straightline_block()
+        dfg = build_dfg(bb, live_out={"u"})
+        fresh = pickle.dumps(dfg)
+        model = CostModel()
+        sw, hw = dfg.cost_vectors(model)
+        cycles = dfg.software_cycles(model)
+        assert len(pickle.dumps(dfg)) == len(fresh)
+        again = pickle.loads(pickle.dumps(dfg))
+        assert again.cost_vectors(model) == (sw, hw)
+        assert again.software_cycles(model) == cycles
+        # The original keeps its memos.
+        assert dfg.cost_vectors(model)[0] is sw
+
+    def test_unpickles_graphs_stored_without_the_cycle_memo(self):
+        # A stored application from before software_cycles existed: its
+        # graphs' state has no cycle memo and may hold stale cost memos.
+        _func, bb = straightline_block()
+        dfg = build_dfg(bb, live_out={"u"})
+        model = CostModel()
+        dfg.cost_vectors(model)
+        assert "_cycles_cache" not in dfg.__getstate__()
+        old_state = dict(vars(dfg))
+        del old_state["_cycles_cache"]
+        assert old_state["_cost_cache"]
+        # What unpickling such a blob does.
+        again = DataFlowGraph.__new__(DataFlowGraph)
+        again.__setstate__(old_state)
+        assert again._cost_cache == {}
+        assert again.software_cycles(model) == sum(
+            model.sw(node) for node in dfg.nodes)
 
 
 class TestFunctionDFGs:
