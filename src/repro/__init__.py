@@ -22,8 +22,9 @@ Quickstart::
     print(f"measured speedup {rows[0].measured_speedup:.3f}x "
           f"(bit-exact: {rows[0].identical})")
     # Re-running this script warm-starts from the store: compilation,
-    # profiling, the exponential searches and the baseline run are all
-    # read back instead of recomputed — bit-identical, near-instant.
+    # profiling (whose run is also the baseline run) and the
+    # exponential searches are all read back instead of recomputed —
+    # bit-identical, near-instant.
 """
 
 from .core import (

@@ -47,12 +47,13 @@ Verbs that execute programs accept ``--backend walk|compiled``
 way.
 
 Every verb bootstraps one shared :class:`repro.session.Session`, so the
-expensive products (compiled modules, profiles, search results,
-baseline runs) persist in the content-addressed store across
-invocations: a repeated command warm-starts and prints byte-identical
-results.  ``--no-store`` disables persistence for one invocation,
-``--store-dir`` relocates it, and the ``REPRO_STORE`` environment
-variable sets the default root (or turns the store off globally).
+expensive products (compiled modules, profiles and the profiling
+run's outcome, search results) persist in the content-addressed store
+across invocations: a repeated command warm-starts and prints
+byte-identical results.  ``--no-store`` disables persistence for one
+invocation, ``--store-dir`` relocates it, and the ``REPRO_STORE``
+environment variable sets the default root (or turns the store off
+globally).
 """
 
 from __future__ import annotations

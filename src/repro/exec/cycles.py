@@ -16,13 +16,14 @@ the rewriter communicates through its ``block_costs`` overrides.
 Invariant (tested): running the original and the rewritten program on the
 *same* input gives ``baseline.cycles - rewritten.cycles ==
 selection.total_merit`` exactly, because both runs visit blocks with the
-frequencies the merit was weighted by.
+frequencies the merit was weighted by.  The profiling run sums its
+counts through the same :func:`block_cycles`, so it *is* that baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..hwmodel.latency import CostModel
 from ..interp.interpreter import Interpreter
@@ -72,6 +73,21 @@ def module_block_costs(
     return costs
 
 
+def block_cycles(counts: Mapping[Tuple[str, str], int],
+                 costs: Mapping[Tuple[str, str], float]) -> float:
+    """Cycles of a run with block entry *counts* under per-block *costs*.
+
+    Sorted iteration: the backends produce identical counts but in
+    different insertion orders (the compiled engine folds callee frames
+    first), and float summation of fractional cost models is
+    order-sensitive — a fixed order keeps the total bit-identical.
+    """
+    cycles = 0.0
+    for key, count in sorted(counts.items()):
+        cycles += count * costs.get(key, 0.0)
+    return cycles
+
+
 def run_with_cycles(
     module: Module,
     entry: str,
@@ -111,12 +127,5 @@ def run_with_cycles(
         costs.update(cost_overrides)
     interp = Interpreter(module, memory=memory, backend=backend)
     outcome = interp.run(entry, args)
-    cycles = 0.0
-    # Sorted iteration: the backends produce identical counts but in
-    # different insertion orders (the compiled engine folds callee
-    # frames first), and float summation of fractional cost models is
-    # order-sensitive — a fixed order keeps the total bit-identical.
-    for key, count in sorted(interp.profile.counts.items()):
-        cycles += count * costs.get(key, 0.0)
-    return CycleReport(cycles=cycles, steps=outcome.steps,
-                       value=outcome.value)
+    return CycleReport(cycles=block_cycles(interp.profile.counts, costs),
+                       steps=outcome.steps, value=outcome.value)

@@ -2,13 +2,13 @@
 
 ``measure_selection`` takes a prepared application plus a selection
 result, rewrites the program (:mod:`repro.exec.rewrite`), executes the
-original and the rewritten module on identical driver inputs, checks the
-outputs bit-for-bit, and returns measured cycle counts next to the static
-estimate.  ``run_speedup`` is the whole-table driver behind the
-``repro speedup`` CLI verb and ``benchmarks/bench_speedup.py``.
+rewritten module on the driver input, checks its outputs bit-for-bit
+against the original program's, and returns measured cycle counts next
+to the static estimate.  ``run_speedup`` is the whole-table driver
+behind the ``repro speedup`` CLI verb and ``benchmarks/bench_speedup.py``.
 ``measure_batch`` is the serving-scale variant: one prepared workload
 over N input lanes per call (DESIGN.md §12), every lane verified
-bit-for-bit against a golden reference lane.
+bit-for-bit against a golden reference image.
 """
 
 from __future__ import annotations
@@ -36,11 +36,16 @@ from ..interp.batch import (
     image_verifier,
     run_batch,
 )
-from ..interp.memory import Memory
+from ..interp.interpreter import ExecutionLimitExceeded
+from ..interp.memory import Memory, TrapError
 from ..pipeline import Application, prepare_application
-from ..store.keys import callable_fingerprint, canonical_digest, model_digest
 from ..workloads.registry import get_workload
-from .cycles import run_with_cycles
+from .cycles import (
+    CycleReport,
+    block_cycles,
+    module_block_costs,
+    run_with_cycles,
+)
 from .rewrite import rewrite_module
 
 
@@ -111,42 +116,35 @@ class MeasuredSpeedup:
 
 
 def measure_baseline(app: Application, model: Optional[CostModel] = None,
-                     n: Optional[int] = None, store=None,
+                     n: Optional[int] = None,
                      backend: Optional[str] = None):
-    """Run the *unmodified* program once and return its accounting.
+    """The *unmodified* program's accounting at input size *n*.
 
-    Returns ``(CycleReport, Memory)`` — the baseline cycles plus the
-    final memory image the rewritten run is compared against.  Baseline
-    execution depends only on (workload, n, model), never on ports or
-    algorithms, so sweeps measuring many grid points per workload
-    compute this once and pass it to :func:`measure_selection`; a
-    persistent *store* additionally shares the artifact across
-    invocations and between the sweep and speedup paths (keyed on the
-    workload source, the unroll-sensitive module text being irrelevant —
-    the baseline interprets ``app.module`` as prepared, so the key also
-    covers the preparation parameters via the module's own content).
-    *backend* selects the execution engine; it is excluded from the
-    store key because both backends produce bit-identical reports
-    (enforced by the differential suite and CI's interpreter gate).
+    Returns ``(CycleReport, Memory)`` — the baseline cycles plus a
+    fresh copy of the final memory image the rewritten run is compared
+    against.  At the size *app* was profiled at, the profiling run is
+    the baseline run: both are derived from what
+    :func:`repro.pipeline.prepare_application` kept, bit-identical to
+    executing the program again.  Any other size — or an app that kept
+    no run (built by hand, or pickled by an older store) — executes the
+    program once on *backend* (both backends give bit-identical
+    reports).
     """
     workload = get_workload(app.name)
     model = model or CostModel()
     size = n if n is not None else workload.default_n
-    key = None
-    if store is not None:
-        key = canonical_digest("baseline-v1", workload.source,
-                               workload.entry, str(app.module),
-                               callable_fingerprint(workload.driver),
-                               model_digest(model), size)
-        hit = store.get("baseline", key)
-        if hit is not None:
-            return hit
     memory = Memory(app.module)
+    if app.profile_image is not None and size == app.profile_n:
+        for name, prefix in app.profile_image.items():
+            memory.arrays[name][:len(prefix)] = prefix
+        costs = module_block_costs(app.module, model)
+        report = CycleReport(cycles=block_cycles(app.profile.counts, costs),
+                             steps=app.profile.steps,
+                             value=app.profile_value)
+        return report, memory
     args = workload.driver(memory, size)
     report = run_with_cycles(app.module, app.entry, args,
                              memory=memory, model=model, backend=backend)
-    if store is not None:
-        store.put("baseline", key, (report, memory))
     return report, memory
 
 
@@ -169,8 +167,8 @@ def measure_selection(
             different size than the profiling run shows how well the
             profile generalises.
         baseline: optional precomputed ``(CycleReport, Memory)`` from
-            :func:`measure_baseline` with the *same* model and n; the
-            baseline run is repeated otherwise.
+            :func:`measure_baseline` with the *same* model and n;
+            :func:`measure_baseline` supplies it otherwise.
         backend: execution backend for both runs (``"walk"`` or
             ``"compiled"``; default ``$REPRO_BACKEND``, else compiled)
             — measurements are bit-identical across backends.
@@ -219,15 +217,17 @@ def measure_selection(
 
 @dataclass
 class BatchMeasurement:
-    """One batched throughput measurement (``repro run --inputs``).
+    """One batched throughput measurement (``Session.run_batch``).
 
     ``baseline`` holds the per-lane results of executing the prepared
     module over every lane; ``rewritten`` is the same batch on the
     ISE-rewritten module when a selection was given, else ``None``.
-    ``identical`` is True iff the golden reference lane passed the
-    workload's verifier **and** every lane of every batch matched the
-    reference image bit-for-bit (value and all memory words).  Timing
-    covers the batch loop including the per-lane image check.
+    ``identical`` is True iff the reference image from
+    :func:`measure_baseline` passed the workload's verifier **and**
+    every lane of every batch matched it bit-for-bit (value and all
+    memory words).  Timing covers the batch loop including the
+    per-lane image check, and in a cold call the codegen of the module
+    it runs.
     """
 
     workload: str
@@ -286,31 +286,36 @@ def measure_batch(app: Application, count: int,
     """Execute one prepared workload over *count* input lanes.
 
     The serving-scale counterpart of :func:`measure_selection`: the
-    driver runs **once** (:func:`repro.interp.batch.driver_lanes`), a
-    one-lane reference batch is verified against the workload's golden
-    model, and then the full batch runs with every lane held to the
-    reference's final state bit-for-bit
-    (:func:`repro.interp.batch.image_verifier`) — so the reported
-    throughput is for *verified* lanes, not unchecked ones.  With a
-    *selection* the ISE-rewritten module runs the same lanes against
-    the same reference image (rewrites preserve globals and, by the
-    bit-exactness obligation, the final memory state).
+    driver runs **once** (:func:`repro.interp.batch.driver_lanes`), the
+    reference image from :func:`measure_baseline` (the app's profiling
+    run at its profiling size) is checked against the workload's golden
+    model, and then the full batch runs with every lane held to it
+    bit-for-bit (:func:`repro.interp.batch.image_verifier`) — so the
+    reported throughput is for *verified* lanes, not unchecked ones.
+    With a *selection* the ISE-rewritten module runs the same lanes
+    against the same reference image (rewrites preserve globals and, by
+    the bit-exactness obligation, the final memory state).  A cold
+    call's ``baseline_seconds`` includes compiling the baseline module,
+    as ``rewritten_seconds`` includes compiling the rewritten one.
     """
     workload = get_workload(app.name)
     model = model or CostModel()
     size = n if n is not None else workload.default_n
     lanes = driver_lanes(app.module, workload.driver, size, count)
 
-    reference = run_batch(
-        app.module, app.entry, lanes[:1], backend=backend,
-        keep_arrays=True,
-        verify=lambda memory, lane: workload.verify(memory, size))
-    ref = reference.lanes[0]
-    if not ref.ok:
+    try:
+        report, reference = measure_baseline(app, model, size,
+                                             backend=backend)
+    except (TrapError, ExecutionLimitExceeded) as exc:
         raise RuntimeError(
-            f"batch reference lane for {app.name!r} faulted: {ref.trap}")
-    identical = ref.verified is True
-    check = image_verifier(ref.value, ref.arrays)
+            f"batch reference lane for {app.name!r} faulted: {exc}"
+        ) from exc
+    try:
+        workload.verify(reference, size)
+        identical = True
+    except AssertionError:
+        identical = False
+    check = image_verifier(report.value, reference.arrays)
 
     start = time.perf_counter()
     baseline = run_batch(app.module, app.entry, lanes, backend=backend,
@@ -405,8 +410,10 @@ def run_speedup(
     (normally via :meth:`repro.session.Session.speedup` — ``prepare``
     is a ``(name, n, unroll) -> Application`` callable such as the
     session's memoised :meth:`~repro.session.Session.prepare`):
-    preparation, identification and the baseline runs warm-start from
-    earlier invocations, and the rows stay bit-identical either way.
+    preparation and identification warm-start from earlier
+    invocations, and the rows stay bit-identical either way.  No
+    baseline program runs: the app's profiling run at the same *n* is
+    the baseline run (:func:`measure_baseline`).
     ``backend`` picks the execution engine for every measurement run;
     the resulting table and JSON artifacts are byte-identical under
     both backends, which CI's interpreter gate enforces.
@@ -442,10 +449,8 @@ def run_speedup(
                 steps_baseline=0, steps_ise=0, status="n/a",
                 error=str(exc)))
             continue
-        baseline = measure_baseline(app, model, n=size, store=store,
-                                    backend=backend)
         measured = measure_selection(app, selection, model, n=size,
-                                     baseline=baseline, backend=backend)
+                                     backend=backend)
         rows.append(SpeedupRow(
             workload=name,
             algorithm=selection.algorithm,

@@ -217,8 +217,6 @@ def _run_point(
     spec: SweepSpec,
     model,
     cache: Optional[SearchCache],
-    baselines: Optional[Dict[Tuple[str, str], tuple]] = None,
-    store: Optional[ArtifactStore] = None,
     backend: Optional[str] = None,
     chains: Optional[List[CollapseChain]] = None,
 ) -> dict:
@@ -271,39 +269,26 @@ def _run_point(
         return row
     row.update(_result_fields(result, point, spec, model))
     if spec.measure:
-        row.update(_measure_fields(app, result, point, spec, model,
-                                   baselines, store, backend=backend))
+        row.update(_measure_fields(app, result, spec, model,
+                                   backend=backend))
     row["elapsed_s"] = time.perf_counter() - start
     return row
 
 
 def _measure_fields(app: Application, result: SelectionResult,
-                    point: SweepPoint, spec: SweepSpec, model,
-                    baselines: Optional[Dict[Tuple[str, str], tuple]],
-                    store: Optional[ArtifactStore] = None,
+                    spec: SweepSpec, model,
                     backend: Optional[str] = None) -> dict:
     """Execute the point's selection (repro.exec) and report the
     measured — not merely estimated — speedup for the row.  The
-    baseline run depends only on (workload, model, n), so it is
-    computed once per pair and shared across the grid via *baselines*
-    (and, when a *store* is given, across invocations as a persisted
-    baseline artifact).  Measurement runs on *backend*; the compiled
-    backend's process-wide code memo additionally shares compiled
-    blocks across every grid point whose rewritten module leaves a
-    block's instruction stream unchanged."""
+    baseline is the app's kept profiling run, summed per point (no
+    baseline program runs).  Measurement runs on *backend*; the
+    compiled backend's process-wide code memo additionally shares
+    compiled blocks across every grid point whose rewritten module
+    leaves a block's instruction stream unchanged."""
     from ..exec import measure_selection
-    from ..exec.speedup import measure_baseline
 
-    baseline = None
-    if baselines is not None:
-        key = (point.workload, point.model)
-        baseline = baselines.get(key)
-        if baseline is None:
-            baseline = measure_baseline(app, model, n=spec.n, store=store,
-                                        backend=backend)
-            baselines[key] = baseline
     measured = measure_selection(app, result, model, n=spec.n,
-                                 baseline=baseline, backend=backend)
+                                 backend=backend)
     return {
         # None instead of inf keeps the JSON artifact strict.
         "measured_speedup": (measured.speedup
@@ -374,9 +359,9 @@ def run_sweep(
             :func:`repro.cluster.scheduled_map`.
         echo: optional progress sink (e.g. ``print``).
         store: optional persistent :class:`repro.store.ArtifactStore`:
-            workload preparation, warm-phase search entries and measure
-            baselines all read through and spill into it, so a repeated
-            sweep skips straight to the (polynomial) evaluation phase.
+            workload preparation and warm-phase search entries read
+            through and spill into it, so a repeated sweep skips
+            straight to the (polynomial) evaluation phase.
             Ignored when ``use_cache`` is off — the cold baseline stays
             genuinely cold.
         prepare: optional ``(name, n, unroll) -> Application`` callable
@@ -472,7 +457,6 @@ def run_sweep(
                if outcome.failed_units else ""))
 
     models = {name: resolve_model(name) for name in spec.models}
-    baselines: Dict[Tuple[str, str], tuple] = {}
     group: Optional[Tuple] = None
     chains: Optional[List[CollapseChain]] = None
     start = time.perf_counter()
@@ -487,7 +471,6 @@ def run_sweep(
                                     spec.limits, cache)
                       for dfg in app.dfgs]
         row = _run_point(point, app, spec, model, cache,
-                         baselines=baselines, store=store,
                          backend=backend, chains=chains)
         outcome.rows.append(row)
     outcome.points_s = time.perf_counter() - start

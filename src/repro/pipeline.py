@@ -9,8 +9,9 @@ everything the identification/selection algorithms need.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .frontend import analyze, lower_program, parse
 from .interp import Interpreter, Memory, ProfileData, TrapError
@@ -23,13 +24,24 @@ from .workloads.registry import Workload, get_workload
 
 @dataclass
 class Application:
-    """A compiled, profiled workload ready for ISE identification."""
+    """A compiled, profiled workload ready for ISE identification.
+
+    ``profile_n``/``profile_value``/``profile_image`` keep the profiling
+    run's input size, return value and final memory image, so
+    measurements need not run the baseline again; ``None`` on hand-built
+    apps.  The image holds each row the run changed, up to its last
+    changed word, as a read-only ``array('i')`` (every word is 32-bit
+    wrapped); the rest of the image is the module's initial globals.
+    """
 
     name: str
     module: Module
     entry: str
     profile: ProfileData
     dfgs: List[DataFlowGraph] = field(default_factory=list)
+    profile_n: Optional[int] = None
+    profile_value: Optional[int] = None
+    profile_image: Optional[Dict[str, array]] = None
 
     @property
     def hot_dfg(self) -> DataFlowGraph:
@@ -116,7 +128,14 @@ def prepare_application(
         raise ValueError(f"workload {workload.name!r}: n={size} is too "
                          f"large ({exc})") from exc
     interpreter = Interpreter(module, memory=memory, backend=backend)
-    interpreter.run(workload.entry, args)
+    outcome = interpreter.run(workload.entry, args)
+    image: Dict[str, array] = {}
+    for name, row in memory.arrays.items():
+        init = module.globals[name].init
+        if row != init:
+            last = max(i for i, (new, old) in enumerate(zip(row, init))
+                       if new != old)
+            image[name] = array("i", row[:last + 1])
     if verify:
         workload.verify(memory, size)
 
@@ -135,6 +154,9 @@ def prepare_application(
         entry=workload.entry,
         profile=interpreter.profile,
         dfgs=dfgs,
+        profile_n=size,
+        profile_value=outcome.value,
+        profile_image=image,
     )
     if store is not None:
         store.put("app", key, app)

@@ -6,8 +6,9 @@ own baseline — and throw all of it away on exit.  A :class:`Session`
 owns the three things worth keeping instead:
 
 * a persistent content-addressed :class:`~repro.store.ArtifactStore`
-  (compiled+profiled applications, identification results, baseline
-  runs survive the process and are shared between concurrent workers);
+  (compiled+profiled applications, which carry the profiling run that
+  doubles as the baseline run, and identification results survive the
+  process and are shared between concurrent workers);
 * a cost model and a :class:`~repro.explore.SearchCache` backed by the
   store, shared by every call so ``identify`` warms ``select`` warms
   ``sweep``;
@@ -175,8 +176,8 @@ class Session:
                 area_method: str = "knapsack"):
         """Measured end-to-end speedup rows (:func:`repro.exec.
         run_speedup`), sharing preparation (the in-process memo and the
-        store), identification and the baseline-run artifact with every
-        other session call."""
+        store; the prepared app's profiling run is the baseline run)
+        and identification with every other session call."""
         from .exec.speedup import run_speedup
 
         return run_speedup(

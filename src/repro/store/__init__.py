@@ -1,8 +1,9 @@
 """Persistent content-addressed artifact storage (DESIGN.md §10, §15).
 
 Every expensive product of the toolchain — compiled+profiled
-applications, exponential identification results, baseline execution
-runs — is content-addressed by SHA-256 over everything it depends on
+applications (with the profiling run's outcome, which is also the
+baseline run) and exponential identification results — is
+content-addressed by SHA-256 over everything it depends on
 (:mod:`repro.store.keys`) and persisted across processes and
 invocations by :class:`repro.store.artifacts.ArtifactStore`.  The
 *medium* behind a store is a pluggable

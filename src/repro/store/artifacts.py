@@ -2,9 +2,9 @@
 
 An :class:`ArtifactStore` maps ``(kind, key)`` pairs to picklable
 payloads, where *kind* names an artifact family (``"app"`` for compiled
-+profiled applications, ``"search"`` for identification results,
-``"baseline"`` for baseline execution runs) and *key* is a SHA-256 hex
-digest derived from content (:mod:`repro.store.keys`).  Properties:
++profiled applications, ``"search"`` for identification results) and
+*key* is a SHA-256 hex digest derived from content
+(:mod:`repro.store.keys`).  Properties:
 
 * **Persistence only.**  Every operation goes to a pluggable
   :class:`~repro.store.backend.StoreBackend` — a directory tree, a
@@ -12,7 +12,7 @@ digest derived from content (:mod:`repro.store.keys`).  Properties:
   that survives the process and is shared by concurrent workers.
   In-process reuse lives with each artifact's consumer (the
   :class:`~repro.explore.cache.SearchCache` dict, ``Session``'s
-  application memo, the sweep's baseline dict), never here.
+  application memo), never here.
 * **Atomic writes.**  Payloads are pickled once here and published
   atomically by the backend — readers see the old blob or the complete
   new one, never a torn write.  Concurrent writers of the same key

@@ -25,7 +25,7 @@ module is the single place those rules live:
 * :func:`canonical_digest` — the generic SHA-256 over a canonical
   (repr-stable) tuple that all of the above reduce to.
 
-Digest inputs are versioned (``dfg-v2``, ``model-v1``, ``app-v1``):
+Digest inputs are versioned (``dfg-v2``, ``model-v1``, ``app-v2``):
 bumping a version string retires every artifact derived under the old
 semantics at once.
 """
@@ -161,7 +161,7 @@ def workload_key(
     """
     size = n if n is not None else workload.default_n
     return canonical_digest(
-        "app-v1",
+        "app-v2",
         PIPELINE_VERSION,
         workload.source,
         workload.entry,

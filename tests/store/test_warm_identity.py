@@ -105,19 +105,32 @@ def test_sweep_artifacts_byte_identical(tmp_path):
     assert cold_json == warm_json == off_json
 
 
-def test_speedup_rows_identical_nostore_cold_warm(tmp_path):
+def test_speedup_rows_identical_nostore_cold_warm(tmp_path, monkeypatch):
+    from repro.exec import speedup as speedup_mod
+
     kwargs = dict(ninstr=4, limits=LIMITS, n=N)
     names = ["fir", "crc32"]
     nostore = Session(store=False).speedup(names, **kwargs)
     cold = Session(store=tmp_path).speedup(names, **kwargs)
     warm_session = Session(store=tmp_path)
+    runs = []
+    run_with_cycles = speedup_mod.run_with_cycles
+    monkeypatch.setattr(
+        speedup_mod, "run_with_cycles",
+        lambda module, *args, **kw: runs.append(module)
+        or run_with_cycles(module, *args, **kw))
     warm = warm_session.speedup(names, **kwargs)
 
     as_dicts = lambda rows: [row.as_dict() for row in rows]
     assert as_dicts(nostore) == as_dicts(cold) == as_dicts(warm)
     assert all(row.identical for row in warm)
-    # Baseline artifacts were shared: the warm run re-ran no baseline.
+    # The stored applications were read back, and their kept profiling
+    # run is the baseline: the warm run executed only the ISE programs.
     assert warm_session.store.stats.hits >= len(names)
+    assert len(runs) == len(names)
+    baselines = [warm_session.prepare(name, n=N).module for name in names]
+    assert not any(module in baselines for module in runs)
+    assert "baseline" not in warm_session.store.info().kinds
 
 
 def test_measured_sweep_identical_with_baseline_artifact(tmp_path):
