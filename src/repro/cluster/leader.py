@@ -8,7 +8,10 @@ one oversized Optimal block pins exactly one worker while every other
 unit drains through the rest, and a fast worker automatically "steals"
 the queue share a slow one cannot take.  A worker's ``get`` blocks on
 the leader until a unit is available or the run is resolved, so no
-worker ever sleeps in a poll loop.  Robustness invariants:
+worker ever sleeps in a poll loop.  Local workers are forked after the
+leader holds the unit list and inherit it, so they are sent
+``("unit", index)``; remote workers are sent ``("unit", index,
+payload)``.  Robustness invariants:
 
 * a unit is *outstanding* from hand-out to result; if the worker's
   connection drops first, the unit is requeued for the next puller;
@@ -89,6 +92,7 @@ class _Handler(socketserver.BaseRequestHandler):
         sock.settimeout(leader.idle_timeout)
         claimed: Optional[int] = None
         name = "?"
+        holds_payloads = False
         try:
             while True:
                 message = recv_msg(sock)
@@ -97,6 +101,10 @@ class _Handler(socketserver.BaseRequestHandler):
                 op = message[0]
                 if op == "hello":
                     name = str(message[1])
+                    # A forked local worker inherited the payload list
+                    # and says so; it is sent unit indices only.  An
+                    # older two-field hello gets full payloads.
+                    holds_payloads = len(message) > 2 and bool(message[2])
                     send_msg(sock, ("welcome", {
                         "fn": leader.fn_path,
                         "units": leader.pending_count(),
@@ -117,7 +125,8 @@ class _Handler(socketserver.BaseRequestHandler):
                     status, index, payload = leader.take(name)
                     if status == "unit":
                         claimed = index
-                        send_msg(sock, ("unit", index, payload))
+                        send_msg(sock, ("unit", index) if holds_payloads
+                                 else ("unit", index, payload))
                     else:
                         send_msg(sock, ("done",))
                 elif op == "ping":
@@ -527,7 +536,7 @@ def scheduled_map(
     try:
         if items and (forks >= 2 or listen):
             leader.start()
-            procs = _fork_workers(leader.address, forks)
+            procs = _fork_workers(leader.address, forks, items)
             if listen:
                 say(f"cluster: leader on {leader.address} "
                     f"({len(items)} unit(s), {len(procs)} local "
@@ -566,15 +575,21 @@ def scheduled_map(
     return leader.results()
 
 
-def _fork_workers(address: str, count: int) -> List:
+def _fork_workers(address: str, count: int, items: Sequence) -> List:
     """Start *count* local worker processes against *address*; returns
-    those that started (none where processes cannot be forked)."""
+    those that started (none where processes cannot be forked).
+
+    Each worker is handed *items*, so the leader sends it unit indices
+    only: under ``fork`` the list is inherited without a copy, under
+    ``spawn`` it is pickled once per worker rather than once per unit.
+    """
     procs: List = []
     try:
         import multiprocessing
         for i in range(count):
             proc = multiprocessing.Process(
-                target=_spawn_target, args=(address, i), daemon=True)
+                target=_spawn_target, args=(address, i, items),
+                daemon=True)
             proc.start()
             procs.append(proc)
     except _SPAWN_ERRORS:
@@ -582,8 +597,8 @@ def _fork_workers(address: str, count: int) -> List:
     return procs
 
 
-def _spawn_target(address: str, index: int) -> None:
+def _spawn_target(address: str, index: int, items: Sequence) -> None:
     """Module-level fork target (kept here so ``scheduled_map`` and the
     worker loop stay importable under ``spawn`` start methods)."""
     from .worker import _local_worker
-    _local_worker(address, index)
+    _local_worker(address, index, items)

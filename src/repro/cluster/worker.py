@@ -9,6 +9,11 @@ the worker resolves it by import, so the protocol is transport-level
 generic while the trust model stays "your own cluster" (the same
 trusted-network assumption the store server documents).
 
+A remote ``repro worker --connect`` node receives each unit with its
+payload.  A local worker forked by :func:`~repro.cluster.scheduled_map`
+already holds the leader's unit list, says so in its hello, and
+receives unit indices only — the payloads never cross the socket.
+
 Workers are stateless and disposable: a worker that crashes mid-unit
 costs nothing but that unit's recompute — the leader requeues it for
 the next puller.  Units are idempotent (content-addressed results), so
@@ -27,7 +32,7 @@ import os
 import socket
 import time
 import traceback
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..chaos.plan import plan_from_env
 from ..wire import WireError, connect, recv_msg, send_msg
@@ -81,13 +86,17 @@ def _sleep_unit(payload):
 
 def worker_loop(address: str, name: Optional[str] = None,
                 timeout: float = 3600.0,
-                echo: Optional[Callable[[str], None]] = None) -> int:
+                echo: Optional[Callable[[str], None]] = None, *,
+                payloads: Optional[Sequence] = None) -> int:
     """Serve one leader until its queue drains; returns units done.
 
     Connects to ``HOST:PORT``, resolves the unit callable the leader
     announces, then pulls units until the leader answers ``done`` (a
     ``get`` blocks on the leader while the queue is empty but units
-    are still outstanding elsewhere).
+    are still outstanding elsewhere).  A worker given *payloads* —
+    the leader's own unit list, inherited by a forked local worker —
+    announces it in its hello and is sent unit indices only; without
+    it every unit arrives with its payload.
     Raises ``ConnectionError``/``OSError`` if the leader is
     unreachable; a connection lost mid-run simply ends the loop (the
     leader requeues whatever this worker held).
@@ -99,7 +108,7 @@ def worker_loop(address: str, name: Optional[str] = None,
     sock = connect(address, timeout=timeout)
     done = 0
     try:
-        send_msg(sock, ("hello", worker_name))
+        send_msg(sock, ("hello", worker_name, payloads is not None))
         welcome = recv_msg(sock)
         if not welcome or welcome[0] != "welcome":
             raise WireError(f"unexpected greeting {welcome!r}")
@@ -117,11 +126,14 @@ def worker_loop(address: str, name: Optional[str] = None,
                 break
             if message[0] != "unit":
                 raise WireError(f"unexpected reply {message[0]!r}")
-            _tag, index, payload = message
+            index = message[1]
             start = time.perf_counter()
             try:
                 if plan is not None:
                     plan.check_unit(index, allow_kill=allow_kill)
+                # A bad index is this unit's failure, not the loop's.
+                payload = (message[2] if payloads is None
+                           else payloads[index])
                 report = ("result", index, fn(payload))
             except Exception:
                 # The unit is poison, not the worker: ship the
@@ -145,11 +157,11 @@ def worker_loop(address: str, name: Optional[str] = None,
     return done
 
 
-def _local_worker(address: str, index: int) -> None:
+def _local_worker(address: str, index: int, payloads: Sequence) -> None:
     """Module-level process target for the leader's local workers
     (must be importable after ``fork``/``spawn``)."""
     try:
-        worker_loop(address, name=f"local{index}")
+        worker_loop(address, name=f"local{index}", payloads=payloads)
     except (ConnectionError, OSError, WireError):
         # A leader that already finished (or died) is not the worker's
         # problem; the leader side accounts for lost units.

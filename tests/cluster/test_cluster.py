@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import socket
 import threading
 
@@ -11,7 +13,8 @@ from repro.cluster import ClusterLeader, scheduled_map, worker_loop
 from repro.cluster.worker import _sleep_unit, resolve_callable
 from repro.explore import SweepSpec, run_sweep
 from repro.store import ArtifactStore
-from repro.wire import connect, recv_msg, send_msg
+from repro.wire import (MAGIC, connect, recv_msg, send_msg,
+                        set_fault_hook)
 
 
 def _echo(payload):
@@ -119,6 +122,88 @@ class TestRunCluster:
 
     def test_empty_payloads(self):
         assert scheduled_map(_sleep_unit, [], workers=2) == ([], [])
+
+
+class _FrameLog:
+    """Wire fault hook that records every frame sent in this process
+    (leader handler threads and thread-run workers alike).  Forked
+    workers inherit the hook; the pid check keeps their frames out."""
+
+    def __init__(self):
+        self.frames = []
+        self._pid = os.getpid()
+
+    def __call__(self, _sock, op, frame):
+        # list.append is atomic; a lock could be inherited held by a
+        # forked worker and deadlock its first send.
+        if op == "send" and os.getpid() == self._pid:
+            self.frames.append(frame)
+
+    def messages(self, tag):
+        """``(frame size, message)`` for each sent frame tagged *tag*."""
+        skip = len(MAGIC) + 4
+        decoded = [(len(f), pickle.loads(f[skip:])) for f in self.frames]
+        return [(size, m) for size, m in decoded if m[0] == tag]
+
+    def __enter__(self):
+        self._previous = set_fault_hook(self)
+        return self
+
+    def __exit__(self, *exc):
+        set_fault_hook(self._previous)
+
+
+class TestUnitFrames:
+    """Forked local workers inherit the unit list and are sent indices;
+    every other worker is sent each unit's payload."""
+
+    BLOB = bytes(64 * 1024)
+
+    def test_forked_workers_receive_indices_only(self):
+        items = [self.BLOB + bytes([i]) for i in range(6)]
+        with _FrameLog() as log:
+            results, reports = scheduled_map(_echo, items, workers=2)
+        assert results == [_echo(item) for item in items]
+        assert all(r.worker.startswith("local") for r in reports)
+        units = log.messages("unit")
+        assert sorted(m[1] for _size, m in units) == list(range(6))
+        assert all(m == ("unit", m[1]) for _size, m in units)
+        # No frame the leader sent carries a payload.
+        assert log.frames and max(len(f) for f in log.frames) < 256
+
+    def test_thread_worker_without_payloads_receives_them(self):
+        items = [self.BLOB + bytes([i]) for i in range(3)]
+        leader = ClusterLeader("tests.cluster.test_cluster:_echo",
+                               items).start()
+        try:
+            with _FrameLog() as log:
+                assert worker_loop(leader.address, name="remote",
+                                   timeout=10) == 3
+            assert leader.wait(timeout=5)
+            assert leader.results()[0] == [_echo(i) for i in items]
+        finally:
+            leader.shutdown()
+        units = log.messages("unit")
+        assert [m[2] for _size, m in units] == items
+        assert all(size > len(self.BLOB) for size, _m in units)
+
+    def test_out_of_range_index_is_quarantined(self):
+        # The worker holds one payload; the leader hands out three.
+        leader = ClusterLeader("tests.cluster.test_cluster:_echo",
+                               ["a", "b", "c"], max_attempts=1).start()
+        try:
+            done = worker_loop(leader.address, name="short",
+                               timeout=10, payloads=["a"])
+            assert done == 1
+            assert leader.wait(timeout=5)
+            results, reports = leader.results()
+        finally:
+            leader.shutdown()
+        assert results == [("ran", "a"), None, None]
+        failed = sorted(r.index for r in reports if r.status == "error")
+        assert failed == [1, 2]
+        assert all("IndexError" in r.error
+                   for r in reports if r.status == "error")
 
 
 def _small_spec():

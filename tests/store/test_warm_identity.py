@@ -133,7 +133,7 @@ def test_speedup_rows_identical_nostore_cold_warm(tmp_path, monkeypatch):
     assert "baseline" not in warm_session.store.info().kinds
 
 
-def test_measured_sweep_identical_with_baseline_artifact(tmp_path):
+def test_measured_sweep_identical_with_stored_application(tmp_path):
     spec = SweepSpec(workloads=("fir",), ports=((4, 2),), ninstrs=(2,),
                      algorithms=("iterative",), measure=True,
                      limit=LIMITS.max_considered, n=N)
