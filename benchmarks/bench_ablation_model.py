@@ -1,10 +1,10 @@
 """Ablations on the evaluation model.
 
-1. **Static estimate vs. dynamic cycle simulation** — the paper's merit
-   function predicts speedups from a profile; the cycle simulator replays
-   the program and charges per executed block.  On the profiling input the
-   two must agree exactly; on a different input the profile generalises
-   (same workload, different length).
+1. **Static estimate vs. measured execution** — the paper's merit
+   function predicts speedups from a profile; ``measure_selection`` runs
+   the ISE-rewritten program and charges per executed block.  On the
+   profiling input the two must agree exactly; on a different input the
+   profile generalises (same workload, different length).
 2. **Cost-model sensitivity** — rerunning the selection with a uniform
    operator model: who-wins (exact >= baselines) must not depend on the
    latency tables.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.afu import simulate_selection
 from repro.core import (
     Constraints,
     SearchLimits,
@@ -25,10 +24,9 @@ from repro.core import (
     select_iterative,
     select_maxmiso,
 )
+from repro.exec import measure_selection
 from repro.hwmodel import CostModel, uniform_cost_model
-from repro.interp import Memory
 from repro.pipeline import prepare_application
-from repro.workloads import get_workload
 
 from _bench_utils import report
 
@@ -37,25 +35,17 @@ LIMITS = SearchLimits(max_considered=800_000)
 CONS = Constraints(nin=4, nout=2, ninstr=8)
 
 
-def _simulate(app, cuts, n):
-    workload = get_workload(app.name)
-    memory = Memory(app.module)
-    args = workload.driver(memory, n)
-    return simulate_selection(app.module, app.entry, args, cuts, MODEL,
-                              memory=memory)
-
-
 @pytest.mark.parametrize("name", ["adpcm-decode", "gsm"])
 def bench_static_vs_dynamic(benchmark, name):
     app = prepare_application(name, n=96)
     selection = select_iterative(app.dfgs, CONS, MODEL, LIMITS)
 
     same_input = benchmark.pedantic(
-        _simulate, args=(app, selection.cuts, 96),
-        iterations=1, rounds=1)
-    other_input = _simulate(app, selection.cuts, 192)
+        measure_selection, args=(app, selection, MODEL),
+        kwargs={"n": 96}, iterations=1, rounds=1)
+    other_input = measure_selection(app, selection, MODEL, n=192)
 
-    saved = same_input.baseline_cycles - same_input.specialized_cycles
+    saved = same_input.baseline_cycles - same_input.ise_cycles
     report("ablation_model",
            f"{name}: static merit {selection.total_merit:.0f} vs dynamic "
            f"saved {saved:.0f} cycles (same input) | speedup "

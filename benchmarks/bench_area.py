@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.afu import build_datapath
 from repro.core import Constraints, SearchLimits, select_iterative
+from repro.exec import rewrite_module
 from repro.hwmodel import CostModel
 
 from _bench_utils import report
@@ -28,8 +28,7 @@ def bench_area_of_selected_datapaths(benchmark, paper_apps, name):
     assert result.cuts
 
     def build_all():
-        return [build_datapath(cut, MODEL, name=f"ise{k}")
-                for k, cut in enumerate(result.cuts)]
+        return rewrite_module(app.module, result.cuts, MODEL).afus
 
     afus = benchmark(build_all)
 

@@ -20,7 +20,7 @@ implements it on top of the same identification machinery:
    comparison.
 
 The result type is the ordinary :class:`SelectionResult`, so area-aware
-selections plug into every existing report and the cycle simulator.
+selections plug into every existing report and into ``repro speedup``.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ interpreter through functional AFU models, and measuring end-to-end
 cycle-count speedups (:mod:`repro.exec.cycles`,
 :mod:`repro.exec.speedup`) — the identify -> rewrite -> execute ->
 measure pipeline behind ``repro speedup`` and Fig. 9/10-style tables.
+The same fused units render as Verilog (:mod:`repro.exec.verilog`).
 """
 
 from .cycles import CycleReport, module_block_costs, run_with_cycles
@@ -28,6 +29,7 @@ from .speedup import (
     measure_selection,
     run_speedup,
 )
+from .verilog import emit_verilog
 
 __all__ = [
     "CycleReport", "module_block_costs", "run_with_cycles",
@@ -35,5 +37,5 @@ __all__ = [
     "clone_module", "rewrite_module",
     "BatchMeasurement", "MeasuredSpeedup", "SpeedupRow",
     "format_speedup_table", "measure_baseline", "measure_batch",
-    "measure_selection", "run_speedup",
+    "measure_selection", "run_speedup", "emit_verilog",
 ]

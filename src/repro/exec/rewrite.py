@@ -50,7 +50,8 @@ from ..passes.constant_folding import evaluate_pure_op
 
 class RewriteError(ValueError):
     """The cuts cannot be spliced into the module (overlapping cuts,
-    instructions that are not present, or a cut spanning blocks)."""
+    instructions that are not present, a cut spanning blocks, or a node
+    no AFU may implement)."""
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,10 @@ def _locate_cuts(
                     f"cut in {cut.dfg.name} contains supernode "
                     f"{node.label}; only plain operation cuts are "
                     f"executable")
+            if node.forbidden:
+                raise RewriteError(
+                    f"cut in {cut.dfg.name} contains {node.label}, which "
+                    f"no AFU may implement (memory access or call)")
             entry = index.get(id(node.insns[0]))
             if entry is None:
                 entry = _locate_by_label(module, cut, node)

@@ -161,7 +161,7 @@ class DataFlowGraph:
         #: Per node, one source tag per instruction operand:
         #: ``('const', value)``, ``('var', input-var name)`` or
         #: ``('node', producer index)``.  Disambiguates reused (non-SSA)
-        #: register names; required for AFU datapath construction.
+        #: register names.
         self.operand_sources: List[Tuple] = (
             operand_sources if operand_sources is not None
             else [() for _ in nodes])

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .afu import build_datapath, emit_verilog
 from .core import Constraints, SearchLimits, SearchResult, find_best_cut
 from .core.selection import SelectionResult
+from .exec.rewrite import rewrite_module
 from .exec.speedup import ALGORITHMS, dispatch_selection
+from .exec.verilog import emit_verilog
 from .explore.cache import SearchCache
 from .hwmodel import CostModel
 from .pipeline import Application, prepare_application
@@ -318,13 +319,15 @@ class Session:
             nout: int = 2, limits: Optional[SearchLimits] = None,
             n: Optional[int] = None, unroll: Optional[int] = None,
             ) -> List[str]:
-        """Verilog module texts for the selected custom instructions."""
+        """Verilog module texts for the selected custom instructions:
+        one per :class:`~repro.exec.rewrite.FusedAFU` the rewritten
+        program executes, with its name, operand and dest order."""
         result = self.select(workload, algorithm="iterative", nin=nin,
                              nout=nout, ninstr=ninstr, limits=limits,
                              n=n, unroll=unroll)
-        return [emit_verilog(build_datapath(cut, self.model,
-                                            name=f"ise{k}"))
-                for k, cut in enumerate(result.cuts)]
+        app = self.prepare(workload, n=n, unroll=unroll)
+        rewritten = rewrite_module(app.module, result.cuts, self.model)
+        return [emit_verilog(afu) for afu in rewritten.afus]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -1,109 +1,139 @@
-"""Tests for schedule legality — the operational meaning of convexity."""
+"""Issuing cuts as single instructions: the rewritten block's schedule.
+
+A selected cut becomes one custom instruction spliced into its block
+(:func:`repro.exec.rewrite_module`); the fused-schedule test
+(:func:`repro.analysis.verifier.check_fused_schedule`, ``V306``) decides
+whether the block can still be ordered around it.  These tests hold the
+rewritten block to the schedule properties: no cuts changes nothing,
+every producer precedes its consumers, a whole-chain cut occupies one
+issue slot, and cuts may not share a node.
+"""
 
 from __future__ import annotations
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.afu.schedule import cut_is_schedulable, schedule_with_cuts
-from repro.core import Constraints, SearchLimits, select_iterative
+from repro.analysis.verifier import check_fused_schedule
+from repro.core.cut import evaluate_cut
+from repro.exec import RewriteError, rewrite_module
 from repro.hwmodel import CostModel
-from repro.ir.synth import make_dfg, paper_figure4_dfg, random_dag_dfg
+from repro.interp import Interpreter, Memory
+from repro.ir.dfg import function_dfgs
 from repro.ir.opcodes import Opcode
+from repro.ir.printer import parse_module
 
 MODEL = CostModel()
 
+BINARY_OPS = ("add", "sub", "mul", "and", "or", "xor")
 
-class TestFigure4Argument:
-    """The paper's Fig. 4: collapsing the non-convex cut {0,1,3} leaves
-    no feasible schedule; the convex repairs all schedule fine."""
 
-    def test_nonconvex_cut_unschedulable(self):
-        dfg = paper_figure4_dfg()
-        assert not cut_is_schedulable(dfg, {0, 1, 3})
+def _dfg_of(module):
+    [dfg] = [d for d in function_dfgs(module.function("f")) if d.n >= 1]
+    return dfg
 
-    @pytest.mark.parametrize("cut", [
-        {0, 1, 2, 3},   # include node 2
-        {1, 3},          # remove node 0
-        {0, 1},          # remove node 3
-    ])
-    def test_repaired_cuts_schedulable(self, cut):
-        dfg = paper_figure4_dfg()
-        assert cut_is_schedulable(dfg, cut)
+
+def _body(module):
+    return module.function("f").entry.instructions
+
+
+def _run_both(module, rewritten, args):
+    base_mem, ise_mem = Memory(module), Memory(rewritten.module)
+    base = Interpreter(module, memory=base_mem).run("f", args)
+    ise = Interpreter(rewritten.module, memory=ise_mem).run("f", args)
+    assert base.value == ise.value
+    assert base_mem.arrays == ise_mem.arrays
+
+
+def _random_block(n: int, rng: random.Random) -> str:
+    """A straight-line function of *n* random binary operations, each
+    reading two earlier values; every value is stored so all of them
+    stay live."""
+    values = ["%a", "%b"]
+    lines = []
+    for k in range(n):
+        lhs, rhs = rng.choice(values), rng.choice(values)
+        lines.append(f"  %v{k} = {rng.choice(BINARY_OPS)} {lhs}, {rhs}")
+        values.append(f"%v{k}")
+    lines += [f"  store out[{k}] = %v{k}" for k in range(n)]
+    lines.append(f"  ret %v{n - 1}")
+    return (f"global out[{n}]\n\nfunc f(a, b):\nentry:\n"
+            + "\n".join(lines) + "\n")
 
 
 class TestSchedule:
     def test_empty_cut_list(self):
-        dfg = make_dfg([Opcode.ADD, Opcode.MUL], [(0, 1)], live_out=[1])
-        schedule = schedule_with_cuts(dfg)
-        assert len(schedule) == 2
+        module = parse_module("""
+global out[1]
+
+func f(a, b):
+entry:
+  %t0 = add %a, %b
+  %t1 = mul %t0, %a
+  store out[0] = %t1
+  ret %t1
+""")
+        body = _body(module)
+        assert check_fused_schedule(body, []) is None
+        rewritten = rewrite_module(module, [], MODEL)
+        assert rewritten.num_instructions == 0
+        assert rewritten.rewritten_blocks == 0
+        assert [str(i) for i in _body(rewritten.module)] == \
+            [str(i) for i in body]
 
     def test_respects_dependences(self):
         rng = random.Random(1)
-        dfg = random_dag_dfg(10, rng, edge_prob=0.4)
-        schedule = schedule_with_cuts(dfg)
-        position = {}
-        for slot in schedule:
-            for node in slot.nodes:
-                position[node] = slot.step
-        for producer in range(dfg.n):
-            for consumer in dfg.succs[producer]:
-                assert position[producer] < position[consumer]
+        module = parse_module(_random_block(10, rng))
+        dfg = _dfg_of(module)
+        legal = [i for i in range(dfg.n) if not dfg.nodes[i].forbidden]
+        cuts = []
+        while len(cuts) < 8:
+            members = {i for i in legal if rng.random() < 0.4}
+            if members and dfg.is_convex(members):
+                cuts.append(evaluate_cut(dfg, members, MODEL))
+        for cut in cuts:
+            rewritten = rewrite_module(module, [cut], MODEL)
+            assert rewritten.num_instructions == 1
+            defined = {"a", "b"}
+            for insn in _body(rewritten.module):
+                assert set(insn.uses()) <= defined, str(insn)
+                defined.update(insn.defs())
+            _run_both(module, rewritten, (5, -3))
 
     def test_cut_becomes_one_slot(self):
-        dfg = make_dfg([Opcode.MUL, Opcode.ADD, Opcode.XOR],
-                       [(0, 1), (1, 2)], live_out=[2])
+        module = parse_module("""
+global out[1]
+
+func f(a, b):
+entry:
+  %t0 = mul %a, %b
+  %t1 = add %t0, %a
+  %t2 = xor %t1, %b
+  ret %t2
+""")
+        dfg = _dfg_of(module)
         chain = [n.index for n in dfg.nodes]
-        schedule = schedule_with_cuts(dfg, [chain])
-        assert len(schedule) == 1
-        assert schedule[0].is_cut
+        assert check_fused_schedule(_body(module), [{0, 1, 2}]) is None
+        rewritten = rewrite_module(module, [evaluate_cut(dfg, chain, MODEL)],
+                                   MODEL)
+        body = _body(rewritten.module)
+        ops = [i.opcode for i in body if not i.is_terminator]
+        assert ops == [Opcode.ISE]
+        _run_both(module, rewritten, (6, 7))
 
     def test_overlapping_cuts_rejected(self):
-        dfg = make_dfg([Opcode.MUL, Opcode.ADD], [(0, 1)], live_out=[1])
-        with pytest.raises(ValueError):
-            schedule_with_cuts(dfg, [{0, 1}, {1}])
+        module = parse_module("""
+global out[1]
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 31), st.integers(2, 10))
-def test_schedulability_equals_convexity(seed, n):
-    """For single cuts, the scheduler's verdict must coincide with the
-    DFG convexity predicate on every random subset."""
-    rng = random.Random(seed)
-    dfg = random_dag_dfg(n, rng, edge_prob=0.4)
-    for _ in range(8):
-        cut = {i for i in range(n) if rng.random() < 0.5}
-        if not cut:
-            continue
-        assert cut_is_schedulable(dfg, cut) == dfg.is_convex(cut)
-
-
-class TestSelectedCutsSchedule:
-    def test_iterative_selection_is_schedulable(self, adpcm_decode_app):
-        """Everything the selection returns must schedule together."""
-        cons = Constraints(nin=4, nout=2, ninstr=4)
-        result = select_iterative(adpcm_decode_app.dfgs, cons, MODEL,
-                                  SearchLimits(max_considered=400_000))
-        # Group the cuts by their (collapsed) source block: schedule each
-        # block's original DFG with the nodes mapped back by instruction
-        # identity.
-        by_block = {}
-        for cut in result.cuts:
-            by_block.setdefault(cut.dfg.name, []).append(cut)
-        for name, cuts in by_block.items():
-            original = next(d for d in adpcm_decode_app.dfgs
-                            if d.name == name)
-            insn_to_node = {
-                id(node.insns[0]): node.index
-                for node in original.nodes if len(node.insns) == 1
-            }
-            mapped = []
-            for cut in cuts:
-                nodes = set()
-                for i in cut.nodes:
-                    for insn in cut.dfg.nodes[i].insns:
-                        nodes.add(insn_to_node[id(insn)])
-                mapped.append(nodes)
-            schedule_with_cuts(original, mapped)   # must not raise
+func f(a, b):
+entry:
+  %t0 = mul %a, %b
+  %t1 = add %t0, %a
+  ret %t1
+""")
+        dfg = _dfg_of(module)
+        both = evaluate_cut(dfg, range(dfg.n), MODEL)
+        one = evaluate_cut(dfg, [0], MODEL)
+        with pytest.raises(RewriteError, match="overlap"):
+            rewrite_module(module, [both, one], MODEL)

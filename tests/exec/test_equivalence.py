@@ -74,14 +74,32 @@ def test_uniform_model_equivalence(apps):
 
 def test_measurement_generalises_to_other_input_sizes(apps):
     """Measuring on a different n than the profile still runs bit-exact
-    (the speedup may differ — that is the experiment's point)."""
+    and still speeds up (the speedup may differ — that is the
+    experiment's point); the baseline grows with n."""
     app = apps["crc32"]
     constraints = Constraints(nin=4, nout=2, ninstr=8)
     result = select_iterative(app.dfgs, constraints, MODEL, LIMITS)
+    baselines = []
     for other_n in (16, 96):
         measured = measure_selection(app, result, MODEL, n=other_n)
         assert measured.identical
         assert measured.baseline_cycles > 0
+        assert measured.speedup > 1.2
+        baselines.append(measured.baseline_cycles)
+    assert baselines[0] < baselines[1]      # baseline cycles grow with n
+
+
+def test_more_instructions_never_slower(apps):
+    """Measured speedup is non-decreasing in Ninstr."""
+    app = apps["gsm"]
+    speedups = []
+    for ninstr in (1, 2, 4):
+        constraints = Constraints(nin=4, nout=2, ninstr=ninstr)
+        result = select_iterative(app.dfgs, constraints, MODEL, LIMITS)
+        measured = measure_selection(app, result, MODEL, n=N)
+        assert measured.identical
+        speedups.append(measured.speedup)
+    assert speedups == sorted(speedups)
 
 
 def test_empty_selection_is_identity(apps):

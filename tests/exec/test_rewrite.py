@@ -218,6 +218,37 @@ class TestOverlapRejected:
             rewrite_module(module, [a, b], MODEL)
 
 
+class TestForbiddenNodesRejected:
+    # Memory accesses can never join an AFU.  Spliced in anyway, a
+    # {load} cut became a LOAD gate without its array (the program then
+    # trapped) and a {store} cut crashed the rewrite.
+    @pytest.mark.parametrize("opcode", [Opcode.LOAD, Opcode.STORE])
+    def test_memory_node_cut_raises(self, adpcm_decode_app, opcode):
+        dfg = adpcm_decode_app.hot_dfg
+        node = next(i for i in range(dfg.n)
+                    if dfg.nodes[i].opcode is opcode)
+        assert dfg.nodes[node].forbidden
+        cut = evaluate_cut(dfg, {node}, MODEL)
+        with pytest.raises(RewriteError, match="no AFU may implement"):
+            rewrite_module(adpcm_decode_app.module, [cut], MODEL,
+                           verify=False)
+
+
+class TestSelectedCutsSchedule:
+    def test_iterative_selection_is_schedulable(self, adpcm_decode_app):
+        """Everything the selection returns must issue together: no cut
+        is skipped, and every scheduling decision agrees with V306."""
+        from repro.core import Constraints, SearchLimits, select_iterative
+
+        cons = Constraints(nin=4, nout=2, ninstr=4)
+        result = select_iterative(adpcm_decode_app.dfgs, cons, MODEL,
+                                  SearchLimits(max_considered=400_000))
+        rewritten = rewrite_module(adpcm_decode_app.module, result.cuts,
+                                   MODEL, verify=True)
+        assert rewritten.skipped == []
+        assert rewritten.num_instructions == len(result.cuts)
+
+
 class TestLiveOutAcrossBlocks:
     # The fused value crosses a block boundary and feeds a loop-carried
     # register, so the copy-back path is exercised.

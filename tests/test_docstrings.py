@@ -21,7 +21,7 @@ MODULES = [
     "repro",
     "repro.core.selection",
     "repro.explore.runner",
-    "repro.afu.simulator",
+    "repro.exec.verilog",
     "repro.exec",
     "repro.exec.rewrite",
     "repro.exec.cycles",
