@@ -6,12 +6,12 @@ twice:
 
 1. **Reference** — serial, against a pristine SQLite store: the
    fault-free rows and store key set;
-2. **Chaos** — ``--workers N`` workers against the same kind of store
-   served over TCP through a :class:`~repro.chaos.backend.
-   FaultyBackend`, under a seeded :class:`~repro.chaos.plan.
-   FaultPlan` injecting flaky store reads, wire resets/truncations, a
-   poison unit and a worker kill — while a scheduled server restart
-   (or permanent outage) happens mid-run;
+2. **Chaos** — ``--workers N`` workers, with the leader reading and
+   writing the same kind of store served over TCP through a
+   :class:`~repro.chaos.backend.FaultyBackend`, under a seeded
+   :class:`~repro.chaos.plan.FaultPlan` injecting flaky store reads,
+   wire resets/truncations, a poison unit and a worker kill — while
+   a scheduled server restart (or permanent outage) happens mid-run;
 
 then asserts the core invariant: **every surviving result is
 bit-identical to the fault-free run**.  Rows must match exactly
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
@@ -146,23 +145,6 @@ def _strip_rows(rows: List[dict]) -> List[dict]:
             for row in rows]
 
 
-@contextmanager
-def _env(name: str, value: Optional[str]):
-    """Set (or clear) one environment variable for the scope."""
-    previous = os.environ.get(name)
-    if value is None:
-        os.environ.pop(name, None)
-    else:
-        os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
-
-
 def _server_saboteur(holder: dict, profile: str, port: int,
                      backend, say: Callable[[str], None]) -> None:
     """Thread body: stop (and for ``restart`` revive) the store server
@@ -270,7 +252,7 @@ def run_chaos(
             args=(holder, server, port, faulty, say),
             name="repro-chaos-saboteur", daemon=True)
 
-    # Client/worker retry budgets per profile: "restart" must outlast
+    # Client retry budgets per profile: "restart" must outlast
     # the outage even at minimum backoff jitter (eight retries at
     # base 0.02s sum to >2s of sleep, well past the ~0.5s gap, and
     # connect-refused attempts are near-instant); "down" must fail
@@ -287,8 +269,7 @@ def run_chaos(
         f"store {live.spec})")
     start = time.perf_counter()
     try:
-        with _env("REPRO_STORE_RETRIES", str(retries)), \
-                env_plan(plan), wire_faults(plan):
+        with env_plan(plan), wire_faults(plan):
             if saboteur is not None:
                 saboteur.start()
             outcome = run_sweep(

@@ -539,20 +539,23 @@ def cmd_check(args) -> int:
 def cmd_fuzz(args) -> int:
     """Differential fuzzing campaign (DESIGN.md §14).
 
-    Each generated program runs through the full pipeline — three
-    backends, baseline vs. rewritten, single vs. batched lanes, the
-    verifier and the selection checker — and any bit-level divergence
-    is a failure, shrunk to a minimal reproducer under
-    ``--artifacts``.  An invalid-program sweep of the same size rides
-    along, holding the frontend to structured diagnostics.  ``--soak``
-    repeats rounds (advancing the base seed) until interrupted.
+    Each generated program runs through the full pipeline — both
+    execution backends (walker and compiled), baseline vs. rewritten,
+    single vs. batched lanes, the verifier and the selection checker —
+    and any bit-level divergence is a failure, shrunk to a minimal
+    reproducer under ``--artifacts``.  An invalid-program sweep of the
+    same size rides along, holding the frontend to structured
+    diagnostics.  ``--soak`` repeats rounds (advancing the base seed)
+    until interrupted.
 
     stdout carries the byte-stable summary (or ``--json``); per-round
     soak telemetry goes to stderr like every other verb's timing.
     """
     from .fuzz import check_invalid_corpus
 
-    session = _make_session(args)
+    # Generated programs are throwaways: the campaign never touches
+    # the store.
+    session = Session(store=False)
     rounds = 0
     programs = 0
     failed: List[str] = []
@@ -657,10 +660,10 @@ def cmd_worker(args) -> int:
 
 def cmd_store(args) -> int:
     from .store import StoreServer, open_backend
-    from .store.artifacts import default_store_spec
+    from .store.artifacts import default_backend_spec
     from .wire import parse_address
 
-    spec = args.store_dir or default_store_spec()
+    spec = args.store_dir or default_backend_spec()
     if spec is None:
         raise SystemExit("store: persistent store disabled by "
                          "$REPRO_STORE; pass --store-dir")
@@ -853,9 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "results bit-identical to serial)")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
                    help="additionally accept remote 'repro worker "
-                        "--connect' nodes on this address (use a "
-                        "shared tcp:// or sqlite: --store-dir so "
-                        "they reach the same artifacts)")
+                        "--connect' nodes on this address (workers "
+                        "return their results here and need no "
+                        "store of their own)")
     _add_store(p)
     _add_backend(p)
     p.set_defaults(fn=cmd_sweep)
@@ -972,8 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fuzz",
-        help="differential fuzzing: generated programs through three "
-             "backends, rewrite and batch, bit-identical or it fails")
+        help="differential fuzzing: generated programs through both "
+             "execution backends, rewrite and batch, bit-identical or "
+             "it fails")
     p.add_argument("--count", type=int, default=200,
                    help="programs per campaign/round (default 200)")
     p.add_argument("--seed", type=int, default=0,
@@ -1000,7 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max cuts considered per search")
     p.add_argument("--json", action="store_true",
                    help="machine-readable campaign summary")
-    _add_store(p)
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser(
@@ -1077,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "store",
         help="run store services (serve: export a store over TCP "
-             "for tcp:// clients and remote sweep workers)")
+             "for tcp:// clients on other processes and nodes)")
     p.add_argument("action", choices=["serve"],
                    help="serve: accept tcp:// store clients until "
                         "interrupted")

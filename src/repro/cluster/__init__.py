@@ -21,9 +21,10 @@ fabric:
   socket, no thread, the same quarantine and report semantics.
 
 Results are bit-identical to a serial sweep regardless of topology:
-units are pure functions of their payload, the shared artifact store
-(or the returned entry lists) is the only communication medium, and
-the leader evaluates the grid itself from the merged cache.
+units are pure functions of their payload, the returned entry lists
+are the only communication medium (workers open no store; the leader
+alone writes it), and the leader evaluates the grid itself from the
+merged cache.
 """
 
 from .leader import ClusterLeader, scheduled_map

@@ -108,7 +108,6 @@ class _Handler(socketserver.BaseRequestHandler):
                     send_msg(sock, ("welcome", {
                         "fn": leader.fn_path,
                         "units": leader.pending_count(),
-                        "store": leader.store_spec,
                     }))
                 elif op in ("get", "result", "error"):
                     # A report is answered with the next unit, like a
@@ -155,22 +154,18 @@ class ClusterLeader:
     def __init__(self, fn_path: Optional[str], payloads: Sequence,
                  size_hints: Optional[Sequence[float]] = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 store_spec: Optional[str] = None,
                  idle_timeout: float = 3600.0,
                  max_attempts: int = 3,
                  unit_deadline: Optional[float] = None) -> None:
         """Stage *payloads* for serving; call :meth:`start` to listen.
 
         ``port=0`` binds an ephemeral port (read it back from
-        :attr:`address`).  *store_spec* is advisory metadata echoed to
-        workers in the welcome (payloads carry their own store spec).
-        *max_attempts* caps how often one unit is handed out before it
-        is quarantined as failed; *unit_deadline* (seconds) is how long
-        a unit may stay outstanding on one worker before
-        :meth:`expire_deadlines` takes it back.
+        :attr:`address`).  *max_attempts* caps how often one unit is
+        handed out before it is quarantined as failed; *unit_deadline*
+        (seconds) is how long a unit may stay outstanding on one worker
+        before :meth:`expire_deadlines` takes it back.
         """
         self.fn_path = fn_path
-        self.store_spec = store_spec
         self.idle_timeout = idle_timeout
         self.max_attempts = max(1, max_attempts)
         self.unit_deadline = unit_deadline
@@ -490,7 +485,6 @@ def scheduled_map(
     workers: Optional[int] = None,
     size_hints: Optional[Sequence[float]] = None,
     listen: Optional[str] = None,
-    store_spec: Optional[str] = None,
     echo: Optional[Callable[[str], None]] = None,
     poll_s: float = 0.1,
     max_attempts: int = 3,
@@ -528,7 +522,6 @@ def scheduled_map(
         host, port = parse_address(listen, default_port=DEFAULT_PORT)
     leader = ClusterLeader(fn_path, items, size_hints=size_hints,
                            host=host, port=port,
-                           store_spec=store_spec,
                            max_attempts=max_attempts,
                            unit_deadline=unit_deadline)
     started = time.monotonic()

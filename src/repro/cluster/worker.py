@@ -2,12 +2,12 @@
 
 A worker is a pull loop: connect to the leader, announce itself, then
 repeatedly request a unit, execute it, and send the result back.  The
-unit payloads are self-contained (they carry the store spec the
-leader's planner embedded), and the *function* each unit runs is named
-by the leader in its welcome message as a ``module:callable`` path —
-the worker resolves it by import, so the protocol is transport-level
-generic while the trust model stays "your own cluster" (the same
-trusted-network assumption the store server documents).
+unit payloads are self-contained, each result travels back to the
+leader (a worker opens no store), and the *function* each unit runs is
+named by the leader in its welcome message as a ``module:callable``
+path — the worker resolves it by import, so the protocol is
+transport-level generic while the trust model stays "your own cluster"
+(the same trusted-network assumption the store server documents).
 
 A remote ``repro worker --connect`` node receives each unit with its
 payload.  A local worker forked by :func:`~repro.cluster.scheduled_map`
@@ -115,8 +115,7 @@ def worker_loop(address: str, name: Optional[str] = None,
         meta = welcome[1]
         fn = resolve_callable(meta["fn"])
         say(f"{worker_name}: connected to {address}, "
-            f"{meta.get('units', '?')} unit(s) pending, fn {meta['fn']}"
-            + (f", store {meta['store']}" if meta.get("store") else ""))
+            f"{meta.get('units', '?')} unit(s) pending, fn {meta['fn']}")
         # The leader answers every report with the next unit (or
         # "done"), so a unit costs one round trip.
         send_msg(sock, ("get",))

@@ -9,7 +9,8 @@ combinational (Section 2: no architecturally visible state), so no clock
 is emitted — the surrounding pipeline registers the results.
 
 Wire and port names are the rewrite's register names made legal
-(``ise.7`` -> ``ise_7``); live-in registers keep their names.
+(``ise.7`` -> ``ise_7``); live-in registers keep their names unless a
+name is a Verilog keyword (``begin`` -> ``begin_``).
 """
 
 from __future__ import annotations
@@ -39,19 +40,41 @@ _BINARY_FMT = {
     Opcode.REM: "$signed({a}) % $signed({b})",
 }
 
+#: IEEE 1364-2005 reserved words: a MiniC variable named like one
+#: cannot be a port or wire name as it is.
+_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez
+    cell cmos config deassign default defparam design disable edge else
+    end endcase endconfig endfunction endgenerate endmodule endprimitive
+    endspecify endtable endtask event for force forever fork function
+    generate genvar highz0 highz1 if ifnone incdir include initial inout
+    input instance integer join large liblist library localparam
+    macromodule medium module nand negedge nmos nor noshowcancelled not
+    notif0 notif1 or output parameter pmos posedge primitive pull0 pull1
+    pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real
+    realtime reg release repeat rnmos rpmos rtran rtranif0 rtranif1
+    scalared showcancelled signed small specify specparam strong0
+    strong1 supply0 supply1 table task time tran tranif0 tranif1 tri
+    tri0 tri1 triand trior trireg unsigned use uwire vectored wait wand
+    weak0 weak1 while wire wor xnor xor
+""".split())
+
 
 def _identifiers(afu: FusedAFU) -> Tuple[Dict[str, str], List[str]]:
     """Distinct Verilog identifiers for the unit's wires and output ports.
 
     Returns ``(wires, outputs)``: every input port and gate output mapped
-    to a legal identifier (``.`` -> ``_``, a leading digit gets ``w``),
-    and the ``<wire>_out`` name of each output in ``output_wires`` order.
-    A name that sanitises onto one already taken (``x.1`` beside ``x_1``)
-    gets a ``_<k>`` suffix.
+    to a legal identifier (``.`` -> ``_``, a leading digit gets ``w``,
+    a keyword gets a trailing ``_``), and the ``<wire>_out`` name of
+    each output in ``output_wires`` order.  A name that sanitises onto
+    one already taken (``x.1`` beside ``x_1``, ``begin`` beside
+    ``begin_``) gets a ``_<k>`` suffix.
     """
     taken: Set[str] = set()
 
     def claim(base: str) -> str:
+        if base in _KEYWORDS:
+            base += "_"
         ident, k = base, 0
         while ident in taken:
             k += 1

@@ -41,15 +41,15 @@ The cache object itself is the duck-typed ``cache=`` hook accepted by
 :func:`~repro.core.multi_cut.find_best_cuts` and the selection
 strategies; :mod:`repro.explore.runner` shares one across processes by
 warming per-``(block, constraint)`` entries in workers and merging the
-returned entries into the parent's store.
+returned entries into the leader's cache — and through it into the
+leader's store, the only writer of warm results.
 
 **Memory and persistence.**  The cache's dict is the one in-process
 memo of search results.  A cache may also be *backed* by a
 :class:`repro.store.ArtifactStore`, which is persistence only:
 in-memory misses fall through to the store (hits promote into the
-dict), puts spill to it, and — because the store's medium is shared
-(a directory, an SQLite file or a ``tcp://`` server) — warm workers
-and later processes inherit every entry without pickled round-trips.
+dict), puts spill to it, and later processes — on any node, through an
+SQLite file or a ``tcp://`` server — inherit every entry.
 While the store is down or degraded the dict still serves everything
 this process computed.  Keys are already pure content (digests plus
 plain numbers), so the in-memory tuple key hashes directly into a
@@ -94,16 +94,16 @@ class SearchCache:
 
     The in-memory memo is the plain dict ``store``.  :meth:`entries`/
     :meth:`merge` move entries between caches — the sweep runner's
-    workers each fill a local cache and the parent merges what they
-    return, which shares the memo across processes without requiring
-    OS-level shared memory (a store-less sweep has no other channel
-    back from its workers).
+    workers each fill a local, unbacked cache and the leader merges
+    what they return, which shares the memo across processes and nodes
+    without OS-level shared memory; it is the one channel back from a
+    worker.
 
     ``backing`` optionally adds persistence (an
     :class:`repro.store.ArtifactStore`): gets fall through to it on an
-    in-memory miss and promote on hit, puts spill to it, and presence
-    checks consult it — which is how warm-start sessions and sibling
-    worker processes share one memo through the store's medium.
+    in-memory miss and promote on hit, puts (and merged entries) spill
+    to it, and presence checks consult it — which is how warm-start
+    sessions share one memo through the store's medium.
     """
 
     #: Artifact kind of spilled entries in the backing store.

@@ -11,15 +11,14 @@ phases:
    work-stealing :func:`repro.cluster.scheduled_map` — to ``workers``
    forked local processes, to remote ``repro worker`` nodes
    (``listen=``), or inline when serial.  Each worker fills a local
-   :class:`~repro.explore.cache.SearchCache` and returns its entries
-   (or spills them into the shared persistent store); the parent
-   merges them, which shares the memo across processes — and, through
-   a ``tcp://`` or ``sqlite:`` store, across nodes — without OS-level
-   shared memory.  A worker warms a *chain* (the block's find-best/
-   collapse sequence, deep enough for both the iterative rows and the
-   area rows' candidate pools) or a *multi*-cut seed (for Optimal
-   rows); per-unit wall time and worker identity land in
-   ``SweepOutcome.unit_reports``;
+   :class:`~repro.explore.cache.SearchCache` and returns its entries;
+   the leader merges them — the only code that writes warm results to
+   the persistent store — which shares the memo across processes and
+   nodes without OS-level shared memory or a shared store medium.  A
+   worker warms a *chain* (the block's find-best/collapse sequence,
+   deep enough for both the iterative rows and the area rows'
+   candidate pools) or a *multi*-cut seed (for Optimal rows); per-unit
+   wall time and worker identity land in ``SweepOutcome.unit_reports``;
 3. **Evaluate** — every grid point runs through the ordinary selection
    algorithms with the shared cache.  Identification is a hit by then,
    and everything on top is polynomial — this is where a sweep over
@@ -66,32 +65,20 @@ _WarmTask = Tuple[str, int]
 def _warm_unit(job: Tuple) -> List[Tuple[Tuple, object]]:
     """Module-level worker: compute one (block, constraint) unit's
     identification obligations into a local cache and return its
-    entries (picklable) for the parent to merge.
-
-    When the job names a persistent store spec (a directory path,
-    ``sqlite:PATH`` or ``tcp://HOST:PORT``), the worker's cache spills
-    every entry straight into that shared store and returns nothing —
-    the parent (and any later process, on any node) reads the entries
-    back through its own backing store instead of a pickled round-trip.
-    The store is closed before returning, so a ``tcp://`` unit never
-    leaves its socket behind for the garbage collector."""
-    dfg, nin, nout, model_name, limits, tasks, store_spec = job
-    backing = ArtifactStore(store_spec) if store_spec is not None else None
-    cache = SearchCache(backing=backing)
-    try:
-        model = resolve_model(model_name)
-        cons = Constraints(nin=nin, nout=nout)
-        for kind, arg in tasks:
-            if kind == "chain":
-                # The first *arg* links: the single-cut entries every
-                # iterative and area row of the block reads.
-                CollapseChain(dfg, cons, model, limits, cache).link(arg - 1)
-            elif kind == "multi":
-                find_best_cuts(dfg, cons, arg, model, limits, cache=cache)
-    finally:
-        if backing is not None:
-            backing.close()
-    return [] if backing is not None else cache.entries()
+    entries (picklable) for the leader to merge.  A unit touches no
+    store: the leader's merge is the only writer of warm results."""
+    dfg, nin, nout, model_name, limits, tasks = job
+    cache = SearchCache()
+    model = resolve_model(model_name)
+    cons = Constraints(nin=nin, nout=nout)
+    for kind, arg in tasks:
+        if kind == "chain":
+            # The first *arg* links: the single-cut entries every
+            # iterative and area row of the block reads.
+            CollapseChain(dfg, cons, model, limits, cache).link(arg - 1)
+        elif kind == "multi":
+            find_best_cuts(dfg, cons, arg, model, limits, cache=cache)
+    return cache.entries()
 
 
 #: Relative cost weight of one warm task kind, multiplied by the task
@@ -107,7 +94,7 @@ def _unit_hint(job: Tuple) -> float:
     work-stealing scheduler dispatches largest-first so the plausibly
     longest-running (block, constraint) unit starts immediately
     instead of serializing the tail of the warm phase."""
-    dfg, _nin, _nout, _model, _limits, tasks, _store = job
+    dfg, _nin, _nout, _model, _limits, tasks = job
     weight = sum(_TASK_WEIGHTS.get(kind, 1.0) * max(1, arg)
                  for kind, arg in tasks)
     return float(dfg.n) * weight
@@ -129,7 +116,6 @@ def _plan_units(
     spec: SweepSpec,
     apps: Dict[str, Application],
     cache: SearchCache,
-    store_spec: Optional[str] = None,
 ) -> List[Tuple]:
     """The unique (block, constraint) warm jobs the grid implies,
     deduplicated by (graph digest, ports, model) and filtered down to
@@ -173,8 +159,7 @@ def _plan_units(
                     else:
                         entry[4].extend(t for t in tasks
                                         if t not in entry[4])
-    return [(dfg, nin, nout, model_name, spec.limits, tuple(tasks),
-             store_spec)
+    return [(dfg, nin, nout, model_name, spec.limits, tuple(tasks))
             for dfg, nin, nout, model_name, tasks in planned.values()]
 
 
@@ -373,9 +358,8 @@ def run_sweep(
             runs (``"walk"``/``"compiled"``; default ``$REPRO_BACKEND``,
             else compiled).  Rows are byte-identical either way.
         listen: ``HOST:PORT`` the leader additionally accepts remote
-            ``repro worker --connect`` nodes on; point the store at a
-            shared medium (``tcp://`` / ``sqlite:``) so remote workers
-            reach the same artifacts.
+            ``repro worker --connect`` nodes on.  Workers return their
+            entries to the leader, so they need no access to *store*.
         unit_attempts: hand-out budget per warm unit before it is
             quarantined into ``failed_units`` (the sweep then
             recomputes its obligations).
@@ -410,15 +394,12 @@ def run_sweep(
 
     if cache is not None:
         start = time.perf_counter()
-        store_spec = (store.spec
-                      if store is not None and cache.backing is store
-                      else None)
-        jobs = _plan_units(spec, apps, cache, store_spec=store_spec)
+        jobs = _plan_units(spec, apps, cache)
         outcome.warm_units = len(jobs)
         unit_entries, reports = scheduled_map(
             _warm_unit, jobs, workers=workers,
             size_hints=[_unit_hint(job) for job in jobs], listen=listen,
-            store_spec=store_spec, echo=say, max_attempts=unit_attempts,
+            echo=say, max_attempts=unit_attempts,
             unit_deadline=unit_deadline, deadline=cluster_deadline)
         for entries in unit_entries:
             if entries is not None:

@@ -7,9 +7,10 @@ The package turns the toolchain into its own oracle:
   regions, branchy single-entry chains, memory-carried dependences,
   near-port-limit operand pools), plus an invalid-program mode for
   frontend error paths;
-* :mod:`~repro.fuzz.oracle` — one program through everything: three
-  backends, baseline vs. rewritten, single vs. batched lanes, verifier
-  and selection checker, all bit-identical or it's a finding;
+* :mod:`~repro.fuzz.oracle` — one program through everything: both
+  execution backends (``BACKENDS``: compiled and walker), baseline vs.
+  rewritten, single vs. batched lanes, verifier and selection checker,
+  all bit-identical or it's a finding;
 * :mod:`~repro.fuzz.reduce` — ddmin + brace-unwrap shrinking of any
   failure to a small reproducer;
 * :mod:`~repro.fuzz.campaign` — N-program sweeps with telemetry and

@@ -213,13 +213,13 @@ def image_verifier(expected_value: Optional[int],
 
     The returned callable plugs into :func:`run_batch`'s ``verify``
     hook: it asserts the lane's return value and the *entire* memory
-    image match the expected state word-for-word.  The intended
-    protocol (used by ``measure_batch``, ``repro run --inputs`` and the
-    batch benchmark): run a one-lane reference batch with
-    ``keep_arrays=True``, verify it against the workload's golden
-    model, then hold every remaining lane to that reference — the
-    comparison is two C-speed equality checks per lane, cheap enough
-    to keep inside the timed loop.
+    image match the expected state word-for-word.  ``measure_batch``
+    takes the expected state from ``measure_baseline``'s kept
+    profiling run, checks it against the workload's golden model, and
+    holds every lane to it (``repro run --inputs`` and the batch
+    benchmark take a golden-verified one-lane ``keep_arrays=True``
+    batch instead) — the comparison is two C-speed equality checks per
+    lane, cheap enough to keep inside the timed loop.
     """
     def check(memory: Memory, lane: LaneResult) -> None:
         assert lane.value == expected_value
@@ -242,15 +242,6 @@ def driver_lanes(module: Module,
     one prepared workload — without paying the driver per input.
     """
     scratch = Memory(module)
-    template = {name: list(row) for name, row in scratch.arrays.items()}
     args = tuple(driver(scratch, n))
-    overlay: Dict[str, List[int]] = {}
-    for name, row in scratch.arrays.items():
-        init = template[name]
-        if row == init:
-            continue
-        last = max(i for i, (new, old) in enumerate(zip(row, init))
-                   if new != old)
-        overlay[name] = list(row[:last + 1])
-    lane = Lane(args=args, arrays=overlay)
+    lane = Lane(args=args, arrays=scratch.changed_rows(module))
     return [lane] * count

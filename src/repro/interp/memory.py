@@ -68,6 +68,19 @@ class Memory:
             length = len(row) - offset
         return list(row[offset:offset + length])
 
+    def changed_rows(self, module: Module) -> Dict[str, List[int]]:
+        """Each row that differs from *module*'s initial globals,
+        trimmed to its last changed word: rows and suffixes still at
+        their initial values are left out."""
+        changed: Dict[str, List[int]] = {}
+        for name, row in self.arrays.items():
+            init = module.globals[name].init
+            if row != init:
+                last = max(i for i, (new, old)
+                           in enumerate(zip(row, init)) if new != old)
+                changed[name] = row[:last + 1]
+        return changed
+
     def scalar(self, name: str) -> int:
         """Value of a global scalar (size-1 array)."""
         return self._row(name, "scalar read of")[0]

@@ -129,13 +129,8 @@ def prepare_application(
                          f"large ({exc})") from exc
     interpreter = Interpreter(module, memory=memory, backend=backend)
     outcome = interpreter.run(workload.entry, args)
-    image: Dict[str, array] = {}
-    for name, row in memory.arrays.items():
-        init = module.globals[name].init
-        if row != init:
-            last = max(i for i, (new, old) in enumerate(zip(row, init))
-                       if new != old)
-            image[name] = array("i", row[:last + 1])
+    image = {name: array("i", row)
+             for name, row in memory.changed_rows(module).items()}
     if verify:
         workload.verify(memory, size)
 

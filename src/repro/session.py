@@ -8,7 +8,7 @@ owns the three things worth keeping instead:
 * a persistent content-addressed :class:`~repro.store.ArtifactStore`
   (compiled+profiled applications, which carry the profiling run that
   doubles as the baseline run, and identification results survive the
-  process and are shared between concurrent workers);
+  process and are shared between concurrent processes);
 * a cost model and a :class:`~repro.explore.SearchCache` backed by the
   store, shared by every call so ``identify`` warms ``select`` warms
   ``sweep``;
@@ -298,8 +298,8 @@ class Session:
         """Differential fuzzing campaign (``repro fuzz``).
 
         Generates *count* seeded MiniC programs and runs each through
-        the full differential oracle — walker vs ``block`` vs
-        ``compiled``, baseline vs rewritten, single vs batched lanes,
+        the full differential oracle — walker vs ``compiled``,
+        baseline vs rewritten, single vs batched lanes,
         verifier and selection checker on every phase
         (:func:`repro.fuzz.run_campaign`).  Failures are shrunk to
         minimal reproducers under *artifacts*.  Generated modules are

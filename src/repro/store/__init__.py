@@ -10,10 +10,10 @@ invocations by :class:`repro.store.artifacts.ArtifactStore`.  The
 :class:`~repro.store.backend.StoreBackend`: a directory tree
 (default), a WAL-mode SQLite file (``sqlite:PATH``), or a thin TCP
 client (``tcp://HOST:PORT``) talking to ``repro store serve`` — which
-is how a sweep cluster's workers on other nodes share one artifact
-medium.  The :class:`repro.session.Session` facade wires the store
-through every layer; results are bit-identical with the store enabled,
-disabled or pre-warmed — persistence only ever skips recomputation.
+is how processes on other nodes share one artifact medium.  The
+:class:`repro.session.Session` facade wires the store through every
+layer; results are bit-identical with the store enabled, disabled or
+pre-warmed — persistence only ever skips recomputation.
 """
 
 from .artifacts import (
@@ -21,8 +21,8 @@ from .artifacts import (
     ArtifactStore,
     StoreInfo,
     StoreStats,
+    default_backend_spec,
     default_store_dir,
-    default_store_spec,
     resolve_store,
     stock_store_dir,
 )
@@ -48,7 +48,7 @@ from .sqlite import SQLiteBackend
 
 __all__ = [
     "ArtifactStore", "StoreStats", "StoreInfo", "resolve_store",
-    "default_store_dir", "default_store_spec", "stock_store_dir",
+    "default_store_dir", "default_backend_spec", "stock_store_dir",
     "STORE_ENV",
     "StoreBackend", "DirectoryBackend", "SQLiteBackend",
     "NetworkBackend", "StoreServer", "open_backend", "BackendError",

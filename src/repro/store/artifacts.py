@@ -9,7 +9,7 @@ payloads, where *kind* names an artifact family (``"app"`` for compiled
 * **Persistence only.**  Every operation goes to a pluggable
   :class:`~repro.store.backend.StoreBackend` — a directory tree, a
   WAL-mode SQLite file, or a TCP client to ``repro store serve`` —
-  that survives the process and is shared by concurrent workers.
+  that survives the process and is shared by concurrent processes.
   In-process reuse lives with each artifact's consumer (the
   :class:`~repro.explore.cache.SearchCache` dict, ``Session``'s
   application memo), never here.
@@ -58,7 +58,7 @@ from .backend import (
 
 __all__ = [
     "ArtifactStore", "StoreStats", "StoreInfo", "resolve_store",
-    "default_store_dir", "default_store_spec", "stock_store_dir",
+    "default_store_dir", "default_backend_spec", "stock_store_dir",
     "STORE_ENV", "SCHEMA_VERSION",
 ]
 
@@ -82,7 +82,7 @@ def stock_store_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def default_store_spec() -> Optional[str]:
+def default_backend_spec() -> Optional[str]:
     """The backend spec the environment selects: ``$REPRO_STORE`` if
     set (``None`` when it names one of the disabled values), else the
     stock directory root."""
@@ -95,9 +95,9 @@ def default_store_spec() -> Optional[str]:
 
 
 def default_store_dir() -> Optional[Path]:
-    """:func:`default_store_spec` as a path (historical accessor; for
+    """:func:`default_backend_spec` as a path (historical accessor; for
     ``tcp://`` / ``sqlite:`` specs prefer the spec form)."""
-    spec = default_store_spec()
+    spec = default_backend_spec()
     if spec is None:
         return None
     return Path(spec).expanduser()
@@ -141,7 +141,7 @@ class ArtifactStore:
             root: a backend spec — directory path, ``sqlite:PATH``,
                 ``tcp://HOST:PORT`` — or a live
                 :class:`~repro.store.backend.StoreBackend`; defaults
-                to :func:`default_store_spec` (raises ``ValueError``
+                to :func:`default_backend_spec` (raises ``ValueError``
                 if the environment disables it).
             degrade_after: consecutive backend failures before the
                 store flips to degraded pass-through mode (reads are
@@ -154,7 +154,7 @@ class ArtifactStore:
                 window.
         """
         if root is None:
-            root = default_store_spec()
+            root = default_backend_spec()
             if root is None:
                 raise ValueError(
                     f"persistent store disabled by ${STORE_ENV}; "
@@ -208,9 +208,8 @@ class ArtifactStore:
 
     @property
     def spec(self) -> str:
-        """Picklable reconnect string (:func:`repro.store.backend.
-        open_backend` reopens it) — how worker processes and remote
-        nodes are pointed at this store's medium."""
+        """Reconnect string of this store's medium
+        (:func:`repro.store.backend.open_backend` reopens it)."""
         return self.backend.spec
 
     @property
@@ -346,6 +345,6 @@ def resolve_store(store="auto") -> Optional[ArtifactStore]:
     if isinstance(store, ArtifactStore):
         return store
     if store == "auto" or store is True:
-        spec = default_store_spec()
+        spec = default_backend_spec()
         return ArtifactStore(spec) if spec is not None else None
     return ArtifactStore(store)

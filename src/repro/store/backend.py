@@ -9,10 +9,10 @@ bytes actually live — is a :class:`StoreBackend`.  Three media ship:
 * :class:`DirectoryBackend` — the original ``<root>/v<N>/<kind>/
   <key[:2]>/<key>.pkl`` tree; zero-setup, shared via the filesystem;
 * :class:`repro.store.sqlite.SQLiteBackend` — one ``.sqlite`` file in
-  WAL mode, safe for many concurrent worker processes and far kinder
+  WAL mode, safe for many concurrent processes and far kinder
   to file-count quotas than a directory tree;
 * :class:`repro.store.net.NetworkBackend` — a thin TCP client talking
-  to ``repro store serve``, so workers on *other nodes* share one
+  to ``repro store serve``, so processes on *other nodes* share one
   artifact medium.
 
 Backends are deliberately dumb byte stores: ``load``/``store``/
@@ -25,8 +25,7 @@ never executes payload bytes it relays.
 A backend is addressed by a *spec* string — a directory path,
 ``sqlite:PATH`` (or any path ending ``.sqlite``/``.db``), or
 ``tcp://HOST:PORT`` — resolved by :func:`open_backend`.  Specs are
-plain picklable strings, which is exactly what lets sweep workers on
-any node reopen the leader's store.
+plain strings, so any process on any node can open the same medium.
 """
 
 from __future__ import annotations
@@ -78,8 +77,7 @@ class StoreBackend:
     returns ``False``).
     """
 
-    #: Reconnect string understood by :func:`open_backend` (picklable;
-    #: handed to worker processes and remote nodes).
+    #: Reconnect string understood by :func:`open_backend`.
     spec: str = ""
 
     def load(self, kind: str, key: str):

@@ -4,10 +4,10 @@ A :class:`StoreServer` wraps any local backend (directory or sqlite)
 and serves it over the framed-pickle wire protocol
 (:mod:`repro.wire`); a :class:`NetworkBackend` is the matching client,
 plugging into :class:`~repro.store.artifacts.ArtifactStore` like any
-other medium.  Together they give a sweep cluster one shared artifact
-medium across *nodes*: remote workers write identification results
-through ``tcp://leader:port`` while the leader reads them back out of
-the same underlying file tree or database.
+other medium.  Together they give processes on several *nodes* one
+shared artifact medium: a session or sweep on any node reads and
+writes ``tcp://host:port`` while the server keeps the entries in one
+underlying file tree or database.
 
 The server relays opaque blobs — artifact payloads are never unpickled
 server-side, so the policy layer's schema/corruption handling runs
@@ -21,11 +21,9 @@ colder).
 
 from __future__ import annotations
 
-import os
 import random
 import socket
 import socketserver
-import sys
 import threading
 import time
 import zlib
@@ -41,32 +39,8 @@ DEFAULT_PORT = 9723
 #: Socket timeout for client operations, seconds.
 CLIENT_TIMEOUT = 30.0
 
-#: Environment variable overriding the default connectivity-retry
-#: budget of every :class:`NetworkBackend` (``retries=`` wins).
-RETRIES_ENV = "REPRO_STORE_RETRIES"
-
-#: Connectivity retries after the first attempt when neither the
-#: ``retries`` argument nor :data:`RETRIES_ENV` says otherwise.
+#: Connectivity retries after the first attempt, per operation.
 DEFAULT_RETRIES = 3
-
-
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """The connectivity-retry budget: explicit argument, then
-    ``$REPRO_STORE_RETRIES``, then :data:`DEFAULT_RETRIES`.  An
-    unparsable environment value warns on stderr and falls back (the
-    same contract as ``REPRO_WORKERS``)."""
-    if retries is None:
-        env = os.environ.get(RETRIES_ENV, "").strip()
-        if not env:
-            return DEFAULT_RETRIES
-        try:
-            retries = int(env)
-        except ValueError:
-            print(f"warning: unparsable {RETRIES_ENV}={env!r} ignored; "
-                  f"using {DEFAULT_RETRIES} retries",
-                  file=sys.stderr)
-            return DEFAULT_RETRIES
-    return max(0, retries)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -235,8 +209,7 @@ class NetworkBackend(StoreBackend):
 
     Holds a persistent connection (re-established per attempt after a
     drop); concurrent use from one process is serialised by a lock —
-    worker *processes* each open their own client, which is the actual
-    concurrency path of the fabric.
+    separate processes each open their own client.
 
     **Retry contract.**  Connectivity failures — connect refused, a
     socket dropped mid-round-trip, a malformed frame — are retried up
@@ -254,14 +227,14 @@ class NetworkBackend(StoreBackend):
     """
 
     def __init__(self, spec: str, timeout: float = CLIENT_TIMEOUT,
-                 retries: Optional[int] = None,
+                 retries: int = DEFAULT_RETRIES,
                  backoff_s: float = 0.05,
                  backoff_max_s: float = 2.0) -> None:
         """Parse ``tcp://HOST:PORT`` (port defaults to
         :data:`DEFAULT_PORT`); connects lazily on first use.
 
         *retries* is the connectivity-retry budget per operation
-        (default ``$REPRO_STORE_RETRIES``, else 3); *backoff_s* is the
+        (negative counts as 0); *backoff_s* is the
         first retry's base delay, doubling per retry and capped at
         *backoff_max_s*, each scaled by jitter in [0.5, 1.0)."""
         host, port = parse_address(spec, default_port=DEFAULT_PORT)
@@ -269,7 +242,7 @@ class NetworkBackend(StoreBackend):
         self.spec = f"tcp://{self.address}"
         self.root = self.spec
         self.timeout = timeout
-        self.retries = resolve_retries(retries)
+        self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.backoff_max_s = backoff_max_s
         self.retry_count = 0

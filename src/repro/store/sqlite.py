@@ -1,9 +1,9 @@
-"""Single-file SQLite store backend (WAL, concurrent-worker safe).
+"""Single-file SQLite store backend (WAL, concurrent-process safe).
 
 One ``.sqlite`` file replaces the directory tree: kinder to file-count
 quotas, trivially copyable between nodes, and — in WAL mode — safe for
-many concurrent writer *processes*: a sweep cluster's workers all
-``INSERT OR REPLACE`` into the same file while the leader reads.
+many concurrent writer *processes*, which all ``INSERT OR REPLACE``
+into the same file while others read.
 Same-key racers write identical bytes (content addressing), so the
 last writer winning is benign.
 

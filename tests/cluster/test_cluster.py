@@ -242,8 +242,8 @@ class TestClusterSweep:
         assert _strip_timing(outcome.rows) == \
             _strip_timing(serial_outcome.rows)
         # The persistent media hold the same artifact key sets: the
-        # cluster's workers spilled exactly the entries the serial
-        # warm phase wrote.
+        # leader merged exactly the entries the serial warm phase
+        # wrote.
         assert sorted(store.backend.keys()) == \
             sorted(serial_store.backend.keys())
 

@@ -83,6 +83,32 @@ class TestVerilog:
         assert "assign ise_0_1 = ise_0 + b;" in text
         assert "assign ise_1 = ise_0_1 * 32'd3;" in text
 
+    def test_keywords_are_renamed_and_stay_distinct(self):
+        # Live-in variables named like Verilog keywords become ports;
+        # ``begin_`` is taken by the escaped ``begin`` and moves on.
+        module = compile_source("""
+            int f(int begin, int end, int begin_) {
+                int wire = begin * end;
+                int s = 0;
+                int i = 0;
+                while (i < 3) {
+                    s = s + ((wire ^ begin) + end + begin_) * 3;
+                    i = i + 1;
+                }
+                return s;
+            }""")
+        [dfg] = [d for d in function_dfgs(module.function("f"))
+                 if d.name == "f/loop_body1"]
+        cut = evaluate_cut(dfg, set(range(dfg.n)), MODEL)
+        [afu] = rewrite_module(module, [cut], MODEL).afus
+        assert afu.input_ports[:4] == ("wire", "begin", "end", "begin_")
+        text = emit_verilog(afu)
+        assert declared(text, "input")[:4] == [
+            "wire_", "begin_", "end_", "begin__1"]
+        assert "assign ise_0 = wire_ ^ begin_;" in text
+        assert "assign ise_1 = ise_0 + end_;" in text
+        assert "assign ise_2 = ise_1 + begin__1;" in text
+
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_session_afu_matches_executed_units(name):

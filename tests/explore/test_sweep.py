@@ -19,6 +19,7 @@ from repro.explore import (
 )
 from repro.explore.cache import dfg_digest
 from repro.explore.grid import ALGORITHMS
+from repro.store import ArtifactStore, StoreBackend
 
 
 def small_spec(**overrides):
@@ -251,37 +252,58 @@ class TestArtifacts:
         assert "n/a" in table
 
 
-class TestWarmUnitStore:
-    def test_warm_units_close_their_network_store(self, tmp_path):
-        # Each store-backed warm unit opens its own store; it must
-        # close it, or a tcp:// unit leaks its socket to the collector.
-        import gc
-        import warnings
+class _DictBackend(StoreBackend):
+    """An in-memory medium (the operations a sweep uses) whose spec
+    names nothing a process could reopen: a warm unit that tried would
+    write somewhere else."""
 
-        from repro.core import SearchLimits
-        from repro.explore.runner import _warm_unit
-        from repro.pipeline import prepare_application
-        from repro.store import ArtifactStore, SQLiteBackend, StoreServer
+    spec = "memory"
 
-        dfg = prepare_application("fir", n=16).hot_dfg
-        inner = SQLiteBackend(tmp_path / "served.sqlite")
-        server = StoreServer(inner, host="127.0.0.1", port=0).start()
-        limits = SearchLimits(max_considered=100_000)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for nin, nout in ((2, 1), (4, 2), (4, 1)):
-                    job = (dfg, nin, nout, "default", limits,
-                           (("chain", 1),), server.spec)
-                    assert _warm_unit(job) == []
-                gc.collect()
-            leaked = [w for w in caught
-                      if issubclass(w.category, ResourceWarning)]
-            assert leaked == []
-            # The units did spill their entries into the served store.
-            store = ArtifactStore(server.spec)
-            assert store.info().entries >= 3
-            store.close()
-        finally:
-            server.shutdown()
-            inner.close()
+    def __init__(self):
+        self.blobs = {}
+
+    def load(self, kind, key):
+        return self.blobs.get((kind, key))
+
+    def store(self, kind, key, blob):
+        self.blobs[kind, key] = blob
+
+    def contains(self, kind, key):
+        return (kind, key) in self.blobs
+
+    def keys(self):
+        return iter(list(self.blobs))
+
+
+class TestWarmResultsReachTheLeader:
+    """Warm units return their entries; the leader's merge is the only
+    writer of the store, whatever medium it is."""
+
+    SPEC = dict(workloads=("fir", "crc32"), ports=((2, 1), (4, 2)),
+                ninstrs=(2,), algorithms=("iterative",))
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("reference")
+        store = ArtifactStore(f"sqlite:{root / 'store.sqlite'}")
+        outcome = run_sweep(small_spec(**self.SPEC), store=store,
+                            workers=1)
+        keys = sorted(store.backend.keys())
+        store.close()
+        return outcome, keys
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unreopenable_medium(self, reference, workers, tmp_path,
+                                 monkeypatch):
+        serial, keys = reference
+        monkeypatch.chdir(tmp_path)
+        backend = _DictBackend()
+        outcome = run_sweep(small_spec(**self.SPEC),
+                            store=ArtifactStore(backend),
+                            workers=workers)
+        assert strip_timing(outcome.rows) == strip_timing(serial.rows)
+        assert sorted(backend.keys()) == keys
+        assert outcome.failed_units == []
+        # Every search the evaluation reads was warmed into the leader.
+        assert outcome.cache_stats["misses"] == 0
+        assert list(tmp_path.iterdir()) == []

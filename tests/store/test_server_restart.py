@@ -14,7 +14,6 @@ from repro.store import (
     StoreServer,
     StoreUnavailable,
 )
-from repro.store.net import resolve_retries
 
 
 def _restart_on(port: int, backend) -> StoreServer:
@@ -42,22 +41,15 @@ class _CountingClient(NetworkBackend):
 
 
 class TestResolveRetries:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_RETRIES", "9")
-        assert resolve_retries(2) == 2
+    # Clients connect lazily: constructing one opens no socket.
+    def test_default_budget(self):
+        assert NetworkBackend("tcp://127.0.0.1:9").retries == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_RETRIES", "5")
-        assert resolve_retries(None) == 5
-
-    def test_unparsable_env_warns_and_defaults(self, monkeypatch,
-                                               capsys):
-        monkeypatch.setenv("REPRO_STORE_RETRIES", "lots")
-        assert resolve_retries(None) == 3
-        assert "REPRO_STORE_RETRIES" in capsys.readouterr().err
+    def test_explicit_argument_wins(self):
+        assert NetworkBackend("tcp://127.0.0.1:9", retries=2).retries == 2
 
     def test_negative_clamps_to_zero(self):
-        assert resolve_retries(-4) == 0
+        assert NetworkBackend("tcp://127.0.0.1:9", retries=-4).retries == 0
 
 
 class TestServerRestart:
@@ -132,12 +124,9 @@ class TestServerRestart:
         store = ArtifactStore(client)
         bouncer = threading.Thread(target=_bounce, daemon=True)
         bouncer.start()
-        import os
-        os.environ["REPRO_STORE_RETRIES"] = "8"
         try:
             outcome = run_sweep(spec, store=store, workers=2)
         finally:
-            os.environ.pop("REPRO_STORE_RETRIES", None)
             bouncer.join(timeout=10)
             holder["server"].shutdown()
             client.close()
