@@ -13,7 +13,9 @@ Two measurements, one JSON artifact
    than 5%** wall-clock over the bare run.
 2. **Store round-trip overhead** — a batch of put/get/contains
    operations against a live :class:`StoreServer` through
-   ``NetworkBackend`` (the retry-capable client), armed vs. bare.
+   ``NetworkBackend`` (the retry-capable client), in alternating bare
+   and armed repeats.  The record is the median per-pair overhead with
+   its quartiles, so one noisy ~25 ms batch cannot pass for a cost.
    Recorded for trend-spotting; not hard-gated (sub-millisecond ops
    amplify scheduler noise far past the fabric's real cost).
 
@@ -24,6 +26,7 @@ pytest benchmark harness.
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -52,8 +55,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: short enough for CI.
 _UNITS = [0.4] * 8
 
-#: Store leg: operations per run.
+#: Store leg: operations per run, and bare/armed pairs per leg (after
+#: one discarded warm-up pair).
 _STORE_OPS = 150
+_STORE_PAIRS = 15
 
 
 def _zero_fault_plan() -> FaultPlan:
@@ -112,20 +117,31 @@ def _timed_store_ops(store: ArtifactStore, armed: bool) -> float:
 
 
 def _bench_store_overhead() -> dict:
-    """Leg 2: network store round-trips, armed vs bare (recorded)."""
+    """Leg 2: network store round-trips, alternating bare and armed
+    repeats (recorded: medians and the per-pair overhead quartiles)."""
     base = Path(tempfile.mkdtemp(prefix="bench-chaos-"))
     inner = SQLiteBackend(str(base / "store.sqlite"))
     server = StoreServer(inner, host="127.0.0.1", port=0).start()
     client = NetworkBackend(server.spec, retries=3, backoff_s=0.02)
     store = ArtifactStore(client)
     try:
-        bare_s = min(_timed_store_ops(store, False) for _ in range(2))
-        armed_s = min(_timed_store_ops(store, True) for _ in range(2))
+        bare, armed = [], []
+        for pair in range(_STORE_PAIRS + 1):
+            # Either side goes first in every other pair.
+            order = (False, True) if pair % 2 else (True, False)
+            times = {side: _timed_store_ops(store, side) for side in order}
+            if pair:            # pair 0 warms the server and the keys
+                bare.append(times[False])
+                armed.append(times[True])
+        overheads = [a / b - 1.0 for a, b in zip(armed, bare)]
+        q1, median, q3 = statistics.quantiles(overheads, n=4)
         return {
             "ops": _STORE_OPS * 3,
-            "bare_s": bare_s,
-            "armed_s": armed_s,
-            "overhead": armed_s / bare_s - 1.0,
+            "pairs": _STORE_PAIRS,
+            "bare_s": statistics.median(bare),
+            "armed_s": statistics.median(armed),
+            "overhead": median,
+            "overhead_quartiles": [q1, q3],
             "retries": client.retry_count,
         }
     finally:
@@ -146,9 +162,11 @@ def run_chaos_benchmark() -> dict:
            f"chaos: zero-fault plan over {cluster['units']} sleep "
            f"units {cluster['bare_s']:.2f}s bare -> "
            f"{cluster['armed_s']:.2f}s armed "
-           f"({cluster['overhead']:+.1%}); {net['ops']} store ops "
-           f"{net['bare_s']:.2f}s bare -> {net['armed_s']:.2f}s armed "
-           f"({net['overhead']:+.1%})")
+           f"({cluster['overhead']:+.1%}); {net['ops']} store ops, "
+           f"median of {net['pairs']} pairs {net['bare_s']:.4f}s bare "
+           f"-> {net['armed_s']:.4f}s armed ({net['overhead']:+.1%}, "
+           f"quartiles {net['overhead_quartiles'][0]:+.1%} .. "
+           f"{net['overhead_quartiles'][1]:+.1%})")
 
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(RESULTS_DIR / "BENCH_chaos.json", "w") as fh:

@@ -1,4 +1,4 @@
-"""Warm-phase scheduler scaling — work stealing, sharding, bit-identity.
+"""Sweep scheduler scaling — work stealing, sharding, bit-identity.
 
 Three measurements, one JSON artifact
 (``benchmarks/results/BENCH_cluster.json``):
@@ -163,8 +163,8 @@ def _bench_sweep_identity() -> dict:
             "cpu_gated": cpus >= 2,
         }
         if record["cpu_gated"]:
-            # Only meaningful with real parallel CPUs: the warm phase
-            # must not pay more than it gains.  (The sleep-unit gates
+            # Only meaningful with real parallel CPUs: the parallel
+            # group units must not pay more than they gain.  (The sleep-unit gates
             # above cover the scheduler itself on any runner.)
             assert record["ratio"] >= 1.0, record
         serial_store.close()

@@ -39,7 +39,7 @@ def main() -> None:
     print(format_table(outcome.rows))
     print(f"\n{len(outcome.rows)} grid points in {outcome.sweep_s:.2f}s "
           f"({outcome.points_per_second:.1f} points/s, "
-          f"{outcome.cache_stats['hits']} cache hits)")
+          f"{outcome.cache_entries} memoised searches)")
 
 
 if __name__ == "__main__":

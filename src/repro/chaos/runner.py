@@ -50,7 +50,7 @@ __all__ = ["ChaosReport", "build_plan", "run_chaos"]
 #: Seconds into the chaos sweep the server profile acts (stop, or
 #: stop+restart) — late enough that the sweep is mid-flight, early
 #: enough that plenty of store traffic follows (the default soak's
-#: warm phase runs a few hundred milliseconds).
+#: group units run a few hundred milliseconds).
 SERVER_EVENT_S = 0.15
 
 #: Outage length of the ``restart`` profile, seconds.  The client

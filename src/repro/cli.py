@@ -38,8 +38,9 @@ Subcommands:
   store over TCP so other processes and nodes mount it as
   ``--store-dir tcp://HOST:PORT``;
 * ``worker`` — join a running ``repro sweep --listen`` leader and
-  pull warm-phase units until its queue drains (``--workers N``
-  shards the same queue over local processes).
+  pull sweep units (one evaluation group each) until its queue drains
+  (``--workers N`` shards the same queue over local processes); a
+  worker started before its leader listens retries the connect.
 
 Verbs that execute programs accept ``--backend walk|compiled``
 (default: ``$REPRO_BACKEND``, else the compiled backend, DESIGN.md
@@ -851,14 +852,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress lines on stderr")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="warm-phase worker processes (default: "
+                   help="sweep worker processes (default: "
                         "$REPRO_WORKERS, else serial; 0 = one per CPU; "
                         "results bit-identical to serial)")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
                    help="additionally accept remote 'repro worker "
                         "--connect' nodes on this address (workers "
-                        "return their results here and need no "
-                        "store of their own)")
+                        "return their rows and cache entries here and "
+                        "need no store of their own)")
     _add_store(p)
     _add_backend(p)
     p.set_defaults(fn=cmd_sweep)
@@ -866,9 +867,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "worker",
         help="join a running 'repro sweep --listen' leader and pull "
-             "warm units until its queue drains")
+             "sweep units (one evaluation group each) until its queue "
+             "drains")
     p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="address of the leader to serve")
+                   help="address of the leader to serve (a refused "
+                        "connect is retried for 30 s)")
     p.add_argument("--name", default=None,
                    help="worker name in the leader's telemetry "
                         "(default: hostname-derived)")

@@ -1,8 +1,8 @@
 """Leader/worker sweep sharding over TCP (DESIGN.md §15).
 
-A sweep's warm phase is a bag of independent, idempotent *(block,
-constraint)* identification units whose results are content-addressed
-— exactly the shape that shards across machines.  This package is the
+A sweep is a bag of independent, idempotent *(model, workload, Nin,
+Nout)* evaluation groups whose search results are content-addressed —
+exactly the shape that shards across machines.  This package is the
 fabric:
 
 * :class:`~repro.cluster.leader.ClusterLeader` — owns the unit queue,
@@ -14,17 +14,17 @@ fabric:
 * :func:`~repro.cluster.worker.worker_loop` — the worker side:
   connect, pull, execute, report, repeat (``repro worker --connect``);
 * :func:`~repro.cluster.leader.scheduled_map` — the one function that
-  dispatches warm units: start a leader, fork N local worker processes
+  dispatches sweep units: start a leader, fork N local worker processes
   (``repro sweep --workers N``), optionally also listen for remote
   workers (``--listen HOST:PORT``), collect everything.  With one
   worker and no listener the leader drains the queue inline — no
   socket, no thread, the same quarantine and report semantics.
 
 Results are bit-identical to a serial sweep regardless of topology:
-units are pure functions of their payload, the returned entry lists
-are the only communication medium (workers open no store; the leader
-alone writes it), and the leader evaluates the grid itself from the
-merged cache.
+units are pure functions of their payload, the returned rows and entry
+lists are the only communication medium (workers open no store; the
+leader alone writes it), and the leader places every group's rows in
+grid order.
 """
 
 from .leader import ClusterLeader, scheduled_map

@@ -1,4 +1,4 @@
-"""The leader side of the sweep cluster, and the warm-phase scheduler.
+"""The leader side of the sweep cluster, and the sweep's scheduler.
 
 The leader owns the bag of units and serves it over the same framed
 wire protocol the store server speaks.  Scheduling is pull-based work
@@ -32,7 +32,7 @@ payload)``.  Robustness invariants:
   none could be forked), the leader runs the leftovers in-process,
   so the cluster path degrades to serial, never to a hang.
 
-:func:`scheduled_map` is the one function that dispatches warm units.
+:func:`scheduled_map` is the one function that dispatches sweep units.
 Serial runs go through the same leader (drained inline, with no
 socket and no thread), so they share the attempt, quarantine and
 report semantics of parallel ones.  Results are reassembled in unit

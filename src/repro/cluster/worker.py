@@ -39,6 +39,13 @@ from ..wire import WireError, connect, recv_msg, send_msg
 
 _name_counter = itertools.count()
 
+#: Seconds :func:`worker_loop` keeps retrying a refused connect, so a
+#: worker may be started before its leader listens.
+CONNECT_WINDOW_S = 30.0
+
+#: Pause between two refused connects inside that window.
+_CONNECT_RETRY_S = 0.1
+
 
 def default_worker_name() -> str:
     """A worker name unique across hosts, processes *and* loops in one
@@ -84,10 +91,24 @@ def _sleep_unit(payload):
     return payload
 
 
+def _connect(address: str, timeout: float, window: float):
+    """``connect`` to *address*, retrying a refused connection until
+    *window* seconds have passed (then the refusal propagates)."""
+    give_up = time.monotonic() + window
+    while True:
+        try:
+            return connect(address, timeout=timeout)
+        except ConnectionRefusedError:
+            if time.monotonic() >= give_up:
+                raise
+            time.sleep(_CONNECT_RETRY_S)
+
+
 def worker_loop(address: str, name: Optional[str] = None,
                 timeout: float = 3600.0,
                 echo: Optional[Callable[[str], None]] = None, *,
-                payloads: Optional[Sequence] = None) -> int:
+                payloads: Optional[Sequence] = None,
+                connect_window: float = CONNECT_WINDOW_S) -> int:
     """Serve one leader until its queue drains; returns units done.
 
     Connects to ``HOST:PORT``, resolves the unit callable the leader
@@ -97,15 +118,17 @@ def worker_loop(address: str, name: Optional[str] = None,
     the leader's own unit list, inherited by a forked local worker —
     announces it in its hello and is sent unit indices only; without
     it every unit arrives with its payload.
-    Raises ``ConnectionError``/``OSError`` if the leader is
-    unreachable; a connection lost mid-run simply ends the loop (the
-    leader requeues whatever this worker held).
+    A refused connect is retried for *connect_window* seconds, so the
+    worker may start before the leader listens.  Raises
+    ``ConnectionError``/``OSError`` if the leader stays unreachable; a
+    connection lost mid-run simply ends the loop (the leader requeues
+    whatever this worker held).
     """
     say = echo or (lambda _line: None)
     worker_name = name or default_worker_name()
     plan = plan_from_env()
     allow_kill = _allow_kill()
-    sock = connect(address, timeout=timeout)
+    sock = _connect(address, timeout, connect_window)
     done = 0
     try:
         send_msg(sock, ("hello", worker_name, payloads is not None))
@@ -160,7 +183,9 @@ def _local_worker(address: str, index: int, payloads: Sequence) -> None:
     """Module-level process target for the leader's local workers
     (must be importable after ``fork``/``spawn``)."""
     try:
-        worker_loop(address, name=f"local{index}", payloads=payloads)
+        # The leader listens before it forks: no connect retries.
+        worker_loop(address, name=f"local{index}", payloads=payloads,
+                    connect_window=0.0)
     except (ConnectionError, OSError, WireError):
         # A leader that already finished (or died) is not the worker's
         # problem; the leader side accounts for lost units.

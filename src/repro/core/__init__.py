@@ -14,12 +14,11 @@ budget walks the paper's exact tree instead (the Figs. 5/7/8
 statistics), and search progress is reported in
 ``SearchStats.space_covered``.
 
-The selection strategies run in the calling process.  Their expensive
-first rounds (one exhaustive search per block) are exactly what a
-sweep's warm phase precomputes, so the parallel work lives there: one
-scheduler, :func:`repro.cluster.scheduled_map`, shards the
-*(block, constraint)* units over ``workers`` processes (or the
-``REPRO_WORKERS`` environment variable; serial by default).
+The selection strategies are serial loops.  A sweep parallelises
+above them: one scheduler, :func:`repro.cluster.scheduled_map`, shards
+its *(model, workload, Nin, Nout)* evaluation groups over ``workers``
+processes (or the ``REPRO_WORKERS`` environment variable; serial by
+default), and each group runs its selections on chains it built.
 
 Identification calls additionally accept a duck-typed ``cache=`` memo
 (``repro.explore.SearchCache``): hits skip the exponential searches

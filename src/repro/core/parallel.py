@@ -1,8 +1,9 @@
 """The worker-count knob and the per-unit telemetry record.
 
-A sweep's warm phase (one exhaustive identification per *(block,
-constraint)* pair) is the only parallel work in the toolchain, and one
-scheduler runs it: :func:`repro.cluster.scheduled_map`, the cluster
+A sweep's evaluation groups (one per *(model, workload, Nin, Nout)*:
+walk each block's collapse chain, then evaluate the group's points on
+it) are the only parallel work in the toolchain, and one scheduler
+runs them: :func:`repro.cluster.scheduled_map`, the cluster
 leader with optional forked local workers.  This module holds the two
 small pieces that scheduler shares with its callers:
 
@@ -11,8 +12,8 @@ small pieces that scheduler shares with its callers:
 * :class:`UnitReport` — who ran one unit, for how long, and whether it
   ended quarantined (``SweepOutcome.unit_reports``).
 
-The selection strategies themselves are plain serial loops: their
-first rounds are cache hits once a sweep's warm phase has run.
+The selection strategies themselves are plain serial loops; a group
+unit runs them one after another on its chains.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ one chain per block: a sweep hands the same chains to the iterative and
 area rows (:mod:`repro.core.select_area`) of one (workload, Nin, Nout).
 
 The expensive first round is one exhaustive identification per block.
-With a ``cache`` it is a lookup per block: a sweep's warm phase fills
-the cache beforehand, sharded over worker processes
-(:func:`repro.cluster.scheduled_map`), so selection itself stays a
-plain loop.
+Chains handed in already walked (a sweep's group unit walks them before
+its rows read them) or a ``cache`` of earlier searches skip it, so
+selection itself stays a plain loop.
 """
 
 from __future__ import annotations

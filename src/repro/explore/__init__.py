@@ -13,9 +13,10 @@ such grids in one process invocation:
   that vary only ``Ninstr`` or the algorithm never repeat the
   exponential per-block searches;
 * :mod:`repro.explore.runner` — the engine: prepares each workload
-  once, warms the cache at *(block, constraint)* granularity through
-  :func:`repro.cluster.scheduled_map`, then evaluates every grid point through
-  the ordinary selection algorithms;
+  once, then evaluates the grid one *(model, workload, Nin, Nout)*
+  group at a time — each group's collapse chains walked once and read
+  by all of its points — with the groups sharded through
+  :func:`repro.cluster.scheduled_map`;
 * :mod:`repro.explore.report` — Fig. 11-style tables plus JSON/CSV
   artifacts.
 

@@ -40,9 +40,9 @@ The cache object itself is the duck-typed ``cache=`` hook accepted by
 :func:`~repro.core.single_cut.find_best_cut`,
 :func:`~repro.core.multi_cut.find_best_cuts` and the selection
 strategies; :mod:`repro.explore.runner` shares one across processes by
-warming per-``(block, constraint)`` entries in workers and merging the
+filling a local cache per evaluation group in workers and merging the
 returned entries into the leader's cache — and through it into the
-leader's store, the only writer of warm results.
+leader's store, the only writer of search results.
 
 **Memory and persistence.**  The cache's dict is the one in-process
 memo of search results.  A cache may also be *backed* by a
@@ -96,8 +96,8 @@ class SearchCache:
     :meth:`merge` move entries between caches — the sweep runner's
     workers each fill a local, unbacked cache and the leader merges
     what they return, which shares the memo across processes and nodes
-    without OS-level shared memory; it is the one channel back from a
-    worker.
+    without OS-level shared memory; it is how search results travel
+    back from a worker.
 
     ``backing`` optionally adds persistence (an
     :class:`repro.store.ArtifactStore`): gets fall through to it on an
@@ -223,8 +223,8 @@ class SearchCache:
 
     # ------------------------------------------------------------------
     # Presence checks: no decoding, no hit/miss accounting.  Used by
-    # the sweep planner to skip warm jobs a pre-warmed cache already
-    # covers.
+    # the sweep planner to keep groups a pre-warmed cache already
+    # covers in the leader.
     # ------------------------------------------------------------------
     def _has(self, key: Tuple) -> bool:
         if key in self.store:

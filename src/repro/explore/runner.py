@@ -1,33 +1,32 @@
 """The sweep engine: one process invocation, a whole design-space grid.
 
-``run_sweep`` executes a :class:`~repro.explore.grid.SweepSpec` in three
+``run_sweep`` executes a :class:`~repro.explore.grid.SweepSpec` in two
 phases:
 
 1. **Prepare** — each workload is compiled, profiled and verified
    exactly once (the seed CLI re-did this per grid point);
-2. **Warm** — the unique identification obligations implied by the grid
-   are planned at *(block, constraint)* granularity, deduplicated by
-   cache key, and handed out largest-first by the cluster leader's
-   work-stealing :func:`repro.cluster.scheduled_map` — to ``workers``
-   forked local processes, to remote ``repro worker`` nodes
-   (``listen=``), or inline when serial.  Each worker fills a local
-   :class:`~repro.explore.cache.SearchCache` and returns its entries;
-   the leader merges them — the only code that writes warm results to
-   the persistent store — which shares the memo across processes and
-   nodes without OS-level shared memory or a shared store medium.  A
-   worker warms a *chain* (the block's find-best/collapse sequence,
-   deep enough for both the iterative rows and the area rows'
-   candidate pools) or a *multi*-cut seed (for Optimal rows); per-unit
-   wall time and worker identity land in ``SweepOutcome.unit_reports``;
-3. **Evaluate** — every grid point runs through the ordinary selection
-   algorithms with the shared cache.  Identification is a hit by then,
-   and everything on top is polynomial — this is where a sweep over
-   ``Ninstr`` or over algorithms gains its order of magnitude.  Each
-   (model, workload, Nin, Nout) group of points shares one collapse
-   chain per block between its iterative and area rows, dropped when
-   the group ends; ``use_cache=False`` shares nothing.
+2. **Evaluate** — the points fall into *evaluation groups*, one per
+   (model, workload, Nin, Nout), whose iterative and area rows read one
+   find-best/collapse chain per block
+   (:class:`~repro.core.select_iterative.CollapseChain`).
+   :func:`_evaluate_group` walks each chain deep enough for every row
+   (and seeds the multi-cut searches Optimal rows start from), then
+   evaluates the group's points on those same chains.  Groups the cache
+   (with its persistent store) does not cover are units, handed out
+   largest-first by :func:`repro.cluster.scheduled_map` — to
+   ``workers`` forked local processes, to remote ``repro worker`` nodes
+   (``listen=``), or inline when serial.  A unit runs on a local
+   :class:`~repro.explore.cache.SearchCache` and returns its rows and
+   entries; the leader merges the entries — the only code that writes
+   search results to the persistent store.  The leader evaluates the
+   other groups itself, on the shared cache and the sweep's own model
+   objects: covered groups without warm tasks (every link is a hit),
+   and quarantined units with them, so the store ends with a fault-free
+   run's keys.  Rows land in ``spec.expand()`` order either way.
 
-The cache is a pure memo (DESIGN.md §8): rows of a cached sweep are
+``use_cache=False`` shares nothing: every point recomputes its
+identification from scratch, as separate CLI invocations would.  The
+cache is a pure memo (DESIGN.md §8): rows of a cached sweep are
 bit-identical to a cold one, which ``tests/explore/test_sweep.py``
 asserts and ``benchmarks/bench_sweep.py`` measures.
 """
@@ -37,7 +36,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import groupby
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core import (
     BlockTooLargeError,
@@ -52,60 +52,93 @@ from ..cluster import scheduled_map
 from ..core.select_area import select_area_constrained
 from ..core.select_iterative import CollapseChain
 from ..core.selection import SelectionResult
+from ..hwmodel.latency import CostModel
 from ..hwmodel.merit import cut_area
 from ..pipeline import Application, prepare_application
 from ..store.artifacts import ArtifactStore
-from .cache import SearchCache, dfg_digest
+from .cache import SearchCache
 from .grid import SweepPoint, SweepSpec, resolve_model
 
 #: A warm task: ("chain", depth) | ("multi", m).
 _WarmTask = Tuple[str, int]
 
 
-def _warm_unit(job: Tuple) -> List[Tuple[Tuple, object]]:
-    """Module-level worker: compute one (block, constraint) unit's
-    identification obligations into a local cache and return its
-    entries (picklable) for the leader to merge.  A unit touches no
-    store: the leader's merge is the only writer of warm results."""
-    dfg, nin, nout, model_name, limits, tasks = job
-    cache = SearchCache()
-    model = resolve_model(model_name)
-    cons = Constraints(nin=nin, nout=nout)
+class _Group(NamedTuple):
+    """One evaluation group: the points of one (model, workload, Nin,
+    Nout), in ``spec.expand()`` order, with the warm tasks to run on
+    every block first (empty when the cache already covers them).  It
+    carries the whole :class:`Application` because ``measure=True``
+    rows execute the rewritten program, and the sweep's own cost-model
+    object, whose per-model memos forked workers inherit."""
+
+    app: Application
+    spec: SweepSpec
+    model: CostModel
+    points: Tuple[SweepPoint, ...]
+    tasks: Tuple[_WarmTask, ...]
+    backend: Optional[str]
+
+
+def _evaluate_group(job: _Group,
+                    cache: SearchCache) -> Tuple[List[dict], Tuple[int, int]]:
+    """Run *job*'s warm tasks on *cache*, then evaluate its points on
+    the chains they built.  Returns the rows and the ``(hits, misses)``
+    the evaluation itself (after the warm tasks) made on *cache*."""
+    app, spec, model, points, tasks, backend = job
+    cons = Constraints(nin=points[0].nin, nout=points[0].nout)
+    chains = [CollapseChain(dfg, cons, model, spec.limits, cache)
+              for dfg in app.dfgs]
     for kind, arg in tasks:
         if kind == "chain":
-            # The first *arg* links: the single-cut entries every
-            # iterative and area row of the block reads.
-            CollapseChain(dfg, cons, model, limits, cache).link(arg - 1)
+            # The first *arg* links: every iterative and area row of
+            # the group reads a prefix of them.
+            for chain in chains:
+                chain.link(arg - 1)
         elif kind == "multi":
-            find_best_cuts(dfg, cons, arg, model, limits, cache=cache)
-    return cache.entries()
+            for dfg in app.dfgs:
+                find_best_cuts(dfg, cons, arg, model, spec.limits,
+                               cache=cache)
+    hits, misses = cache.stats.hits, cache.stats.misses
+    rows = [_run_point(point, app, spec, model, cache, backend=backend,
+                       chains=chains)
+            for point in points]
+    return rows, (cache.stats.hits - hits, cache.stats.misses - misses)
+
+
+def _group_unit(job: _Group) -> Tuple[List[dict], List[Tuple], Tuple]:
+    """Module-level worker: evaluate one group on a local cache and
+    return ``(rows, entries, evaluation (hits, misses))`` for the
+    leader.  A unit touches no store: the leader's merge is the only
+    writer of search results."""
+    cache = SearchCache()
+    rows, counts = _evaluate_group(job, cache)
+    return rows, cache.entries(), counts
 
 
 #: Relative cost weight of one warm task kind, multiplied by the task
 #: argument (chain depth / cut count).  Identification is
 #: exponential in block size, so the DFG node count dominates the hint;
-#: the weights only rank tasks on the *same* block.
+#: the weights only rank tasks on the *same* blocks.
 _TASK_WEIGHTS = {"chain": 1.0, "multi": 2.0}
 
 
-def _unit_hint(job: Tuple) -> float:
-    """Scheduling size hint of one warm job: DFG node count times the
-    summed task weights.  Hints only need to *rank* units — the
-    work-stealing scheduler dispatches largest-first so the plausibly
-    longest-running (block, constraint) unit starts immediately
-    instead of serializing the tail of the warm phase."""
-    dfg, _nin, _nout, _model, _limits, tasks = job
+def _unit_hint(job: _Group) -> float:
+    """Scheduling size hint of one group unit: the workload's summed
+    DFG node count times the summed task weights.  Hints only need to
+    *rank* units — the work-stealing scheduler dispatches largest-first
+    so the plausibly longest-running group starts immediately instead
+    of serializing the tail of the sweep."""
     weight = sum(_TASK_WEIGHTS.get(kind, 1.0) * max(1, arg)
-                 for kind, arg in tasks)
-    return float(dfg.n) * weight
+                 for kind, arg in job.tasks)
+    return float(sum(dfg.n for dfg in job.app.dfgs)) * weight
 
 
 def _task_covered(task: _WarmTask, cache: SearchCache, dfg, cons,
                   model, limits) -> bool:
     """True when a pre-warmed cache already holds this task's entries.
-    The root single-cut entry is a sound proxy for a whole chain: the
-    warm phase is the only bulk producer and always completes its
-    chain, and anything deeper is filled on demand during evaluation."""
+    The root single-cut entry is a sound proxy for a whole chain: a
+    group unit always completes its chains, and anything deeper is
+    filled on demand during evaluation."""
     kind, arg = task
     if kind == "chain":
         return cache.has_single(dfg, cons, model, limits)
@@ -116,56 +149,48 @@ def _plan_units(
     spec: SweepSpec,
     apps: Dict[str, Application],
     cache: SearchCache,
-) -> List[Tuple]:
-    """The unique (block, constraint) warm jobs the grid implies,
-    deduplicated by (graph digest, ports, model) and filtered down to
-    what *cache* (including its persistent backing tier) does not
-    already cover — a pre-warmed store empties the warm phase."""
+    models: Dict[str, CostModel],
+    backend: Optional[str] = None,
+) -> List[_Group]:
+    """Every evaluation group of the grid, in ``spec.expand()`` order.
+    A group keeps its warm tasks unless *cache* (including its
+    persistent backing tier) covers them on every block — a pre-warmed
+    store leaves no group with tasks, and so no unit to hand out."""
     # Iterative rows read at most Ninstr links of a block's chain, area
     # rows at most max_per_block.
     chain_depth = max(
         max(spec.ninstrs) if "iterative" in spec.algorithms else 0,
         spec.max_per_block if "area" in spec.algorithms else 0)
-    # (digest, ports, model) -> [dfg, nin, nout, model_name, task set];
-    # digest-identical blocks from different workloads merge their task
-    # sets (they may disagree, e.g. on optimal_ok) instead of keeping
-    # only the first workload's.
-    planned: Dict[Tuple, list] = {}
-    models = {name: resolve_model(name) for name in spec.models}
-    for model_name in spec.models:
-        for workload in spec.workloads:
-            app = apps[workload]
-            optimal_ok = ("optimal" in spec.algorithms
-                          and all(d.n <= spec.max_nodes for d in app.dfgs))
-            for dfg in app.dfgs:
-                for nin, nout in spec.ports:
-                    tasks: List[_WarmTask] = []
-                    if chain_depth:
-                        tasks.append(("chain", chain_depth))
-                    if optimal_ok:
-                        tasks.append(("multi", 1))
-                    cons = Constraints(nin=nin, nout=nout)
-                    tasks = [t for t in tasks
-                             if not _task_covered(t, cache, dfg, cons,
-                                                  models[model_name],
-                                                  spec.limits)]
-                    if not tasks:
-                        continue
-                    key = (dfg_digest(dfg), nin, nout, model_name)
-                    entry = planned.get(key)
-                    if entry is None:
-                        planned[key] = [dfg, nin, nout, model_name,
-                                        list(tasks)]
-                    else:
-                        entry[4].extend(t for t in tasks
-                                        if t not in entry[4])
-    return [(dfg, nin, nout, model_name, spec.limits, tuple(tasks))
-            for dfg, nin, nout, model_name, tasks in planned.values()]
+    jobs: List[_Group] = []
+    for (model_name, workload, nin, nout), points in groupby(
+            spec.expand(),
+            key=lambda p: (p.model, p.workload, p.nin, p.nout)):
+        app = apps[workload]
+        tasks: List[_WarmTask] = []
+        if chain_depth:
+            tasks.append(("chain", chain_depth))
+        if ("optimal" in spec.algorithms
+                and all(d.n <= spec.max_nodes for d in app.dfgs)):
+            tasks.append(("multi", 1))
+        cons = Constraints(nin=nin, nout=nout)
+        if all(_task_covered(task, cache, dfg, cons, models[model_name],
+                             spec.limits)
+               for task in tasks for dfg in app.dfgs):
+            tasks = []
+        jobs.append(_Group(app, spec, models[model_name], tuple(points),
+                           tuple(tasks), backend))
+    return jobs
 
 
 @dataclass
 class SweepOutcome:
-    """Everything one sweep produced: rows plus engine telemetry."""
+    """Everything one sweep produced: rows plus engine telemetry.
+
+    ``warm_s`` times the scheduled phase (planning, the group units,
+    merging their entries) and ``points_s`` the groups the leader
+    evaluates itself, so on a cold sweep most rows are evaluated inside
+    ``warm_s``.  ``cache_stats`` counts the shared cache's own lookups
+    plus the evaluation-stage lookups of every unit."""
 
     spec: SweepSpec
     rows: List[dict] = field(default_factory=list)
@@ -177,10 +202,10 @@ class SweepOutcome:
     cache_entries: int = 0
     code_memo: Optional[dict] = None
     unit_reports: List[dict] = field(default_factory=list)
-    #: Warm units the scheduler quarantined (``status="error"`` reports:
-    #: index, worker, attempts, last traceback).  The sweep still
-    #: completes — the evaluation phase recomputes a failed unit's
-    #: obligations inline through the shared cache, so rows stay
+    #: Group units the scheduler quarantined (``status="error"``
+    #: reports: index, worker, attempts, last traceback).  The sweep
+    #: still completes — the leader evaluates a failed unit's group
+    #: itself, warm tasks included, so rows and store keys stay
     #: bit-identical; this records that the fabric had to.
     failed_units: List[dict] = field(default_factory=list)
 
@@ -339,14 +364,14 @@ def run_sweep(
             invocations would).
         cache: optional pre-warmed cache to reuse across sweeps; a
             fresh one is created when omitted and ``use_cache`` is on.
-        workers: local worker processes for the warm phase (default:
+        workers: local worker processes for the group units (default:
             ``REPRO_WORKERS``, else serial); see
             :func:`repro.cluster.scheduled_map`.
         echo: optional progress sink (e.g. ``print``).
         store: optional persistent :class:`repro.store.ArtifactStore`:
-            workload preparation and warm-phase search entries read
-            through and spill into it, so a repeated sweep skips
-            straight to the (polynomial) evaluation phase.
+            workload preparation and search entries read through and
+            spill into it, so a repeated sweep plans no units and the
+            leader only evaluates (polynomial work on cache hits).
             Ignored when ``use_cache`` is off — the cold baseline stays
             genuinely cold.
         prepare: optional ``(name, n, unroll) -> Application`` callable
@@ -359,15 +384,16 @@ def run_sweep(
             else compiled).  Rows are byte-identical either way.
         listen: ``HOST:PORT`` the leader additionally accepts remote
             ``repro worker --connect`` nodes on.  Workers return their
-            entries to the leader, so they need no access to *store*.
-        unit_attempts: hand-out budget per warm unit before it is
-            quarantined into ``failed_units`` (the sweep then
-            recomputes its obligations).
-        unit_deadline: seconds one warm unit may stay outstanding on
-            a worker before the leader requeues it.
-        cluster_deadline: overall warm-phase deadline (seconds) while
-            workers run; unresolved units are abandoned into
-            ``failed_units`` instead of hanging the sweep.
+            rows and entries to the leader, so they need no access to
+            *store*.
+        unit_attempts: hand-out budget per group unit before it is
+            quarantined into ``failed_units`` (the leader then
+            evaluates that group itself).
+        unit_deadline: seconds one unit may stay outstanding on a
+            worker before the leader requeues it.
+        cluster_deadline: overall deadline (seconds) of the scheduled
+            phase while workers run; unresolved units are abandoned
+            into ``failed_units`` instead of hanging the sweep.
     """
     say = echo or (lambda _line: None)
     outcome = SweepOutcome(spec=spec)
@@ -392,75 +418,57 @@ def run_sweep(
     elif not use_cache:
         cache = None
 
-    if cache is not None:
+    models = {name: resolve_model(name) for name in spec.models}
+    if cache is None:
+        # The from-scratch baseline: each selection builds its own
+        # chains, as separate CLI invocations would.
         start = time.perf_counter()
-        jobs = _plan_units(spec, apps, cache)
-        outcome.warm_units = len(jobs)
-        unit_entries, reports = scheduled_map(
-            _warm_unit, jobs, workers=workers,
-            size_hints=[_unit_hint(job) for job in jobs], listen=listen,
-            echo=say, max_attempts=unit_attempts,
+        outcome.rows = [_run_point(point, apps[point.workload], spec,
+                                   models[point.model], None,
+                                   backend=backend)
+                        for point in spec.expand()]
+        outcome.points_s = time.perf_counter() - start
+    else:
+        start = time.perf_counter()
+        jobs = _plan_units(spec, apps, cache, models, backend)
+        units = [index for index, job in enumerate(jobs) if job.tasks]
+        outcome.warm_units = len(units)
+        results, reports = scheduled_map(
+            _group_unit, [jobs[index] for index in units],
+            workers=workers,
+            size_hints=[_unit_hint(jobs[index]) for index in units],
+            listen=listen, echo=say, max_attempts=unit_attempts,
             unit_deadline=unit_deadline, deadline=cluster_deadline)
-        for entries in unit_entries:
-            if entries is not None:
+        groups: List[Optional[List[dict]]] = [None] * len(jobs)
+        for index, result in zip(units, results):
+            if result is not None:
+                groups[index], entries, (hits, misses) = result
                 cache.merge(entries)
+                cache.stats.hits += hits
+                cache.stats.misses += misses
         outcome.unit_reports = [report.as_dict() for report in reports]
         outcome.failed_units = [report.as_dict() for report in reports
                                 if report.status != "ok"]
-        if outcome.failed_units:
-            # A quarantined unit left a hole in the warm tier.  The
-            # evaluation phase only recomputes entries it actually
-            # reads, and e.g. iterative selection never re-searches a
-            # block it did not select — so deep chain entries of a
-            # failed unit would stay missing and the store would
-            # diverge from a fault-free run.  Re-run the failed jobs
-            # directly, bypassing the dispatch fabric: a unit that
-            # failed in transit (killed worker, injected poison, blown
-            # deadline) heals here, while a genuinely poisonous
-            # compute raises again and stays quarantined.
-            healed = 0
-            for report in reports:
-                if report.status == "ok":
-                    continue
-                try:
-                    entries = _warm_unit(jobs[report.index])
-                except Exception:
-                    continue
-                cache.merge(entries)
-                healed += 1
-            if healed:
-                say(f"cluster: recomputed {healed} quarantined warm "
-                    f"unit(s) inline (quarantine report stands)")
         outcome.warm_s = time.perf_counter() - start
-        say(f"warmed {len(jobs)} (block, constraint) unit(s) -> "
-            f"{len(cache)} cache entries in {outcome.warm_s:.2f}s"
-            + (f" ({len(outcome.failed_units)} unit(s) failed)"
+        say(f"ran {len(units)} group unit(s) -> {len(cache)} cache "
+            f"entries in {outcome.warm_s:.2f}s"
+            + (f" ({len(outcome.failed_units)} unit(s) failed; the "
+               f"leader evaluates their groups)"
                if outcome.failed_units else ""))
 
-    models = {name: resolve_model(name) for name in spec.models}
-    group: Optional[Tuple] = None
-    chains: Optional[List[CollapseChain]] = None
-    start = time.perf_counter()
-    for point in spec.expand():
-        app, model = apps[point.workload], models[point.model]
-        if cache is not None and group != (point.model, point.workload,
-                                           point.nin, point.nout):
-            # A new group: the previous group's chains (and every
-            # graph they collapsed) are dropped here.
-            group = (point.model, point.workload, point.nin, point.nout)
-            chains = [CollapseChain(dfg, point.constraints, model,
-                                    spec.limits, cache)
-                      for dfg in app.dfgs]
-        row = _run_point(point, app, spec, model, cache,
-                         backend=backend, chains=chains)
-        outcome.rows.append(row)
-    outcome.points_s = time.perf_counter() - start
-
-    if cache is not None:
+        # The leader evaluates covered groups (no warm tasks) and the
+        # groups of quarantined units (with them, so the store ends
+        # with a fault-free run's keys) on the shared cache.
+        start = time.perf_counter()
+        for index, job in enumerate(jobs):
+            if groups[index] is None:
+                groups[index], _counts = _evaluate_group(job, cache)
+        outcome.rows = [row for group in groups for row in group]
+        outcome.points_s = time.perf_counter() - start
         outcome.cache_stats = cache.stats.as_dict()
         outcome.cache_entries = len(cache)
-    # Compiled-backend telemetry: the process-wide code memo the
-    # sweep's measurement runs (and any rewritten modules) compiled
+    # Compiled-backend telemetry: the leader process's code memo, which
+    # its own ``measure=True`` rows (every row, when serial) compiled
     # into or reused — `hits` rising across a sweep is the satellite
     # obligation that rewritten-module region digests share the memo.
     from ..interp.compile import code_memo_stats

@@ -177,8 +177,9 @@ class DataFlowGraph:
 
     def __getstate__(self) -> dict:
         # The per-model memos are keyed by id(model), which means nothing
-        # in another process, so a pickled graph (a warm unit's job, a
-        # stored application) carries none of the models it has met.
+        # in another process, so a pickled graph (a remote sweep unit's
+        # job, a stored application) carries none of the models it has
+        # met.
         # Its state keeps the attributes older stored graphs have.
         state = self.__dict__.copy()
         state["_cost_cache"] = {}

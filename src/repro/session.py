@@ -12,7 +12,7 @@ owns the three things worth keeping instead:
 * a cost model and a :class:`~repro.explore.SearchCache` backed by the
   store, shared by every call so ``identify`` warms ``select`` warms
   ``sweep``;
-* the number of worker processes a sweep's warm phase runs on.
+* the number of worker processes a sweep's group units run on.
 
 The facade exposes the complete API surface — :meth:`prepare`,
 :meth:`identify`, :meth:`select`, :meth:`sweep`, :meth:`speedup`,
@@ -71,7 +71,7 @@ class Session:
                 ``False``/``None`` for a purely in-memory session, a
                 path, or an :class:`ArtifactStore`.
             model: cost model shared by every call (default paper model).
-            workers: worker processes for a sweep's warm phase
+            workers: worker processes for a sweep's group units
                 (default: ``$REPRO_WORKERS``, else serial).
             limits: default search budget applied when a call does not
                 pass its own.
@@ -148,12 +148,12 @@ class Session:
               unit_deadline=None, cluster_deadline=None):
         """Run a whole design-space grid (:func:`repro.explore.
         run_sweep`) through the session's cache and store — a repeated
-        identical sweep skips preparation and the warm phase entirely.
-        The warm phase runs on the session's ``workers`` processes;
+        identical sweep skips preparation and hands out no units.
+        Group units run on the session's ``workers`` processes;
         ``listen`` additionally accepts remote ``repro worker`` nodes.
         Rows are bit-identical to a serial sweep either way.
         ``unit_attempts`` / ``unit_deadline`` / ``cluster_deadline``
-        are the warm phase's robustness knobs (poison-unit
+        are the scheduler's robustness knobs (poison-unit
         quarantine, hung-worker requeue, overall deadline)."""
         from .explore.runner import run_sweep
 

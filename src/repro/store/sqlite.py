@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Tuple
 from .backend import BackendError, StoreBackend, StoreInfo
 
 #: How long a writer waits on a locked database before giving up
-#: (milliseconds).  Generous: losing a warm-phase write costs a
+#: (milliseconds).  Generous: losing a search-entry write costs a
 #: recompute later, but failing fast under load would cost it now.
 BUSY_TIMEOUT_MS = 10_000
 

@@ -6,6 +6,7 @@ import os
 import pickle
 import socket
 import threading
+import time
 
 import pytest
 
@@ -19,6 +20,13 @@ from repro.wire import (MAGIC, connect, recv_msg, send_msg,
 
 def _echo(payload):
     return ("ran", payload)
+
+
+def _free_port() -> int:
+    """A loopback port nothing listens on (bound once, then freed)."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 class TestLeaderProtocol:
@@ -93,6 +101,33 @@ class TestLeaderProtocol:
             assert reports[0].worker == "w1"
         finally:
             leader.shutdown()
+
+    def test_worker_started_before_the_leader_binds(self):
+        # The worker comes first: its connect is refused until the
+        # leader listens, and it retries inside its window.
+        port = _free_port()
+        done = []
+        early = threading.Thread(
+            target=lambda: done.append(worker_loop(
+                f"127.0.0.1:{port}", name="early", connect_window=10.0)),
+            daemon=True)
+        early.start()
+        time.sleep(0.3)
+        leader = ClusterLeader("tests.cluster.test_cluster:_echo",
+                               ["a", "b"], port=port).start()
+        try:
+            early.join(timeout=10)
+            assert done == [2]
+            assert leader.wait(timeout=5)
+            assert leader.results()[0] == [("ran", "a"), ("ran", "b")]
+        finally:
+            leader.shutdown()
+
+    def test_refused_connect_gives_up_after_its_window(self):
+        start = time.monotonic()
+        with pytest.raises(ConnectionRefusedError):
+            worker_loop(f"127.0.0.1:{_free_port()}", connect_window=0.3)
+        assert time.monotonic() - start >= 0.3
 
     def test_resolve_callable_rejects_bad_paths(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from repro.chaos import FaultPlan, FaultSpec, env_plan
 from repro.explore import (
     SearchCache,
     SweepSpec,
@@ -18,7 +19,9 @@ from repro.explore import (
     write_json,
 )
 from repro.explore.cache import dfg_digest
-from repro.explore.grid import ALGORITHMS
+from repro.explore.grid import ALGORITHMS, resolve_model
+from repro.explore.runner import _evaluate_group, _group_unit, _plan_units
+from repro.pipeline import prepare_application
 from repro.store import ArtifactStore, StoreBackend
 
 
@@ -70,8 +73,16 @@ class TestRows:
 
     def test_cache_telemetry(self, outcome):
         assert outcome.cache_entries > 0
-        assert outcome.cache_stats["hits"] > 0
         assert outcome.warm_units > 0
+        # A cold sweep evaluates on the chains its units warmed, so it
+        # makes no lookups; a re-sweep on the same cache runs no unit
+        # and reads every link it needs from the cache.
+        cache = SearchCache()
+        run_sweep(small_spec(), cache=cache)
+        again = run_sweep(small_spec(), cache=cache)
+        assert again.warm_units == 0
+        assert again.cache_stats["hits"] > 0
+        assert again.cache_stats["misses"] == 0
 
 
 class TestDefaultPruning:
@@ -163,6 +174,51 @@ class TestChainSharing:
         # Deeper than one link per block: the rows did walk chains.
         blocks = {name for name, _digest in lookups}
         assert len(lookups) > len(blocks)
+
+
+class TestGroupUnits:
+    """A sweep unit is one (model, workload, Nin, Nout) evaluation
+    group; the leader runs the same evaluation on its shared cache."""
+
+    def test_unit_matches_leader_evaluation(self):
+        spec = chain_spec()
+        apps = {name: prepare_application(name, n=spec.n)
+                for name in spec.workloads}
+        models = {name: resolve_model(name) for name in spec.models}
+        jobs = _plan_units(spec, apps, SearchCache(), models)
+        assert len(jobs) == len(spec.ports) and all(j.tasks for j in jobs)
+        shared = SearchCache()
+        unit_keys = set()
+        for job in jobs:
+            rows, entries, counts = _group_unit(job)
+            leader_rows, leader_counts = _evaluate_group(job, shared)
+            assert strip_timing(rows) == strip_timing(leader_rows)
+            assert counts == leader_counts
+            assert all(shared.store[key] == value for key, value in entries)
+            unit_keys.update(key for key, _value in entries)
+        assert unit_keys == set(shared.store)
+
+    def test_poisoned_group_is_evaluated_by_the_leader(self, tmp_path):
+        # Four groups, all units on a fresh store; unit 2 is poisoned
+        # on every hand-out, so the leader evaluates its group itself,
+        # warm tasks included: rows and store keys match a clean run.
+        spec = small_spec(workloads=("fir", "crc32"), ninstrs=(2,),
+                          algorithms=("iterative", "maxmiso"))
+        clean_store = ArtifactStore(f"sqlite:{tmp_path / 'clean.sqlite'}")
+        clean = run_sweep(spec, store=clean_store, workers=1)
+        assert clean.warm_units == 4
+        plan = FaultPlan(seed=0, specs=(
+            FaultSpec(site="unit", kind="poison", ops=("2",)),))
+        store = ArtifactStore(f"sqlite:{tmp_path / 'chaos.sqlite'}")
+        with env_plan(plan):
+            outcome = run_sweep(spec, store=store, workers=2,
+                                unit_attempts=1)
+        assert [u["index"] for u in outcome.failed_units] == [2]
+        assert all(u["index"] != 2 for u in outcome.unit_reports
+                   if u["status"] == "ok")
+        assert strip_timing(outcome.rows) == strip_timing(clean.rows)
+        assert sorted(store.backend.keys()) \
+            == sorted(clean_store.backend.keys())
 
 
 class TestAreaAndOptimalRows:
