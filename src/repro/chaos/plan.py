@@ -102,6 +102,8 @@ class _SiteState:
     rng: Random
     count: int = 0
     fired: Dict[int, int] = field(default_factory=dict)
+    #: ``(index, event)``: set once the site draws for op *index*.
+    marks: List[Tuple[int, threading.Event]] = field(default_factory=list)
 
 
 class FaultPlan:
@@ -142,6 +144,9 @@ class FaultPlan:
             state = self._site(site)
             index = state.count
             state.count += 1
+            for at, event in state.marks:
+                if index >= at:
+                    event.set()
             hits: List[FaultSpec] = []
             for k, spec in enumerate(self.specs):
                 if spec.site != site:
@@ -161,6 +166,20 @@ class FaultPlan:
                 state.fired[k] = state.fired.get(k, 0) + 1
                 hits.append(spec)
             return hits
+
+    def mark(self, site: str, index: int) -> threading.Event:
+        """An event set when *site* draws for its operation *index*
+        (0-based) — so a harness can act at a fixed point of the
+        site's deterministic operation sequence instead of at a
+        wall-clock time that a fast or slow run may miss."""
+        event = threading.Event()
+        with self._lock:
+            state = self._site(site)
+            if state.count > index:
+                event.set()
+            else:
+                state.marks.append((index, event))
+        return event
 
     def check_unit(self, index: int, allow_kill: bool = False) -> None:
         """Unit-site injection hook for the cluster fabric.

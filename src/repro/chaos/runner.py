@@ -20,11 +20,14 @@ the server is left down — dropped writes are that profile's point),
 and the only quarantined unit must be the poisoned one.  Faults cost
 retries and requeues — visible in the report — never correctness.
 
-Server profiles: ``"restart"`` stops the store server a beat into the
-sweep and brings it back on the same port (retry/backoff must absorb
-the outage); ``"down"`` stops it for good (the store must enter
-degraded mode and the sweep must still finish); ``"up"`` leaves it
-alone (pure injected-fault soak).
+Server profiles: ``"restart"`` stops the store server once workload
+preparation's store traffic is done and brings it back on the same
+port (retry/backoff must absorb the outage); ``"down"`` stops it for
+good (the store must enter degraded mode and the sweep must still
+finish); ``"up"`` leaves it alone (pure injected-fault soak).  The
+event fires at a fixed index of the server's store-operation counter
+(:data:`PREPARE_OPS`), not at a wall-clock time, and a profile whose
+event did not happen during the sweep fails the soak.
 """
 
 from __future__ import annotations
@@ -47,11 +50,13 @@ from .wirefault import wire_faults
 
 __all__ = ["ChaosReport", "build_plan", "run_chaos"]
 
-#: Seconds into the chaos sweep the server profile acts (stop, or
-#: stop+restart) — late enough that the sweep is mid-flight, early
-#: enough that plenty of store traffic follows (the default soak's
-#: group units run a few hundred milliseconds).
-SERVER_EVENT_S = 0.15
+#: Store operations workload preparation makes per workload (an
+#: ``app`` load that misses, then its store).  The server profile acts
+#: (stop, or stop+restart) when the server-side ``store`` site draws
+#: for operation ``PREPARE_OPS * len(workloads)`` — the first planning
+#: lookup — so planning and merge traffic both follow the event on any
+#: grid, however fast the sweep runs.
+PREPARE_OPS = 2
 
 #: Outage length of the ``restart`` profile, seconds.  The client
 #: retry budget below is sized to outlast it even at minimum jitter.
@@ -79,6 +84,9 @@ class ChaosReport:
     degraded_events: int = 0
     degraded_skips: int = 0
     store_errors: int = 0
+    #: What the server profile did during the sweep, in order
+    #: (``"stopped"``, ``"revived"``).
+    server_events: List[str] = field(default_factory=list)
     reference_s: float = 0.0
     chaos_s: float = 0.0
     ok: bool = False
@@ -146,17 +154,19 @@ def _strip_rows(rows: List[dict]) -> List[dict]:
 
 
 def _server_saboteur(holder: dict, profile: str, port: int,
-                     backend, say: Callable[[str], None]) -> None:
-    """Thread body: stop (and for ``restart`` revive) the store server
-    mid-sweep.  ``holder["server"]`` always names the live server (or
-    ``None`` while down) so the caller can shut it down afterwards."""
-    time.sleep(SERVER_EVENT_S)
+                     backend, event, say: Callable[[str], None]) -> None:
+    """Thread body: once *event* is set, stop (and for ``restart``
+    revive) the store server.  ``holder["server"]`` always names the
+    live server (or ``None`` while down) so the caller can shut it
+    down afterwards; ``holder["events"]`` records what happened."""
+    event.wait()
     server = holder.get("server")
     if server is None or holder.get("stop"):
         return
     say(f"chaos: stopping store server ({profile})")
     server.shutdown()
     holder["server"] = None
+    holder["events"].append("stopped")
     if profile != "restart":
         return
     time.sleep(RESTART_GAP_S)
@@ -170,6 +180,7 @@ def _server_saboteur(holder: dict, profile: str, port: int,
             time.sleep(0.1)       # old socket still in TIME_WAIT
             continue
         holder["server"] = revived
+        holder["events"].append("revived")
         say(f"chaos: store server back on port {port}")
         return
     say("chaos: could not rebind the store server (stays down)")
@@ -200,7 +211,8 @@ def run_chaos(
 
     ``report.ok`` is the soak verdict: rows bit-identical, key sets
     bit-identical (``server != "down"``), exactly the poisoned unit
-    quarantined, and — for ``server="down"`` — degraded mode entered.
+    quarantined, the profile's server event happened, and — for
+    ``server="down"`` — degraded mode entered.
     Never raises on a failed invariant (the report carries the notes);
     raises only on real infrastructure errors.
     """
@@ -243,13 +255,14 @@ def run_chaos(
     faulty = FaultyBackend(inner, plan)
     live = StoreServer(faulty, host="127.0.0.1", port=0).start()
     port = int(live.address.rsplit(":", 1)[1])
-    holder: dict = {"server": live, "stop": False}
+    holder: dict = {"server": live, "stop": False, "events": []}
+    event = plan.mark("store", PREPARE_OPS * len(workloads))
     saboteur = None
     if server in ("restart", "down"):
         import threading
         saboteur = threading.Thread(
             target=_server_saboteur,
-            args=(holder, server, port, faulty, say),
+            args=(holder, server, port, faulty, event, say),
             name="repro-chaos-saboteur", daemon=True)
 
     # Client retry budgets per profile: "restart" must outlast
@@ -279,6 +292,7 @@ def run_chaos(
                 cluster_deadline=cluster_deadline)
     finally:
         holder["stop"] = True
+        event.set()               # wake a saboteur still waiting
         if saboteur is not None:
             saboteur.join(timeout=30.0)
         survivor = holder.get("server")
@@ -318,6 +332,15 @@ def run_chaos(
     report.store_errors = store.stats.errors
     report.ok = (report.rows_identical and report.failed_expected
                  and report.keys_identical is not False)
+    report.server_events = list(holder["events"])
+    expected_events = {"restart": ["stopped", "revived"],
+                       "down": ["stopped"], "up": []}[server]
+    if report.server_events != expected_events:
+        report.notes.append(
+            f"server-{server} profile's event never happened during "
+            f"the sweep (events {report.server_events}, expected "
+            f"{expected_events})")
+        report.ok = False
     if server == "down":
         if report.degraded_events < 1:
             report.notes.append(

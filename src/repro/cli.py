@@ -662,13 +662,14 @@ def cmd_worker(args) -> int:
 def cmd_store(args) -> int:
     from .store import StoreServer, open_backend
     from .store.artifacts import default_backend_spec
+    from .store.net import DEFAULT_PORT
     from .wire import parse_address
 
     spec = args.store_dir or default_backend_spec()
     if spec is None:
         raise SystemExit("store: persistent store disabled by "
                          "$REPRO_STORE; pass --store-dir")
-    host, port = parse_address(args.listen, default_port=9723)
+    host, port = parse_address(args.listen, default_port=DEFAULT_PORT)
     backend = open_backend(spec)
     server = StoreServer(backend, host=host, port=port)
     print(f"serving {backend.spec} on {server.address} "

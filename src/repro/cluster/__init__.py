@@ -10,7 +10,9 @@ fabric:
   (work stealing by construction: an idle worker pulls the next unit,
   so one oversized Optimal block occupies one worker while every
   other unit drains through the rest), requeues units lost to a dead
-  worker, and records per-unit telemetry;
+  worker, and records per-unit telemetry.  It serves workers on
+  :class:`repro.wire.FrameServer`, the same TCP server the store tier
+  (``repro store serve``) runs on;
 * :func:`~repro.cluster.worker.worker_loop` — the worker side:
   connect, pull, execute, report, repeat (``repro worker --connect``);
 * :func:`~repro.cluster.leader.scheduled_map` — the one function that

@@ -1,7 +1,9 @@
 """The leader side of the sweep cluster, and the sweep's scheduler.
 
-The leader owns the bag of units and serves it over the same framed
-wire protocol the store server speaks.  Scheduling is pull-based work
+The leader owns the bag of units and serves it on the same
+:class:`~repro.wire.FrameServer` the store server runs on: one
+message loop (:meth:`ClusterLeader._serve`) per worker connection,
+and a shutdown that severs them all.  Scheduling is pull-based work
 stealing: the queue is a max-heap on the units' size hints, and
 whichever worker asks next receives the largest pending unit — so the
 one oversized Optimal block pins exactly one worker while every other
@@ -44,15 +46,13 @@ the payloads, with per-unit telemetry
 from __future__ import annotations
 
 import heapq
-import socket
-import socketserver
 import threading
 import time
 import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.parallel import UnitReport, resolve_workers
-from ..wire import WireError, parse_address, recv_msg, send_msg
+from ..wire import FrameServer, parse_address, recv_msg, send_msg
 from .worker import resolve_callable
 
 __all__ = ["ClusterLeader", "scheduled_map"]
@@ -66,82 +66,9 @@ _SPAWN_ERRORS = (OSError, ImportError, NotImplementedError,
                  PermissionError, ValueError)
 
 
-class _LeaderServer(socketserver.ThreadingTCPServer):
-    """TCP server whose handler threads share one ClusterLeader."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-    # server_close() must not join handler threads: one may sit in
-    # recv on a hung worker for up to idle_timeout.
-    block_on_close = False
-
-    def __init__(self, address, leader: "ClusterLeader") -> None:
-        """Bind on *address* and attach *leader* for the handlers."""
-        super().__init__(address, _Handler)
-        self.leader = leader
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    """One connected worker: hello → welcome, get → unit, then each
-    result (or error) report → the next unit, until done."""
-
-    def handle(self) -> None:
-        """Serve one worker connection until EOF; requeue on loss."""
-        leader: ClusterLeader = self.server.leader
-        sock = self.request
-        sock.settimeout(leader.idle_timeout)
-        claimed: Optional[int] = None
-        name = "?"
-        holds_payloads = False
-        try:
-            while True:
-                message = recv_msg(sock)
-                if message is None:
-                    break
-                op = message[0]
-                if op == "hello":
-                    name = str(message[1])
-                    # A forked local worker inherited the payload list
-                    # and says so; it is sent unit indices only.  An
-                    # older two-field hello gets full payloads.
-                    holds_payloads = len(message) > 2 and bool(message[2])
-                    send_msg(sock, ("welcome", {
-                        "fn": leader.fn_path,
-                        "units": leader.pending_count(),
-                    }))
-                elif op in ("get", "result", "error"):
-                    # A report is answered with the next unit, like a
-                    # get: one round trip per unit.
-                    if op == "result":
-                        _tag, index, result, elapsed, reporter = message
-                        leader.complete(index, result, elapsed,
-                                        str(reporter))
-                    elif op == "error":
-                        _tag, index, error, elapsed, reporter = message
-                        leader.fail(index, str(error), elapsed,
-                                    str(reporter))
-                    claimed = None
-                    status, index, payload = leader.take(name)
-                    if status == "unit":
-                        claimed = index
-                        send_msg(sock, ("unit", index) if holds_payloads
-                                 else ("unit", index, payload))
-                    else:
-                        send_msg(sock, ("done",))
-                elif op == "ping":
-                    send_msg(sock, ("pong",))
-                else:
-                    send_msg(sock, ("error", f"unknown op {op!r}"))
-        except (WireError, OSError):
-            pass
-        finally:
-            if claimed is not None:
-                leader.requeue(claimed)
-
-
 class ClusterLeader:
-    """Unit queue + result collector, optionally behind a TCP accept
-    loop.
+    """Unit queue + result collector, optionally behind a
+    :class:`~repro.wire.FrameServer`.
 
     Serves *payloads* largest-first (by *size_hints*) to connecting
     workers, which execute the module-level callable named by
@@ -193,8 +120,7 @@ class ClusterLeader:
         if not self._payloads:
             self._done.set()
         self._bind = (host, port)
-        self._server: Optional[_LeaderServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._server: Optional[FrameServer] = None
 
     # ------------------------------------------------------------------
     # Scheduling core (thread-safe; shared by handlers and inline drain).
@@ -357,32 +283,60 @@ class ClusterLeader:
     def start(self) -> "ClusterLeader":
         """Bind and start accepting workers on a daemon thread; returns
         self."""
-        self._server = _LeaderServer(self._bind, self)
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="repro-cluster-leader",
-            daemon=True)
-        self._thread.start()
+        self._server = FrameServer(self._serve, *self._bind,
+                                   self.idle_timeout).start()
         return self
 
-    def _accept_loop(self) -> None:
-        # A blocking accept instead of serve_forever's select poll:
-        # shutdown() wakes it at once by shutting the socket down, so
-        # teardown never waits out a poll interval.
-        server = self._server
-        while True:
-            try:
-                request, client = server.socket.accept()
-            except OSError:
-                return
-            server.process_request(request, client)
+    def _serve(self, sock) -> None:
+        """One connected worker: hello → welcome, get → unit, then each
+        result (or error) report → the next unit, until EOF.  A unit
+        the worker still holds when its connection ends is requeued."""
+        claimed: Optional[int] = None
+        name = "?"
+        holds_payloads = False
+        try:
+            while True:
+                message = recv_msg(sock)
+                if message is None:
+                    return
+                op = message[0]
+                if op == "hello":
+                    # A forked local worker inherited the payload list
+                    # and says so; it is sent unit indices only.
+                    _tag, name, holds_payloads = message
+                    send_msg(sock, ("welcome", {
+                        "fn": self.fn_path,
+                        "units": self.pending_count(),
+                    }))
+                elif op in ("get", "result", "error"):
+                    # A report is answered with the next unit, like a
+                    # get: one round trip per unit.
+                    if op == "result":
+                        _tag, index, result, elapsed, reporter = message
+                        self.complete(index, result, elapsed,
+                                      str(reporter))
+                    elif op == "error":
+                        _tag, index, error, elapsed, reporter = message
+                        self.fail(index, str(error), elapsed,
+                                  str(reporter))
+                    claimed = None
+                    status, index, payload = self.take(str(name))
+                    if status == "unit":
+                        claimed = index
+                        send_msg(sock, ("unit", index) if holds_payloads
+                                 else ("unit", index, payload))
+                    else:
+                        send_msg(sock, ("done",))
+                else:
+                    send_msg(sock, ("error", f"unknown op {op!r}"))
+        finally:
+            if claimed is not None:
+                self.requeue(claimed)
 
     @property
     def address(self) -> str:
         """``host:port`` workers connect to (wildcard → loopback)."""
-        host, port = self._server.server_address[:2]
-        if host in ("0.0.0.0", "::"):
-            host = "127.0.0.1"
-        return f"{host}:{port}"
+        return self._server.address
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until every unit has a result (or *timeout*)."""
@@ -438,26 +392,14 @@ class ClusterLeader:
             return ordered, list(self._reports)
 
     def shutdown(self) -> None:
-        """Stop accepting workers, release the socket and wake every
-        blocked taker (idempotent).
-
-        Handler threads already serving a connection are daemonic and
-        finish (or die with the process) on their own.
-        """
+        """Stop accepting workers, sever the connected ones and wake
+        every blocked taker (idempotent)."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
         server, self._server = self._server, None
-        if server is None:
-            return
-        try:
-            # Wakes the blocked accept() (and refuses new connections
-            # on the descriptor forked workers inherited).
-            server.socket.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        server.server_close()
-        self._thread.join(timeout=1.0)
+        if server is not None:
+            server.shutdown()
 
 
 def _callable_path(fn: Callable) -> str:

@@ -35,9 +35,7 @@ from typing import Iterator, List, Optional, Tuple
 from ..hwmodel.latency import CostModel
 from ..ir.dfg import DataFlowGraph
 from .cut import Constraints, Cut, evaluate_cut
-from .engine import SearchLimits, SearchStats, ceil_cycles, run_single_cut
-
-_ceil_cycles = ceil_cycles      # backward-compatible alias
+from .engine import SearchLimits, SearchStats, run_single_cut
 
 __all__ = [
     "SearchLimits", "SearchStats", "SearchResult",

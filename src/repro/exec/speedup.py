@@ -348,17 +348,23 @@ def measure_batch(app: Application, count: int,
     )
 
 
-#: Algorithm dispatch shared with the CLI (`repro speedup --algo`).
+#: The selection algorithms, in CLI order: the one list behind
+#: ``repro speedup --algo`` and every sweep grid's algorithm axis.
 ALGORITHMS = ("iterative", "optimal", "clubbing", "maxmiso", "area")
 
 
 def dispatch_selection(algorithm, dfgs, cons, model, limits, max_nodes,
-                       area_budget, area_method="knapsack", cache=None):
+                       area_budget, area_method="knapsack", cache=None,
+                       max_per_block=32, chains=None):
     """Run one selection algorithm by name (all five families) — the
-    single dispatcher behind ``Session.select``, ``repro select`` and
-    ``repro speedup``, so every path wires the same knobs."""
+    single dispatcher behind ``Session.select``, ``repro select``,
+    ``repro speedup`` and every sweep point, so every path wires the
+    same knobs.  *chains* are shared collapse chains for the iterative
+    and area families (a sweep group's); *max_per_block* is the area
+    family's candidate-pool depth."""
     if algorithm == "iterative":
-        return select_iterative(dfgs, cons, model, limits, cache=cache)
+        return select_iterative(dfgs, cons, model, limits, cache=cache,
+                                chains=chains)
     if algorithm == "optimal":
         return select_optimal(dfgs, cons, model, limits,
                               max_nodes=max_nodes, cache=cache)
@@ -369,7 +375,8 @@ def dispatch_selection(algorithm, dfgs, cons, model, limits, max_nodes,
     if algorithm == "area":
         return select_area_constrained(dfgs, cons, area_budget, model,
                                        limits, method=area_method,
-                                       cache=cache)
+                                       max_per_block=max_per_block,
+                                       cache=cache, chains=chains)
     known = ", ".join(ALGORITHMS)
     raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
 

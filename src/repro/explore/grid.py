@@ -15,13 +15,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.cut import Constraints
 from ..core.engine import SearchLimits
+from ..exec.speedup import ALGORITHMS
 from ..hwmodel.latency import CostModel, uniform_cost_model
 from ..workloads import WORKLOADS
 
-#: Algorithms a sweep can run per grid point.
-ALGORITHMS: Tuple[str, ...] = (
-    "iterative", "optimal", "clubbing", "maxmiso", "area",
-)
 
 #: Named cost models (factories — each call builds a fresh instance, so
 #: workers can rebuild an equal model; the cache keys on content).

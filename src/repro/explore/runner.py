@@ -39,19 +39,15 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..core import (
-    BlockTooLargeError,
-    Constraints,
-    find_best_cuts,
-    select_clubbing,
-    select_iterative,
-    select_maxmiso,
-    select_optimal,
-)
 from ..cluster import scheduled_map
-from ..core.select_area import select_area_constrained
+from ..core import BlockTooLargeError, Constraints, find_best_cuts
 from ..core.select_iterative import CollapseChain
 from ..core.selection import SelectionResult
+# Not called here (points select through ``dispatch_selection``), but
+# kept importable from this module: perfbench/tracing.py wraps these
+# names in this module and in repro.exec.speedup by ``getattr``.
+from ..core import select_area_constrained, select_iterative  # noqa: F401
+from ..exec.speedup import dispatch_selection
 from ..hwmodel.latency import CostModel
 from ..hwmodel.merit import cut_area
 from ..pipeline import Application, prepare_application
@@ -246,23 +242,10 @@ def _run_point(
     }
     start = time.perf_counter()
     try:
-        if point.algorithm == "iterative":
-            result = select_iterative(app.dfgs, cons, model, limits,
-                                      cache=cache, chains=chains)
-        elif point.algorithm == "clubbing":
-            result = select_clubbing(app.dfgs, cons, model)
-        elif point.algorithm == "maxmiso":
-            result = select_maxmiso(app.dfgs, cons, model)
-        elif point.algorithm == "optimal":
-            result = select_optimal(app.dfgs, cons, model, limits,
-                                    max_nodes=spec.max_nodes, cache=cache)
-        elif point.algorithm == "area":
-            result = select_area_constrained(
-                app.dfgs, cons, spec.area_budget, model, limits,
-                max_per_block=spec.max_per_block, cache=cache,
-                chains=chains)
-        else:  # unreachable: SweepSpec validates algorithms
-            raise ValueError(f"unknown algorithm {point.algorithm!r}")
+        result = dispatch_selection(
+            point.algorithm, app.dfgs, cons, model, limits,
+            spec.max_nodes, spec.area_budget, cache=cache,
+            max_per_block=spec.max_per_block, chains=chains)
     except BlockTooLargeError as exc:
         # The paper's own note: Optimal could not run on the largest
         # adpcm-decode block.  The grid point reports n/a, the sweep

@@ -11,10 +11,12 @@ underlying file tree or database.
 
 The server relays opaque blobs — artifact payloads are never unpickled
 server-side, so the policy layer's schema/corruption handling runs
-only in the clients that actually consume the bytes.  Each connection
-is served by a daemon thread and may issue any number of requests;
-client operations reconnect once on a dropped socket, then degrade to
-:class:`~repro.store.backend.BackendError` (which the policy layer
+only in the clients that actually consume the bytes.  It is a
+:class:`~repro.wire.FrameServer`: each connection gets a daemon thread
+whose message loop answers any number of requests over the local
+backend.  Client operations retry a dropped socket within their
+budget, then degrade to
+:class:`~repro.store.backend.StoreUnavailable` (which the policy layer
 counts as a miss/dropped write — the fabric keeps working, just
 colder).
 """
@@ -23,13 +25,19 @@ from __future__ import annotations
 
 import random
 import socket
-import socketserver
 import threading
 import time
 import zlib
 from typing import Iterator, Optional, Tuple
 
-from ..wire import WireError, connect, parse_address, recv_msg, send_msg
+from ..wire import (
+    FrameServer,
+    WireError,
+    connect,
+    parse_address,
+    recv_msg,
+    send_msg,
+)
 from .backend import BackendError, StoreBackend, StoreInfo, StoreUnavailable
 
 #: Default port of ``repro store serve`` (and of ``tcp://HOST`` specs
@@ -43,35 +51,47 @@ CLIENT_TIMEOUT = 30.0
 DEFAULT_RETRIES = 3
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):  # noqa: D102 - socketserver plumbing
-        backend = self.server.backend      # type: ignore[attr-defined]
-        sock = self.request
-        sock.settimeout(self.server.idle_timeout)  # type: ignore
-        self.server.track(sock)            # type: ignore[attr-defined]
-        try:
-            while True:
-                try:
-                    message = recv_msg(sock)
-                except (WireError, OSError):
-                    return
-                if message is None:        # clean disconnect
-                    return
-                try:
-                    reply = ("ok", self._dispatch(backend, message))
-                except (BackendError, WireError) as exc:
-                    reply = ("err", str(exc))
-                except Exception as exc:   # never kill the server
-                    reply = ("err", f"{type(exc).__name__}: {exc}")
-                try:
-                    send_msg(sock, reply)
-                except (WireError, OSError):
-                    return
-        finally:
-            self.server.untrack(sock)      # type: ignore[attr-defined]
+class StoreServer(FrameServer):
+    """Serve a local backend over TCP (the ``repro store serve`` verb).
 
-    @staticmethod
-    def _dispatch(backend: StoreBackend, message: Tuple):
+    Binds in the constructor; ``StoreServer(backend).start()`` serves
+    in a daemon thread (tests, embedding in a leader process) and
+    :meth:`serve_forever` blocks instead (the CLI).  ``port=0`` picks
+    an ephemeral port, reported by :attr:`address`.  ``shutdown``
+    severs live clients: those mid-request see a dropped socket and
+    fall back on their retry budget.
+    """
+
+    def __init__(self, backend: StoreBackend, host: str = "0.0.0.0",
+                 port: int = DEFAULT_PORT,
+                 idle_timeout: float = 600.0) -> None:
+        """Bind immediately; serving starts with :meth:`start` or
+        :meth:`serve_forever`."""
+        super().__init__(self._serve, host, port, idle_timeout)
+        self.backend = backend
+
+    @property
+    def spec(self) -> str:
+        """Client spec for this server (``tcp://`` + :attr:`address`)."""
+        return f"tcp://{self.address}"
+
+    def _serve(self, sock) -> None:
+        """One client connection: answer each request with ``("ok",
+        value)`` or ``("err", message)`` until the client hangs up."""
+        while True:
+            message = recv_msg(sock)
+            if message is None:            # clean disconnect
+                return
+            try:
+                reply = ("ok", self._dispatch(message))
+            except (BackendError, WireError) as exc:
+                reply = ("err", str(exc))
+            except Exception as exc:       # never kill the server
+                reply = ("err", f"{type(exc).__name__}: {exc}")
+            send_msg(sock, reply)
+
+    def _dispatch(self, message: Tuple):
+        backend = self.backend
         op = message[0]
         if op == "load":
             return backend.load(message[1], message[2])
@@ -92,116 +112,7 @@ class _Handler(socketserver.BaseRequestHandler):
             return backend.clear()
         if op == "gc":
             return backend.gc(message[1])
-        if op == "ping":
-            return {"spec": backend.spec}
         raise WireError(f"unknown store op {op!r}")
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._conn_lock = threading.Lock()
-        self._conns: set = set()
-
-    def server_close(self):
-        # shutdown() before close(): a forked worker process inherits
-        # a duplicate of this listening FD, and with close() alone the
-        # kernel socket would stay listening through the dup — clients
-        # would connect into a backlog nobody accepts and eat their
-        # full timeout instead of an instant refusal.  shutdown() acts
-        # on the kernel socket itself, dups and all.
-        try:
-            self.socket.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        super().server_close()
-
-    def track(self, sock) -> None:
-        with self._conn_lock:
-            self._conns.add(sock)
-
-    def untrack(self, sock) -> None:
-        with self._conn_lock:
-            self._conns.discard(sock)
-
-    def close_connections(self) -> None:
-        """Sever every live client connection (handler threads see a
-        socket error on their next receive and exit)."""
-        with self._conn_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for sock in conns:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-
-class StoreServer:
-    """Serve a local backend over TCP (the ``repro store serve`` verb).
-
-    ``StoreServer(backend).start()`` binds and serves in a daemon
-    thread (tests, embedding in a leader process);
-    :meth:`serve_forever` blocks instead (the CLI).  ``port=0`` picks
-    an ephemeral port, reported by :attr:`address`.
-    """
-
-    def __init__(self, backend: StoreBackend, host: str = "0.0.0.0",
-                 port: int = DEFAULT_PORT,
-                 idle_timeout: float = 600.0) -> None:
-        """Bind immediately; serving starts with :meth:`start` or
-        :meth:`serve_forever`."""
-        self.backend = backend
-        self._server = _Server((host, port), _Handler)
-        self._server.backend = backend           # type: ignore[attr-defined]
-        self._server.idle_timeout = idle_timeout  # type: ignore
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> str:
-        """The bound ``HOST:PORT`` (resolves ``port=0`` bindings)."""
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
-
-    @property
-    def spec(self) -> str:
-        """Client spec for this server, with a connectable host: the
-        wildcard bind address is rewritten to the loopback."""
-        host, port = self._server.server_address[:2]
-        if host in ("0.0.0.0", "::"):
-            host = "127.0.0.1"
-        return f"tcp://{host}:{port}"
-
-    def start(self) -> "StoreServer":
-        """Serve in a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.1},
-            name="repro-store-server", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._server.serve_forever(poll_interval=0.5)
-
-    def shutdown(self) -> None:
-        """Stop serving: close the listening socket AND sever every
-        live client connection (idempotent).  Clients mid-request see
-        a dropped socket — exactly what a killed server process looks
-        like — and fall back on their retry budget."""
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.close_connections()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
 
 
 class NetworkBackend(StoreBackend):
@@ -338,10 +249,6 @@ class NetworkBackend(StoreBackend):
         """Run the age sweep server-side."""
         removed, freed = self._roundtrip(("gc", max_age_days))
         return int(removed), int(freed)
-
-    def ping(self) -> dict:
-        """Server liveness + its backend spec (connection check)."""
-        return dict(self._roundtrip(("ping",)))
 
     def close(self) -> None:
         """Drop the client connection (reopened lazily on next use)."""

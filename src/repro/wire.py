@@ -1,4 +1,4 @@
-"""Length-prefixed pickle frames: the shared wire format.
+"""Length-prefixed pickle frames and the one server that speaks them.
 
 Both network tiers of the distributed fabric — the artifact-store
 server (:mod:`repro.store.net`) and the sweep cluster leader
@@ -8,6 +8,11 @@ length prefix followed by a pickled message.  Messages are plain
 tuples of strings, numbers, ``bytes`` blobs and nested tuples — the
 artifact payloads themselves travel as opaque byte strings and are
 never unpickled by the server.
+
+:class:`FrameServer` is the one TCP server both tiers run on: a
+blocking ``accept`` loop that gives each connection a daemon thread
+running the tier's message loop, and a ``shutdown`` that refuses new
+connections at once and severs the live ones.
 
 The protocol is for a *trusted* network (your own cluster): pickle is
 not hardened against adversarial peers, exactly like the on-disk store
@@ -20,6 +25,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
+import threading
 from typing import Callable, Optional, Tuple
 
 #: Frame preamble: rejects accidental connections from foreign
@@ -130,3 +136,93 @@ def connect(address: str, timeout: float = 30.0) -> socket.socket:
     sock = socket.create_connection((host, port), timeout=timeout)
     sock.settimeout(timeout)
     return sock
+
+
+class FrameServer:
+    """A threaded TCP server: each connection gets a daemon thread
+    that runs ``serve(sock)``, the tier's message loop.
+
+    Binds in the constructor (``port=0`` picks an ephemeral port,
+    reported by :attr:`address`).  :meth:`serve_forever` blocks in
+    ``accept`` on the calling thread; :meth:`start` runs it on a daemon
+    thread.  A :class:`WireError` or ``OSError`` out of ``serve`` ends
+    only that connection.  Accepted sockets time out after
+    *idle_timeout* seconds without traffic.
+    """
+
+    def __init__(self, serve: Callable[[socket.socket], None],
+                 host: str = "127.0.0.1", port: int = 0,
+                 idle_timeout: Optional[float] = None) -> None:
+        """Bind and listen on ``(host, port)`` (``SO_REUSEADDR``)."""
+        self._serve = serve
+        self.idle_timeout = idle_timeout
+        self._sock = socket.create_server((host, port))
+        host, port = self._sock.getsockname()[:2]
+        if host == "0.0.0.0":
+            host = "127.0.0.1"
+        #: ``HOST:PORT`` clients connect to (wildcard → loopback).
+        self.address = f"{host}:{port}"
+        self._lock = threading.Lock()
+        self._conns: set = set()
+        self._closed = False
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> "FrameServer":
+        """Accept on a daemon thread; returns self for chaining."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name=f"repro-server-{self.address}",
+            daemon=True)
+        self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown` (which wakes the
+        blocked ``accept`` at once — no poll interval)."""
+        while True:
+            try:
+                conn, _peer = self._sock.accept()
+            except OSError:
+                return
+            conn.settimeout(self.idle_timeout)
+            with self._lock:
+                if self._closed:
+                    conn.close()
+                    return
+                self._conns.add(conn)
+            threading.Thread(target=self._handle, args=(conn,),
+                             daemon=True).start()
+
+    def _handle(self, conn: socket.socket) -> None:
+        try:
+            self._serve(conn)
+        except (WireError, OSError):
+            pass
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            conn.close()
+
+    def shutdown(self) -> None:
+        """Stop serving (idempotent): refuse new connections, then
+        sever every live one — its peer sees EOF or a reset, exactly
+        what a killed server process looks like.
+
+        The listening socket is shut down, not just closed: a forked
+        worker process inherits a duplicate of its descriptor, and
+        with ``close()`` alone the kernel socket would stay listening
+        through the dup — clients would connect into a backlog nobody
+        accepts and wait out their timeout instead of being refused.
+        ``shutdown`` acts on the kernel socket, dups and all, and
+        wakes the blocked ``accept``."""
+        with self._lock:
+            self._closed = True
+            conns, self._conns = self._conns, set()
+        for sock in (self._sock, *conns):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            sock.close()
+        thread, self._thread = self._thread, None
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=1.0)

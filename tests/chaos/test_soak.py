@@ -48,6 +48,18 @@ class TestSoak:
         assert report.ok, report.notes
         assert report.rows_identical
         assert report.keys_identical
+        assert report.server_events == ["stopped", "revived"]
+
+    def test_one_group_soak_server_down(self, tmp_path):
+        # The CI `down` step's grid: one workload, one port pair.  Its
+        # store traffic is over in well under 0.15 s, so the server
+        # event must follow the store's operation count, not the clock.
+        report = run_chaos(seed=0, workers=2, workloads=("fir",),
+                           ports=((4, 2),), server="down",
+                           workdir=tmp_path)
+        assert report.ok, report.notes
+        assert report.server_events == ["stopped"]
+        assert report.degraded_events >= 1
 
     def test_fault_free_soak_is_clean(self, tmp_path):
         report = run_chaos(seed=0, workers=2, workloads=("fir",),

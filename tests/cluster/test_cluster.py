@@ -14,8 +14,8 @@ from repro.cluster import ClusterLeader, scheduled_map, worker_loop
 from repro.cluster.worker import _sleep_unit, resolve_callable
 from repro.explore import SweepSpec, run_sweep
 from repro.store import ArtifactStore
-from repro.wire import (MAGIC, connect, recv_msg, send_msg,
-                        set_fault_hook)
+from repro.wire import (MAGIC, connect, parse_address, recv_msg,
+                        send_msg, set_fault_hook)
 
 
 def _echo(payload):
@@ -74,7 +74,7 @@ class TestLeaderProtocol:
             # A worker claims the first unit, then dies without
             # reporting: its connection close must requeue the unit.
             sock = connect(leader.address, timeout=5.0)
-            send_msg(sock, ("hello", "doomed"))
+            send_msg(sock, ("hello", "doomed", False))
             assert recv_msg(sock)[0] == "welcome"
             send_msg(sock, ("get",))
             tag, index, _payload = recv_msg(sock)
@@ -342,7 +342,6 @@ class TestRemoteWorkerSweep:
 
 
 def test_parse_address_forms():
-    from repro.wire import parse_address
     assert parse_address("127.0.0.1:9", default_port=1) \
         == ("127.0.0.1", 9)
     assert parse_address("tcp://h:9", default_port=1) == ("h", 9)
@@ -352,7 +351,7 @@ def test_parse_address_forms():
 def test_leader_port_is_reusable_after_shutdown():
     leader = ClusterLeader("tests.cluster.test_cluster:_echo",
                            []).start()
-    host, port = leader._server.server_address[:2]
+    host, port = parse_address(leader.address)
     leader.shutdown()
     probe = socket.socket()
     probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
