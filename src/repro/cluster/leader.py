@@ -60,6 +60,16 @@ __all__ = ["ClusterLeader", "scheduled_map"]
 #: Default port of ``repro sweep --listen`` (store server uses 9723).
 DEFAULT_PORT = 9724
 
+#: Field types of the frames a worker sends: ``hello`` (name,
+#: holds_payloads), ``get``, ``result``/``error`` (index, result or
+#: traceback, elapsed, worker).
+_FRAMES = {
+    "hello": (str, str, bool),
+    "get": (str,),
+    "result": (str, int, object, (int, float), str),
+    "error": (str, int, str, (int, float), str),
+}
+
 #: Failures that mean "cannot fork local workers here" — the leader
 #: then runs the units itself instead of giving up.
 _SPAWN_ERRORS = (OSError, ImportError, NotImplementedError,
@@ -299,6 +309,10 @@ class ClusterLeader:
                 message = recv_msg(sock)
                 if message is None:
                     return
+                problem = self._malformed(message)
+                if problem is not None:
+                    send_msg(sock, ("error", problem))
+                    continue
                 op = message[0]
                 if op == "hello":
                     # A forked local worker inherited the payload list
@@ -308,30 +322,42 @@ class ClusterLeader:
                         "fn": self.fn_path,
                         "units": self.pending_count(),
                     }))
-                elif op in ("get", "result", "error"):
+                else:
                     # A report is answered with the next unit, like a
                     # get: one round trip per unit.
                     if op == "result":
                         _tag, index, result, elapsed, reporter = message
-                        self.complete(index, result, elapsed,
-                                      str(reporter))
+                        self.complete(index, result, elapsed, reporter)
                     elif op == "error":
                         _tag, index, error, elapsed, reporter = message
-                        self.fail(index, str(error), elapsed,
-                                  str(reporter))
+                        self.fail(index, error, elapsed, reporter)
                     claimed = None
-                    status, index, payload = self.take(str(name))
+                    status, index, payload = self.take(name)
                     if status == "unit":
                         claimed = index
                         send_msg(sock, ("unit", index) if holds_payloads
                                  else ("unit", index, payload))
                     else:
                         send_msg(sock, ("done",))
-                else:
-                    send_msg(sock, ("error", f"unknown op {op!r}"))
         finally:
             if claimed is not None:
                 self.requeue(claimed)
+
+    def _malformed(self, message) -> Optional[str]:
+        """Why *message* is not a frame :meth:`_serve` accepts (op,
+        arity, field types, a unit index in range), or ``None``."""
+        if not isinstance(message, tuple) or not message:
+            return "a frame is a non-empty tuple"
+        op = message[0]
+        fields = _FRAMES.get(op) if isinstance(op, str) else None
+        if fields is None:
+            return f"unknown op {op!r}"
+        if (len(message) != len(fields)
+                or not all(map(isinstance, message, fields))):
+            return f"malformed {op!r} frame"
+        if len(fields) == 5 and not 0 <= message[1] < len(self._payloads):
+            return f"{op!r} names no unit: index {message[1]!r}"
+        return None
 
     @property
     def address(self) -> str:

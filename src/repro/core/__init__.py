@@ -20,7 +20,8 @@ its *(model, workload, Nin, Nout)* evaluation groups over ``workers``
 processes (or the ``REPRO_WORKERS`` environment variable; serial by
 default), and each group runs its selections on chains it built.
 
-Identification calls additionally accept a duck-typed ``cache=`` memo
+Collapse chains, multi-cut searches and the selection strategies
+additionally accept a duck-typed ``cache=`` memo
 (``repro.explore.SearchCache``): hits skip the exponential searches
 with bit-identical results, which is what makes whole design-space
 sweeps (``repro sweep``) an order of magnitude cheaper than one CLI

@@ -16,7 +16,7 @@ module provides the problem-level API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from ..hwmodel.latency import CostModel
@@ -48,15 +48,19 @@ def find_best_cuts(
     """Find up to *num_cuts* disjoint cuts of *dfg* maximising the merit
     sum, each cut individually satisfying *constraints* (Section 6.2).
 
-    *cache* is an optional memo (duck-typed ``get_multi``/``put_multi``,
+    *cache* is an optional memo (duck-typed ``key``/``get``/``put``,
     e.g. :class:`repro.explore.cache.SearchCache`); a hit skips the
     search and returns the identical result.
     """
     model = model or CostModel()
     if cache is not None:
-        hit = cache.get_multi(dfg, constraints, num_cuts, model, limits)
+        key = cache.key("multi", dfg, constraints, model, limits, num_cuts)
+        hit = cache.get(key)
         if hit is not None:
-            return hit
+            node_sets, total_merit, stats, complete = hit
+            return MultiCutResult([evaluate_cut(dfg, frozenset(nodes), model)
+                                   for nodes in node_sets], total_merit,
+                                  SearchStats(**stats), complete)
     best_sets, best_total, stats, complete = run_multi_cut(
         dfg, constraints, num_cuts, model, limits)
     cuts: List[Cut] = []
@@ -72,5 +76,7 @@ def find_best_cuts(
         complete=complete,
     )
     if cache is not None:
-        cache.put_multi(dfg, constraints, num_cuts, model, limits, result)
+        # Cuts in the result's (merit-sorted) order: a hit needs no sort.
+        cache.put(key, (tuple(tuple(sorted(c.nodes)) for c in cuts),
+                        best_total, asdict(stats), complete))
     return result

@@ -78,7 +78,7 @@ def enumerate_candidates(
 
     Returns non-overlapping candidates (cuts from the same block never
     share operations, by construction of the collapse step).  *cache*
-    is an optional single-cut memo threaded into the chain's searches;
+    is an optional memo of collapse chains for the chains built here;
     *chains* optionally supplies the blocks' collapse chains (shared
     with iterative selection), built fresh when omitted.
     """

@@ -14,17 +14,18 @@ area rows (:mod:`repro.core.select_area`) of one (workload, Nin, Nout).
 
 The expensive first round is one exhaustive identification per block.
 Chains handed in already walked (a sweep's group unit walks them before
-its rows read them) or a ``cache`` of earlier searches skip it, so
-selection itself stays a plain loop.
+its rows read them) or a ``cache`` holding an earlier walk of each
+chain skip it, so selection itself stays a plain loop.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import asdict
+from typing import List, Optional, Sequence, Tuple
 
 from ..hwmodel.latency import CostModel
 from ..ir.dfg import DataFlowGraph
-from .cut import Constraints, Cut
+from .cut import Constraints, Cut, evaluate_cut
 from .selection import SelectionResult, make_result, merge_stats
 from .single_cut import SearchLimits, SearchResult, SearchStats, find_best_cut
 
@@ -38,6 +39,11 @@ class CollapseChain:
     and the :func:`find_best_cut` result on it.  Links are computed on
     first use and kept while the chain lives; the chain ends at the
     first link without a profitable cut.
+
+    With a *cache* (``repro.explore.SearchCache``) the chain is one
+    ``chain`` entry, read once here: its links are rebuilt (collapse,
+    :func:`~repro.core.cut.evaluate_cut`), later links are searched, and
+    a :meth:`link` call that searched puts the longer entry back.
     """
 
     def __init__(self, dfg: DataFlowGraph, constraints: Constraints,
@@ -49,22 +55,42 @@ class CollapseChain:
         self.cache = cache
         self.graphs: List[DataFlowGraph] = [dfg]
         self.results: List[SearchResult] = []
+        self.key = (None if cache is None else
+                    cache.key("chain", dfg, constraints, model, limits))
+        # One (nodes | None, asdict(stats), complete) per link walked.
+        self.entry: Tuple = (() if cache is None
+                             else cache.get(self.key) or ())
 
     def link(self, k: int) -> Optional[SearchResult]:
         """The search result of link *k*, or ``None`` past the chain's
         end."""
         results = self.results
+        entry = self.entry
         while len(results) <= k:
             if results:
                 cut = results[-1].cut
                 if cut is None or cut.merit <= 0:
-                    return None
+                    break
                 self.graphs.append(self.graphs[-1].collapse(
                     cut.nodes, label=f"ise{len(results)}"))
-            results.append(find_best_cut(self.graphs[-1], self.constraints,
-                                         self.model, self.limits,
-                                         cache=self.cache))
-        return results[k]
+            dfg = self.graphs[-1]
+            if len(results) < len(entry):
+                nodes, stats, complete = entry[len(results)]
+                results.append(SearchResult(
+                    cut=(evaluate_cut(dfg, frozenset(nodes), self.model)
+                         if nodes is not None else None),
+                    stats=SearchStats(**stats), complete=complete))
+                continue
+            result = find_best_cut(dfg, self.constraints, self.model,
+                                   self.limits)
+            results.append(result)
+            entry += ((tuple(sorted(result.cut.nodes))
+                       if result.cut is not None else None,
+                       asdict(result.stats), result.complete),)
+        if entry is not self.entry and self.cache is not None:
+            self.cache.put(self.key, entry)
+        self.entry = entry
+        return results[k] if k < len(results) else None
 
 
 def select_iterative(
@@ -82,9 +108,9 @@ def select_iterative(
         constraints: I/O port limits and the instruction budget.
         model: cost model for the merit function.
         limits: optional per-identification search budget.
-        cache: optional identification memo (e.g. ``repro.explore.
-            SearchCache``); hits skip per-block searches, results are
-            bit-identical either way.
+        cache: optional memo of collapse chains (e.g. ``repro.explore.
+            SearchCache``) for the chains built here; cached links skip
+            their searches, results are bit-identical either way.
         chains: optional per-block :class:`CollapseChain` list (same
             order as *dfgs*, same ports, model and limits) shared with
             other selections; fresh chains are built when omitted.

@@ -62,7 +62,6 @@ def find_best_cut(
     constraints: Constraints,
     model: Optional[CostModel] = None,
     limits: Optional[SearchLimits] = None,
-    cache=None,
 ) -> SearchResult:
     """Find the maximal-merit convex cut of *dfg* under *constraints*.
 
@@ -70,26 +69,14 @@ def find_best_cut(
     the search early, which is reported via ``SearchResult.complete``).
     Only cuts with strictly positive merit are returned; ``cut`` is ``None``
     when no profitable feasible cut exists.
-
-    *cache* is an optional memo (duck-typed ``get_single``/``put_single``,
-    e.g. :class:`repro.explore.cache.SearchCache`).  A hit returns the
-    identical result without re-running the search; the cache never
-    changes what is returned.
     """
     model = model or CostModel()
-    if cache is not None:
-        hit = cache.get_single(dfg, constraints, model, limits)
-        if hit is not None:
-            return hit
     best_nodes, _, stats, complete = run_single_cut(
         dfg, constraints, model, limits)
     cut = None
     if best_nodes is not None:
         cut = evaluate_cut(dfg, best_nodes, model)
-    result = SearchResult(cut=cut, stats=stats, complete=complete)
-    if cache is not None:
-        cache.put_single(dfg, constraints, model, limits, result)
-    return result
+    return SearchResult(cut=cut, stats=stats, complete=complete)
 
 
 def enumerate_feasible_cuts(

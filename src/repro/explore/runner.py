@@ -20,7 +20,7 @@ phases:
    entries; the leader merges the entries — the only code that writes
    search results to the persistent store.  The leader evaluates the
    other groups itself, on the shared cache and the sweep's own model
-   objects: covered groups without warm tasks (every link is a hit),
+   objects: covered groups without warm tasks (every chain is a hit),
    and quarantined units with them, so the store ends with a fault-free
    run's keys.  Rows land in ``spec.expand()`` order either way.
 
@@ -52,7 +52,7 @@ from ..hwmodel.latency import CostModel
 from ..hwmodel.merit import cut_area
 from ..pipeline import Application, prepare_application
 from ..store.artifacts import ArtifactStore
-from .cache import SearchCache
+from .cache import CacheStats, SearchCache
 from .grid import SweepPoint, SweepSpec, resolve_model
 
 #: A warm task: ("chain", depth) | ("multi", m).
@@ -75,11 +75,9 @@ class _Group(NamedTuple):
     backend: Optional[str]
 
 
-def _evaluate_group(job: _Group,
-                    cache: SearchCache) -> Tuple[List[dict], Tuple[int, int]]:
+def _evaluate_group(job: _Group, cache: SearchCache) -> List[dict]:
     """Run *job*'s warm tasks on *cache*, then evaluate its points on
-    the chains they built.  Returns the rows and the ``(hits, misses)``
-    the evaluation itself (after the warm tasks) made on *cache*."""
+    the chains they built."""
     app, spec, model, points, tasks, backend = job
     cons = Constraints(nin=points[0].nin, nout=points[0].nout)
     chains = [CollapseChain(dfg, cons, model, spec.limits, cache)
@@ -94,21 +92,19 @@ def _evaluate_group(job: _Group,
             for dfg in app.dfgs:
                 find_best_cuts(dfg, cons, arg, model, spec.limits,
                                cache=cache)
-    hits, misses = cache.stats.hits, cache.stats.misses
-    rows = [_run_point(point, app, spec, model, cache, backend=backend,
+    return [_run_point(point, app, spec, model, cache, backend=backend,
                        chains=chains)
             for point in points]
-    return rows, (cache.stats.hits - hits, cache.stats.misses - misses)
 
 
-def _group_unit(job: _Group) -> Tuple[List[dict], List[Tuple], Tuple]:
-    """Module-level worker: evaluate one group on a local cache and
-    return ``(rows, entries, evaluation (hits, misses))`` for the
-    leader.  A unit touches no store: the leader's merge is the only
-    writer of search results."""
+def _group_unit(job: _Group) -> Tuple[List[dict], List[Tuple], CacheStats]:
+    """Module-level worker: evaluate one group on a fresh local cache
+    and return ``(rows, entries, that cache's stats)`` for the leader.
+    A unit touches no store: the leader's merge is the only writer of
+    search results."""
     cache = SearchCache()
-    rows, counts = _evaluate_group(job, cache)
-    return rows, cache.entries(), counts
+    rows = _evaluate_group(job, cache)
+    return rows, cache.entries(), cache.stats
 
 
 #: Relative cost weight of one warm task kind, multiplied by the task
@@ -132,13 +128,12 @@ def _unit_hint(job: _Group) -> float:
 def _task_covered(task: _WarmTask, cache: SearchCache, dfg, cons,
                   model, limits) -> bool:
     """True when a pre-warmed cache already holds this task's entries.
-    The root single-cut entry is a sound proxy for a whole chain: a
-    group unit always completes its chains, and anything deeper is
-    filled on demand during evaluation."""
+    Any chain entry counts: a group unit walks its chains deep enough
+    for every row, and anything deeper is searched on demand during
+    evaluation."""
     kind, arg = task
-    if kind == "chain":
-        return cache.has_single(dfg, cons, model, limits)
-    return cache.has_multi(dfg, cons, arg, model, limits)
+    return cache.has(cache.key(kind, dfg, cons, model, limits,
+                               arg if kind == "multi" else None))
 
 
 def _plan_units(
@@ -186,7 +181,7 @@ class SweepOutcome:
     merging their entries) and ``points_s`` the groups the leader
     evaluates itself, so on a cold sweep most rows are evaluated inside
     ``warm_s``.  ``cache_stats`` counts the shared cache's own lookups
-    plus the evaluation-stage lookups of every unit."""
+    plus every lookup each unit made on its local cache."""
 
     spec: SweepSpec
     rows: List[dict] = field(default_factory=list)
@@ -425,10 +420,10 @@ def run_sweep(
         groups: List[Optional[List[dict]]] = [None] * len(jobs)
         for index, result in zip(units, results):
             if result is not None:
-                groups[index], entries, (hits, misses) = result
+                groups[index], entries, stats = result
                 cache.merge(entries)
-                cache.stats.hits += hits
-                cache.stats.misses += misses
+                cache.stats.hits += stats.hits
+                cache.stats.misses += stats.misses
         outcome.unit_reports = [report.as_dict() for report in reports]
         outcome.failed_units = [report.as_dict() for report in reports
                                 if report.status != "ok"]
@@ -445,7 +440,7 @@ def run_sweep(
         start = time.perf_counter()
         for index, job in enumerate(jobs):
             if groups[index] is None:
-                groups[index], _counts = _evaluate_group(job, cache)
+                groups[index] = _evaluate_group(job, cache)
         outcome.rows = [row for group in groups for row in group]
         outcome.points_s = time.perf_counter() - start
         outcome.cache_stats = cache.stats.as_dict()

@@ -16,6 +16,11 @@ Grammar (informal):
 Expressions use standard C precedence; compound assignments and ``++``/
 ``--`` statements are desugared into plain assignments here, so the rest
 of the pipeline only sees simple ``Assign`` nodes.
+
+Deep nesting is a :class:`ParseError`, never a ``RecursionError``: the
+parser's own recursion and the depth of each function's tree (where
+long operator chains nest, built in a loop) are bounded by
+:data:`MAX_NESTING`, so sema and irgen never recurse past it either.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from typing import List
 from . import ast_nodes as ast
 from .errors import ParseError
 from .lexer import Token, TokenKind, tokenize
+
+#: Deepest nesting accepted; the registered workloads nest 15 deep.
+MAX_NESTING = 100
 
 # Binary operator precedence, tighter binds higher.
 _PRECEDENCE = {
@@ -50,6 +58,7 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing.
@@ -89,6 +98,14 @@ class Parser:
             return True
         return False
 
+    def _nest(self) -> None:
+        """Enter one level of recursion (``self.depth -= 1`` leaves)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.current
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             tok.line, tok.column)
+
     # ------------------------------------------------------------------
     # Top level.
     # ------------------------------------------------------------------
@@ -102,6 +119,7 @@ class Parser:
                 raise ParseError(
                     f"expected declaration, found {self.current.text!r}",
                     self.current.line, self.current.column)
+        _check_depth(program)
         return program
 
     def _parse_top_decl(self, program: ast.Program) -> None:
@@ -178,6 +196,7 @@ class Parser:
     # Statements.
     # ------------------------------------------------------------------
     def _parse_block(self) -> ast.Block:
+        self._nest()
         open_tok = self._expect_punct("{")
         block = ast.Block(line=open_tok.line)
         while not self.current.is_punct("}"):
@@ -186,6 +205,7 @@ class Parser:
                                  open_tok.line, open_tok.column)
             block.statements.append(self._parse_statement())
         self._expect_punct("}")
+        self.depth -= 1
         return block
 
     def _parse_statement(self) -> ast.Stmt:
@@ -238,6 +258,7 @@ class Parser:
         return block
 
     def _parse_if(self) -> ast.If:
+        self._nest()
         if_tok = self._expect_keyword("if")
         self._expect_punct("(")
         cond = self._parse_expression()
@@ -247,18 +268,22 @@ class Parser:
         if self.current.is_keyword("else"):
             self._advance()
             else_body = self._as_block(self._parse_statement())
+        self.depth -= 1
         return ast.If(line=if_tok.line, cond=cond, then_body=then_body,
                       else_body=else_body)
 
     def _parse_while(self) -> ast.While:
+        self._nest()
         while_tok = self._expect_keyword("while")
         self._expect_punct("(")
         cond = self._parse_expression()
         self._expect_punct(")")
         body = self._as_block(self._parse_statement())
+        self.depth -= 1
         return ast.While(line=while_tok.line, cond=cond, body=body)
 
     def _parse_for(self) -> ast.For:
+        self._nest()
         for_tok = self._expect_keyword("for")
         self._expect_punct("(")
         init = None
@@ -280,6 +305,7 @@ class Parser:
             step = self._parse_simple_statement()
         self._expect_punct(")")
         body = self._as_block(self._parse_statement())
+        self.depth -= 1
         return ast.For(line=for_tok.line, init=init, cond=cond, step=step,
                        body=body)
 
@@ -339,14 +365,16 @@ class Parser:
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(1)
+        self._nest()
+        expr = self._parse_binary(1)
         if self._accept_punct("?"):
             if_true = self._parse_expression()
             self._expect_punct(":")
             if_false = self._parse_ternary()
-            return ast.Ternary(line=cond.line, cond=cond,
+            expr = ast.Ternary(line=expr.line, cond=expr,
                                if_true=if_true, if_false=if_false)
-        return cond
+        self.depth -= 1
+        return expr
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         left = self._parse_unary()
@@ -366,7 +394,9 @@ class Parser:
         tok = self.current
         if tok.kind is TokenKind.PUNCT and tok.text in ("-", "~", "!", "+"):
             self._advance()
+            self._nest()
             operand = self._parse_unary()
+            self.depth -= 1
             if tok.text == "+":
                 return operand
             return ast.Unary(line=tok.line, op=tok.text, operand=operand)
@@ -414,6 +444,23 @@ class Parser:
             return expr
         raise ParseError(f"unexpected token {tok.text!r}",
                          tok.line, tok.column)
+
+
+def _check_depth(program: ast.Program) -> None:
+    """Raise :class:`ParseError` at a node of a function's tree deeper
+    than :data:`MAX_NESTING` (an explicit stack: no recursion here)."""
+    stack = [(program, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             node.line)
+        for value in vars(node).values():
+            if isinstance(value, ast.Node):
+                stack.append((value, depth + 1))
+            elif isinstance(value, list):
+                stack.extend((item, depth + 1) for item in value
+                             if isinstance(item, ast.Node))
 
 
 def parse(source: str) -> ast.Program:

@@ -105,7 +105,7 @@ def _bits(indices: Iterable[int]) -> int:
     return mask
 
 
-def _per_model(cache: Dict[int, Tuple], model, build):
+def per_model(cache: Dict[int, Tuple], model, build):
     """``build()``, memoised in *cache* under *model*'s identity.
 
     Each entry holds a reference to the model, so a recycled ``id()``
@@ -223,12 +223,12 @@ class DataFlowGraph:
                   for node in self.nodes]
             return sw, hw
 
-        return _per_model(self._cost_cache, model, build)
+        return per_model(self._cost_cache, model, build)
 
     def software_cycles(self, model) -> float:
         """Summed software cycles of every node under *model*, forbidden
         ones included (unlike :meth:`cost_vectors`), cached."""
-        return _per_model(self._cycles_cache, model, lambda: sum(
+        return per_model(self._cycles_cache, model, lambda: sum(
             model.sw(node) for node in self.nodes))
 
     def _check_invariants(self) -> None:

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Constraints, SearchLimits, SearchResult, find_best_cut
+from .core import Constraints, SearchLimits, SearchResult
+from .core.select_iterative import CollapseChain
 from .core.selection import SelectionResult
 from .exec.rewrite import rewrite_module
 from .exec.speedup import ALGORITHMS, dispatch_selection
@@ -116,13 +117,13 @@ class Session:
                  limits: Optional[SearchLimits] = None,
                  n: Optional[int] = None,
                  unroll: Optional[int] = None) -> SearchResult:
-        """Best single cut of the hottest block (Problem 1), through the
-        shared search cache."""
+        """Best single cut of the hottest block (Problem 1): link 0 of
+        its collapse chain on the shared search cache, so it warms
+        :meth:`select`."""
         app = self.prepare(workload, n=n, unroll=unroll)
-        return find_best_cut(app.hot_dfg,
-                             Constraints(nin=nin, nout=nout),
+        return CollapseChain(app.hot_dfg, Constraints(nin=nin, nout=nout),
                              self.model, self._limits(limits),
-                             cache=self.cache)
+                             self.cache).link(0)
 
     def select(self, workload: str, algorithm: str = "iterative",
                nin: int = 4, nout: int = 2, ninstr: int = 16,

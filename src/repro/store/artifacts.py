@@ -16,7 +16,10 @@ payloads, where *kind* names an artifact family (``"app"`` for compiled
 * **Atomic writes.**  Payloads are pickled once here and published
   atomically by the backend — readers see the old blob or the complete
   new one, never a torn write.  Concurrent writers of the same key
-  race benignly: content addressing means they write identical bytes.
+  race benignly: most keys are content-addressed, so their writers
+  write identical bytes, and the values under one search ``chain`` key
+  are prefixes of one deterministic sequence, so whichever write wins
+  is correct.
 * **Versioned schemas.**  A header tuple is pickled with every payload;
   artifacts from a different schema (or foreign blobs) read as misses,
   never as wrong data.

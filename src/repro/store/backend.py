@@ -146,8 +146,8 @@ class DirectoryBackend(StoreBackend):
     def store(self, kind: str, key: str, blob: bytes) -> None:
         """Write to a unique temp file, publish with ``os.replace`` —
         readers see the old blob or the whole new one, never a torn
-        write.  Same-key racers write identical bytes (content
-        addressing), so the race is benign."""
+        write.  Same-key racers write equally correct values (see
+        :mod:`repro.store.artifacts`), so the race is benign."""
         path = self._path(kind, key)
         tmp = path.with_name(
             f".{key}.{os.getpid()}.{next(_tmp_counter)}.tmp")

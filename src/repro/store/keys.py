@@ -43,7 +43,7 @@ PIPELINE_VERSION = 1
 #: Bump when search/engine semantics change (pruning, feasibility,
 #: tie-breaking, result encoding): persisted ``search`` artifacts from
 #: the old engine must read as misses, not replay stale cut sets.
-SEARCH_VERSION = 2
+SEARCH_VERSION = 3
 
 _DIGEST_ATTR = "_explore_digest"
 

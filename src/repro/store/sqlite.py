@@ -4,8 +4,8 @@ One ``.sqlite`` file replaces the directory tree: kinder to file-count
 quotas, trivially copyable between nodes, and — in WAL mode — safe for
 many concurrent writer *processes*, which all ``INSERT OR REPLACE``
 into the same file while others read.
-Same-key racers write identical bytes (content addressing), so the
-last writer winning is benign.
+Same-key racers write equally correct values (see
+:mod:`repro.store.artifacts`), so the last writer winning is benign.
 
 Every operation retries through SQLite's own busy handler
 (``busy_timeout``); a database that is corrupt or unreadable raises

@@ -32,6 +32,7 @@ from repro.core import (
 from repro.cluster import scheduled_map
 from repro.explore import SearchCache
 from repro.core.bruteforce import best_cut_bruteforce
+from repro.core.select_iterative import CollapseChain
 from repro.hwmodel import CostModel
 from repro.ir.dfg import function_dfgs
 from repro.ir.synth import make_dfg, random_dag_dfg
@@ -354,8 +355,8 @@ class TestParallelSelection:
 
 
 def _first_round_entries(job):
-    """Worker unit: one block's first-round search, as cache entries."""
+    """Worker unit: link 0 of one block's chain, as cache entries."""
     dfg, cons = job
     cache = SearchCache()
-    find_best_cut(dfg, cons, MODEL, cache=cache)
+    CollapseChain(dfg, cons, MODEL, None, cache).link(0)
     return cache.entries()

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, env_plan
+from repro.core import Constraints
 from repro.explore import (
     SearchCache,
     SweepSpec,
@@ -18,7 +19,6 @@ from repro.explore import (
     write_csv,
     write_json,
 )
-from repro.explore.cache import dfg_digest
 from repro.explore.grid import ALGORITHMS, resolve_model
 from repro.explore.runner import _evaluate_group, _group_unit, _plan_units
 from repro.pipeline import prepare_application
@@ -74,15 +74,17 @@ class TestRows:
     def test_cache_telemetry(self, outcome):
         assert outcome.cache_entries > 0
         assert outcome.warm_units > 0
-        # A cold sweep evaluates on the chains its units warmed, so it
-        # makes no lookups; a re-sweep on the same cache runs no unit
-        # and reads every link it needs from the cache.
+        # A cold sweep looks each chain up once, in its unit, and
+        # misses; a re-sweep on the same cache runs no unit and reads
+        # every chain it needs from the cache.
         cache = SearchCache()
-        run_sweep(small_spec(), cache=cache)
+        cold = run_sweep(small_spec(), cache=cache)
+        assert cold.cache_stats["hits"] == 0
+        assert cold.cache_stats["misses"] == cold.cache_entries
         again = run_sweep(small_spec(), cache=cache)
         assert again.warm_units == 0
         assert again.cache_stats["hits"] > 0
-        assert again.cache_stats["misses"] == 0
+        assert again.cache_stats["misses"] == cold.cache_stats["misses"]
 
 
 class TestDefaultPruning:
@@ -149,31 +151,37 @@ class TestCacheEquivalence:
 
 
 class TestChainSharing:
-    def test_each_link_is_looked_up_once_per_group(self, monkeypatch):
+    def test_each_chain_is_looked_up_once_per_group(self, monkeypatch):
         # One (workload, Nin, Nout) group: two iterative and two area
         # rows, iterative reading deeper than the pool depth.  On a
-        # warm cache every link of every block's chain is looked up
-        # exactly once across the four rows.
+        # warm cache every block's chain is looked up exactly once
+        # across the four rows, and its entry holds every link the
+        # rows read.
         spec = SweepSpec(workloads=("gsm",), ports=((4, 2),),
                          ninstrs=(2, 6), algorithms=("iterative", "area"),
                          n=16, max_per_block=3)
         cache = SearchCache()
-        run_sweep(spec, cache=cache)
+        cold = run_sweep(spec, cache=cache)
         lookups: Counter = Counter()
-        get_single = SearchCache.get_single
+        get = SearchCache.get
 
-        def counting(self, dfg, *args):
-            lookups[(dfg.name, dfg_digest(dfg))] += 1
-            return get_single(self, dfg, *args)
+        def counting(self, key):
+            lookups[key] += 1
+            return get(self, key)
 
-        monkeypatch.setattr(SearchCache, "get_single", counting)
+        monkeypatch.setattr(SearchCache, "get", counting)
         again = run_sweep(spec, cache=cache)
         assert again.warm_units == 0
-        assert again.cache_stats["misses"] == 0
+        assert again.cache_stats["misses"] == cold.cache_stats["misses"]
         assert lookups and set(lookups.values()) == {1}
+        assert {key[0] for key in lookups} == {"chain"}
+        model = resolve_model(spec.models[0])
+        assert set(lookups) == {
+            cache.key("chain", dfg, Constraints(nin=4, nout=2), model,
+                      spec.limits)
+            for dfg in prepare_application("gsm", n=16).dfgs}
         # Deeper than one link per block: the rows did walk chains.
-        blocks = {name for name, _digest in lookups}
-        assert len(lookups) > len(blocks)
+        assert max(len(value) for _key, value in cache.entries()) > 1
 
 
 class TestGroupUnits:
@@ -190,10 +198,12 @@ class TestGroupUnits:
         shared = SearchCache()
         unit_keys = set()
         for job in jobs:
-            rows, entries, counts = _group_unit(job)
-            leader_rows, leader_counts = _evaluate_group(job, shared)
+            rows, entries, stats = _group_unit(job)
+            hits, misses = shared.stats.hits, shared.stats.misses
+            leader_rows = _evaluate_group(job, shared)
             assert strip_timing(rows) == strip_timing(leader_rows)
-            assert counts == leader_counts
+            assert (stats.hits, stats.misses) == (
+                shared.stats.hits - hits, shared.stats.misses - misses)
             assert all(shared.store[key] == value for key, value in entries)
             unit_keys.update(key for key, _value in entries)
         assert unit_keys == set(shared.store)
@@ -237,7 +247,12 @@ class TestAreaAndOptimalRows:
         spec = small_spec(algorithms=("area",), ninstrs=(4,),
                           max_per_block=1)
         outcome = run_sweep(spec)
-        assert outcome.cache_stats["misses"] == 0
+        # One lookup per chain, when its group's unit builds it; the
+        # rows read the unit's chains and look nothing up.
+        blocks = len(prepare_application("fir", n=16).dfgs)
+        assert outcome.cache_stats == {
+            "hits": 0, "misses": len(spec.ports) * blocks,
+            "puts": outcome.cache_entries}
         deep = run_sweep(small_spec(algorithms=("area",), ninstrs=(4,)))
         for shallow_row, deep_row in zip(outcome.rows, deep.rows):
             # One candidate per block at most.
@@ -360,6 +375,8 @@ class TestWarmResultsReachTheLeader:
         assert strip_timing(outcome.rows) == strip_timing(serial.rows)
         assert sorted(backend.keys()) == keys
         assert outcome.failed_units == []
-        # Every search the evaluation reads was warmed into the leader.
-        assert outcome.cache_stats["misses"] == 0
+        # Every chain was looked up once, cold, in its unit; the leader
+        # evaluated no group itself.
+        assert outcome.cache_stats["hits"] == 0
+        assert outcome.cache_stats["misses"] == outcome.cache_entries
         assert list(tmp_path.iterdir()) == []

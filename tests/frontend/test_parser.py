@@ -158,3 +158,48 @@ class TestExpressions:
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
             self._expr("(a + b")
+
+
+class TestNestingLimit:
+    """Deep nesting is a ParseError with a position, never a
+    RecursionError, in the parser or in sema/irgen after it."""
+
+    HOSTILE = {
+        "parentheses": "int f(int x) { return " + "(" * 200 + "x"
+                       + ")" * 200 + "; }",
+        "ifs": "int f(int x) { " + "if (x) " * 400 + "x = 1; return x; }",
+        "blocks": "int f(int x) { " + "{" * 1000 + "}" * 1000
+                  + " return x; }",
+        "unary-minuses": "int f(int x) { return " + "- " * 1000 + "x; }",
+        "plus-chain": "int f(int x) { return x" + " + x" * 1000 + "; }",
+        "parenthesised-chains": "int f(int x) { return " + "(" * 30 + "x"
+                                + " + x + x + x + x + x)" * 30 + "; }",
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_deep_source_is_a_parse_error(self, case):
+        from repro.frontend import compile_source
+
+        with pytest.raises(ParseError, match="nesting deeper than") as err:
+            compile_source(self.HOSTILE[case])
+        assert err.value.line == 1
+
+    def test_nesting_at_the_limit_compiles(self):
+        from repro.frontend import compile_source
+        from repro.frontend.parser import MAX_NESTING
+
+        # A chain whose tree is as deep as the limit allows (function,
+        # block and return take three levels) goes through sema and
+        # irgen.
+        folds = MAX_NESTING - 4
+        compile_source("int f(int x) { return x" + " + x" * folds + "; }")
+        with pytest.raises(ParseError):
+            compile_source("int f(int x) { return x"
+                           + " + x" * (folds + 1) + "; }")
+
+    def test_every_workload_compiles(self):
+        from repro.frontend import compile_source
+        from repro.workloads import WORKLOADS
+
+        for workload in WORKLOADS.values():
+            compile_source(workload.source)

@@ -239,6 +239,22 @@ class TestSweep:
         assert main(argv + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    def test_cold_sweep_reports_one_miss_per_chain(self, capsys):
+        # Every chain is looked up once, in its group's unit, and a
+        # cold sweep misses each time, whichever process runs the unit.
+        from repro.pipeline import prepare_application
+
+        argv = ["sweep", "--workloads", "fir,crc32", "--nins", "2,4",
+                "--nouts", "1,2", "--ninstr", "2", "--algos",
+                "iterative,maxmiso", "--limit", "100000", "--n", "16",
+                "--quiet", "--no-store"]
+        chains = 4 * sum(len(prepare_application(name, n=16).dfgs)
+                         for name in ("fir", "crc32"))
+        for extra in ([], ["--workers", "2"]):
+            assert main(argv + extra) == 0
+            err = capsys.readouterr().err
+            assert f"cache 0 hit(s) / {chains} miss(es)" in err
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--workloads", "fir", "--cluster", "2"],
         ["select", "fir", "--workers", "2"],

@@ -14,7 +14,7 @@ from repro.store.artifacts import SCHEMA_VERSION
 class TestRoundtrip:
     def test_put_get(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        key = store.key("search", ("single", "abc", 4, 2))
+        key = store.key("search", ("chain", "abc", 4, 2))
         store.put("search", key, {"nodes": (1, 2), "merit": 6.0})
         assert store.get("search", key) == {"nodes": (1, 2), "merit": 6.0}
         assert store.stats.puts == 1

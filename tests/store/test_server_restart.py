@@ -167,7 +167,8 @@ class TestDegradedMode:
         # The store is persistence only; what a process computed while
         # the store is down is still served, from the SearchCache dict,
         # without touching the dead medium again.
-        from repro.core import Constraints, find_best_cut
+        from repro.core import Constraints
+        from repro.core.select_iterative import CollapseChain
         from repro.explore import SearchCache
         from repro.hwmodel import CostModel
         from repro.pipeline import prepare_application
@@ -180,10 +181,10 @@ class TestDegradedMode:
         store = ArtifactStore(client, degrade_after=1, probe_every=100)
         cache = SearchCache(backing=store)
         cons = Constraints(nin=4, nout=2)
-        first = find_best_cut(dfg, cons, CostModel(), cache=cache)
+        first = CollapseChain(dfg, cons, CostModel(), None, cache).link(0)
         assert store.degraded
         operations = client.operations
-        second = find_best_cut(dfg, cons, CostModel(), cache=cache)
+        second = CollapseChain(dfg, cons, CostModel(), None, cache).link(0)
         assert second.cut.nodes == first.cut.nodes
         assert second.cut.merit == first.cut.merit
         assert cache.stats.hits == 1

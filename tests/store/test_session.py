@@ -7,7 +7,8 @@ import dataclasses
 import pytest
 
 from repro import Session
-from repro.core import Constraints, SearchLimits, find_best_cut
+from repro.core import Constraints, SearchLimits
+from repro.core.select_iterative import CollapseChain
 from repro.explore import SearchCache
 from repro.hwmodel import CostModel, uniform_cost_model
 from repro.pipeline import prepare_application
@@ -83,6 +84,12 @@ class TestPrepareMemo:
         assert str(warm.module) == str(cold.module)
 
 
+def identify(dfg, cons, model=MODEL, limits=None, cache=None):
+    """Link 0 of *dfg*'s collapse chain: the single-cut search, cached
+    as the first link of a ``chain`` entry."""
+    return CollapseChain(dfg, cons, model, limits, cache).link(0)
+
+
 class TestSearchCacheBacking:
     def _dfg(self):
         return prepare_application("fir", n=16).hot_dfg
@@ -91,11 +98,10 @@ class TestSearchCacheBacking:
         store = ArtifactStore(tmp_path)
         dfg = self._dfg()
         cons = Constraints(nin=4, nout=2)
-        cold = find_best_cut(dfg, cons, MODEL,
-                             cache=SearchCache(backing=store))
+        cold = identify(dfg, cons, cache=SearchCache(backing=store))
 
         fresh = SearchCache(backing=ArtifactStore(tmp_path))
-        hit = find_best_cut(dfg, cons, MODEL, cache=fresh)
+        hit = identify(dfg, cons, cache=fresh)
         assert fresh.stats.hits == 1 and fresh.stats.misses == 0
         assert hit.cut.nodes == cold.cut.nodes
         assert hit.cut.merit == cold.cut.merit
@@ -106,35 +112,46 @@ class TestSearchCacheBacking:
         store = ArtifactStore(tmp_path)
         dfg = self._dfg()
         cons = Constraints(nin=4, nout=2)
-        find_best_cut(dfg, cons, MODEL, cache=SearchCache(backing=store))
+        identify(dfg, cons, cache=SearchCache(backing=store))
 
         other = SearchCache(backing=ArtifactStore(tmp_path))
-        find_best_cut(dfg, cons, uniform_cost_model(), cache=other)
+        identify(dfg, cons, uniform_cost_model(), cache=other)
         assert other.stats.hits == 0 and other.stats.misses == 1
 
     def test_changed_limits_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         dfg = self._dfg()
         cons = Constraints(nin=4, nout=2)
-        find_best_cut(dfg, cons, MODEL,
-                      limits=SearchLimits(max_considered=100_000),
-                      cache=SearchCache(backing=store))
+        identify(dfg, cons, limits=SearchLimits(max_considered=100_000),
+                 cache=SearchCache(backing=store))
 
         other = SearchCache(backing=ArtifactStore(tmp_path))
-        find_best_cut(dfg, cons, MODEL,
-                      limits=SearchLimits(max_considered=50_000),
-                      cache=other)
+        identify(dfg, cons, limits=SearchLimits(max_considered=50_000),
+                 cache=other)
         assert other.stats.hits == 0 and other.stats.misses == 1
 
     def test_presence_checks_consult_backing(self, tmp_path):
         store = ArtifactStore(tmp_path)
         dfg = self._dfg()
         cons = Constraints(nin=4, nout=2)
-        find_best_cut(dfg, cons, MODEL, cache=SearchCache(backing=store))
+        identify(dfg, cons, cache=SearchCache(backing=store))
         fresh = SearchCache(backing=ArtifactStore(tmp_path))
-        assert fresh.has_single(dfg, cons, MODEL, None)
-        assert not fresh.has_single(dfg, Constraints(nin=2, nout=1),
-                                    MODEL, None)
+        assert fresh.has(fresh.key("chain", dfg, cons, MODEL, None))
+        assert not fresh.has(fresh.key("chain", dfg, Constraints(
+            nin=2, nout=1), MODEL, None))
+
+    def test_deeper_walk_rewrites_the_stored_chain(self, tmp_path):
+        dfg = self._dfg()
+        cons = Constraints(nin=2, nout=1)
+        identify(dfg, cons, cache=SearchCache(backing=ArtifactStore(
+            tmp_path)))
+        deep = CollapseChain(dfg, cons, MODEL, None, SearchCache(
+            backing=ArtifactStore(tmp_path)))
+        deep.link(5)
+        assert len(deep.entry) > 1
+        fresh = CollapseChain(dfg, cons, MODEL, None, SearchCache(
+            backing=ArtifactStore(tmp_path)))
+        assert fresh.entry == deep.entry
 
 
 class TestSessionFacade:

@@ -75,3 +75,34 @@ def test_unknown_op_is_an_error_reply_and_serving_goes_on(tier,
     finally:
         sock.close()
         server.shutdown()
+
+
+@pytest.mark.parametrize("frame", [
+    ("hello", "probe"),                         # two-field hello
+    ("hello", "probe", "yes"),                  # flag is not a bool
+    ("result", 7, "value", 0.1, "w"),           # no unit 7
+    ("result", "0", "value", 0.1, "w"),         # index is not an int
+    ("result", True, "value", 0.1, "w"),        # nor is a bool
+    ("error", 0, "boom", "slow", "w"),          # elapsed not a number
+    ("get", "extra"),
+    (),
+    "hello",
+], ids=repr)
+def test_leader_answers_a_malformed_frame_with_an_error(frame,
+                                                        monkeypatch):
+    raised = []
+    monkeypatch.setattr("threading.excepthook", raised.append)
+    leader = ClusterLeader("tests.test_frame_server:_echo",
+                           ["a"]).start()
+    sock = connect(leader.address, timeout=5.0)
+    try:
+        send_msg(sock, frame)
+        answer = recv_msg(sock)
+        assert answer[0] == "error" and isinstance(answer[1], str)
+        send_msg(sock, ("hello", "probe", False))
+        assert recv_msg(sock)[0] == "welcome"
+    finally:
+        sock.close()
+        leader.shutdown()
+    assert raised == []
+    assert leader.pending_count() == 1
