@@ -16,9 +16,9 @@ acceptance bars:
 
 Alongside the totals it records each sweep's ``points_s``.  On the cold
 sweep that is every point.  On the cached sweep it counts only the
-groups the leader evaluates itself — none on a fresh cache, where every
-(workload, Nin, Nout) group is a unit that warms its chains and
-evaluates its points inside ``warm_s``.
+groups the leader evaluates itself, those of quarantined units: every
+(workload, Nin, Nout) group is a unit that warms its chains (or starts
+from the cached ones) and evaluates its points inside ``warm_s``.
 
 Runs standalone (``python benchmarks/bench_sweep.py``) or under the
 pytest benchmark harness.
@@ -95,8 +95,8 @@ def run_sweep_benchmark() -> dict:
            f"sweep {payload['grid']['points']} points: cold "
            f"{cold.points_per_second:,.1f} points/s, cached "
            f"{warm.points_per_second:,.1f} points/s "
-           f"(group units {warm.warm_s:.3f}s, leader-evaluated "
-           f"groups {warm.points_s:.3f}s; "
+           f"(group units {warm.warm_s:.3f}s, groups of quarantined "
+           f"units {warm.points_s:.3f}s; "
            f"{payload['speedup']:.2f}x, {warm.cache_stats['hits']} "
            f"hits / {warm.cache_stats['misses']} misses, rows "
            f"bit-identical)")

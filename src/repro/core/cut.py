@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List
 
 from ..hwmodel.latency import CostModel
-from ..hwmodel.merit import cut_hardware_cycles, cut_merit, cut_software_cycles
+from ..hwmodel.merit import cut_hardware_cycles, cut_software_cycles
 from ..ir.dfg import DataFlowGraph
 
 
@@ -114,7 +114,7 @@ def evaluate_cut(dfg: DataFlowGraph, nodes: Iterable[int],
     if members and legal_ops:
         sw = cut_software_cycles(dfg, members, model)
         hw = cut_hardware_cycles(dfg, members, model)
-        merit = cut_merit(dfg, members, model)
+        merit = dfg.weight * (sw - hw)      # cut_merit, costed once
     else:
         sw, hw, merit = 0.0, 0, 0.0 if not members else -math.inf
     return Cut(

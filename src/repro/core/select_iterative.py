@@ -20,7 +20,6 @@ chain skip it, so selection itself stays a plain loop.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 from ..hwmodel.latency import CostModel
@@ -58,6 +57,8 @@ class CollapseChain:
         self.key = (None if cache is None else
                     cache.key("chain", dfg, constraints, model, limits))
         # One (nodes | None, asdict(stats), complete) per link walked.
+        # The stats fields are scalars: ``dict(vars(stats))`` equals
+        # ``asdict(stats)`` without its deep copy.
         self.entry: Tuple = (() if cache is None
                              else cache.get(self.key) or ())
 
@@ -86,7 +87,7 @@ class CollapseChain:
             results.append(result)
             entry += ((tuple(sorted(result.cut.nodes))
                        if result.cut is not None else None,
-                       asdict(result.stats), result.complete),)
+                       dict(vars(result.stats)), result.complete),)
         if entry is not self.entry and self.cache is not None:
             self.cache.put(self.key, entry)
         self.entry = entry

@@ -46,19 +46,20 @@ The cache object itself is the duck-typed ``cache=`` hook (``key``/
 ``get``/``put``) accepted by
 :class:`~repro.core.select_iterative.CollapseChain`,
 :func:`~repro.core.multi_cut.find_best_cuts` and the selection
-strategies; :mod:`repro.explore.runner` shares one across processes by
-filling a local cache per evaluation group in workers and merging the
-returned entries into the leader's cache — and through it into the
-leader's store, the only writer of search results.
+strategies; :mod:`repro.explore.runner` shares one across processes:
+each evaluation group runs on a local cache seeded with the entries the
+leader read for it (:meth:`SearchCache.peek`), and the entries that
+grew there merge back into the leader's cache — and through it into
+the leader's store, the only writer of search results.
 
 **Memory and persistence.**  The cache's dict is the one in-process
 memo of search results; for one key it keeps the longest value it was
 given.  A cache may also be *backed* by a
 :class:`repro.store.ArtifactStore`, which is persistence only:
 in-memory misses fall through to the store (hits promote into the
-dict), puts and merged entries that grew spill to it, presence checks
-consult it, and later processes — on any node, through an SQLite file
-or a ``tcp://`` server — inherit every entry.  While the store is down
+dict), puts and merged entries that grew spill to it, and later
+processes — on any node, through an SQLite file or a ``tcp://``
+server — inherit every entry.  While the store is down
 or degraded the dict still serves everything this process computed.
 Keys are already pure content (digests plus plain numbers), so the
 in-memory tuple key hashes directly into a store key.
@@ -123,15 +124,21 @@ class SearchCache:
                           lambda: model_digest(model)),
                 _limits_key(limits), extra)
 
-    def get(self, key: Tuple):
-        """The value under *key*, read through the backing store, or
-        ``None``; counted as a hit or a miss."""
+    def peek(self, key: Tuple):
+        """:meth:`get` without hit/miss accounting (the sweep planner's
+        read: a unit that runs on the value counts the hit)."""
         value = self.store.get(key)
         if value is None and self.backing is not None:
             value = self.backing.get(
                 self.KIND, self.backing.key(self.KIND, key))
             if value is not None:
                 self.store[key] = value     # promote into memory
+        return value
+
+    def get(self, key: Tuple):
+        """The value under *key*, read through the backing store, or
+        ``None``; counted as a hit or a miss."""
+        value = self.peek(key)
         if value is None:
             self.stats.misses += 1
         else:
@@ -151,15 +158,6 @@ class SearchCache:
         if self.backing is not None:
             self.backing.put(self.KIND, self.backing.key(self.KIND, key),
                              value)
-
-    def has(self, key: Tuple) -> bool:
-        """Presence check, through the backing store: no decode, no
-        hit/miss accounting (the sweep planner's)."""
-        if key in self.store:
-            return True
-        return (self.backing is not None
-                and self.backing.contains(
-                    self.KIND, self.backing.key(self.KIND, key)))
 
     # ------------------------------------------------------------------
     # Cross-process sharing.

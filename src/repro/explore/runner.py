@@ -11,18 +11,20 @@ phases:
    (:class:`~repro.core.select_iterative.CollapseChain`).
    :func:`_evaluate_group` walks each chain deep enough for every row
    (and seeds the multi-cut searches Optimal rows start from), then
-   evaluates the group's points on those same chains.  Groups the cache
-   (with its persistent store) does not cover are units, handed out
-   largest-first by :func:`repro.cluster.scheduled_map` — to
-   ``workers`` forked local processes, to remote ``repro worker`` nodes
-   (``listen=``), or inline when serial.  A unit runs on a local
-   :class:`~repro.explore.cache.SearchCache` and returns its rows and
-   entries; the leader merges the entries — the only code that writes
-   search results to the persistent store.  The leader evaluates the
-   other groups itself, on the shared cache and the sweep's own model
-   objects: covered groups without warm tasks (every chain is a hit),
-   and quarantined units with them, so the store ends with a fault-free
-   run's keys.  Rows land in ``spec.expand()`` order either way.
+   evaluates the group's points on those same chains.  Every group is
+   a unit, handed out largest-first by
+   :func:`repro.cluster.scheduled_map` — to ``workers`` forked local
+   processes, to remote ``repro worker`` nodes (``listen=``), or inline
+   when serial.  A group the cache (with its persistent store) does not
+   cover runs its warm tasks; a covered one carries the entries its
+   keys hold, read once at planning, and runs none.  A unit runs on a
+   local :class:`~repro.explore.cache.SearchCache` seeded with those
+   entries and returns its rows and the entries that grew; the leader
+   merges the entries — the only code that writes search results to
+   the persistent store.  The leader evaluates a group itself only when
+   its unit was quarantined, on the shared cache and warm tasks
+   included, so the store ends with a fault-free run's keys.  Rows land
+   in ``spec.expand()`` order either way.
 
 ``use_cache=False`` shares nothing: every point recomputes its
 identification from scratch, as separate CLI invocations would.  The
@@ -62,10 +64,12 @@ _WarmTask = Tuple[str, int]
 class _Group(NamedTuple):
     """One evaluation group: the points of one (model, workload, Nin,
     Nout), in ``spec.expand()`` order, with the warm tasks to run on
-    every block first (empty when the cache already covers them).  It
-    carries the whole :class:`Application` because ``measure=True``
-    rows execute the rewritten program, and the sweep's own cost-model
-    object, whose per-model memos forked workers inherit."""
+    every block first (empty when the cache already covers them) and
+    the cache entries its unit starts from (those of a covered group's
+    keys).  It carries the whole :class:`Application` because
+    ``measure=True`` rows execute the rewritten program, and the
+    sweep's own cost-model object, whose per-model memos forked
+    workers inherit."""
 
     app: Application
     spec: SweepSpec
@@ -73,16 +77,17 @@ class _Group(NamedTuple):
     points: Tuple[SweepPoint, ...]
     tasks: Tuple[_WarmTask, ...]
     backend: Optional[str]
+    entries: Tuple[Tuple[Tuple, object], ...]
 
 
 def _evaluate_group(job: _Group, cache: SearchCache) -> List[dict]:
     """Run *job*'s warm tasks on *cache*, then evaluate its points on
     the chains they built."""
-    app, spec, model, points, tasks, backend = job
+    app, spec, model, points = job.app, job.spec, job.model, job.points
     cons = Constraints(nin=points[0].nin, nout=points[0].nout)
     chains = [CollapseChain(dfg, cons, model, spec.limits, cache)
               for dfg in app.dfgs]
-    for kind, arg in tasks:
+    for kind, arg in job.tasks:
         if kind == "chain":
             # The first *arg* links: every iterative and area row of
             # the group reads a prefix of them.
@@ -92,19 +97,22 @@ def _evaluate_group(job: _Group, cache: SearchCache) -> List[dict]:
             for dfg in app.dfgs:
                 find_best_cuts(dfg, cons, arg, model, spec.limits,
                                cache=cache)
-    return [_run_point(point, app, spec, model, cache, backend=backend,
-                       chains=chains)
+    return [_run_point(point, app, spec, model, cache,
+                       backend=job.backend, chains=chains)
             for point in points]
 
 
 def _group_unit(job: _Group) -> Tuple[List[dict], List[Tuple], CacheStats]:
     """Module-level worker: evaluate one group on a fresh local cache
-    and return ``(rows, entries, that cache's stats)`` for the leader.
-    A unit touches no store: the leader's merge is the only writer of
-    search results."""
+    seeded with the job's entries, and return ``(rows, the entries
+    that grew, that cache's stats)`` for the leader.  A unit touches no
+    store: the leader's merge is the only writer of search results."""
     cache = SearchCache()
+    cache.store.update(job.entries)
     rows = _evaluate_group(job, cache)
-    return rows, cache.entries(), cache.stats
+    seeded = dict(job.entries)
+    return (rows, [(key, value) for key, value in cache.entries()
+                   if seeded.get(key) is not value], cache.stats)
 
 
 #: Relative cost weight of one warm task kind, multiplied by the task
@@ -116,24 +124,46 @@ _TASK_WEIGHTS = {"chain": 1.0, "multi": 2.0}
 
 def _unit_hint(job: _Group) -> float:
     """Scheduling size hint of one group unit: the workload's summed
-    DFG node count times the summed task weights.  Hints only need to
-    *rank* units — the work-stealing scheduler dispatches largest-first
-    so the plausibly longest-running group starts immediately instead
-    of serializing the tail of the sweep."""
+    DFG node count times the summed task weights (times one for a
+    covered group, which only evaluates its points).  Hints only need
+    to *rank* units — the work-stealing scheduler dispatches
+    largest-first so the plausibly longest-running group starts
+    immediately instead of serializing the tail of the sweep."""
     weight = sum(_TASK_WEIGHTS.get(kind, 1.0) * max(1, arg)
                  for kind, arg in job.tasks)
-    return float(sum(dfg.n for dfg in job.app.dfgs)) * weight
+    return float(sum(dfg.n for dfg in job.app.dfgs)) * max(1.0, weight)
 
 
-def _task_covered(task: _WarmTask, cache: SearchCache, dfg, cons,
-                  model, limits) -> bool:
-    """True when a pre-warmed cache already holds this task's entries.
-    Any chain entry counts: a group unit walks its chains deep enough
-    for every row, and anything deeper is searched on demand during
-    evaluation."""
-    kind, arg = task
-    return cache.has(cache.key(kind, dfg, cons, model, limits,
-                               arg if kind == "multi" else None))
+def _covered_entries(tasks: List[_WarmTask], cache: SearchCache, dfgs,
+                     cons, model, limits, max_cuts: int
+                     ) -> Optional[Tuple[Tuple[Tuple, object], ...]]:
+    """The entries a group covered by *cache* (and its persistent
+    tier) starts from, each key read once: every block's entry of each
+    warm task, plus, when Optimal rows run, the ``multi`` entries of
+    2..*max_cuts* cuts held so far.  ``None`` at the first task key
+    missing: the group's unit then runs its warm tasks.  Any chain
+    entry counts: a group walks its chains deep enough for every row,
+    and anything deeper is searched on demand during evaluation."""
+    entries = []
+    for dfg in dfgs:
+        for kind, arg in tasks:
+            key = cache.key(kind, dfg, cons, model, limits,
+                            arg if kind == "multi" else None)
+            value = cache.peek(key)
+            if value is None:
+                return None
+            entries.append((key, value))
+            if kind != "multi":
+                continue
+            # Optimal asks for m + 1 cuts of a block only after m, so a
+            # block's multi entries are those of 1..K cuts.
+            for cuts in range(arg + 1, max_cuts + 1):
+                key = cache.key(kind, dfg, cons, model, limits, cuts)
+                value = cache.peek(key)
+                if value is None:
+                    break
+                entries.append((key, value))
+    return tuple(entries)
 
 
 def _plan_units(
@@ -145,8 +175,9 @@ def _plan_units(
 ) -> List[_Group]:
     """Every evaluation group of the grid, in ``spec.expand()`` order.
     A group keeps its warm tasks unless *cache* (including its
-    persistent backing tier) covers them on every block — a pre-warmed
-    store leaves no group with tasks, and so no unit to hand out."""
+    persistent backing tier) covers them on every block; a covered
+    group carries the entries it reads instead, so a pre-warmed store
+    leaves no group with warm tasks."""
     # Iterative rows read at most Ninstr links of a block's chain, area
     # rows at most max_per_block.
     chain_depth = max(
@@ -163,13 +194,13 @@ def _plan_units(
         if ("optimal" in spec.algorithms
                 and all(d.n <= spec.max_nodes for d in app.dfgs)):
             tasks.append(("multi", 1))
-        cons = Constraints(nin=nin, nout=nout)
-        if all(_task_covered(task, cache, dfg, cons, models[model_name],
-                             spec.limits)
-               for task in tasks for dfg in app.dfgs):
+        entries = _covered_entries(
+            tasks, cache, app.dfgs, Constraints(nin=nin, nout=nout),
+            models[model_name], spec.limits, max(spec.ninstrs))
+        if entries is not None:
             tasks = []
         jobs.append(_Group(app, spec, models[model_name], tuple(points),
-                           tuple(tasks), backend))
+                           tuple(tasks), backend, entries or ()))
     return jobs
 
 
@@ -178,10 +209,13 @@ class SweepOutcome:
     """Everything one sweep produced: rows plus engine telemetry.
 
     ``warm_s`` times the scheduled phase (planning, the group units,
-    merging their entries) and ``points_s`` the groups the leader
-    evaluates itself, so on a cold sweep most rows are evaluated inside
-    ``warm_s``.  ``cache_stats`` counts the shared cache's own lookups
-    plus every lookup each unit made on its local cache."""
+    merging their entries), which evaluates every row of a sweep without
+    faults, warm or cold; ``points_s`` times the groups the leader
+    evaluates itself (quarantined units only; every row when
+    ``use_cache`` is off).  ``warm_units`` counts the units with warm
+    tasks: 0 when the cache covers the grid.  ``cache_stats`` counts
+    the shared cache's own lookups plus every lookup each unit made on
+    its local cache."""
 
     spec: SweepSpec
     rows: List[dict] = field(default_factory=list)
@@ -348,8 +382,8 @@ def run_sweep(
         echo: optional progress sink (e.g. ``print``).
         store: optional persistent :class:`repro.store.ArtifactStore`:
             workload preparation and search entries read through and
-            spill into it, so a repeated sweep plans no units and the
-            leader only evaluates (polynomial work on cache hits).
+            spill into it, so a repeated sweep plans no warm tasks and
+            its units only evaluate (polynomial work on cache hits).
             Ignored when ``use_cache`` is off — the cold baseline stays
             genuinely cold.
         prepare: optional ``(name, n, unroll) -> Application`` callable
@@ -409,16 +443,14 @@ def run_sweep(
     else:
         start = time.perf_counter()
         jobs = _plan_units(spec, apps, cache, models, backend)
-        units = [index for index, job in enumerate(jobs) if job.tasks]
-        outcome.warm_units = len(units)
+        outcome.warm_units = sum(1 for job in jobs if job.tasks)
         results, reports = scheduled_map(
-            _group_unit, [jobs[index] for index in units],
-            workers=workers,
-            size_hints=[_unit_hint(jobs[index]) for index in units],
+            _group_unit, jobs, workers=workers,
+            size_hints=[_unit_hint(job) for job in jobs],
             listen=listen, echo=say, max_attempts=unit_attempts,
             unit_deadline=unit_deadline, deadline=cluster_deadline)
         groups: List[Optional[List[dict]]] = [None] * len(jobs)
-        for index, result in zip(units, results):
+        for index, result in enumerate(results):
             if result is not None:
                 groups[index], entries, stats = result
                 cache.merge(entries)
@@ -428,15 +460,16 @@ def run_sweep(
         outcome.failed_units = [report.as_dict() for report in reports
                                 if report.status != "ok"]
         outcome.warm_s = time.perf_counter() - start
-        say(f"ran {len(units)} group unit(s) -> {len(cache)} cache "
-            f"entries in {outcome.warm_s:.2f}s"
+        say(f"ran {len(jobs)} group unit(s) ({outcome.warm_units} with "
+            f"warm tasks) -> {len(cache)} cache entries in "
+            f"{outcome.warm_s:.2f}s"
             + (f" ({len(outcome.failed_units)} unit(s) failed; the "
                f"leader evaluates their groups)"
                if outcome.failed_units else ""))
 
-        # The leader evaluates covered groups (no warm tasks) and the
-        # groups of quarantined units (with them, so the store ends
-        # with a fault-free run's keys) on the shared cache.
+        # The leader evaluates the groups of quarantined units itself,
+        # warm tasks included (so the store ends with a fault-free
+        # run's keys), on the shared cache.
         start = time.perf_counter()
         for index, job in enumerate(jobs):
             if groups[index] is None:

@@ -22,6 +22,7 @@ still participate in convexity and I/O accounting.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -407,14 +408,8 @@ class DataFlowGraph:
             raise ValueError("cannot collapse an empty cut")
         if not self.is_convex(members):
             raise ValueError("cannot collapse a non-convex cut")
-
-        # Old index -> new group id.  The supernode takes one slot.
-        survivors = [i for i in range(self.n) if i not in members]
-        group_of: Dict[int, int] = {}
-        for i in survivors:
-            group_of[i] = i
-        for i in members:
-            group_of[i] = -1  # sentinel for the supernode
+        n = self.n
+        survivors = [i for i in range(n) if i not in members]
 
         # Distinct member-produced values still consumed by survivors,
         # in deterministic (producer, tag) order.  Each keeps its own
@@ -434,19 +429,6 @@ class DataFlowGraph:
                 key=lambda s: (s[1], s[2] if len(s) > 2 else 0)))
         }
 
-        def remap_source(src: Tuple) -> Tuple:
-            if src and src[0] == "node":
-                old = src[1]
-                if old in members:
-                    tag = export_tag[src]
-                    if tag == 0:
-                        return ("node", new_index["super"])
-                    return ("node", new_index["super"], tag)
-                if len(src) > 2:    # surviving supernode: keep its tag
-                    return ("node", new_index[old], src[2])
-                return ("node", new_index[old])
-            return src
-
         # Gather union edges of the supernode.
         super_succs: Set[int] = set()
         super_preds: Set[int] = set()
@@ -463,73 +445,87 @@ class DataFlowGraph:
         # Renumber from scratch: merging can place the supernode anywhere
         # relative to interleaved excluded nodes, so compute a fresh
         # reverse topological order (producers-first Kahn, reversed; ties
-        # broken by old index, with the supernode ordered at its lowest
-        # member's position).
-        keys: List[object] = list(survivors) + ["super"]
-        sort_pos = {key: (key if key != "super" else min(members))
-                    for key in keys}
-        group_succs: Dict[object, Set[object]] = {key: set() for key in keys}
+        # broken by old index).  Keys are old indices, the supernode's
+        # that of its lowest member, so a key is its own tie-break.
+        top = min(members)
+        key_of = list(range(n))
+        for i in members:
+            key_of[i] = top
+        key_succs: List = [None] * n
         for i in survivors:
-            for s in self.succs[i]:
-                group_succs[i].add("super" if s in members else s)
-        group_succs["super"] = set(super_succs)
-        indegree: Dict[object, int] = {key: 0 for key in keys}
+            key_succs[i] = {key_of[s] for s in self.succs[i]}
+        key_succs[top] = super_succs
+        keys = survivors + [top]
+        indegree = [0] * n
         for key in keys:
-            for s in group_succs[key]:
+            for s in key_succs[key]:
                 indegree[s] += 1
-        import heapq
-
-        heap = [(sort_pos[key], key) for key in keys if indegree[key] == 0]
+        heap = [key for key in keys if indegree[key] == 0]
         heapq.heapify(heap)
-        topo: List[object] = []
+        topo: List[int] = []
         while heap:
-            _, key = heapq.heappop(heap)
+            key = heapq.heappop(heap)
             topo.append(key)
-            for s in group_succs[key]:
+            for s in key_succs[key]:
                 indegree[s] -= 1
                 if indegree[s] == 0:
-                    heapq.heappush(heap, (sort_pos[s], s))
+                    heapq.heappush(heap, s)
         if len(topo) != len(keys):
             raise ValueError("collapse produced a cyclic graph "
                              "(cut was not convex?)")
-        order = list(reversed(topo))
+        order = topo[::-1]
 
-        new_index: Dict[object, int] = {key: k for k, key in enumerate(order)}
+        # Old index -> new index; every member maps to the supernode.
+        new_index = [0] * n
+        for k, key in enumerate(order):
+            new_index[key] = k
+        supernode = new_index[top]
+        for i in members:
+            new_index[i] = supernode
+
+        def remap_source(src: Tuple) -> Tuple:
+            if src and src[0] == "node":
+                old = src[1]
+                if old in members:
+                    tag = export_tag[src]
+                    if tag == 0:
+                        return ("node", supernode)
+                    return ("node", supernode, tag)
+                if len(src) > 2:    # surviving supernode: keep its tag
+                    return ("node", new_index[old], src[2])
+                return ("node", new_index[old])
+            return src
+
         nodes: List[DFGNode] = []
-        succs: List[List[int]] = []
+        succs = [sorted(new_index[s] for s in key_succs[key])
+                 for key in order]
         preds: List[List[int]] = []
         node_inputs: List[List[int]] = []
         sources: List[Tuple] = []
-        for key in order:
-            if key == "super":
+        for k, key in enumerate(order):
+            if key == top:
                 nodes.append(DFGNode(
-                    index=new_index[key],
+                    index=k,
                     opcode=None,
                     insns=tuple(member_insns),
                     label=label,
                     forbidden=True,
                     forced_out=forced,
                 ))
-                succs.append(sorted(new_index[s] for s in super_succs))
                 preds.append(sorted(new_index[p] for p in super_preds))
                 node_inputs.append(sorted(super_inputs))
                 sources.append(())
             else:
                 old = self.nodes[key]
                 nodes.append(DFGNode(
-                    index=new_index[key],
+                    index=k,
                     opcode=old.opcode,
                     insns=old.insns,
                     label=old.label,
                     forbidden=old.forbidden,
                     forced_out=old.forced_out,
                 ))
-                row_s = {new_index[s] if s not in members else
-                         new_index["super"] for s in self.succs[key]}
-                row_p = {new_index[p] if p not in members else
-                         new_index["super"] for p in self.preds[key]}
-                succs.append(sorted(row_s))
-                preds.append(sorted(row_p))
+                preds.append(sorted({new_index[p] for p in self.preds[key]}))
                 node_inputs.append(list(self.node_inputs[key]))
                 sources.append(tuple(
                     remap_source(src)

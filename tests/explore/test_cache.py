@@ -301,7 +301,7 @@ class TestSharing:
         identify(dfg, CONS, cache=a)
         b = SearchCache()
         b.merge(a.entries())
-        assert b.has(b.key("chain", chain_dfg(), CONS, MODEL, None))
+        assert b.peek(b.key("chain", chain_dfg(), CONS, MODEL, None))
         hit = identify(chain_dfg(), CONS, cache=b)
         assert b.stats.hits == 1 and hit.cut is not None
 

@@ -380,3 +380,115 @@ class TestWarmResultsReachTheLeader:
         assert outcome.cache_stats["hits"] == 0
         assert outcome.cache_stats["misses"] == outcome.cache_entries
         assert list(tmp_path.iterdir()) == []
+
+
+class _CountingBackend(_DictBackend):
+    """A :class:`_DictBackend` that counts reads per (kind, key)."""
+
+    def __init__(self):
+        super().__init__()
+        self.loads = Counter()
+        self.contains_calls = 0
+
+    def load(self, kind, key):
+        self.loads[kind, key] += 1
+        return super().load(kind, key)
+
+    def contains(self, kind, key):
+        self.contains_calls += 1
+        return super().contains(kind, key)
+
+
+class TestWarmGroupUnits:
+    """Every evaluation group is a unit, covered or not: a covered
+    group's job carries the entries its rows read, so a warm sweep
+    evaluates on the workers and searches nothing."""
+
+    #: Iterative, area and Optimal rows, Optimal reading multi entries
+    #: of more than one cut.
+    SPEC = dict(workloads=("fir", "crc32"), ports=((2, 1), (4, 2)),
+                ninstrs=(2, 3), algorithms=("iterative", "area",
+                                            "optimal"))
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        backend = _CountingBackend()
+        outcome = run_sweep(small_spec(**self.SPEC),
+                            store=ArtifactStore(backend), workers=1)
+        return outcome, backend
+
+    def test_warm_workers_sweep_matches_serial(self, cold):
+        reference, backend = cold
+        spec = small_spec(**self.SPEC)
+        serial = run_sweep(spec, store=ArtifactStore(backend), workers=1)
+        warm = run_sweep(spec, store=ArtifactStore(backend), workers=2)
+        groups = len(spec.ports) * len(spec.workloads)
+        assert warm.warm_units == serial.warm_units == 0
+        assert len(warm.unit_reports) == groups
+        assert all(r["status"] == "ok" and r["size_hint"] > 0
+                   for r in warm.unit_reports)
+        assert strip_timing(warm.rows) == strip_timing(serial.rows) \
+            == strip_timing(reference.rows)
+        # The same cache traffic either way, and nothing misses.
+        assert warm.cache_stats == serial.cache_stats
+        assert warm.cache_stats["misses"] == 0
+
+    def test_warm_chain_lookups_hit_what_cold_missed(self):
+        # Iterative and area rows look each chain up once per group:
+        # the warm sweep hits exactly the chains the cold one missed.
+        spec = small_spec(**dict(self.SPEC,
+                                 algorithms=("iterative", "area")))
+        store = ArtifactStore(_DictBackend())
+        cold = run_sweep(spec, store=store, workers=1)
+        warm = run_sweep(spec, store=store, workers=2)
+        assert cold.cache_stats["hits"] == 0
+        assert warm.cache_stats == {
+            "hits": cold.cache_stats["misses"], "misses": 0, "puts": 0}
+
+    def test_warm_sweep_reads_each_search_key_once(self, cold):
+        _reference, backend = cold
+        backend.loads.clear()
+        backend.contains_calls = 0
+        warm = run_sweep(small_spec(**self.SPEC),
+                         store=ArtifactStore(backend), workers=1)
+        assert warm.cache_stats["misses"] == 0
+        searched = {key: count for (kind, key), count
+                    in backend.loads.items() if kind == SearchCache.KIND}
+        stored = {key for kind, key in backend.blobs
+                  if kind == SearchCache.KIND}
+        # Every stored entry is read, once; reads of absent keys (the
+        # first multi entry a block lacks) are single reads too.
+        assert stored <= set(searched)
+        assert set(searched.values()) == {1}
+        assert backend.contains_calls == 0
+
+    def test_covered_group_never_searches(self, cold, monkeypatch):
+        import importlib
+        import pickle
+
+        # The modules, not the functions the package re-exports.
+        multi_cut = importlib.import_module("repro.core.multi_cut")
+        select_iterative = importlib.import_module(
+            "repro.core.select_iterative")
+
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("a covered group searched")
+
+        _reference, backend = cold
+        spec = small_spec(**self.SPEC)
+        apps = {name: prepare_application(name, n=spec.n)
+                for name in spec.workloads}
+        models = {name: resolve_model(name) for name in spec.models}
+        jobs = _plan_units(spec, apps,
+                           SearchCache(backing=ArtifactStore(backend)),
+                           models)
+        assert jobs and not any(job.tasks for job in jobs)
+        monkeypatch.setattr(select_iterative, "find_best_cut", no_search)
+        monkeypatch.setattr(multi_cut, "run_multi_cut", no_search)
+        for job in jobs:
+            # As a remote worker receives it: no leader cache, no store.
+            rows, entries, stats = _group_unit(
+                pickle.loads(pickle.dumps(job)))
+            assert len(rows) == len(job.points)
+            assert entries == [] and stats.misses == 0
+            assert stats.hits > 0

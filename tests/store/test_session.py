@@ -136,9 +136,13 @@ class TestSearchCacheBacking:
         cons = Constraints(nin=4, nout=2)
         identify(dfg, cons, cache=SearchCache(backing=store))
         fresh = SearchCache(backing=ArtifactStore(tmp_path))
-        assert fresh.has(fresh.key("chain", dfg, cons, MODEL, None))
-        assert not fresh.has(fresh.key("chain", dfg, Constraints(
-            nin=2, nout=1), MODEL, None))
+        key = fresh.key("chain", dfg, cons, MODEL, None)
+        assert fresh.peek(key) is not None
+        assert fresh.peek(fresh.key("chain", dfg, Constraints(
+            nin=2, nout=1), MODEL, None)) is None
+        # A peek counts no hit or miss, and promotes into memory.
+        assert (fresh.stats.hits, fresh.stats.misses) == (0, 0)
+        assert key in fresh.store
 
     def test_deeper_walk_rewrites_the_stored_chain(self, tmp_path):
         dfg = self._dfg()
