@@ -19,7 +19,7 @@ Three measurements, one JSON artifact
    cluster-vs-serial wall-clock ratio is recorded always but only
    gated when the runner has the CPUs to show it (identification is
    CPU-bound, unlike the calibrated units above).  A warm re-sweep of
-   each store follows: rows identical again, no warm tasks, equal
+   each store follows: rows identical again, no unit searches, equal
    cache traffic; its serial-vs-two-worker ratio is recorded only.
 
 Runs standalone (``python benchmarks/bench_cluster.py``) or under the
@@ -153,7 +153,7 @@ def _bench_sweep_identity() -> dict:
         assert serial_keys == cluster_keys, \
             "cluster changed the persisted artifact key set"
         # Warm re-sweeps of both stores: every group is still a unit,
-        # seeded with its covered entries, and none has warm tasks.
+        # seeded with its stored entries, and none searches.
         start = time.perf_counter()
         warm_serial = run_sweep(SPEC, store=serial_store)
         warm_serial_s = time.perf_counter() - start

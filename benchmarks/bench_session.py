@@ -114,7 +114,7 @@ def run_session_benchmark() -> dict:
     assert cold_results == nostore_results, \
         "the store changed results vs. --no-store"
     assert warm_sweep.warm_units == 0, \
-        f"warm sweep still planned {warm_sweep.warm_units} warm unit(s)"
+        f"warm sweep still searched in {warm_sweep.warm_units} unit(s)"
     hit_rate = warm_store.hit_rate
     assert hit_rate >= 0.95, \
         f"warm store hit-rate {hit_rate:.2f} below threshold"

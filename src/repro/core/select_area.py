@@ -87,8 +87,12 @@ def enumerate_candidates(
                   for dfg in dfgs]
     candidates: List[AreaCandidate] = []
     for chain in chains:
-        # The profitable cuts among the first max_per_block links; stats
-        # sum per block first, then across blocks.
+        # Walk the first max_per_block links in one call, so a cached
+        # chain puts its entry once, not once per searched link.
+        if max_per_block > 0:
+            chain.link(max_per_block - 1)
+        # The profitable cuts among those links; stats sum per block
+        # first, then across blocks.
         block_stats = SearchStats()
         for k in range(max_per_block):
             result = chain.link(k)

@@ -13,9 +13,9 @@ one chain per block: a sweep hands the same chains to the iterative and
 area rows (:mod:`repro.core.select_area`) of one (workload, Nin, Nout).
 
 The expensive first round is one exhaustive identification per block.
-Chains handed in already walked (a sweep's group unit walks them before
-its rows read them) or a ``cache`` holding an earlier walk of each
-chain skip it, so selection itself stays a plain loop.
+Chains handed in already walked (by an earlier row of a sweep's
+group) or a ``cache`` holding an earlier walk of each chain skip it,
+so selection itself stays a plain loop.
 """
 
 from __future__ import annotations

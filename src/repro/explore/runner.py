@@ -9,22 +9,21 @@ phases:
    (model, workload, Nin, Nout), whose iterative and area rows read one
    find-best/collapse chain per block
    (:class:`~repro.core.select_iterative.CollapseChain`).
-   :func:`_evaluate_group` walks each chain deep enough for every row
-   (and seeds the multi-cut searches Optimal rows start from), then
-   evaluates the group's points on those same chains.  Every group is
-   a unit, handed out largest-first by
+   :func:`_evaluate_group` evaluates a group's points on those shared
+   chains, searching a link or a multi-cut value only when a row first
+   reads it.  Every group is a unit, handed out largest-first by
    :func:`repro.cluster.scheduled_map` — to ``workers`` forked local
    processes, to remote ``repro worker`` nodes (``listen=``), or inline
-   when serial.  A group the cache (with its persistent store) does not
-   cover runs its warm tasks; a covered one carries the entries its
-   keys hold, read once at planning, and runs none.  A unit runs on a
-   local :class:`~repro.explore.cache.SearchCache` seeded with those
-   entries and returns its rows and the entries that grew; the leader
-   merges the entries — the only code that writes search results to
-   the persistent store.  The leader evaluates a group itself only when
-   its unit was quarantined, on the shared cache and warm tasks
-   included, so the store ends with a fault-free run's keys.  Rows land
-   in ``spec.expand()`` order either way.
+   when serial.  A unit runs on a local
+   :class:`~repro.explore.cache.SearchCache` seeded with the entries
+   the leader (with its persistent store) held for the keys the group's
+   rows can read, and returns its rows and the entries that grew; the
+   leader merges the entries — the only code that writes search
+   results to the persistent store.  The leader evaluates a group
+   itself only when its unit was quarantined, on the shared cache; its
+   rows read the same keys a unit's would, so the store ends with a
+   fault-free run's keys.  Rows land in ``spec.expand()`` order either
+   way.
 
 ``use_cache=False`` shares nothing: every point recomputes its
 identification from scratch, as separate CLI invocations would.  The
@@ -42,7 +41,7 @@ from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..cluster import scheduled_map
-from ..core import BlockTooLargeError, Constraints, find_best_cuts
+from ..core import BlockTooLargeError, Constraints
 from ..core.select_iterative import CollapseChain
 from ..core.selection import SelectionResult
 # Not called here (points select through ``dispatch_selection``), but
@@ -57,16 +56,11 @@ from ..store.artifacts import ArtifactStore
 from .cache import CacheStats, SearchCache
 from .grid import SweepPoint, SweepSpec, resolve_model
 
-#: A warm task: ("chain", depth) | ("multi", m).
-_WarmTask = Tuple[str, int]
-
-
 class _Group(NamedTuple):
     """One evaluation group: the points of one (model, workload, Nin,
-    Nout), in ``spec.expand()`` order, with the warm tasks to run on
-    every block first (empty when the cache already covers them) and
-    the cache entries its unit starts from (those of a covered group's
-    keys).  It carries the whole :class:`Application` because
+    Nout), in ``spec.expand()`` order, with the cache entries its unit
+    starts from (those the leader held for the keys its rows can
+    read).  It carries the whole :class:`Application` because
     ``measure=True`` rows execute the rewritten program, and the
     sweep's own cost-model object, whose per-model memos forked
     workers inherit."""
@@ -75,28 +69,24 @@ class _Group(NamedTuple):
     spec: SweepSpec
     model: CostModel
     points: Tuple[SweepPoint, ...]
-    tasks: Tuple[_WarmTask, ...]
     backend: Optional[str]
     entries: Tuple[Tuple[Tuple, object], ...]
 
 
+def _reads_chains(spec: SweepSpec) -> bool:
+    """Whether a group's rows read collapse chains: iterative rows
+    read their first links, area rows their first ``max_per_block``."""
+    return "iterative" in spec.algorithms or "area" in spec.algorithms
+
+
 def _evaluate_group(job: _Group, cache: SearchCache) -> List[dict]:
-    """Run *job*'s warm tasks on *cache*, then evaluate its points on
-    the chains they built."""
+    """Evaluate *job*'s points on *cache*, sharing one collapse chain
+    per block between its iterative and area rows; every search runs
+    on demand, when a row first reads it."""
     app, spec, model, points = job.app, job.spec, job.model, job.points
     cons = Constraints(nin=points[0].nin, nout=points[0].nout)
-    chains = [CollapseChain(dfg, cons, model, spec.limits, cache)
-              for dfg in app.dfgs]
-    for kind, arg in job.tasks:
-        if kind == "chain":
-            # The first *arg* links: every iterative and area row of
-            # the group reads a prefix of them.
-            for chain in chains:
-                chain.link(arg - 1)
-        elif kind == "multi":
-            for dfg in app.dfgs:
-                find_best_cuts(dfg, cons, arg, model, spec.limits,
-                               cache=cache)
+    chains = ([CollapseChain(dfg, cons, model, spec.limits, cache)
+               for dfg in app.dfgs] if _reads_chains(spec) else None)
     return [_run_point(point, app, spec, model, cache,
                        backend=job.backend, chains=chains)
             for point in points]
@@ -115,54 +105,36 @@ def _group_unit(job: _Group) -> Tuple[List[dict], List[Tuple], CacheStats]:
                    if seeded.get(key) is not value], cache.stats)
 
 
-#: Relative cost weight of one warm task kind, multiplied by the task
-#: argument (chain depth / cut count).  Identification is
-#: exponential in block size, so the DFG node count dominates the hint;
-#: the weights only rank tasks on the *same* blocks.
-_TASK_WEIGHTS = {"chain": 1.0, "multi": 2.0}
-
-
 def _unit_hint(job: _Group) -> float:
     """Scheduling size hint of one group unit: the workload's summed
-    DFG node count times the summed task weights (times one for a
-    covered group, which only evaluates its points).  Hints only need
-    to *rank* units — the work-stealing scheduler dispatches
-    largest-first so the plausibly longest-running group starts
-    immediately instead of serializing the tail of the sweep."""
-    weight = sum(_TASK_WEIGHTS.get(kind, 1.0) * max(1, arg)
-                 for kind, arg in job.tasks)
-    return float(sum(dfg.n for dfg in job.app.dfgs)) * max(1.0, weight)
+    DFG node count (identification is exponential in block size).
+    Hints only need to *rank* units — the work-stealing scheduler
+    dispatches largest-first so the plausibly longest-running group
+    starts immediately instead of serializing the tail of the sweep."""
+    return float(sum(dfg.n for dfg in job.app.dfgs))
 
 
-def _covered_entries(tasks: List[_WarmTask], cache: SearchCache, dfgs,
-                     cons, model, limits, max_cuts: int
-                     ) -> Optional[Tuple[Tuple[Tuple, object], ...]]:
-    """The entries a group covered by *cache* (and its persistent
-    tier) starts from, each key read once: every block's entry of each
-    warm task, plus, when Optimal rows run, the ``multi`` entries of
-    2..*max_cuts* cuts held so far.  ``None`` at the first task key
-    missing: the group's unit then runs its warm tasks.  Any chain
-    entry counts: a group walks its chains deep enough for every row,
-    and anything deeper is searched on demand during evaluation."""
+def _held_entries(cache: SearchCache, dfgs, cons, model, limits,
+                  chains: bool, max_cuts: int
+                  ) -> Tuple[Tuple[Tuple, object], ...]:
+    """The entries *cache* (and its persistent tier) holds for the keys
+    a group's rows can read, each key peeked once: every block's
+    ``chain`` entry when *chains*, and its ``multi`` entries of
+    1..*max_cuts* cuts up to the first absent one (Optimal asks for
+    m + 1 cuts of a block only after m)."""
     entries = []
     for dfg in dfgs:
-        for kind, arg in tasks:
-            key = cache.key(kind, dfg, cons, model, limits,
-                            arg if kind == "multi" else None)
+        if chains:
+            key = cache.key("chain", dfg, cons, model, limits)
+            value = cache.peek(key)
+            if value is not None:
+                entries.append((key, value))
+        for cuts in range(1, max_cuts + 1):
+            key = cache.key("multi", dfg, cons, model, limits, cuts)
             value = cache.peek(key)
             if value is None:
-                return None
+                break
             entries.append((key, value))
-            if kind != "multi":
-                continue
-            # Optimal asks for m + 1 cuts of a block only after m, so a
-            # block's multi entries are those of 1..K cuts.
-            for cuts in range(arg + 1, max_cuts + 1):
-                key = cache.key(kind, dfg, cons, model, limits, cuts)
-                value = cache.peek(key)
-                if value is None:
-                    break
-                entries.append((key, value))
     return tuple(entries)
 
 
@@ -173,34 +145,27 @@ def _plan_units(
     models: Dict[str, CostModel],
     backend: Optional[str] = None,
 ) -> List[_Group]:
-    """Every evaluation group of the grid, in ``spec.expand()`` order.
-    A group keeps its warm tasks unless *cache* (including its
-    persistent backing tier) covers them on every block; a covered
-    group carries the entries it reads instead, so a pre-warmed store
-    leaves no group with warm tasks."""
-    # Iterative rows read at most Ninstr links of a block's chain, area
-    # rows at most max_per_block.
-    chain_depth = max(
-        max(spec.ninstrs) if "iterative" in spec.algorithms else 0,
-        spec.max_per_block if "area" in spec.algorithms else 0)
+    """Every evaluation group of the grid, in ``spec.expand()`` order,
+    each carrying the entries *cache* (including its persistent backing
+    tier) holds for the keys its rows can read, so a unit searches only
+    what neither the cache nor the store has."""
+    chains = _reads_chains(spec)
     jobs: List[_Group] = []
     for (model_name, workload, nin, nout), points in groupby(
             spec.expand(),
             key=lambda p: (p.model, p.workload, p.nin, p.nout)):
         app = apps[workload]
-        tasks: List[_WarmTask] = []
-        if chain_depth:
-            tasks.append(("chain", chain_depth))
-        if ("optimal" in spec.algorithms
-                and all(d.n <= spec.max_nodes for d in app.dfgs)):
-            tasks.append(("multi", 1))
-        entries = _covered_entries(
-            tasks, cache, app.dfgs, Constraints(nin=nin, nout=nout),
-            models[model_name], spec.limits, max(spec.ninstrs))
-        if entries is not None:
-            tasks = []
+        # Optimal rows read multi entries of up to Ninstr cuts, and
+        # none when a block is too large for them.
+        max_cuts = (max(spec.ninstrs)
+                    if "optimal" in spec.algorithms
+                    and all(d.n <= spec.max_nodes for d in app.dfgs)
+                    else 0)
+        entries = _held_entries(
+            cache, app.dfgs, Constraints(nin=nin, nout=nout),
+            models[model_name], spec.limits, chains, max_cuts)
         jobs.append(_Group(app, spec, models[model_name], tuple(points),
-                           tuple(tasks), backend, entries or ()))
+                           backend, entries))
     return jobs
 
 
@@ -212,10 +177,10 @@ class SweepOutcome:
     merging their entries), which evaluates every row of a sweep without
     faults, warm or cold; ``points_s`` times the groups the leader
     evaluates itself (quarantined units only; every row when
-    ``use_cache`` is off).  ``warm_units`` counts the units with warm
-    tasks: 0 when the cache covers the grid.  ``cache_stats`` counts
-    the shared cache's own lookups plus every lookup each unit made on
-    its local cache."""
+    ``use_cache`` is off).  ``warm_units`` counts the units that
+    searched, i.e. returned a new or longer entry: 0 when the cache
+    covers the grid.  ``cache_stats`` counts the shared cache's own
+    lookups plus every lookup each unit made on its local cache."""
 
     spec: SweepSpec
     rows: List[dict] = field(default_factory=list)
@@ -230,8 +195,8 @@ class SweepOutcome:
     #: Group units the scheduler quarantined (``status="error"``
     #: reports: index, worker, attempts, last traceback).  The sweep
     #: still completes — the leader evaluates a failed unit's group
-    #: itself, warm tasks included, so rows and store keys stay
-    #: bit-identical; this records that the fabric had to.
+    #: itself, so rows and store keys stay bit-identical; this records
+    #: that the fabric had to.
     failed_units: List[dict] = field(default_factory=list)
 
     @property
@@ -382,8 +347,9 @@ def run_sweep(
         echo: optional progress sink (e.g. ``print``).
         store: optional persistent :class:`repro.store.ArtifactStore`:
             workload preparation and search entries read through and
-            spill into it, so a repeated sweep plans no warm tasks and
-            its units only evaluate (polynomial work on cache hits).
+            spill into it, so a repeated sweep's units start from the
+            stored entries and only evaluate (polynomial work on cache
+            hits).
             Ignored when ``use_cache`` is off — the cold baseline stays
             genuinely cold.
         prepare: optional ``(name, n, unroll) -> Application`` callable
@@ -443,7 +409,6 @@ def run_sweep(
     else:
         start = time.perf_counter()
         jobs = _plan_units(spec, apps, cache, models, backend)
-        outcome.warm_units = sum(1 for job in jobs if job.tasks)
         results, reports = scheduled_map(
             _group_unit, jobs, workers=workers,
             size_hints=[_unit_hint(job) for job in jobs],
@@ -453,6 +418,7 @@ def run_sweep(
         for index, result in enumerate(results):
             if result is not None:
                 groups[index], entries, stats = result
+                outcome.warm_units += bool(entries)
                 cache.merge(entries)
                 cache.stats.hits += stats.hits
                 cache.stats.misses += stats.misses
@@ -460,16 +426,16 @@ def run_sweep(
         outcome.failed_units = [report.as_dict() for report in reports
                                 if report.status != "ok"]
         outcome.warm_s = time.perf_counter() - start
-        say(f"ran {len(jobs)} group unit(s) ({outcome.warm_units} with "
-            f"warm tasks) -> {len(cache)} cache entries in "
+        say(f"ran {len(jobs)} group unit(s) ({outcome.warm_units} "
+            f"searched) -> {len(cache)} cache entries in "
             f"{outcome.warm_s:.2f}s"
             + (f" ({len(outcome.failed_units)} unit(s) failed; the "
                f"leader evaluates their groups)"
                if outcome.failed_units else ""))
 
         # The leader evaluates the groups of quarantined units itself,
-        # warm tasks included (so the store ends with a fault-free
-        # run's keys), on the shared cache.
+        # on the shared cache: their rows read the keys a unit's would,
+        # so the store ends with a fault-free run's keys.
         start = time.perf_counter()
         for index, job in enumerate(jobs):
             if groups[index] is None:

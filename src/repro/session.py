@@ -149,7 +149,7 @@ class Session:
               unit_deadline=None, cluster_deadline=None):
         """Run a whole design-space grid (:func:`repro.explore.
         run_sweep`) through the session's cache and store — a repeated
-        identical sweep skips preparation and plans no warm tasks.
+        identical sweep skips preparation and searches nothing.
         Group units run on the session's ``workers`` processes;
         ``listen`` additionally accepts remote ``repro worker`` nodes.
         Rows are bit-identical to a serial sweep either way.

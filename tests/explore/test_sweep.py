@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, env_plan
 from repro.core import Constraints
+from repro.core.select_iterative import CollapseChain
 from repro.explore import (
     SearchCache,
     SweepSpec,
@@ -20,6 +23,7 @@ from repro.explore import (
     write_json,
 )
 from repro.explore.grid import ALGORITHMS, resolve_model
+from repro.exec.speedup import dispatch_selection
 from repro.explore.runner import _evaluate_group, _group_unit, _plan_units
 from repro.pipeline import prepare_application
 from repro.store import ArtifactStore, StoreBackend
@@ -194,7 +198,9 @@ class TestGroupUnits:
                 for name in spec.workloads}
         models = {name: resolve_model(name) for name in spec.models}
         jobs = _plan_units(spec, apps, SearchCache(), models)
-        assert len(jobs) == len(spec.ports) and all(j.tasks for j in jobs)
+        # Nothing is cached yet: every unit starts from an empty cache.
+        assert len(jobs) == len(spec.ports)
+        assert not any(job.entries for job in jobs)
         shared = SearchCache()
         unit_keys = set()
         for job in jobs:
@@ -210,8 +216,8 @@ class TestGroupUnits:
 
     def test_poisoned_group_is_evaluated_by_the_leader(self, tmp_path):
         # Four groups, all units on a fresh store; unit 2 is poisoned
-        # on every hand-out, so the leader evaluates its group itself,
-        # warm tasks included: rows and store keys match a clean run.
+        # on every hand-out, so the leader evaluates its group itself:
+        # rows and store keys match a clean run.
         spec = small_spec(workloads=("fir", "crc32"), ninstrs=(2,),
                           algorithms=("iterative", "maxmiso"))
         clean_store = ArtifactStore(f"sqlite:{tmp_path / 'clean.sqlite'}")
@@ -463,7 +469,6 @@ class TestWarmGroupUnits:
         assert backend.contains_calls == 0
 
     def test_covered_group_never_searches(self, cold, monkeypatch):
-        import importlib
         import pickle
 
         # The modules, not the functions the package re-exports.
@@ -482,7 +487,7 @@ class TestWarmGroupUnits:
         jobs = _plan_units(spec, apps,
                            SearchCache(backing=ArtifactStore(backend)),
                            models)
-        assert jobs and not any(job.tasks for job in jobs)
+        assert jobs and all(job.entries for job in jobs)
         monkeypatch.setattr(select_iterative, "find_best_cut", no_search)
         monkeypatch.setattr(multi_cut, "run_multi_cut", no_search)
         for job in jobs:
@@ -492,3 +497,83 @@ class TestWarmGroupUnits:
             assert len(rows) == len(job.points)
             assert entries == [] and stats.misses == 0
             assert stats.hits > 0
+
+
+class TestUnitsSearchOnDemand:
+    """A unit starts from every entry the cache holds for the keys its
+    rows can read, and searches only what its rows read."""
+
+    def test_partly_covered_group_reuses_its_chains(self, monkeypatch):
+        # An iterative sweep stores every group's chains.  An
+        # iterative + Optimal sweep on that store then finds every
+        # chain, and misses only the multi-cut values Optimal reads.
+        grid = dict(workloads=("fir", "crc32", "gsm"),
+                    ports=((4, 2), (3, 1)), ninstrs=(2,))
+        store = ArtifactStore(_DictBackend())
+        run_sweep(small_spec(**grid, algorithms=("iterative",)),
+                  store=store, workers=1)
+        lookups: Counter = Counter()
+        get = SearchCache.get
+
+        def counting(self, key):
+            value = get(self, key)
+            lookups[key[0], value is not None] += 1
+            return value
+
+        monkeypatch.setattr(SearchCache, "get", counting)
+        spec = small_spec(**grid, algorithms=("iterative", "optimal"),
+                          max_nodes=24)
+        outcome = run_sweep(spec, store=store, workers=1)
+        monkeypatch.undo()
+        assert lookups["chain", True] > 0
+        assert lookups["chain", False] == 0
+        assert outcome.cache_stats["misses"] == lookups["multi", False] > 0
+        assert strip_timing(outcome.rows) == \
+            strip_timing(run_sweep(spec, use_cache=False).rows)
+
+    def test_rows_without_chains_look_none_up(self):
+        # Optimal and MaxMISO rows read no collapse chain, so a warm
+        # re-sweep of them hits every multi entry and misses nothing.
+        spec = small_spec(ninstrs=(2,), algorithms=("optimal", "maxmiso"))
+        cache = SearchCache()
+        cold = run_sweep(spec, cache=cache, workers=1)
+        assert {key[0] for key in cache.store} == {"multi"}
+        warm = run_sweep(spec, cache=cache, workers=1)
+        assert warm.cache_stats["misses"] == cold.cache_stats["misses"]
+        assert warm.warm_units == 0
+
+    def test_cold_iterative_sweep_searches_what_its_rows_read(
+            self, monkeypatch):
+        # Ninstr-2 iterative rows read link 0 of every block and link 1
+        # of the block they take their first cut from: the sweep
+        # searches exactly the links the same rows, evaluated serially
+        # on one shared chain list per group, search.
+        select_iterative = importlib.import_module(
+            "repro.core.select_iterative")
+        search = select_iterative.find_best_cut
+        calls: Counter = Counter()
+
+        def counting(*args, **kwargs):
+            calls["find_best_cut"] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(select_iterative, "find_best_cut", counting)
+        spec = small_spec(workloads=("crc32", "gsm"),
+                          ports=((4, 2), (3, 1)), ninstrs=(2,),
+                          algorithms=("iterative",))
+        run_sweep(spec, workers=1)
+        swept = calls.pop("find_best_cut")
+        apps = {name: prepare_application(name, n=spec.n)
+                for name in spec.workloads}
+        for (model_name, workload, nin, nout), points in groupby(
+                spec.expand(),
+                key=lambda p: (p.model, p.workload, p.nin, p.nout)):
+            dfgs, model = apps[workload].dfgs, resolve_model(model_name)
+            chains = [CollapseChain(dfg, Constraints(nin=nin, nout=nout),
+                                    model, spec.limits) for dfg in dfgs]
+            for point in points:
+                dispatch_selection(point.algorithm, dfgs,
+                                   point.constraints, model, spec.limits,
+                                   spec.max_nodes, spec.area_budget,
+                                   chains=chains)
+        assert swept == calls["find_best_cut"] > 0

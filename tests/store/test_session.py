@@ -168,6 +168,16 @@ class TestSessionFacade:
         assert session.cache.stats.hits >= 1
         assert session.cache.stats.misses >= misses
 
+    def test_area_selection_puts_one_entry_per_chain(self, tmp_path):
+        # The area pool walks each block's chain in one call, so a
+        # store-backed selection writes each block's chain entry once,
+        # not once per searched link.
+        session = Session(store=tmp_path)
+        blocks = len(session.prepare("sha").dfgs)
+        session.select("sha", algorithm="area")
+        assert blocks > 1
+        assert session.cache.stats.puts == len(session.cache) == blocks
+
     def test_select_unknown_algorithm(self, tmp_path):
         session = Session(store=tmp_path)
         with pytest.raises(ValueError, match="unknown algorithm"):
