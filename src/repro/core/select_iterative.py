@@ -42,7 +42,8 @@ class CollapseChain:
     With a *cache* (``repro.explore.SearchCache``) the chain is one
     ``chain`` entry, read once here: its links are rebuilt (collapse,
     :func:`~repro.core.cut.evaluate_cut`), later links are searched, and
-    a :meth:`link` call that searched puts the longer entry back.
+    :meth:`publish` puts the longer entry back — by default at the end
+    of each :meth:`link` call that searched.
     """
 
     def __init__(self, dfg: DataFlowGraph, constraints: Constraints,
@@ -61,10 +62,13 @@ class CollapseChain:
         # ``asdict(stats)`` without its deep copy.
         self.entry: Tuple = (() if cache is None
                              else cache.get(self.key) or ())
+        self._published = self.entry
 
-    def link(self, k: int) -> Optional[SearchResult]:
+    def link(self, k: int, publish: bool = True) -> Optional[SearchResult]:
         """The search result of link *k*, or ``None`` past the chain's
-        end."""
+        end; *publish* puts a grown entry into the cache at once (a
+        selection reading link by link passes ``False`` and publishes
+        once at its end)."""
         results = self.results
         entry = self.entry
         while len(results) <= k:
@@ -88,10 +92,17 @@ class CollapseChain:
             entry += ((tuple(sorted(result.cut.nodes))
                        if result.cut is not None else None,
                        dict(vars(result.stats)), result.complete),)
-        if entry is not self.entry and self.cache is not None:
-            self.cache.put(self.key, entry)
         self.entry = entry
+        if publish:
+            self.publish()
         return results[k] if k < len(results) else None
+
+    def publish(self) -> None:
+        """Put the entry into the cache if it grew since it was read or
+        last put."""
+        if self.entry is not self._published and self.cache is not None:
+            self.cache.put(self.key, self.entry)
+            self._published = self.entry
 
 
 def select_iterative(
@@ -130,7 +141,7 @@ def select_iterative(
         # The next link of each pending block: its graph has every cut
         # taken from the block collapsed.
         for b in pending:
-            result = chains[b].link(rounds[b])
+            result = chains[b].link(rounds[b], publish=False)
             merge_stats(stats, result.stats)
             complete = complete and result.complete
             candidates[b] = result.cut
@@ -148,6 +159,8 @@ def select_iterative(
             #             never be read, so don't search for one
         pending = (best,)
 
+    for chain in chains:
+        chain.publish()
     return make_result(
         algorithm="Iterative",
         constraints=constraints,

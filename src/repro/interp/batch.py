@@ -13,8 +13,9 @@ loop itself.  :func:`run_batch` hoists all of it out of the input loop:
   per input;
 * **one** memory image is reset in place between lanes — each row is
   restored from a precomputed template with a slice assignment, then
-  the lane's overlay arrays are written on top — instead of rebuilding
-  the dict-of-lists per input;
+  the lane's overlay rows are written on top, also by slice assignment
+  (checked and 32-bit wrapped once per distinct :class:`Lane` object)
+  — instead of rebuilding the dict-of-lists per input;
 * per-lane state stays **isolated**: the step counter restarts at zero
   with the lane's own budget, each lane gets a fresh
   :class:`~repro.interp.profile.ProfileData`, and a lane that traps or
@@ -36,6 +37,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.function import Module
 from ..ir.opcodes import Opcode
+from ..ir.values import wrap32
 from .interpreter import ExecutionLimitExceeded, Interpreter
 from .memory import Memory, TrapError
 from .profile import ProfileData
@@ -154,11 +156,17 @@ def run_batch(module: Module, entry: str, lanes: Sequence[Lane],
     interp = Interpreter(module, memory=memory, max_steps=max_steps,
                          backend=backend)
     result = BatchResult(entry=entry, backend=interp.backend)
+    # Keyed on the Lane object (which the entry pins): driver_lanes
+    # repeats one lane, so its overlay is checked and wrapped once.
+    overlays: Dict[int, Tuple[Lane, list]] = {}
     for index, lane in enumerate(lanes):
         for row, init in resets:
             row[:] = init
-        for name, values in lane.arrays.items():
-            memory.write_array(name, values)
+        pinned = overlays.get(id(lane))
+        if pinned is None:
+            pinned = overlays[id(lane)] = (lane, _overlay_rows(memory, lane))
+        for row, values in pinned[1]:
+            row[:len(values)] = values
         interp._steps = 0
         interp.max_steps = (lane.max_steps if lane.max_steps is not None
                             else max_steps)
@@ -188,6 +196,21 @@ def run_batch(module: Module, entry: str, lanes: Sequence[Lane],
                                   for name, row in arrays.items()}
         result.lanes.append(lane_result)
     return result
+
+
+def _overlay_rows(memory: Memory, lane: Lane
+                  ) -> List[Tuple[List[int], List[int]]]:
+    """*lane*'s overlay as ``(row, wrapped values)`` pairs, checked as
+    :meth:`Memory.write_array` checks it (an unknown array or a too
+    long overlay traps with its text).  A same-length slice assignment
+    then restores each row without resizing it."""
+    overlay = []
+    for name, values in lane.arrays.items():
+        row = memory._row(name, "write_array to")
+        if len(values) > len(row):
+            raise TrapError(f"write_array overflows {name!r}")
+        overlay.append((row, [wrap32(value) for value in values]))
+    return overlay
 
 
 def _stored_arrays(module: Module) -> set:

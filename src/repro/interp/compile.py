@@ -22,7 +22,22 @@ generated Python source:
   through a ``BR`` into a single-predecessor target — the off-trace
   side becomes an early *side exit* (walker-exact writebacks, then a
   return of the off-trace label), which is what fuses a loop header
-  with its body into one closure per iteration;
+  with its body into one closure;
+* a unit whose last block jumps, or branches on one side, back to its
+  own head is a **loop**: its body runs inside ``while True:``, so an
+  iteration costs no dispatch-loop round trip and no register-dict
+  read.  The loop-back bumps the head's entry count, re-checks the
+  entry budget and writes back the registers a side exit of the next
+  iteration would leave stale (those defined after the body's first
+  exit point);
+* ``LOAD``/``STORE`` index the memory row **inline**: each unit binds
+  the rows it touches and their lengths once, at entry, and an access
+  whose index passes ``0 <= i < len`` reads or writes the list
+  directly (a store wraps its value as :meth:`Memory.store` does).  An
+  out-of-range or negative index, or an array the memory image lacks
+  (bound as the empty row ``()``), takes the slow path, which commits
+  the exact step count and lets :meth:`Memory.load`/``store`` raise
+  the walker's trap;
 * opcode semantics are **inlined**: the 32-bit two's-complement wrap of
   :func:`repro.ir.values.wrap32` is emitted as a closed-form expression
   (``((v & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000``) exactly where an
@@ -38,12 +53,16 @@ generated Python source:
   written until the last gate has run;
 * step counting is accumulated as **constants**: one ``_s =
   I._steps`` read at unit entry, and an exact ``I._steps = _s + k``
-  commit only where the counter is observable (before an op that can
-  trap, a ``CALL`` or a terminator).  The budget is checked by one
-  **guard at unit entry**, against the unit's step count up to its
-  first ``CALL``, and once more after each ``CALL``; when it could
-  expire, the unit raises :class:`ResumeOnWalker` and the walker's
-  reference executor runs the block from there, so
+  commit only where the counter is observable (before a ``CALL``, an
+  op that can trap other than a memory access — whose slow path
+  commits for itself — or a terminator that leaves the closure; an
+  internal ``JMP`` link commits nothing).  The budget is checked by
+  one **guard at unit entry**, against the unit's step count up to its
+  first ``CALL``, once more after each ``CALL`` and, in a loop, at
+  every loop-back; when it could expire, the unit raises
+  :class:`ResumeOnWalker` (or, at a loop-back, returns its head label
+  so the next entry's guard raises it) and the walker's reference
+  executor runs the block from there, so
   :class:`~repro.interp.interpreter.ExecutionLimitExceeded` fires at
   exactly the walker's step index with exactly its side effects;
 * block entry counts are tallied by the dispatch loop into a plain local
@@ -82,6 +101,8 @@ from ..ir.instructions import Instruction, ISEInstruction
 from ..ir.opcodes import Opcode, opinfo
 from ..ir.values import Const, Reg, wrap32
 from ..store.keys import canonical_digest
+from .interpreter import ResumeOnWalker
+from .memory import TrapError
 
 __all__ = [
     "BlockCode", "CodeMemoStats", "ResumeOnWalker", "block_digest",
@@ -91,18 +112,6 @@ __all__ = [
 ]
 
 
-class ResumeOnWalker(Exception):
-    """Signal: run block ``args[0]`` from instruction ``args[1]`` on the
-    walker's reference executor.
-
-    A compiled unit raises it only where the walker's exact trap point,
-    step count and committed side effects cannot be had on the fast
-    path: at entry (index 0, before any op has run) when a live-in
-    register is undefined or the step budget could expire inside the
-    unit, and after a ``CALL`` when the budget could expire before the
-    next one — then with every register the unit defined written back.
-    """
-
 #: Bump when generated-code semantics change: digest-keyed closures from
 #: the old generator must not be reused by a process mixing versions
 #: (the memo is in-process only, so this mostly documents intent).
@@ -111,7 +120,10 @@ class ResumeOnWalker(Exception):
 #: straight-line gate locals instead of calling ``FusedAFU.evaluate``.
 #: v4: an entry budget guard and :class:`ResumeOnWalker` replace the
 #: per-segment walker-exact twins; closures no longer take ``FN``.
-CODEGEN_VERSION = 4
+#: v5: loop units iterate inside their closure, memory rows are
+#: indexed inline, and closures take the arrays dict ``M`` in place of
+#: the ``LOAD``/``STORE`` accessors: ``fn(I, R, M, CALL, C)``.
+CODEGEN_VERSION = 5
 
 _MASK = "4294967295"            # 0xFFFFFFFF
 _SIGN = "2147483648"            # 0x80000000
@@ -122,20 +134,21 @@ class BlockCode:
     """One block's — or one region's — compiled artifact (or fallback).
 
     Attributes:
-        fn: the generated closure, called as ``fn(I, R, LOAD, STORE,
-            CALL, C)`` with the interpreter, the register dict, the
-            memory accessors, the call-back into ``Interpreter._call``
-            and the per-frame profile counts dict (region closures bump
-            it at every internal block boundary; single-block closures
-            ignore it); returns the successor label, or a 1-tuple
-            ``(value,)`` for ``RET``.  ``None`` when codegen fell back
-            to the walker.
+        fn: the generated closure, called as ``fn(I, R, M, CALL, C)``
+            with the interpreter, the register dict, the memory image's
+            arrays dict, the call-back into ``Interpreter._call`` and
+            the per-frame profile counts dict (region and loop closures
+            bump it at every internal block boundary and loop-back);
+            returns the successor label, or a 1-tuple ``(value,)`` for
+            ``RET``.  ``None`` when codegen fell back to the walker.
         label: the head block's label (diagnostics only).
         source: the generated Python text (debugging aid; the step
             constants live in here as literals).
         digest: structural digest the memo is keyed on.
         span: how many source blocks the closure threads (1 for a
             plain per-block artifact, the chain length for a region).
+        loop: whether the closure iterates in place (its last block
+            loops back to its head).
         reason: diagnostic code explaining a fallback (``fn=None``):
             ``C001``–``C003`` for honestly untranslatable units, a
             verifier code (``V002``, ``V102``, …) when the unit fell
@@ -149,6 +162,7 @@ class BlockCode:
     source: str = ""
     digest: str = ""
     span: int = 1
+    loop: bool = False
     reason: Optional[str] = None
     detail: str = ""
 
@@ -158,7 +172,8 @@ class CodeMemoStats:
     """Telemetry of the in-process code memo.
 
     ``compiled`` counts successful codegen runs (``regions`` of which
-    were multi-block chains), ``hits`` counts memo reuse, ``fallbacks``
+    were multi-block chains, ``loops`` of which iterate inside their
+    closure), ``hits`` counts memo reuse, ``fallbacks``
     counts untranslatable units, ``evictions`` counts LRU drops.
     ``fallback_codes`` breaks the fallbacks down by diagnostic code
     (see :attr:`BlockCode.reason`), so a sweep outcome or ``repro run``
@@ -172,6 +187,7 @@ class CodeMemoStats:
     hits: int = 0
     fallbacks: int = 0
     regions: int = 0
+    loops: int = 0
     evictions: int = 0
     replays: int = 0
     fallback_codes: Dict[str, int] = field(default_factory=dict)
@@ -187,7 +203,8 @@ class CodeMemoStats:
         """Flat dict for JSON artifacts and benchmark reports."""
         return {"compiled": self.compiled, "hits": self.hits,
                 "fallbacks": self.fallbacks, "regions": self.regions,
-                "evictions": self.evictions, "replays": self.replays,
+                "loops": self.loops, "evictions": self.evictions,
+                "replays": self.replays,
                 "fallback_codes": dict(sorted(
                     self.fallback_codes.items()))}
 
@@ -222,8 +239,8 @@ def _memoised(digest: str, compiler, unit) -> BlockCode:
         _STATS.count_fallback(code)
     else:
         _STATS.compiled += 1
-        if code.span > 1:
-            _STATS.regions += 1
+        _STATS.regions += code.span > 1
+        _STATS.loops += code.loop
     while _MEMO and len(_MEMO) >= MEMO_LIMIT:
         _MEMO.popitem(last=False)
         _STATS.evictions += 1
@@ -326,6 +343,20 @@ class _Emitter:
         self.lines.append("    " * indent + line)
 
 
+def _load_slow(interp, steps: int, array: str, index: int) -> int:
+    """A ``LOAD`` the inline bounds check refused: commit the walker's
+    step count, then let :meth:`Memory.load` raise the walker's trap."""
+    interp._steps = steps
+    return interp.memory.load(array, index)
+
+
+def _store_slow(interp, steps: int, array: str, index: int,
+                value: int) -> None:
+    """The ``STORE`` twin of :func:`_load_slow`."""
+    interp._steps = steps
+    interp.memory.store(array, index, value)
+
+
 def _wrap(expr: str) -> str:
     """Closed-form ``wrap32`` of *expr* (expr may exceed 32 bits)."""
     return f"((({expr}) & {_MASK}) ^ {_SIGN}) - {_SIGN}"
@@ -409,6 +440,8 @@ class _BlockCompiler:
     chains (regions) keep registers in locals across their internal
     ``JMP`` links — internal terminators emit no writebacks and no
     return, just the per-frame profile-count bump (see module doc).
+    A chain whose last block loops back to its head iterates inside
+    the closure.
     """
 
     def __init__(self, blocks: Sequence[BasicBlock]) -> None:
@@ -417,6 +450,10 @@ class _BlockCompiler:
         self.defined: set = set()             # registers defined so far
         self.entry_reads: List[str] = []      # registers loaded at entry
         self.gate_locals = 0                  # AFU gate locals emitted
+        self.rows: Dict[str, Tuple[str, str]] = {}  # array -> row, len
+        self.steps = 0                        # steps since ``_s`` read
+        self.exit_defined: Optional[set] = None  # defined at 1st exit
+        self.loop = False
         self.out = _Emitter()
 
     # -- naming --------------------------------------------------------
@@ -443,6 +480,15 @@ class _BlockCompiler:
         self.defined.add(reg_name)
         return local
 
+    def _row(self, array: str) -> Tuple[str, str]:
+        """The locals holding *array*'s row and its length, bound once
+        at unit entry."""
+        names = self.rows.get(array)
+        if names is None:
+            names = self.rows[array] = (f"r{len(self.rows)}",
+                                        f"n{len(self.rows)}")
+        return names
+
     # -- per-op emission ----------------------------------------------
     def _emit_insn(self, insn: Instruction, indent: int) -> None:
         """Emit one instruction (never a terminator) at *indent*."""
@@ -451,12 +497,23 @@ class _BlockCompiler:
         if op is Opcode.LOAD:
             index = self._read(insn.operands[0])
             dst = self._define(insn.dest)
-            emit(f"{dst} = LOAD({insn.array!r}, {index})", indent)
+            row, size = self._row(insn.array)
+            emit(f"{dst} = {row}[{index}] if 0 <= {index} < {size} "
+                 f"else _LD(I, _s + {self.steps}, {insn.array!r}, "
+                 f"{index})", indent)
             return
         if op is Opcode.STORE:
             index = self._read(insn.operands[0])
-            value = self._read(insn.operands[1])
-            emit(f"STORE({insn.array!r}, {index}, {value})", indent)
+            operand = insn.operands[1]
+            value = self._read(operand)
+            stored = (f"({wrap32(operand.value)})"
+                      if isinstance(operand, Const) else _wrap(value))
+            row, size = self._row(insn.array)
+            emit(f"if 0 <= {index} < {size}:", indent)
+            emit(f"    {row}[{index}] = {stored}", indent)
+            emit("else:", indent)
+            emit(f"    _ST(I, _s + {self.steps}, {insn.array!r}, {index}, "
+                 f"{value})", indent)
             return
         if op is Opcode.ISE:
             self._emit_ise(insn, indent)
@@ -569,8 +626,12 @@ class _BlockCompiler:
         """Write every register defined so far back to the dict ``R``.
 
         On a straight-line trace every def emitted so far has executed,
-        so this leaves the caller's register dict walker-exact.
+        so this leaves the caller's register dict walker-exact.  Every
+        caller is an exit point; the first one's defined set is kept
+        for the loop-back (:meth:`_emit_loop_back`).
         """
+        if self.exit_defined is None:
+            self.exit_defined = set(self.defined)
         for reg_name in sorted(self.defined):
             self.out.emit(f"R[{reg_name!r}] = {self.locals[reg_name]}",
                           indent)
@@ -603,6 +664,31 @@ class _BlockCompiler:
         self._emit_writebacks(indent=2)
         emit(f"    return {exit_label!r}")
 
+    def _emit_loop_back(self, insn: Instruction) -> None:
+        """Emit the last block's terminator of a loop unit.
+
+        A ``BR`` leaves by a side exit on its other target.  The
+        loop-back then re-checks the entry budget guard against
+        ``_lim``, the last ``_s`` it admits (on failure:
+        write back everything and return the head label, so the
+        dispatch loop counts the head entry and the head's own guard
+        replays it on the walker), bumps the head's entry count, and
+        writes back the registers not yet defined at the body's first
+        exit point: a side exit in the next iteration writes back only
+        those defined before it, and the rest would be stale in ``R``.
+        """
+        head = self.blocks[0].label
+        emit = self.out.emit
+        self._emit_internal_exit(insn, head)
+        emit(f"_s += {self.steps}")
+        emit("if _s > _lim:")
+        self._emit_writebacks(indent=2)
+        emit("    I._steps = _s")
+        emit(f"    return {head!r}")
+        emit(f"C[{head!r}] = C.get({head!r}, 0) + 1")
+        for reg_name in sorted(self.defined - self.exit_defined):
+            emit(f"R[{reg_name!r}] = {self.locals[reg_name]}")
+
     def _emit_terminator(self, insn: Instruction, indent: int) -> None:
         op = insn.opcode
         emit = self.out.emit
@@ -634,11 +720,13 @@ class _BlockCompiler:
         before them: an op that can trap (a caller catching the
         ``TrapError`` sees the walker's counter and remaining budget),
         a ``CALL`` (the callee counts on from it) and a terminator (the
-        block is left).  Pure ops in between cannot raise, so their
-        counts are unobservable until the next commit.
+        block is left; the caller skips ``JMP`` links that stay in the
+        closure).  Pure ops in between cannot raise, so their counts
+        are unobservable until the next commit; nor can an in-bounds
+        ``LOAD``/``STORE``, whose slow path commits for itself.
         """
         op = insn.opcode
-        if op in (Opcode.LOAD, Opcode.STORE, Opcode.CALL):
+        if op is Opcode.CALL:
             return True
         if op is Opcode.ISE:
             return any(_may_divide_by_zero(g) for g in insn.afu.gates)
@@ -703,13 +791,19 @@ class _BlockCompiler:
                     raise _UnsupportedBlock(
                         "C003",
                         "chain link is not a JMP/BR into the next block")
+        head = blocks[0].label
+        terminator = blocks[last].terminator
+        self.loop = head in terminator.targets and (
+            terminator.opcode is Opcode.JMP
+            or (terminator.opcode is Opcode.BR
+                and terminator.targets[0] != terminator.targets[1]))
         ops = [(index, position, insn)
                for index, block in enumerate(blocks)
                for position, insn in enumerate(block.instructions)]
+        guard = self._budget(ops, 0)
         body = _Emitter()
         self.out = body
         emit = body.emit
-        steps = 0       # steps since ``_s`` was read
         try:
             for number, (index, position, insn) in enumerate(ops):
                 label = blocks[index].label
@@ -723,29 +817,38 @@ class _BlockCompiler:
                 elif position and ops[number - 1][2].opcode is Opcode.CALL:
                     self._emit_resume_check(label, position,
                                             self._budget(ops, number))
-                    steps = 0
-                steps += 1
-                if self._observes_steps(insn):
-                    emit(f"I._steps = _s + {steps}")
+                    self.steps = 0
+                self.steps += 1
+                # A JMP that stays in the closure commits nothing: the
+                # next commit (or a loop-back's budget exit) supersedes
+                # it.
+                in_closure = insn.opcode is Opcode.JMP and (
+                    index < last or self.loop)
+                if self._observes_steps(insn) and not in_closure:
+                    emit(f"I._steps = _s + {self.steps}")
                 if not insn.is_terminator:
                     self._emit_insn(insn, indent=1)
-                elif index == last:
-                    self._emit_terminator(insn, indent=1)
-                else:
+                elif index < last:
                     self._emit_internal_exit(insn, blocks[index + 1].label)
+                elif self.loop:
+                    self._emit_loop_back(insn)
+                else:
+                    self._emit_terminator(insn, indent=1)
         except _DeadCode:
-            pass        # an unconditional trap ends the chain early
+            # An unconditional trap ends the chain early (and so the
+            # loop: its body can run at most once).
+            self.loop = False
 
         header = _Emitter()
-        params = ["I", "R", "LOAD", "STORE", "CALL", "C"]
-        params += [f"{name}={name}" for name in ("_TE", "_RW")]
+        params = ["I", "R", "M", "CALL", "C"]
+        params += [f"{name}={name}" for name in ("_TE", "_RW", "_LD", "_ST")]
         header.emit(f"def _block({', '.join(params)}):", 0)
         # The entry guard: no op runs unless the budget provably lasts
         # until the first CALL.  Both punts happen before any op, so
         # the walker's replay from index 0 is side-effect clean.
-        resume = f"raise _RW({blocks[0].label!r}, 0)"
+        resume = f"raise _RW({head!r}, 0)"
         header.emit("_s = I._steps")
-        header.emit(f"if _s + {self._budget(ops, 0)} > I.max_steps:")
+        header.emit(f"if _s + {guard} > I.max_steps:")
         header.emit(f"    {resume}")
         if self.entry_reads:
             header.emit("try:")
@@ -754,19 +857,27 @@ class _BlockCompiler:
                             f"R[{reg_name!r}]")
             header.emit("except KeyError:")
             header.emit(f"    {resume} from None")
+        # Rows are never replaced or resized while a program runs
+        # (see Memory), so one binding serves every iteration and call.
+        for array, (row, size) in self.rows.items():
+            header.emit(f"{row} = M.get({array!r}, ())")
+            header.emit(f"{size} = len({row})")
+        if self.loop:
+            header.emit(f"_lim = I.max_steps - {guard}")
+            header.emit("while True:")
+            body.lines = ["    " + line for line in body.lines]
 
         source = "\n".join(header.lines + body.lines) + "\n"
-        from .memory import TrapError
-
         namespace: Dict[str, object] = {
             "_TE": TrapError, "_RW": ResumeOnWalker,
+            "_LD": _load_slow, "_ST": _store_slow,
         }
         kind = "block" if last == 0 else "region"
         code = compile(source, f"<repro:{kind}:{digest[:12]}>", "exec")
         exec(code, namespace)
-        return BlockCode(fn=namespace["_block"], label=blocks[0].label,
+        return BlockCode(fn=namespace["_block"], label=head,
                          source=source, digest=digest,
-                         span=len(blocks))
+                         span=len(blocks), loop=self.loop)
 
 
 class _DeadCode(Exception):
@@ -962,7 +1073,8 @@ def clear_code_memo() -> int:
     dropped = len(_MEMO)
     _MEMO.clear()
     _STATS.compiled = _STATS.hits = _STATS.fallbacks = 0
-    _STATS.regions = _STATS.evictions = _STATS.replays = 0
+    _STATS.regions = _STATS.loops = 0
+    _STATS.evictions = _STATS.replays = 0
     _STATS.fallback_codes.clear()
     return dropped
 

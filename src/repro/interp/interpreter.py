@@ -17,8 +17,9 @@ Two execution backends share this class (DESIGN.md §11–§12):
   differentially tested against.
 * ``"compiled"`` (the default) — generated Python from
   :mod:`repro.interp.compile`: maximal straight-line block chains
-  (regions) become one closure, register reads become locals, opcode
-  semantics are inlined, and step/profile counters are aggregated.
+  (regions) become one closure, loops iterate inside it, register
+  reads become locals, opcode semantics and memory accesses are
+  inlined, and step/profile counters are aggregated.
 
 The compiled backend is bit-identical to the walker by obligation:
 results, step counts, profiles, traps and the exact step index at which
@@ -66,6 +67,23 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 
 class ExecutionLimitExceeded(RuntimeError):
     """The step budget ran out — almost certainly a non-terminating loop."""
+
+
+class ResumeOnWalker(Exception):
+    """Signal: run block ``args[0]`` from instruction ``args[1]`` on the
+    walker's reference executor.
+
+    A compiled unit raises it only where the walker's exact trap point,
+    step count and committed side effects cannot be had on the fast
+    path: at entry (index 0, before any op has run) when a live-in
+    register is undefined or the step budget could expire inside the
+    unit, and after a ``CALL`` when the budget could expire before the
+    next one — then with every register the unit defined written back.
+    A loop unit whose loop-back fails the budget check returns its head
+    label instead; the head's entry guard then raises this signal.
+    It lives here, not in :mod:`repro.interp.compile`, so the dispatch
+    loop needs nothing from the code generator per call frame.
+    """
 
 
 @dataclass
@@ -153,7 +171,7 @@ class Interpreter:
         block returned — the same convention the compiled closures use,
         so this doubles as the compiled backend's per-block fallback.
         *start* skips the block's first instructions (see
-        :class:`~repro.interp.compile.ResumeOnWalker`).
+        :class:`ResumeOnWalker`).
         Loop-invariant lookups (the operand resolver, memory accessors,
         the step budget) are hoisted out of the hot loop; the step
         counter runs in a local mirror synced back on every exit path.
@@ -248,8 +266,9 @@ class Interpreter:
 
         The per-function table maps every label to its closure: region
         heads carry multi-block closures (which bump internal block
-        counts themselves, via ``counts`` passed as the closures' ``C``
-        parameter); a region's tail labels are dispatched only on
+        counts and loop iterations themselves, via ``counts`` passed as
+        the closures' ``C`` parameter; the memory image's arrays dict
+        is their ``M``); a region's tail labels are dispatched only on
         replay paths, and labels no chain heads start lazy, compiled
         per block on first dispatch.  Block entry counts are tallied
         in a local dict and folded into the profile once per frame
@@ -258,20 +277,18 @@ class Interpreter:
 
         Units the generator refused run on :meth:`_exec_block_ref`
         instead, and a compiled unit hands a block to it on
-        :class:`~repro.interp.compile.ResumeOnWalker` (an undefined
+        :class:`ResumeOnWalker` (an undefined
         live-in register, or a step budget that could expire inside
         the unit), counted in ``code_memo_stats().replays``.
         """
-        from .compile import (ResumeOnWalker, build_function_table,
-                              code_memo_stats, get_block_code)
-
         table = self._tables.get(func_name)
         if table is None:
+            # Codegen is imported here, on a function's first frame,
+            # so a process that never executes code never pays for it.
+            from .compile import build_function_table
             table = build_function_table(func)
             self._tables[func_name] = table
-        memory = self.memory
-        load = memory.load
-        store = memory.store
+        arrays = self.memory.arrays
         next_depth = depth + 1
 
         def call(callee, args, _call=self._call, _depth=next_depth):
@@ -286,6 +303,7 @@ class Interpreter:
                 entry = table[label]
                 code = entry[0]
                 if code is None:        # lazy region-tail slot
+                    from .compile import get_block_code
                     code = get_block_code(entry[1])
                     entry[0] = code
                 fn = code.fn
@@ -294,9 +312,9 @@ class Interpreter:
                                                    regs, depth)
                 else:
                     try:
-                        outcome = fn(self, regs, load, store, call,
-                                     counts)
+                        outcome = fn(self, regs, arrays, call, counts)
                     except ResumeOnWalker as resume:
+                        from .compile import code_memo_stats
                         code_memo_stats().replays += 1
                         block_label, start = resume.args
                         outcome = self._exec_block_ref(

@@ -17,6 +17,12 @@ class Memory:
 
     Loads and stores are bounds-checked; MiniC has no pointers, so any
     out-of-bounds index is a workload bug and traps immediately.
+
+    Rows are never replaced or resized while a program runs: stores
+    write in place, and harness code only refills rows between runs.
+    Compiled units rely on that: each binds the rows it touches and
+    their lengths once, at entry, and indexes them inline
+    (:mod:`repro.interp.compile`).
     """
 
     def __init__(self, module: Module) -> None:

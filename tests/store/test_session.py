@@ -178,6 +178,24 @@ class TestSessionFacade:
         assert blocks > 1
         assert session.cache.stats.puts == len(session.cache) == blocks
 
+    @pytest.mark.parametrize("name, chains", [
+        ("sha", 11), ("adpcm-decode", 2), ("gsm", 4)])
+    def test_iterative_selection_puts_each_grown_chain_once(
+            self, tmp_path, name, chains):
+        # Iterative selection reads its chains link by link; it puts
+        # each grown chain's entry once, at its end, not once per link
+        # it searched.  The stored entries are whole: a second session
+        # on the store selects the same cuts without searching.
+        session = Session(store=tmp_path)
+        cold = session.select(name, ninstr=16)
+        assert session.cache.stats.puts == len(session.cache) == chains
+        warm_session = Session(store=tmp_path)
+        warm = warm_session.select(name, ninstr=16)
+        assert warm_session.cache.stats.misses == 0
+        assert warm_session.cache.stats.puts == 0
+        assert ([sorted(cut.nodes) for cut in warm.cuts]
+                == [sorted(cut.nodes) for cut in cold.cuts])
+
     def test_select_unknown_algorithm(self, tmp_path):
         session = Session(store=tmp_path)
         with pytest.raises(ValueError, match="unknown algorithm"):
