@@ -41,7 +41,7 @@ from ..core.cut import Cut
 from ..hwmodel.latency import CostModel
 from ..hwmodel.merit import cut_area
 from ..ir.cfg import Liveness
-from ..ir.function import BasicBlock, Function, GlobalArray, Module
+from ..ir.function import BasicBlock, Function, Module
 from ..ir.instructions import Instruction, ISEInstruction
 from ..ir.opcodes import Opcode
 from ..ir.values import Const, Reg
@@ -158,7 +158,7 @@ def clone_module(module: Module) -> Module:
     rewrite can mutate blocks while the original stays runnable."""
     clone = Module(module.name)
     for g in module.globals.values():
-        clone.add_global(GlobalArray(g.name, g.size, list(g.init)))
+        clone.add_global(g.copy())
     for func in module.functions.values():
         copy = Function(func.name, func.params)
         for block in func.blocks:

@@ -16,8 +16,8 @@ generated Python source:
   the CFG by :func:`discover_regions` — compile into *one* closure:
   live registers stay Python locals across the internal links, the
   per-block dict read/write-back disappears from hot paths, and each
-  internal boundary costs one increment of the per-frame profile
-  counts dict (``C``) instead of a dispatch-loop round trip.  Chains
+  internal boundary costs one increment of the function's block-entry
+  tally (``C``) instead of a dispatch-loop round trip.  Chains
   thread unconditional ``JMP`` links and, superblock-style, continue
   through a ``BR`` into a single-predecessor target — the off-trace
   side becomes an early *side exit* (walker-exact writebacks, then a
@@ -26,10 +26,13 @@ generated Python source:
 * a unit whose last block jumps, or branches on one side, back to its
   own head is a **loop**: its body runs inside ``while True:``, so an
   iteration costs no dispatch-loop round trip and no register-dict
-  read.  The loop-back bumps the head's entry count, re-checks the
-  entry budget and writes back the registers a side exit of the next
+  read.  The loop-back re-checks the entry budget, bumps the head's
+  entry count and writes back the registers a side exit of the next
   iteration would leave stale (those defined after the body's first
-  exit point);
+  exit point).  A loop unit counts block entries in int locals and
+  adds them to ``C`` in a ``finally`` on every exit, traps included.
+  A chain ends at the first block that branches back to its head, so
+  a back edge is never an internal side exit;
 * ``LOAD``/``STORE`` index the memory row **inline**: each unit binds
   the rows it touches and their lengths once, at entry, and an access
   whose index passes ``0 <= i < len`` reads or writes the list
@@ -65,9 +68,11 @@ generated Python source:
   executor runs the block from there, so
   :class:`~repro.interp.interpreter.ExecutionLimitExceeded` fires at
   exactly the walker's step index with exactly its side effects;
-* block entry counts are tallied by the dispatch loop into a plain local
-  dict and folded into :class:`~repro.interp.profile.ProfileData` once
-  per call frame (aggregate-on-exit), not per entry.
+* block entry counts are tallied per function, by the dispatch loop and
+  the closures, into a ``defaultdict(int)`` the interpreter keeps for
+  the run, and folded into :class:`~repro.interp.profile.ProfileData`
+  once per :meth:`~repro.interp.interpreter.Interpreter.run`, not per
+  entry or per call frame.
 
 Compiled closures are cached in a process-wide **LRU** memo keyed on
 structural digests (:func:`block_digest` per block,
@@ -123,7 +128,11 @@ __all__ = [
 #: v5: loop units iterate inside their closure, memory rows are
 #: indexed inline, and closures take the arrays dict ``M`` in place of
 #: the ``LOAD``/``STORE`` accessors: ``fn(I, R, M, CALL, C)``.
-CODEGEN_VERSION = 5
+#: v6: ``C`` is the function's run-long ``defaultdict(int)`` tally
+#: (bumped as ``C[label] += 1``), loop units count block entries in int
+#: locals added to it in a ``finally``, and ``CALL`` is one callback per
+#: call depth.
+CODEGEN_VERSION = 6
 
 _MASK = "4294967295"            # 0xFFFFFFFF
 _SIGN = "2147483648"            # 0x80000000
@@ -136,9 +145,11 @@ class BlockCode:
     Attributes:
         fn: the generated closure, called as ``fn(I, R, M, CALL, C)``
             with the interpreter, the register dict, the memory image's
-            arrays dict, the call-back into ``Interpreter._call`` and
-            the per-frame profile counts dict (region and loop closures
-            bump it at every internal block boundary and loop-back);
+            arrays dict, the call-back into ``Interpreter._call`` (one
+            per call depth) and the function's block-entry tally, a
+            ``defaultdict(int)`` (region closures bump it at every
+            internal block boundary; loop closures add their local
+            counts on exit);
             returns the successor label, or a 1-tuple ``(value,)`` for
             ``RET``.  ``None`` when codegen fell back to the walker.
         label: the head block's label (diagnostics only).
@@ -310,9 +321,13 @@ def region_digest(blocks: Sequence[BasicBlock]) -> str:
     compiled it, so ``repro run --rewrite`` reuses in-process region
     closures instead of recompiling them.
     """
-    return canonical_digest(
-        "regioncode-v1", CODEGEN_VERSION,
-        tuple(block_digest(block) for block in blocks))
+    return _region_key([block_digest(block) for block in blocks])
+
+
+def _region_key(member_digests: Sequence[str]) -> str:
+    """:func:`region_digest` from the member blocks' digests."""
+    return canonical_digest("regioncode-v1", CODEGEN_VERSION,
+                            tuple(member_digests))
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +454,7 @@ class _BlockCompiler:
     A single block is the degenerate chain of length one; longer
     chains (regions) keep registers in locals across their internal
     ``JMP`` links — internal terminators emit no writebacks and no
-    return, just the per-frame profile-count bump (see module doc).
+    return, just the block-entry count bump (see module doc).
     A chain whose last block loops back to its head iterates inside
     the closure.
     """
@@ -676,6 +691,7 @@ class _BlockCompiler:
         writes back the registers not yet defined at the body's first
         exit point: a side exit in the next iteration writes back only
         those defined before it, and the rest would be stale in ``R``.
+        The head's count is the local ``_k0``, added to ``C`` on exit.
         """
         head = self.blocks[0].label
         emit = self.out.emit
@@ -685,7 +701,7 @@ class _BlockCompiler:
         self._emit_writebacks(indent=2)
         emit("    I._steps = _s")
         emit(f"    return {head!r}")
-        emit(f"C[{head!r}] = C.get({head!r}, 0) + 1")
+        emit("_k0 += 1")
         for reg_name in sorted(self.defined - self.exit_defined):
             emit(f"R[{reg_name!r}] = {self.locals[reg_name]}")
 
@@ -801,6 +817,9 @@ class _BlockCompiler:
                for index, block in enumerate(blocks)
                for position, insn in enumerate(block.instructions)]
         guard = self._budget(ops, 0)
+        # A dead-code trap may end the loop below, but the counters
+        # emitted until then still need their locals and their fold.
+        counted = self.loop
         body = _Emitter()
         self.out = body
         emit = body.emit
@@ -812,8 +831,10 @@ class _BlockCompiler:
                     # the block; the bump sits between the previous
                     # terminator's step commit and this block's first
                     # op, so a trap anywhere in the region folds
-                    # identical counts into the profile.
-                    emit(f"C[{label!r}] = C.get({label!r}, 0) + 1")
+                    # identical counts into the profile.  A loop unit
+                    # counts in a local per block (see below).
+                    emit(f"_k{index} += 1" if counted
+                         else f"C[{label!r}] += 1")
                 elif position and ops[number - 1][2].opcode is Opcode.CALL:
                     self._emit_resume_check(label, position,
                                             self._budget(ops, number))
@@ -864,10 +885,25 @@ class _BlockCompiler:
             header.emit(f"{size} = len({row})")
         if self.loop:
             header.emit(f"_lim = I.max_steps - {guard}")
-            header.emit("while True:")
+        footer = _Emitter()
+        if counted:
+            # Block entries of a loop unit are counted in the int locals
+            # ``_k<index>`` (``_k0``: loop-backs into the head) and added
+            # to ``C`` on every exit, traps included.
+            header.emit(" = ".join(f"_k{index}"
+                                   for index in range(len(blocks)))
+                        + " = 0")
+            header.emit("try:")
+            footer.emit("finally:")
+            for index, block in enumerate(blocks):
+                footer.emit(f"    C[{block.label!r}] += _k{index}")
+            body.lines = ["    " + line for line in body.lines]
+        if self.loop:
+            header.emit("while True:", 1 + counted)
             body.lines = ["    " + line for line in body.lines]
 
-        source = "\n".join(header.lines + body.lines) + "\n"
+        source = "\n".join(header.lines + body.lines
+                           + footer.lines) + "\n"
         namespace: Dict[str, object] = {
             "_TE": TrapError, "_RW": ResumeOnWalker,
             "_LD": _load_slow, "_ST": _store_slow,
@@ -989,7 +1025,8 @@ def discover_regions(func: Function) -> List[List[BasicBlock]]:
     and is neither the function entry nor its own predecessor.  Chains
     start at every non-candidate block and follow
     :func:`_chain_continuation` links — unconditional ``JMP`` targets
-    and one side of a ``BR`` — consuming each candidate at most once;
+    and one side of a ``BR`` — consuming each candidate at most once,
+    up to the first block that jumps or branches back to the head;
     candidates no chain consumed (the off-trace side of a ``BR`` whose
     other side won, or members of unreachable cycles) then head chains
     of their own.  By construction every executed block transfer
@@ -1013,6 +1050,12 @@ def discover_regions(func: Function) -> List[List[BasicBlock]]:
         chain = [head]
         current = head
         while True:
+            terminator = current.terminator
+            if terminator is not None and head.label in terminator.targets:
+                # A block that branches back to the head ends the chain,
+                # so the chain is a loop unit rather than one whose
+                # back edge is a side exit.
+                break
             target = _chain_continuation(current, candidates)
             if target is None:
                 break
@@ -1046,17 +1089,21 @@ def build_function_table(func: Function) -> Dict[str, list]:
     walker, then dispatches the tail block by block); a label no chain
     heads gets a *lazy* slot (``code is None``), resolved to a
     per-block closure on first dispatch.  Entries are mutable lists so
-    the dispatch loop can fill lazy slots in place.
+    the dispatch loop can fill lazy slots in place.  Each block is
+    hashed once per build; region keys compose those digests.
     """
+    digests = {block.label: block_digest(block) for block in func.blocks}
     table: Dict[str, list] = {}
     for chain in discover_regions(func):
         head = chain[0]
-        code = (get_region_code(chain) if len(chain) > 1
-                else get_block_code(head))
-        if code.fn is None and len(chain) > 1:
-            # Untranslatable chain: degrade to the head's own
-            # per-block artifact (which may itself be a fallback).
-            code = get_block_code(head)
+        code = None
+        if len(chain) > 1:
+            key = _region_key([digests[block.label] for block in chain])
+            code = _memoised(key, compile_region, chain)
+        if code is None or code.fn is None:
+            # A one-block chain, or an untranslatable one degraded to
+            # the head's own artifact (which may itself be a fallback).
+            code = _memoised(digests[head.label], compile_block, head)
         table[head.label] = [code, head]
     for block in func.blocks:
         if block.label not in table:

@@ -19,7 +19,9 @@ Two execution backends share this class (DESIGN.md §11–§12):
   :mod:`repro.interp.compile`: maximal straight-line block chains
   (regions) become one closure, loops iterate inside it, register
   reads become locals, opcode semantics and memory accesses are
-  inlined, and step/profile counters are aggregated.
+  inlined, and step counters are aggregated.  Block entries are
+  tallied per function and folded into the profile once per
+  :meth:`Interpreter.run`, not per call frame.
 
 The compiled backend is bit-identical to the walker by obligation:
 results, step counts, profiles, traps and the exact step index at which
@@ -32,7 +34,9 @@ or process-wide with ``$REPRO_BACKEND``.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..ir.function import BasicBlock, Function, Module
@@ -117,34 +121,121 @@ class Interpreter:
         self.max_steps = max_steps
         self.backend = resolve_backend(backend)
         self._steps = 0
-        self._tables: Dict[str, dict] = {}
+        self._frames: Dict[str, tuple] = {}
+        # _calls[d] is the CALL callback of compiled frames at depth d.
+        self._calls: List[partial] = []
 
     # ------------------------------------------------------------------
     def run(self, func_name: str, args: Sequence[int] = ()) -> RunResult:
-        """Execute ``func_name(*args)``; returns its value and step count."""
+        """Execute ``func_name(*args)``; returns its value and step count.
+
+        Compiled frames tally block entries per function (see
+        :meth:`_call`); the tallies are folded into the profile here,
+        once per run, also when the run traps or its budget expires.
+        """
         start_steps = self._steps
-        value = self._call(func_name, [wrap32(a) for a in args], depth=0)
+        try:
+            value = self._call(0, func_name, [wrap32(a) for a in args])
+        finally:
+            fold = self.profile.record_block_entries
+            for name, frame in self._frames.items():
+                tally = frame[3]
+                if tally:
+                    fold(name, tally)
+                    tally.clear()
         executed = self._steps - start_steps
         self.profile.steps += executed
         return RunResult(value=value, steps=executed)
 
-    # ------------------------------------------------------------------
-    def _call(self, func_name: str, args: List[int],
-              depth: int) -> Optional[int]:
-        if depth > 200:
-            raise TrapError(f"call depth exceeded at {func_name!r}")
+    def _frame(self, func_name: str) -> tuple:
+        """Build and cache the ``(func, params, table, tally, entry
+        label)`` of *func_name*; traps on an unknown function.
+
+        ``table`` is the compiled backend's dispatch table (``None`` on
+        the walker) and ``tally`` the function's ``label -> entry
+        count`` tally, shared by all its compiled frames and folded
+        into the profile by :meth:`run`.
+        """
         func = self.module.functions.get(func_name)
         if func is None:
             raise TrapError(f"call to unknown function {func_name!r}")
-        if len(args) != len(func.params):
+        table = None
+        if self.backend != "walk":
+            # Codegen is imported here, on a function's first frame,
+            # so a process that never executes code never pays for it.
+            from .compile import build_function_table
+            table = build_function_table(func)
+        frame = (func, func.params, table, defaultdict(int),
+                 func.entry.label)
+        self._frames[func_name] = frame
+        return frame
+
+    def _call(self, depth: int, func_name: str,
+              args: List[int]) -> Optional[int]:
+        """Run one call frame of ``func_name(*args)`` at call *depth*.
+
+        Traps in the walker's order: depth, unknown callee, arity.  On
+        the compiled backend this is the dispatch loop over the
+        function's region/block closures (:mod:`repro.interp.compile`).
+        Region heads carry multi-block closures, which bump internal
+        block entries in the function's tally themselves (loop units
+        count them in locals and add them on exit); a region's tail
+        labels are dispatched only on replay paths, and labels no chain
+        heads start lazy, compiled per block on first dispatch.  The
+        closures get the memory image's arrays dict as ``M`` and, as
+        ``CALL``, this method bound to ``depth + 1`` — one callback per
+        depth, built by the first frame at that depth.
+
+        Units the generator refused run on :meth:`_exec_block_ref`
+        instead, and a compiled unit hands a block to it on
+        :class:`ResumeOnWalker` (an undefined live-in register, or a
+        step budget that could expire inside the unit), counted in
+        ``code_memo_stats().replays``.
+        """
+        if depth > 200:
+            raise TrapError(f"call depth exceeded at {func_name!r}")
+        frame = self._frames.get(func_name)
+        if frame is None:
+            frame = self._frame(func_name)
+        func, params, table, tally, label = frame
+        if len(args) != len(params):
             raise TrapError(
-                f"{func_name!r} expects {len(func.params)} args, "
+                f"{func_name!r} expects {len(params)} args, "
                 f"got {len(args)}")
         self.profile.record_call(func_name)
-        regs: Dict[str, int] = dict(zip(func.params, args))
-        if self.backend == "walk":
+        regs: Dict[str, int] = dict(zip(params, args))
+        if table is None:
             return self._run_walk(func, func_name, regs, depth)
-        return self._run_compiled(func, func_name, regs, depth)
+        calls = self._calls
+        while len(calls) <= depth:
+            calls.append(partial(self._call, len(calls) + 1))
+        call = calls[depth]
+        arrays = self.memory.arrays
+        while True:
+            tally[label] += 1
+            entry = table[label]
+            code = entry[0]
+            if code is None:        # lazy region-tail slot
+                from .compile import get_block_code
+                code = get_block_code(entry[1])
+                entry[0] = code
+            fn = code.fn
+            if fn is None:
+                outcome = self._exec_block_ref(func_name, entry[1],
+                                               regs, depth)
+            else:
+                try:
+                    outcome = fn(self, regs, arrays, call, tally)
+                except ResumeOnWalker as resume:
+                    from .compile import code_memo_stats
+                    code_memo_stats().replays += 1
+                    block_label, start = resume.args
+                    outcome = self._exec_block_ref(
+                        func_name, func.block(block_label), regs,
+                        depth, start)
+            if outcome.__class__ is tuple:
+                return outcome[0]
+            label = outcome
 
     # ------------------------------------------------------------------
     # Walking backend (the reference oracle).
@@ -232,8 +323,8 @@ class Interpreter:
                                  for a in insn.operands]
                     self._steps = steps
                     try:
-                        result = self._call(insn.callee, call_args,
-                                            depth + 1)
+                        result = self._call(depth + 1, insn.callee,
+                                            call_args)
                     finally:
                         steps = self._steps
                     if insn.dest is not None:
@@ -256,75 +347,6 @@ class Interpreter:
         if next_label is None:
             raise TrapError("terminator produced no successor")
         return next_label
-
-    # ------------------------------------------------------------------
-    # Compiled backend (repro.interp.compile).
-    # ------------------------------------------------------------------
-    def _run_compiled(self, func: Function, func_name: str,
-                      regs: Dict[str, int], depth: int) -> Optional[int]:
-        """Dispatch loop over compiled region/block closures.
-
-        The per-function table maps every label to its closure: region
-        heads carry multi-block closures (which bump internal block
-        counts and loop iterations themselves, via ``counts`` passed as
-        the closures' ``C`` parameter; the memory image's arrays dict
-        is their ``M``); a region's tail labels are dispatched only on
-        replay paths, and labels no chain heads start lazy, compiled
-        per block on first dispatch.  Block entry counts are tallied
-        in a local dict and folded into the profile once per frame
-        (also on exceptions, matching the walker's
-        record-before-execute order in aggregate).
-
-        Units the generator refused run on :meth:`_exec_block_ref`
-        instead, and a compiled unit hands a block to it on
-        :class:`ResumeOnWalker` (an undefined
-        live-in register, or a step budget that could expire inside
-        the unit), counted in ``code_memo_stats().replays``.
-        """
-        table = self._tables.get(func_name)
-        if table is None:
-            # Codegen is imported here, on a function's first frame,
-            # so a process that never executes code never pays for it.
-            from .compile import build_function_table
-            table = build_function_table(func)
-            self._tables[func_name] = table
-        arrays = self.memory.arrays
-        next_depth = depth + 1
-
-        def call(callee, args, _call=self._call, _depth=next_depth):
-            return _call(callee, args, _depth)
-
-        counts: Dict[str, int] = {}
-        counts_get = counts.get
-        label = func.entry.label
-        try:
-            while True:
-                counts[label] = counts_get(label, 0) + 1
-                entry = table[label]
-                code = entry[0]
-                if code is None:        # lazy region-tail slot
-                    from .compile import get_block_code
-                    code = get_block_code(entry[1])
-                    entry[0] = code
-                fn = code.fn
-                if fn is None:
-                    outcome = self._exec_block_ref(func_name, entry[1],
-                                                   regs, depth)
-                else:
-                    try:
-                        outcome = fn(self, regs, arrays, call, counts)
-                    except ResumeOnWalker as resume:
-                        from .compile import code_memo_stats
-                        code_memo_stats().replays += 1
-                        block_label, start = resume.args
-                        outcome = self._exec_block_ref(
-                            func_name, func.block(block_label), regs,
-                            depth, start)
-                if outcome.__class__ is tuple:
-                    return outcome[0]
-                label = outcome
-        finally:
-            self.profile.record_block_entries(func_name, counts)
 
     @staticmethod
     def _value(operand: Operand, regs: Dict[str, int]) -> int:

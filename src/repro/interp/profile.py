@@ -2,7 +2,10 @@
 
 The merit function weighs each cut by how often its block runs; the
 profile is gathered by actually executing the compiled workload in the IR
-interpreter, exactly as the paper gathers MediaBench profiles.
+interpreter, exactly as the paper gathers MediaBench profiles.  The
+walker records each block entry as it happens; the compiled backend
+tallies them per function and folds the tallies in once per
+``Interpreter.run`` (:meth:`ProfileData.record_block_entries`).
 """
 
 from __future__ import annotations
@@ -26,16 +29,21 @@ class ProfileData:
 
     def record_block_entries(self, func: str,
                              entries: Dict[str, int]) -> None:
-        """Fold a whole call frame's ``label -> entry count`` tally in.
+        """Fold one function's ``label -> entry count`` tally in.
 
-        The compiled backend (:mod:`repro.interp.compile`) counts block
-        entries in a plain local dict while executing and aggregates
-        once per frame through this method — the aggregate totals are
-        identical to the walker's per-entry :meth:`record_block` calls.
+        The compiled backend (:mod:`repro.interp.compile`) tallies block
+        entries per function while executing, and
+        :meth:`Interpreter.run <repro.interp.interpreter.Interpreter.run>`
+        folds the tallies in once per run through this method — the
+        totals are identical to the walker's per-entry
+        :meth:`record_block` calls.  Zero counts (a loop unit's block
+        that no iteration reached) are skipped: the walker never
+        records them.
         """
         counts = self.counts
         for label, count in entries.items():
-            counts[(func, label)] += count
+            if count:
+                counts[(func, label)] += count
 
     def record_call(self, func: str) -> None:
         """Count one invocation of function *func*."""

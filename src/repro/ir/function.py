@@ -160,6 +160,15 @@ class GlobalArray:
         values.extend([0] * (size - len(values)))
         self.init: List[int] = values
 
+    def copy(self) -> "GlobalArray":
+        """A fresh array with its own copy of the initial values, which
+        are already wrapped and sized, so they are not checked again."""
+        clone = GlobalArray.__new__(GlobalArray)
+        clone.name = self.name
+        clone.size = self.size
+        clone.init = list(self.init)
+        return clone
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<GlobalArray {self.name}[{self.size}]>"
 

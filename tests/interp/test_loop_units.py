@@ -8,8 +8,9 @@ memory, profile counts and calls, and trap or budget text:
 
 * budget sweeps over every step index of loops with a mid-body side
   exit (a register defined after the exit is read after the loop), a
-  one-block self-loop, a back edge on one side of a ``BR`` and a
-  ``CALL`` in the body;
+  one-block self-loop (also one whose exit block has no other
+  predecessor), a back edge on one side of a ``BR`` and a ``CALL`` in
+  the body;
 * out-of-bounds and negative indices at a later iteration, and an
   array the memory image does not have.
 """
@@ -23,6 +24,7 @@ from repro.interp.compile import (
     build_function_table,
     clear_code_memo,
     code_memo_stats,
+    discover_regions,
 )
 from repro.ir.function import Function, GlobalArray, Module
 from repro.ir.instructions import (
@@ -149,6 +151,27 @@ class TestLoopBudgetSweeps:
         })
         assert _loop_units(module) == ["loop"]
         assert _same(module, [8])[:2] == ("ok", 36)
+        _sweep_budget(module, [8])
+
+    def test_self_loop_into_single_predecessor_exit(self):
+        """``done`` has one predecessor, so the chain could continue
+        into it through the loop's exit side; it ends at the back edge
+        instead, and ``loop`` iterates in place."""
+        module = _module({
+            "entry": [copy_reg("i", C(0)), copy_reg("s", C(0)),
+                      jmp("loop")],
+            "loop": [load("x", "a", R("i")),
+                     binop(Opcode.ADD, "s", R("s"), R("x")),
+                     binop(Opcode.ADD, "i", R("i"), C(1)),
+                     binop(Opcode.SLT, "c", R("i"), R("n")),
+                     br(R("c"), "loop", "done")],
+            "done": [binop(Opcode.MUL, "u", R("s"), R("i")), ret(R("u"))],
+        })
+        chains = discover_regions(module.functions["f"])
+        assert [[b.label for b in chain] for chain in chains] == [
+            ["entry"], ["loop"], ["done"]]
+        assert _loop_units(module) == ["loop"]
+        assert _same(module, [8])[:2] == ("ok", 36 * 8)
         _sweep_budget(module, [8])
 
     def test_back_edge_on_one_side_of_br_every_index(self):

@@ -114,6 +114,13 @@ class TestGlobalArray:
         with pytest.raises(ValueError):
             GlobalArray("a", 1, [1, 2])
 
+    def test_copy_owns_its_values(self):
+        g = GlobalArray("a", 3, [0xFFFFFFFF, 7])
+        clone = g.copy()
+        assert (clone.name, clone.size, clone.init) == ("a", 3, [-1, 7, 0])
+        clone.init[1] = 9
+        assert g.init == [-1, 7, 0]
+
 
 class TestModule:
     def test_duplicate_function_rejected(self):
