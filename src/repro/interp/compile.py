@@ -1022,16 +1022,18 @@ def discover_regions(func: Function) -> List[List[BasicBlock]]:
     """Maximal single-entry block chains of *func*, heads first.
 
     A block is a chain *candidate* when it has exactly one predecessor
-    and is neither the function entry nor its own predecessor.  Chains
-    start at every non-candidate block and follow
+    and is neither the function entry nor its own predecessor.  The
+    heads — every non-candidate block — are fixed before any walk
+    starts.  Chains start at each head and follow
     :func:`_chain_continuation` links — unconditional ``JMP`` targets
     and one side of a ``BR`` — consuming each candidate at most once,
     up to the first block that jumps or branches back to the head;
     candidates no chain consumed (the off-trace side of a ``BR`` whose
     other side won, or members of unreachable cycles) then head chains
-    of their own.  By construction every executed block transfer
-    either stays inside one closure or lands on a chain head, so the
-    dispatch loop never needs a mid-chain entry point.
+    of their own.  So every block is in exactly one chain, and every
+    executed block transfer either stays inside one closure or lands
+    on a chain head: the dispatch loop never needs a mid-chain entry
+    point.
     """
     preds = predecessors(func)
     entry_label = func.entry.label
@@ -1043,8 +1045,6 @@ def discover_regions(func: Function) -> List[List[BasicBlock]]:
         pred_labels = preds.get(label, [])
         if len(pred_labels) == 1 and pred_labels[0] != label:
             candidates[label] = block
-
-    regions: List[List[BasicBlock]] = []
 
     def walk(head: BasicBlock) -> List[BasicBlock]:
         chain = [head]
@@ -1065,9 +1065,9 @@ def discover_regions(func: Function) -> List[List[BasicBlock]]:
             chain.append(current)
         return chain
 
-    for block in func.blocks:
-        if block.label not in candidates:
-            regions.append(walk(block))
+    # Heads are fixed before any walk pops a candidate.
+    heads = [block for block in func.blocks if block.label not in candidates]
+    regions = [walk(block) for block in heads]
     while candidates:
         # Leftover candidates (off-trace BR sides, unreachable cycles)
         # in block order, longest-first from each: they head chains too.
@@ -1083,14 +1083,15 @@ def build_function_table(func: Function) -> Dict[str, list]:
     """Dispatch table ``label -> [code, block]`` for one function.
 
     Every chain :func:`discover_regions` returns compiles into one
-    closure keyed on its head label.  A region's tail labels are only
-    ever dispatched on replay paths (a region head raising
-    :class:`ResumeOnWalker` at entry replays its head block on the
-    walker, then dispatches the tail block by block); a label no chain
-    heads gets a *lazy* slot (``code is None``), resolved to a
-    per-block closure on first dispatch.  Entries are mutable lists so
-    the dispatch loop can fill lazy slots in place.  Each block is
-    hashed once per build; region keys compose those digests.
+    closure keyed on its head label.  A region's tails head no unit:
+    each gets a *lazy* slot (``code is None``), resolved to a
+    per-block closure on first dispatch.  A tail is dispatched only on
+    a replay (a region head raising :class:`ResumeOnWalker` at entry
+    replays its head block on the walker, then dispatches the tail
+    block by block) or when the region's codegen fell back to the
+    head's own artifact.  Entries are mutable lists so the dispatch
+    loop can fill lazy slots in place.  Each block is hashed once per
+    build; region keys compose those digests.
     """
     digests = {block.label: block_digest(block) for block in func.blocks}
     table: Dict[str, list] = {}

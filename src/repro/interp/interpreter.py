@@ -180,8 +180,8 @@ class Interpreter:
         Region heads carry multi-block closures, which bump internal
         block entries in the function's tally themselves (loop units
         count them in locals and add them on exit); a region's tail
-        labels are dispatched only on replay paths, and labels no chain
-        heads start lazy, compiled per block on first dispatch.  The
+        labels start lazy, compiled per block on first dispatch, which
+        only a replay or a region codegen fallback reaches.  The
         closures get the memory image's arrays dict as ``M`` and, as
         ``CALL``, this method bound to ``depth + 1`` — one callback per
         depth, built by the first frame at that depth.
