@@ -22,7 +22,10 @@ It is a CI **gate**, not telemetry: the job fails when
 * any workload's rewritten batch throughput is below
   ``MIN_REWRITTEN_RATIO`` (0.85x) of its baseline batch throughput —
   the rewritten program executes fewer steps, so it must not run
-  slower in wall-clock time (the margin absorbs shared-runner noise);
+  slower in wall-clock time.  The ratio is the median over ``PAIRS``
+  interleaved (baseline, rewritten) batch pairs, with the order inside
+  a pair alternating, so machine-wide drift hits both sides of a pair
+  alike and one slow batch cannot flip the gate;
 * any lane of a full-size verification batch diverges from a golden
   reference lane executed on the **walker** and checked against the
   workload's golden model — value or any memory word — on the
@@ -35,6 +38,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_batch.py
 """
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -80,9 +84,15 @@ BATCH_LANES = 10_000
 SIZES = {"g721": 1, "gsm": 2, "fir": 2, "crc32": 2, "sha": 1}
 DEFAULT_SIZE = 4
 
-#: Timed repetitions per measurement; the reported time is the best of
-#: these, so a GC pause on a shared CI runner cannot flip the gate.
+#: Timed repetitions of the single-input loop; the reported time is the
+#: best of these, so a GC pause on a shared CI runner cannot flip the
+#: gate.
 REPEATS = 3
+
+#: Interleaved (baseline, rewritten) batch pairs per workload.  The
+#: batch time is the best baseline batch; the rewritten ratio is the
+#: median of the per-pair ratios.
+PAIRS = 7
 
 #: Single-input executions per timed repetition: one run is a few
 #: hundred microseconds, so a short loop keeps the timer honest.
@@ -119,23 +129,29 @@ def _reference_lane(module, workload, lanes, n):
     return reference.lanes[0]
 
 
-def _timed_batch(module, entry, lanes, ref):
-    """Best-of-``REPEATS`` seconds of one warm batch, and whether every
-    lane of an untimed full-size pass matches *ref* word-for-word with
-    the reference's exact step count."""
-    run_batch(module, entry, lanes[:1])         # warm the code memo
-    best = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        batch = run_batch(module, entry, lanes)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
+def _timed_pairs(modules, entry, lanes):
+    """Seconds of ``PAIRS`` interleaved warm batches of each of the two
+    *modules*, the first module running first in even pairs, and the
+    total steps of each module's last batch."""
+    times = ([], [])
+    steps = [0, 0]
+    for k in range(PAIRS):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            batch = run_batch(modules[side], entry, lanes)
+            times[side].append(time.perf_counter() - start)
+            steps[side] = batch.total_steps
+    return times, steps
+
+
+def _identical(module, entry, lanes, ref, steps):
+    """Whether every lane of an untimed full-size pass matches *ref*
+    word-for-word, and the timed batch ran the reference's exact step
+    count per lane."""
     checked = run_batch(module, entry, lanes,
                         verify=image_verifier(ref.value, ref.arrays))
-    identical = (checked.verified_count == len(lanes)
-                 and batch.total_steps == checked.total_steps
-                 == ref.steps * len(lanes))
-    return best, identical
+    return (checked.verified_count == len(lanes)
+            and steps == checked.total_steps == ref.steps * len(lanes))
 
 
 def main() -> int:
@@ -159,25 +175,33 @@ def main() -> int:
             continue
 
         single_s = _single_input_s(module, workload, n)
-        best, identical = _timed_batch(module, workload.entry, lanes, ref)
+        # Warm the code memo for both programs.
+        run_batch(module, workload.entry, lanes[:1])
+        fallbacks = code_memo_stats().fallbacks
+        run_batch(rewritten, workload.entry, lanes[:1])
+        if code_memo_stats().fallbacks != fallbacks:
+            failures.append(f"{name}: rewritten blocks fell back to "
+                            f"the walker")
+        (times, rewritten_times), (steps, rewritten_steps) = (
+            _timed_pairs((module, rewritten), workload.entry, lanes))
+        best = min(times)
+        rewritten_s = min(rewritten_times)
         per_lane_s = best / BATCH_LANES
+        identical = _identical(module, workload.entry, lanes, ref, steps)
         if not identical:
             failures.append(f"{name}: batch lanes diverged from the "
                             f"walker reference")
-
-        fallbacks = code_memo_stats().fallbacks
-        rewritten_s, rewritten_identical = _timed_batch(
-            rewritten, workload.entry, lanes, rewritten_ref)
         rewritten_identical = (
-            rewritten_identical and rewritten_ref.value == ref.value
+            _identical(rewritten, workload.entry, lanes, rewritten_ref,
+                       rewritten_steps)
+            and rewritten_ref.value == ref.value
             and rewritten_ref.arrays == ref.arrays)
         if not rewritten_identical:
             failures.append(f"{name}: rewritten lanes diverged from the "
                             f"walker reference")
-        if code_memo_stats().fallbacks != fallbacks:
-            failures.append(f"{name}: rewritten blocks fell back to "
-                            f"the walker")
-        ratio = best / rewritten_s
+        pair_ratios = [base / rew
+                       for base, rew in zip(times, rewritten_times)]
+        ratio = statistics.median(pair_ratios)
         if ratio < MIN_REWRITTEN_RATIO:
             failures.append(
                 f"{name}: rewritten batch at {ratio:.2f}x of baseline "
@@ -203,6 +227,7 @@ def main() -> int:
             "rewritten_batch_s": rewritten_s,
             "rewritten_inputs_per_s": BATCH_LANES / rewritten_s,
             "rewritten_ratio": ratio,
+            "rewritten_pair_ratios": pair_ratios,
             "rewritten_identical": rewritten_identical,
         }
         bit_exact = identical and rewritten_identical
@@ -233,7 +258,8 @@ def main() -> int:
                    "batch_lanes": BATCH_LANES,
                    "sizes": {name: SIZES.get(name, DEFAULT_SIZE)
                              for name in sorted(WORKLOADS)},
-                   "repeats": REPEATS},
+                   "repeats": REPEATS,
+                   "pairs": PAIRS},
         "workloads": rows,
         "code_memo": memo,
         "worst_batch_speedup": worst,

@@ -42,8 +42,8 @@ from pathlib import Path
 from repro import SearchLimits, WORKLOADS
 from repro.exec.speedup import run_speedup
 from repro.interp import Interpreter, Memory
-from repro.interp.compile import (build_function_table, clear_code_memo,
-                                  code_memo_stats)
+from repro.interp.compile import (_MEMO, build_function_table,
+                                  clear_code_memo, code_memo_stats)
 
 try:
     from _bench_utils import RESULTS_DIR, report, rewritten_workload
@@ -130,23 +130,18 @@ def _codegen_size(modules):
     Returns ``{"units", "lines", "cold_s"}``: the distinct compiled
     closures, their total generated source lines, and the best-of-
     ``REPEATS`` wall time to build all tables from an empty code memo.
-    Lazy region-tail slots stay uncompiled, as in a run that never
-    replays a block on the walker.
     """
     best = None
-    units = {}
     for _ in range(REPEATS):
         clear_code_memo()
-        units = {}
         start = time.perf_counter()
         for module in modules:
             for func in module.functions.values():
-                for code, _ in build_function_table(func).values():
-                    if code is not None and code.fn is not None:
-                        units[code.digest] = code
+                build_function_table(func)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    lines = sum(len(code.source.splitlines()) for code in units.values())
+    units = [code for code in _MEMO.values() if code.fn is not None]
+    lines = sum(len(code.source.splitlines()) for code in units)
     return {"units": len(units), "lines": lines, "cold_s": best}
 
 

@@ -82,10 +82,15 @@ repeated sweep/measure runs over cloned modules — ``rewrite_module``
 always clones — reuse the compiled code of every block and region whose
 instruction stream is unchanged, and eviction at :data:`MEMO_LIMIT`
 drops the least-recently-used closure instead of the whole memo, so
-long sweeps keep hot region closures warm.  Blocks the generator cannot
-translate (malformed IR without a terminator, opcodes it does not know)
-fall back to the walker's reference executor per block; the memo
-records them as fallbacks so :func:`code_memo_stats` makes the fallback
+long sweeps keep hot region closures warm.
+
+:func:`build_function_table` maps each chain head to its closure and
+every other label to ``None``; the dispatch loop runs a ``None`` label
+on the walker's reference executor.  That covers a chain's tails,
+reached only after a unit hands a block to the walker, and every block
+of a chain the generator cannot translate (malformed IR without a
+terminator, opcodes it does not know).  The memo records refused
+chains as fallbacks, so :func:`code_memo_stats` makes the fallback
 rate observable.
 
 The walker remains the semantic oracle: the compiled backend must match
@@ -98,7 +103,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.cfg import predecessors
 from ..ir.function import BasicBlock, Function
@@ -113,7 +118,7 @@ __all__ = [
     "BlockCode", "CodeMemoStats", "ResumeOnWalker", "block_digest",
     "build_function_table", "clear_code_memo", "code_memo_stats",
     "compile_block", "compile_region", "discover_regions",
-    "get_block_code", "get_region_code", "region_digest",
+    "region_digest",
 ]
 
 
@@ -660,8 +665,7 @@ class _BlockCompiler:
         An internal ``BR`` keeps the on-trace side inline and emits a
         *side exit* for the other target: every register defined so far
         is written back and the off-trace label is returned to the
-        dispatch loop, exactly what the per-block closure would have
-        done.
+        dispatch loop, which dispatches it as a chain head.
         """
         op = insn.opcode
         if op is Opcode.JMP:
@@ -941,8 +945,8 @@ def compile_region(blocks: Sequence[BasicBlock],
     with it as one of two distinct targets (as produced by
     :func:`discover_regions`); anything else — or any member block
     codegen cannot translate — returns a fallback artifact
-    (``fn=None``), and the caller degrades to per-block compilation
-    for the head.
+    (``fn=None``), and the dispatch loop runs the whole chain on the
+    walker's reference executor.
     """
     blocks = list(blocks)
     return _compile(blocks, digest if digest is not None
@@ -956,27 +960,6 @@ def _compile(blocks: List[BasicBlock], digest: str) -> BlockCode:
         return BlockCode(fn=None, label=blocks[0].label, digest=digest,
                          span=len(blocks), reason=exc.code,
                          detail=exc.detail)
-
-
-def get_block_code(block: BasicBlock) -> BlockCode:
-    """Memoised :func:`compile_block`, keyed on :func:`block_digest`.
-
-    The memo is process-wide: digest-equal blocks — the common case
-    when sweeps and speedup runs clone modules per selection — share
-    one compiled closure, so warm runs skip codegen entirely.
-    """
-    return _memoised(block_digest(block), compile_block, block)
-
-
-def get_region_code(blocks: Sequence[BasicBlock]) -> BlockCode:
-    """Memoised :func:`compile_region`, keyed on :func:`region_digest`.
-
-    Shares the process-wide LRU memo with per-block closures.  The key
-    composes member block digests only, so sweeps, speedup measurement
-    and CLI runs over digest-equal rewritten modules all reuse one
-    region closure.
-    """
-    return _memoised(region_digest(blocks), compile_region, blocks)
 
 
 def _chain_continuation(block: BasicBlock,
@@ -1079,36 +1062,27 @@ def discover_regions(func: Function) -> List[List[BasicBlock]]:
     return regions
 
 
-def build_function_table(func: Function) -> Dict[str, list]:
-    """Dispatch table ``label -> [code, block]`` for one function.
+def build_function_table(func: Function) -> Dict[str, Optional[Callable]]:
+    """Dispatch table ``label -> closure`` for one function.
 
-    Every chain :func:`discover_regions` returns compiles into one
-    closure keyed on its head label.  A region's tails head no unit:
-    each gets a *lazy* slot (``code is None``), resolved to a
-    per-block closure on first dispatch.  A tail is dispatched only on
-    a replay (a region head raising :class:`ResumeOnWalker` at entry
-    replays its head block on the walker, then dispatches the tail
-    block by block) or when the region's codegen fell back to the
-    head's own artifact.  Entries are mutable lists so the dispatch
-    loop can fill lazy slots in place.  Each block is hashed once per
-    build; region keys compose those digests.
+    Every chain :func:`discover_regions` returns compiles, through the
+    memo, into one closure keyed on its head label.  Every other label
+    maps to ``None``: a chain's tails, and the head of a chain the
+    generator refused (the whole chain then runs on the walker's
+    reference executor).  The dispatch loop reaches a tail only after a
+    unit hands a block to the walker (:class:`ResumeOnWalker`).  Each
+    block is hashed once per build; region keys compose those digests.
     """
     digests = {block.label: block_digest(block) for block in func.blocks}
-    table: Dict[str, list] = {}
+    table: Dict[str, Optional[Callable]] = dict.fromkeys(digests)
     for chain in discover_regions(func):
         head = chain[0]
-        code = None
         if len(chain) > 1:
             key = _region_key([digests[block.label] for block in chain])
             code = _memoised(key, compile_region, chain)
-        if code is None or code.fn is None:
-            # A one-block chain, or an untranslatable one degraded to
-            # the head's own artifact (which may itself be a fallback).
+        else:
             code = _memoised(digests[head.label], compile_block, head)
-        table[head.label] = [code, head]
-    for block in func.blocks:
-        if block.label not in table:
-            table[block.label] = [None, block]
+        table[head.label] = code.fn
     return table
 
 

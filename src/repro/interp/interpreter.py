@@ -85,6 +85,8 @@ class ResumeOnWalker(Exception):
     next one — then with every register the unit defined written back.
     A loop unit whose loop-back fails the budget check returns its head
     label instead; the head's entry guard then raises this signal.
+    After the replayed block, the dispatch loop runs each region tail
+    it reaches on the walker too (their table entries are ``None``).
     It lives here, not in :mod:`repro.interp.compile`, so the dispatch
     loop needs nothing from the code generator per call frame.
     """
@@ -176,21 +178,21 @@ class Interpreter:
 
         Traps in the walker's order: depth, unknown callee, arity.  On
         the compiled backend this is the dispatch loop over the
-        function's region/block closures (:mod:`repro.interp.compile`).
-        Region heads carry multi-block closures, which bump internal
-        block entries in the function's tally themselves (loop units
-        count them in locals and add them on exit); a region's tail
-        labels start lazy, compiled per block on first dispatch, which
-        only a replay or a region codegen fallback reaches.  The
-        closures get the memory image's arrays dict as ``M`` and, as
-        ``CALL``, this method bound to ``depth + 1`` — one callback per
-        depth, built by the first frame at that depth.
+        function's table, ``label -> closure``
+        (:func:`repro.interp.compile.build_function_table`).  Region
+        closures bump internal block entries in the function's tally
+        themselves (loop units count them in locals and add them on
+        exit).  The closures get the memory image's arrays dict as
+        ``M`` and, as ``CALL``, this method bound to ``depth + 1`` —
+        one callback per depth, built by the first frame at that depth.
 
-        Units the generator refused run on :meth:`_exec_block_ref`
-        instead, and a compiled unit hands a block to it on
+        A label whose table entry is ``None`` — a region's tail, or any
+        block of a chain the generator refused — runs on
+        :meth:`_exec_block_ref`.  A compiled unit hands a block to it on
         :class:`ResumeOnWalker` (an undefined live-in register, or a
         step budget that could expire inside the unit), counted in
-        ``code_memo_stats().replays``.
+        ``code_memo_stats().replays``; the tails that follow then run
+        on the walker too, one block per dispatch.
         """
         if depth > 200:
             raise TrapError(f"call depth exceeded at {func_name!r}")
@@ -213,16 +215,10 @@ class Interpreter:
         arrays = self.memory.arrays
         while True:
             tally[label] += 1
-            entry = table[label]
-            code = entry[0]
-            if code is None:        # lazy region-tail slot
-                from .compile import get_block_code
-                code = get_block_code(entry[1])
-                entry[0] = code
-            fn = code.fn
+            fn = table[label]
             if fn is None:
-                outcome = self._exec_block_ref(func_name, entry[1],
-                                               regs, depth)
+                outcome = self._exec_block_ref(
+                    func_name, func.block(label), regs, depth)
             else:
                 try:
                     outcome = fn(self, regs, arrays, call, tally)

@@ -46,7 +46,6 @@ from .cfg import (
     reachable_blocks,
     reverse_postorder,
     successors,
-    verify_function,
 )
 from .dfg import DataFlowGraph, DFGMasks, DFGNode, build_dfg, function_dfgs
 from .printer import IRParseError, parse_module, print_module, roundtrip
@@ -61,7 +60,7 @@ __all__ = [
     "BasicBlock", "Function", "GlobalArray", "Module",
     "count_real_instructions",
     "Liveness", "successors", "predecessors", "reachable_blocks",
-    "reverse_postorder", "verify_function",
+    "reverse_postorder",
     "DataFlowGraph", "DFGMasks", "DFGNode", "build_dfg", "function_dfgs",
     "print_module", "parse_module", "roundtrip", "IRParseError",
 ]

@@ -145,34 +145,3 @@ class Liveness:
 
     def live_in_of(self, label: str) -> Set[str]:
         return self.live_in[label]
-
-
-def verify_function(func: Function) -> List[str]:
-    """Check structural invariants of *func*; return a list of problems
-    (empty when the function is well-formed).
-
-    Invariants:
-    * every block ends in exactly one terminator, which is the last
-      instruction;
-    * every branch target exists;
-    * the entry block exists;
-    * no instruction other than the last is a terminator.
-    """
-    problems: List[str] = []
-    if not func.blocks:
-        problems.append(f"{func.name}: no blocks")
-        return problems
-    labels = {b.label for b in func.blocks}
-    for block in func.blocks:
-        if not block.is_terminated:
-            problems.append(f"{func.name}/{block.label}: missing terminator")
-        for i, insn in enumerate(block.instructions):
-            if insn.is_terminator and i != len(block.instructions) - 1:
-                problems.append(
-                    f"{func.name}/{block.label}: terminator {insn} is not "
-                    f"last")
-        for target in block.successors():
-            if target not in labels:
-                problems.append(
-                    f"{func.name}/{block.label}: unknown target {target!r}")
-    return problems

@@ -106,6 +106,13 @@ class TestRewriteVerification:
 # ----------------------------------------------------------------------
 # Compile fallback telemetry.
 # ----------------------------------------------------------------------
+def _naked_function():
+    """A one-block function whose block has no terminator (``V002``)."""
+    func = Function("f")
+    func.add_block("naked")
+    return func
+
+
 class TestFallbackTelemetry:
     def test_fallback_reason_v002(self):
         from repro.interp.compile import compile_block
@@ -165,11 +172,11 @@ class TestFallbackTelemetry:
         compmod.clear_code_memo()
         before = dict(compmod.code_memo_stats().fallback_codes)
         assert before == {}
-        block = BasicBlock("naked")
-        compmod.get_block_code(block)
+        func = _naked_function()
+        assert compmod.build_function_table(func) == {"naked": None}
         assert compmod.code_memo_stats().fallback_codes == {"V002": 1}
         # A memo hit does not double-count.
-        compmod.get_block_code(block)
+        compmod.build_function_table(func)
         assert compmod.code_memo_stats().fallback_codes == {"V002": 1}
         compmod.clear_code_memo()
         assert compmod.code_memo_stats().fallback_codes == {}
@@ -311,7 +318,7 @@ class TestRunTelemetry:
         from repro.interp import compile as compmod
 
         compmod.clear_code_memo()
-        compmod.get_block_code(BasicBlock("naked"))
+        compmod.build_function_table(_naked_function())
         _print_fallbacks()
         err = capsys.readouterr().err
         assert err.strip() == "walker fallbacks: V002x1"

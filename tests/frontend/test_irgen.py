@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import errors_of, verify_function
 from repro.frontend import compile_source
 from repro.interp import execute
-from repro.ir import verify_function
 from repro.passes import optimize_module
 
 
@@ -15,7 +15,7 @@ def run(source, func, args=(), optimize=False):
     if optimize:
         optimize_module(module)
     for f in module.functions.values():
-        assert verify_function(f) == []
+        assert errors_of(verify_function(f, module)) == []
     return execute(module, func, args).value
 
 

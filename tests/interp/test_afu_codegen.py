@@ -33,10 +33,10 @@ from repro.interp import (
     run_batch,
 )
 from repro.interp.compile import (
+    build_function_table,
     clear_code_memo,
     code_memo_stats,
     compile_block,
-    get_block_code,
 )
 from repro.ir.function import Function, GlobalArray, Module
 from repro.ir.instructions import ISEInstruction, jmp, ret, store
@@ -268,7 +268,8 @@ def test_inlined_netlist_matches_evaluate(case):
     except ZeroDivisionError:
         expected = ("trap", [0] * len(afu.output_wires))
     module = _netlist_module(afu)
-    assert get_block_code(module.functions["f"].entry).fn is not None
+    (fn,) = build_function_table(module.functions["f"]).values()
+    assert fn is not None
     memory = Memory(module)
     try:
         Interpreter(module, memory=memory, backend="compiled").run(

@@ -36,9 +36,9 @@ from repro.interp import (
 )
 from repro.interp.compile import (
     block_digest,
+    build_function_table,
     clear_code_memo,
     code_memo_stats,
-    get_block_code,
 )
 from repro.pipeline import prepare_application
 from repro.workloads.registry import WORKLOADS, get_workload
@@ -418,6 +418,13 @@ class TestUndefinedRegisterFallback:
         assert outcomes["walk"][1][0] == 5      # the store committed
 
 
+def _closure(module):
+    """The closure of ``f``'s entry block, a one-block chain, from the
+    dispatch table of ``f`` (built through the code memo)."""
+    func = module.functions["f"]
+    return build_function_table(func)[func.entry.label]
+
+
 class TestCodeMemo:
     def test_cloned_blocks_share_compiled_code(self):
         """Digest-equal blocks (e.g. from rewrite_module's clones) must
@@ -428,10 +435,10 @@ class TestCodeMemo:
         block_b = module_b.functions["f"].entry
         assert block_digest(block_a) == block_digest(block_b)
         before = code_memo_stats().hits
-        code_a = get_block_code(block_a)
-        code_b = get_block_code(block_b)
-        assert code_a is code_b
-        assert code_a.fn is not None
+        fn_a = _closure(module_a)
+        fn_b = _closure(module_b)
+        assert fn_a is fn_b
+        assert fn_a is not None
         assert code_memo_stats().hits > before
 
     def test_afu_name_is_digest_relevant(self):
@@ -472,7 +479,7 @@ class TestCodeMemo:
 
     def test_clear_code_memo(self):
         module = compile_source("int f() { return 3; }")
-        get_block_code(module.functions["f"].entry)
+        _closure(module)
         assert clear_code_memo() > 0
         stats = code_memo_stats()
         assert stats.hits == 0 and stats.compiled == 0
@@ -528,8 +535,7 @@ class TestMemoLRU:
     def _flood(self, count, start=0):
         """Compile *count* distinct single-block functions."""
         for k in range(start, start + count):
-            module = compile_source(f"int f() {{ return {k}; }}")
-            get_block_code(module.functions["f"].entry)
+            _closure(compile_source(f"int f() {{ return {k}; }}"))
 
     def test_memo_never_exceeds_cap(self, monkeypatch):
         from repro.interp import compile as compile_mod
@@ -549,15 +555,14 @@ class TestMemoLRU:
         monkeypatch.setattr(compile_mod, "MEMO_LIMIT", 8)
         clear_code_memo()
         hot_module = compile_source("int f(int x) { return x ^ 42; }")
-        hot_block = hot_module.functions["f"].entry
-        hot = get_block_code(hot_block)
+        hot = _closure(hot_module)
         for round_ in range(4):
             # More cold entries than the cap, in two instalments, with
             # a hot touch between them to refresh recency.
             self._flood(5, start=100 * (round_ + 1))
-            assert get_block_code(hot_block) is hot
+            assert _closure(hot_module) is hot
             self._flood(5, start=100 * (round_ + 1) + 50)
-            assert get_block_code(hot_block) is hot
+            assert _closure(hot_module) is hot
         assert code_memo_stats().evictions > 0
         assert len(compile_mod._MEMO) <= 8
         clear_code_memo()

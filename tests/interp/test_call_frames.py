@@ -19,8 +19,6 @@ step count, profile counts and calls, and trap or budget text:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.interp import (
@@ -119,8 +117,12 @@ class TestNestedLoopUnits:
     def test_every_frame_runs_a_loop_unit(self):
         module = _nested_loops()
         for name, head in (("f", "head"), ("g", "head"), ("h", "loop")):
-            table = codegen.build_function_table(module.functions[name])
-            assert table[head][0].loop, name
+            (chain,) = [chain for chain
+                        in codegen.discover_regions(module.functions[name])
+                        if chain[0].label == head]
+            code = (codegen.compile_region(chain) if len(chain) > 1
+                    else codegen.compile_block(chain[0]))
+            assert code.loop, name
 
     def test_trap_two_frames_deep(self):
         module = _nested_loops()
@@ -218,15 +220,15 @@ class TestCallTraps:
         runs too: 201 frames per run (depths 0 to 200), 201 callbacks."""
         module = _recursion(10**6, "r", 1)
         interp = Interpreter(module, backend="compiled")
-        entry = interp._frame("r")[2]["entry"]
-        fn = entry[0].fn
+        table = interp._frame("r")[2]
+        fn = table["entry"]
         seen = []
 
         def spy(I, R, M, CALL, C):
             seen.append(CALL)
             return fn(I, R, M, CALL, C)
 
-        entry[0] = dataclasses.replace(entry[0], fn=spy)
+        table["entry"] = spy
         for _ in range(2):
             with pytest.raises(TrapError, match="call depth exceeded"):
                 interp.run("r", [0])
@@ -253,8 +255,12 @@ class TestTableDigests:
     def test_memo_keys_match_the_public_digests(self):
         module = _nested_loops()
         for func in module.functions.values():
+            codegen.clear_code_memo()
             table = codegen.build_function_table(func)
+            expected = {}
             for chain in codegen.discover_regions(func):
-                expected = (codegen.region_digest(chain) if len(chain) > 1
-                            else codegen.block_digest(chain[0]))
-                assert table[chain[0].label][0].digest == expected
+                key = (codegen.region_digest(chain) if len(chain) > 1
+                       else codegen.block_digest(chain[0]))
+                expected[key] = table[chain[0].label]
+            assert {key: code.fn for key, code in codegen._MEMO.items()
+                    } == expected

@@ -21,9 +21,10 @@ import pytest
 
 from repro.interp import ExecutionLimitExceeded, Interpreter, Memory, TrapError
 from repro.interp.compile import (
-    build_function_table,
     clear_code_memo,
     code_memo_stats,
+    compile_block,
+    compile_region,
     discover_regions,
 )
 from repro.ir.function import Function, GlobalArray, Module
@@ -101,9 +102,10 @@ def _sweep_budget(module, args):
 
 def _loop_units(module):
     """Labels of the loop units the compiled backend builds for f."""
-    table = build_function_table(module.functions["f"])
-    return sorted(label for label, (code, _block) in table.items()
-                  if code is not None and code.loop)
+    codes = [compile_region(chain) if len(chain) > 1
+             else compile_block(chain[0])
+             for chain in discover_regions(module.functions["f"])]
+    return sorted(code.label for code in codes if code.loop)
 
 
 def _mid_exit_loop():

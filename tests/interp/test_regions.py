@@ -8,14 +8,15 @@ so each block belongs to exactly one unit.  This suite checks:
   Nout 2): every block is in exactly one chain; every chain is, label
   for label, a chain of :func:`_reference_regions` (the earlier walk,
   which tested candidacy while walks were consuming candidates and so
-  also compiled consumed tails as units of their own) with the same
-  generated source; the baseline modules hold 55 units;
+  also compiled consumed tails as units of their own); the dispatch
+  table maps each head to its memoised closure, whose source is the
+  chain's, and every tail to ``None``; the baseline modules hold 55
+  units;
 * on random CFGs: the partition holds and each chain is the maximal
   :func:`_chain_continuation` walk from its head;
-* after a compiled run of every workload no tail slot was dispatched
-  and no unit replayed on the walker;
-* a region whose codegen falls back (``C002``): its tails fill lazily
-  and every run stays bit-identical to the walker.
+* a compiled run of every workload never runs a block on the walker;
+* a chain whose codegen falls back (``C002``) is ``None`` at every
+  label, and every run stays bit-identical to the walker.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.core import Constraints, SearchLimits, select_iterative
 from repro.exec.rewrite import FusedAFU, FusedGate, rewrite_module
 from repro.hwmodel import CostModel
 from repro.interp import ExecutionLimitExceeded, Interpreter, Memory
+from repro.interp import compile as codegen
 from repro.interp.compile import (
     _chain_continuation,
     build_function_table,
@@ -125,12 +127,11 @@ def _assert_partition(func, chains):
     assert members == Counter(block.label for block in func.blocks)
 
 
-def _reference_code(chain):
-    """The artifact the dispatch table should hold for *chain*."""
+def _unit(chain):
+    """*chain*'s unit compiled afresh, outside the code memo (its
+    ``digest`` is the memo key)."""
     if len(chain) > 1:
-        code = compile_region(chain)
-        if code.fn is not None:
-            return code
+        return compile_region(chain)
     return compile_block(chain[0])
 
 
@@ -144,9 +145,15 @@ def test_workload_units_partition_the_blocks(name, kind):
         reference = _labels(_reference_regions(func))
         assert all(labels in reference for labels in _labels(chains))
         table = build_function_table(func)
+        heads = {chain[0].label for chain in chains}
+        assert {label for label, fn in table.items()
+                if fn is not None} == heads
         for chain in chains:
-            code = table[chain[0].label][0]
-            assert code.source == _reference_code(chain).source
+            unit = _unit(chain)
+            code = codegen._MEMO[unit.digest]
+            assert code.source == unit.source
+            assert code.fn is not None
+            assert table[chain[0].label] is code.fn
 
 
 def test_baseline_unit_count():
@@ -197,21 +204,27 @@ def test_random_cfgs_partition_into_maximal_walks(func):
 
 @pytest.mark.parametrize("kind", ["baseline", "rewritten"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_tails_are_never_dispatched(name, kind):
+def test_tails_are_never_dispatched(name, kind, monkeypatch):
+    """No block of a workload run reaches the walker: no replay, so no
+    tail (a ``None`` table entry) is ever dispatched."""
     app, modules = _modules(name)
     module = modules[kind]
     memory = Memory(module)
     args = get_workload(name).driver(memory, RUN_SIZES[name])
+    walked = []
+    exec_block_ref = Interpreter._exec_block_ref
+
+    def counting(self, func_name, block, *rest):
+        walked.append((func_name, block.label))
+        return exec_block_ref(self, func_name, block, *rest)
+
+    monkeypatch.setattr(Interpreter, "_exec_block_ref", counting)
     replays = code_memo_stats().replays
     interp = Interpreter(module, memory=memory, backend="compiled")
     interp.run(app.entry, args)
-    assert code_memo_stats().replays == replays
     assert interp._frames
-    for func, _params, table, _tally, _entry in interp._frames.values():
-        heads = {chain[0].label for chain in discover_regions(func)}
-        filled = [label for label, (code, _block) in table.items()
-                  if label not in heads and code is not None]
-        assert filled == []
+    assert walked == []
+    assert code_memo_stats().replays == replays
 
 
 #: ``p0 + 2**40``: the constant is no 32-bit word, so codegen refuses
@@ -224,8 +237,8 @@ WIDE_AFU = FusedAFU(name="ise0", block="f/body",
 
 def _fallback_loop():
     """``head -> body -> latch -> head``, ``body`` holding the
-    untranslatable ISE: the loop unit falls back, ``head`` runs its own
-    per-block closure and the two tails are dispatched one by one."""
+    untranslatable ISE: the loop unit falls back, and all three blocks
+    run on the walker, one per dispatch."""
     module = Module("m")
     module.add_global(GlobalArray("a", 8, range(1, 9)))
     func = Function("f", params=["n"])
@@ -263,7 +276,7 @@ def _outcome(module, backend, max_steps):
                       dict(interp.profile.counts)), interp)
 
 
-def test_region_fallback_fills_tails_lazily():
+def test_refused_chain_runs_on_the_walker():
     module = _fallback_loop()
     func = module.functions["f"]
     chains = _labels(discover_regions(func))
@@ -276,6 +289,6 @@ def test_region_fallback_fills_tails_lazily():
         comp, interp = _outcome(module, "compiled", max_steps)
         assert comp == walk, f"max_steps={max_steps}"
     table = interp._frames["f"][2]
-    assert table["head"][0].fn is not None
-    assert table["body"][0].reason == "C002"
-    assert table["latch"][0].fn is not None
+    assert table == {"entry": table["entry"], "head": None,
+                     "body": None, "latch": None, "done": table["done"]}
+    assert table["entry"] is not None and table["done"] is not None

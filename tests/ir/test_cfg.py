@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-
+from repro.analysis import errors_of, verify_function
 from repro.ir import (
     Const,
     Function,
@@ -18,7 +18,6 @@ from repro.ir import (
     ret,
     reverse_postorder,
     successors,
-    verify_function,
 )
 
 
@@ -110,22 +109,24 @@ class TestLiveness:
 
 class TestVerifier:
     def test_well_formed(self):
-        assert verify_function(diamond_function()) == []
+        assert errors_of(verify_function(diamond_function())) == []
 
     def test_missing_terminator(self):
         func = Function("g")
         func.add_block("entry")
-        problems = verify_function(func)
-        assert any("terminator" in p for p in problems)
+        problems = errors_of(verify_function(func))
+        assert any(d.code == "V002" and "terminator" in d.message
+                   for d in problems)
 
     def test_unknown_target(self):
         func = Function("g")
         block = func.add_block("entry")
         block.append(jmp("nowhere"))
-        problems = verify_function(func)
-        assert any("nowhere" in p for p in problems)
+        problems = errors_of(verify_function(func))
+        assert any(d.code == "V004" and "nowhere" in d.message
+                   for d in problems)
 
     def test_workload_functions_verify(self, adpcm_decode_app, gsm_app):
         for app in (adpcm_decode_app, gsm_app):
             for func in app.module.functions.values():
-                assert verify_function(func) == []
+                assert errors_of(verify_function(func, app.module)) == []

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import errors_of, verify_function
 from repro.frontend import compile_source
 from repro.interp import execute
-from repro.ir import Opcode, verify_function
+from repro.ir import Opcode
 from repro.passes import IfConverter, optimize_module
 from repro.passes.pass_manager import optimize_function
 
@@ -186,4 +187,5 @@ class TestNestedAndChained:
 
     def test_functions_verify_after_conversion(self, adpcm_encode_app):
         for func in adpcm_encode_app.module.functions.values():
-            assert verify_function(func) == []
+            assert errors_of(verify_function(
+                func, adpcm_encode_app.module)) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import errors_of, verify_function
 from repro.ir import (
     Const,
     Function,
@@ -16,7 +17,6 @@ from repro.ir import (
     load,
     ret,
     store,
-    verify_function,
 )
 from repro.passes import (
     coalesce_copies,
@@ -262,7 +262,7 @@ class TestSimplifyCFG:
         next_.append(ret(Reg("x")))
         assert simplify_cfg(func)
         assert len(func.blocks) == 1
-        assert verify_function(func) == []
+        assert errors_of(verify_function(func)) == []
 
     def test_empty_block_forwarding(self):
         func = Function("f", params=["c"])
