@@ -240,15 +240,25 @@ def main() -> int:
                f"({ratio:4.2f}x) "
                f"bit-exact={'yes' if bit_exact else 'NO'}")
 
-    worst = min((r["batch_speedup"] for r in rows.values()),
-                default=0.0)
+    # Each workload is gated at its own floor, so the worst case is the
+    # smallest speedup-to-floor margin, not the smallest speedup.
+    worst = min(({"workload": name,
+                  "batch_speedup": row["batch_speedup"],
+                  "floor": FLOORS.get(name, MIN_BATCH_SPEEDUP),
+                  "margin": row["batch_speedup"]
+                  / FLOORS.get(name, MIN_BATCH_SPEEDUP)}
+                 for name, row in rows.items()),
+                key=lambda entry: entry["margin"], default=None)
     worst_ratio = min((r["rewritten_ratio"] for r in rows.values()),
                       default=0.0)
     memo = code_memo_stats().as_dict()
+    worst_text = ("no workload" if worst is None else
+                  f"{worst['workload']} {worst['batch_speedup']:.2f}x "
+                  f"= {worst['margin']:.2f} of its "
+                  f"{worst['floor']:.1f}x floor")
     report("batch",
-           f"worst batch speedup {worst:.2f}x "
-           f"(gate {MIN_BATCH_SPEEDUP:.1f}x); worst rewritten ratio "
-           f"{worst_ratio:.2f}x (gate {MIN_REWRITTEN_RATIO:.2f}x); "
+           f"worst batch speedup margin: {worst_text}; worst rewritten "
+           f"ratio {worst_ratio:.2f}x (gate {MIN_REWRITTEN_RATIO:.2f}x); "
            f"code memo: {memo}")
 
     payload = {
@@ -262,7 +272,9 @@ def main() -> int:
                    "pairs": PAIRS},
         "workloads": rows,
         "code_memo": memo,
-        "worst_batch_speedup": worst,
+        "worst_batch_speedup": min(
+            (r["batch_speedup"] for r in rows.values()), default=0.0),
+        "worst_batch_margin": worst,
         "worst_rewritten_ratio": worst_ratio,
     }
     RESULTS_DIR.mkdir(exist_ok=True)

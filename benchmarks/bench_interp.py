@@ -25,8 +25,9 @@ It is a CI **gate**, not telemetry: the job fails when
   byte-identical (the Fig. 9/10 artifact must not depend on the engine).
 
 It also records, as telemetry without a gate, the size of the generated
-code: compiled units, total source lines and the best cold codegen
-time for building every dispatch table of all workloads, baseline plus
+code: compiled units, total source lines and characters (also split by
+unit kind: block, region, loop) and the best cold codegen time for
+building every dispatch table of all workloads, baseline plus
 rewritten, from an empty code memo.
 
 Emits ``benchmarks/results/BENCH_interp.json``.
@@ -124,12 +125,22 @@ def _measure(module, workload):
     return row, (walk.value, walk_mem)
 
 
+def _unit_kind(code):
+    """``loop`` for a unit that iterates in place, else ``region`` for a
+    multi-block chain, else ``block``."""
+    if code.loop:
+        return "loop"
+    return "region" if code.span > 1 else "block"
+
+
 def _codegen_size(modules):
     """Cold codegen of every dispatch table of *modules*.
 
-    Returns ``{"units", "lines", "cold_s"}``: the distinct compiled
-    closures, their total generated source lines, and the best-of-
-    ``REPEATS`` wall time to build all tables from an empty code memo.
+    Returns ``{"units", "lines", "chars", "cold_s", "by_kind"}``: the
+    distinct compiled closures, their total generated source lines and
+    characters, the best-of-``REPEATS`` wall time to build all tables
+    from an empty code memo, and units, lines and characters per unit
+    kind (see :func:`_unit_kind`).
     """
     best = None
     for _ in range(REPEATS):
@@ -140,9 +151,17 @@ def _codegen_size(modules):
                 build_function_table(func)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    units = [code for code in _MEMO.values() if code.fn is not None]
-    lines = sum(len(code.source.splitlines()) for code in units)
-    return {"units": len(units), "lines": lines, "cold_s": best}
+    by_kind = {kind: {"units": 0, "lines": 0, "chars": 0}
+               for kind in ("block", "region", "loop")}
+    for code in _MEMO.values():
+        if code.fn is not None:
+            size = by_kind[_unit_kind(code)]
+            size["units"] += 1
+            size["lines"] += len(code.source.splitlines())
+            size["chars"] += len(code.source)
+    totals = {key: sum(size[key] for size in by_kind.values())
+              for key in ("units", "lines", "chars")}
+    return {**totals, "cold_s": best, "by_kind": by_kind}
 
 
 def main() -> int:
@@ -197,9 +216,13 @@ def main() -> int:
            f"worst warm speedup {worst:.2f}x (gate {MIN_SPEEDUP:.1f}x); "
            f"code memo: {memo}")
     codegen = _codegen_size(modules)
+    kinds = ", ".join(
+        f"{kind} {size['units']}/{size['lines']}/{size['chars']}"
+        for kind, size in codegen["by_kind"].items())
     report("interp",
            f"generated code, all workloads baseline+rewritten: "
            f"{codegen['units']} units, {codegen['lines']} lines, "
+           f"{codegen['chars']} chars (units/lines/chars: {kinds}), "
            f"cold codegen {codegen['cold_s'] * 1e3:.1f}ms")
 
     payload = {

@@ -26,11 +26,14 @@ generated Python source:
 * a unit whose last block jumps, or branches on one side, back to its
   own head is a **loop**: its body runs inside ``while True:``, so an
   iteration costs no dispatch-loop round trip and no register-dict
-  read.  The loop-back re-checks the entry budget, bumps the head's
-  entry count and writes back the registers a side exit of the next
-  iteration would leave stale (those defined after the body's first
-  exit point).  A loop unit counts block entries in int locals and
-  adds them to ``C`` in a ``finally`` on every exit, traps included.
+  read.  The loop-back re-checks the entry budget and bumps the head's
+  entry count; it writes no register.  Each side exit, and each
+  resume check after a ``CALL``, writes back the registers defined
+  before it and, once an iteration has looped back (``if _k0:``), the
+  ones the body defines after it, which still hold the previous
+  iteration's values.  A loop unit counts block entries in int locals
+  and adds them to ``C`` in a ``finally`` on every exit, traps
+  included.
   A chain ends at the first block that branches back to its head, so
   a back edge is never an internal side exit;
 * ``LOAD``/``STORE`` index the memory row **inline**: each unit binds
@@ -52,14 +55,16 @@ generated Python source:
 * ``ISEInstruction`` nodes **inline their AFU's gate netlist** as
   straight-line locals built from the same per-opcode expressions as
   software ops (:func:`_pure_expr`); an internal division that can hit
-  zero raises the walker's exact ``TrapError``, and no dest register is
-  written until the last gate has run;
+  zero raises the walker's exact ``TrapError``, and no dest register
+  reaches ``R`` until the last gate has run (a gate driving an output
+  may write its dest's local directly when no port reads it);
 * step counting is accumulated as **constants**: one ``_s =
   I._steps`` read at unit entry, and an exact ``I._steps = _s + k``
-  commit only where the counter is observable (before a ``CALL``, an
-  op that can trap other than a memory access — whose slow path
-  commits for itself — or a terminator that leaves the closure; an
-  internal ``JMP`` link commits nothing).  The budget is checked by
+  commit only on a path that leaves the closure: before a ``CALL`` and
+  the unit's final terminator, and inside the branch of a side exit,
+  a division trap or a memory slow path.  The path that stays in the
+  closure — an internal ``JMP`` link, the on-trace side of a ``BR``,
+  a loop-back — commits nothing.  The budget is checked by
   one **guard at unit entry**, against the unit's step count up to its
   first ``CALL``, once more after each ``CALL`` and, in a loop, at
   every loop-back; when it could expire, the unit raises
@@ -136,8 +141,11 @@ __all__ = [
 #: v6: ``C`` is the function's run-long ``defaultdict(int)`` tally
 #: (bumped as ``C[label] += 1``), loop units count block entries in int
 #: locals added to it in a ``finally``, and ``CALL`` is one callback per
-#: call depth.
-CODEGEN_VERSION = 6
+#: call depth.  v7: loop units write registers back, and every unit
+#: commits ``I._steps``, only on the paths that leave the closure (side
+#: exits, ``CALL`` resume checks, division traps); an ISE gate driving
+#: an output may write its dest's local directly.
+CODEGEN_VERSION = 7
 
 _MASK = "4294967295"            # 0xFFFFFFFF
 _SIGN = "2147483648"            # 0x80000000
@@ -392,15 +400,6 @@ _COMPARISONS = {Opcode.EQ: "==", Opcode.NE: "!=", Opcode.SLT: "<",
                 Opcode.SLE: "<=", Opcode.SGT: ">", Opcode.SGE: ">="}
 
 
-def _may_divide_by_zero(gate) -> bool:
-    """True when an AFU *gate* is a DIV/REM whose divisor is not a
-    non-zero constant — the only way a fused instruction can trap."""
-    if gate.opcode not in _DIVISIONS:
-        return False
-    divisor = gate.inputs[1] if len(gate.inputs) > 1 else None
-    return not isinstance(divisor, int) or divisor == 0
-
-
 def _pure_expr(op: Opcode, reads: Sequence[str],
                operands: Sequence) -> str:
     """Expression text inlining ``evaluate_pure_op`` for one pure op.
@@ -472,7 +471,9 @@ class _BlockCompiler:
         self.gate_locals = 0                  # AFU gate locals emitted
         self.rows: Dict[str, Tuple[str, str]] = {}  # array -> row, len
         self.steps = 0                        # steps since ``_s`` read
-        self.exit_defined: Optional[set] = None  # defined at 1st exit
+        # Loop exits: (body line, indent, registers defined there); each
+        # gets the writebacks of the rest of the body behind ``if _k0:``.
+        self.exits: List[Tuple[int, int, frozenset]] = []
         self.loop = False
         self.out = _Emitter()
 
@@ -548,21 +549,36 @@ class _BlockCompiler:
 
         Mirrors :meth:`FusedAFU.evaluate` plus the walker's write-back:
         input ports bind the operand reads (a repeated port keeps its
-        last value, as in the walker's dict), every gate writes a fresh
-        ``g<k>`` local through the same :func:`_pure_expr` as software
-        ops, and the dest registers are assigned only after the last
-        gate, in one parallel assignment — an AFU that traps writes no
-        dest, and an output forwarding a port sees its entry value.
-        Netlists the walker would crash on (undriven wires, short
-        gates, non-canonical constants) fall back to it instead.
+        last value, as in the walker's dict), and every gate writes a
+        local through the same :func:`_pure_expr` as software ops.  The
+        last gate driving an output wire writes straight into its dest
+        register's local when no port of this ISE reads that local, the
+        wire is not an input port and no earlier dest took the local;
+        every other gate writes a fresh ``g<k>`` local, and the
+        remaining dests are assigned after the last gate, in one
+        parallel assignment, so an output forwarding a port sees its
+        entry value.  A trap leaves the closure before any write-back,
+        so a dest local written early is never observed.  Netlists the
+        walker would crash on (undriven wires, short gates,
+        non-canonical constants) fall back to it instead.
         """
         afu = insn.afu
         reads = [self._read(operand) for operand in insn.operands]
         wires: Dict[str, str] = dict(zip(afu.input_ports, reads))
+        # Output wire -> dest local its last driving gate writes.
+        direct: Dict[str, str] = {}
+        for dest, wire in zip(insn.dests, afu.output_wires):
+            local = self._local(dest)
+            if (wire not in wires and wire not in direct
+                    and local not in reads
+                    and local not in direct.values()):
+                direct[wire] = local
+        last_driver = {gate.output: number
+                       for number, gate in enumerate(afu.gates)}
         msg = (f"trap inside custom instruction {insn} "
                f"(division by zero)")
         emit = self.out.emit
-        for gate in afu.gates:
+        for number, gate in enumerate(afu.gates):
             op = gate.opcode
             if len(gate.inputs) < opinfo(op).arity:
                 raise _UnsupportedBlock(
@@ -583,18 +599,23 @@ class _BlockCompiler:
                         "V303", f"{insn}: undriven wire {wire!r}")
             expr = _pure_expr(op, args, operands)
             self._emit_division_guard(op, operands, args, msg, indent)
-            local = f"g{self.gate_locals}"
-            self.gate_locals += 1
+            local = (direct.get(gate.output)
+                     if last_driver[gate.output] == number else None)
+            if local is None:
+                local = f"g{self.gate_locals}"
+                self.gate_locals += 1
             emit(f"{local} = {expr}", indent)
             wires[gate.output] = local
         missing = [w for w in afu.output_wires if w not in wires]
         if missing:
             raise _UnsupportedBlock(
                 "V303", f"{insn}: undriven output {missing[0]!r}")
-        pairs = list(zip(insn.dests, afu.output_wires))
+        pairs = [(self._define(dest), wires[wire])
+                 for dest, wire in zip(insn.dests, afu.output_wires)]
+        pairs = [(dst, value) for dst, value in pairs if dst != value]
         if pairs:
-            values = ", ".join(wires[wire] for _, wire in pairs)
-            dests = ", ".join(self._define(dest) for dest, _ in pairs)
+            dests = ", ".join(dst for dst, _ in pairs)
+            values = ", ".join(value for _, value in pairs)
             emit(f"{dests} = {values}", indent)
 
     def _emit_call(self, insn: Instruction, indent: int) -> None:
@@ -615,6 +636,8 @@ class _BlockCompiler:
                              indent: int) -> None:
         """Emit the ``TrapError`` check of a DIV/REM (no-op otherwise).
 
+        The trap branch commits the exact step count before it raises,
+        so a caller catching the ``TrapError`` sees the walker's counter.
         A constant zero divisor traps unconditionally, exactly like the
         walker reaching the op, so emission ends there (``_DeadCode``);
         a non-zero constant needs no check at all.
@@ -622,13 +645,17 @@ class _BlockCompiler:
         if op not in _DIVISIONS:
             return
         divisor = operands[1]
+        emit = self.out.emit
+        commit = f"I._steps = _s + {self.steps}"
         if isinstance(divisor, Const):
             if divisor.value == 0:
-                self.out.emit(f"raise _TE({msg!r})", indent)
+                emit(commit, indent)
+                emit(f"raise _TE({msg!r})", indent)
                 raise _DeadCode()
             return
-        self.out.emit(f"if {reads[1]} == 0:", indent)
-        self.out.emit(f"    raise _TE({msg!r})", indent)
+        emit(f"if {reads[1]} == 0:", indent)
+        emit(f"    {commit}", indent)
+        emit(f"    raise _TE({msg!r})", indent)
 
     def _emit_pure(self, insn: Instruction, indent: int) -> None:
         """Inline the ``evaluate_pure_op`` semantics of one pure op."""
@@ -647,25 +674,50 @@ class _BlockCompiler:
 
         On a straight-line trace every def emitted so far has executed,
         so this leaves the caller's register dict walker-exact.  Every
-        caller is an exit point; the first one's defined set is kept
-        for the loop-back (:meth:`_emit_loop_back`).
+        caller is an exit point.  In a loop unit the exit is recorded:
+        once the body is emitted, :meth:`_emit_guarded_writebacks`
+        adds the registers the body defines after it.
         """
-        if self.exit_defined is None:
-            self.exit_defined = set(self.defined)
         for reg_name in sorted(self.defined):
-            self.out.emit(f"R[{reg_name!r}] = {self.locals[reg_name]}",
-                          indent)
+            self.out.emit(self._writeback(reg_name), indent)
+        if self.loop:
+            self.exits.append((len(self.out.lines), indent,
+                               frozenset(self.defined)))
+
+    def _emit_guarded_writebacks(self) -> None:
+        """Complete each recorded loop exit, once the body is emitted.
+
+        An exit in a later iteration must also write back the registers
+        the body defines after it: they still hold the previous
+        iteration's values, which the walker's dict would have.  Before
+        the first loop-back (``_k0`` is 0) those registers were never
+        defined in this unit, so ``R`` already holds what the walker's
+        does and the locals may be unbound.
+        """
+        lines = self.out.lines
+        for at, indent, defined in reversed(self.exits):
+            rest = sorted(self.defined - defined)
+            if rest:
+                lines[at:at] = ["    " * indent + "if _k0:"] + [
+                    "    " * (indent + 1) + self._writeback(reg_name)
+                    for reg_name in rest]
+
+    def _writeback(self, reg_name: str) -> str:
+        return f"R[{reg_name!r}] = {self.locals[reg_name]}"
 
     def _emit_internal_exit(self, insn: Instruction,
                             fallthrough: str) -> None:
         """Emit a mid-region terminator (control stays in the closure).
 
-        An internal ``JMP`` is pure fall-through — its step is already
-        committed, and the next block's code follows immediately.
+        An internal ``JMP`` is pure fall-through — it commits no step
+        count, and the next block's code follows immediately.
         An internal ``BR`` keeps the on-trace side inline and emits a
-        *side exit* for the other target: every register defined so far
-        is written back and the off-trace label is returned to the
-        dispatch loop, which dispatches it as a chain head.
+        *side exit* for the other target: the exact step count is
+        committed, every register defined so far is written back (in a
+        loop, see :meth:`_emit_guarded_writebacks`) and the off-trace
+        label is returned to the dispatch loop, which dispatches it as
+        a chain head.  The on-trace side commits nothing: it reaches
+        another commit before anything can observe the counter.
         """
         op = insn.opcode
         if op is Opcode.JMP:
@@ -680,6 +732,7 @@ class _BlockCompiler:
             test, exit_label = f"{cond} != 0", then_label
         emit = self.out.emit
         emit(f"if {test}:")
+        emit(f"    I._steps = _s + {self.steps}")
         self._emit_writebacks(indent=2)
         emit(f"    return {exit_label!r}")
 
@@ -691,11 +744,10 @@ class _BlockCompiler:
         ``_lim``, the last ``_s`` it admits (on failure:
         write back everything and return the head label, so the
         dispatch loop counts the head entry and the head's own guard
-        replays it on the walker), bumps the head's entry count, and
-        writes back the registers not yet defined at the body's first
-        exit point: a side exit in the next iteration writes back only
-        those defined before it, and the rest would be stale in ``R``.
-        The head's count is the local ``_k0``, added to ``C`` on exit.
+        replays it on the walker), and bumps the head's entry count,
+        the local ``_k0``, added to ``C`` on exit.  It writes no
+        register: the exits write back what the body defined after
+        them once ``_k0`` is non-zero.
         """
         head = self.blocks[0].label
         emit = self.out.emit
@@ -706,8 +758,6 @@ class _BlockCompiler:
         emit("    I._steps = _s")
         emit(f"    return {head!r}")
         emit("_k0 += 1")
-        for reg_name in sorted(self.defined - self.exit_defined):
-            emit(f"R[{reg_name!r}] = {self.locals[reg_name]}")
 
     def _emit_terminator(self, insn: Instruction, indent: int) -> None:
         op = insn.opcode
@@ -732,29 +782,6 @@ class _BlockCompiler:
             raise _UnsupportedBlock("C001", f"terminator {op}")
 
     # -- step accounting -----------------------------------------------
-    @staticmethod
-    def _observes_steps(insn: Instruction) -> bool:
-        """True when the step counter is observable at *insn*.
-
-        Such ops get an exact ``I._steps = _s + k`` commit emitted
-        before them: an op that can trap (a caller catching the
-        ``TrapError`` sees the walker's counter and remaining budget),
-        a ``CALL`` (the callee counts on from it) and a terminator (the
-        block is left; the caller skips ``JMP`` links that stay in the
-        closure).  Pure ops in between cannot raise, so their counts
-        are unobservable until the next commit; nor can an in-bounds
-        ``LOAD``/``STORE``, whose slow path commits for itself.
-        """
-        op = insn.opcode
-        if op is Opcode.CALL:
-            return True
-        if op is Opcode.ISE:
-            return any(_may_divide_by_zero(g) for g in insn.afu.gates)
-        if op in _DIVISIONS:
-            divisor = insn.operands[1]
-            return not isinstance(divisor, Const) or divisor.value == 0
-        return insn.is_terminator
-
     @staticmethod
     def _budget(ops: Sequence[Tuple[int, int, Instruction]],
                 first: int) -> int:
@@ -844,12 +871,14 @@ class _BlockCompiler:
                                             self._budget(ops, number))
                     self.steps = 0
                 self.steps += 1
-                # A JMP that stays in the closure commits nothing: the
-                # next commit (or a loop-back's budget exit) supersedes
-                # it.
-                in_closure = insn.opcode is Opcode.JMP and (
-                    index < last or self.loop)
-                if self._observes_steps(insn) and not in_closure:
+                # The step counter is observable only where control can
+                # leave the closure: a CALL (the callee counts on from
+                # it) and the unit's final terminator commit here; a
+                # side exit, a division trap and a memory slow path
+                # commit on their own branch.
+                leaves = (insn.is_terminator and index == last
+                          and not self.loop)
+                if insn.opcode is Opcode.CALL or leaves:
                     emit(f"I._steps = _s + {self.steps}")
                 if not insn.is_terminator:
                     self._emit_insn(insn, indent=1)
@@ -859,6 +888,8 @@ class _BlockCompiler:
                     self._emit_loop_back(insn)
                 else:
                     self._emit_terminator(insn, indent=1)
+            if self.loop:
+                self._emit_guarded_writebacks()
         except _DeadCode:
             # An unconditional trap ends the chain early (and so the
             # loop: its body can run at most once).
