@@ -26,7 +26,8 @@ It is a CI **gate**, not telemetry: the job fails when
 
 It also records, as telemetry without a gate, the size of the generated
 code: compiled units, total source lines and characters (also split by
-unit kind: block, region, loop) and the best cold codegen time for
+unit kind: block, region, loop), the register-store lines (``R[...] =``)
+per unit kind, and the best cold codegen time for
 building every dispatch table of all workloads, baseline plus
 rewritten, from an empty code memo.
 
@@ -36,6 +37,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_interp.py
 """
 
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -55,6 +57,10 @@ except ImportError:  # standalone run: benchmarks/ not on sys.path
 #: Hard floor for warm compiled-vs-walker throughput, per workload
 #: (the ISSUE's acceptance bar; the target is 5x, typically exceeded).
 MIN_SPEEDUP = 3.0
+
+#: A generated line that stores a register into ``R`` (a loop unit's
+#: ``finally`` guards some behind ``if v is not None:``).
+_STORE = re.compile(r"\s*(?:if v\d+ is not None: )?R\[")
 
 #: Differential rows config (kept small: selection, not execution, is
 #: the expensive part of a speedup row).
@@ -136,11 +142,12 @@ def _unit_kind(code):
 def _codegen_size(modules):
     """Cold codegen of every dispatch table of *modules*.
 
-    Returns ``{"units", "lines", "chars", "cold_s", "by_kind"}``: the
-    distinct compiled closures, their total generated source lines and
-    characters, the best-of-``REPEATS`` wall time to build all tables
-    from an empty code memo, and units, lines and characters per unit
-    kind (see :func:`_unit_kind`).
+    Returns ``{"units", "lines", "chars", "cold_s", "by_kind",
+    "writebacks"}``: the distinct compiled closures, their total
+    generated source lines and characters, the best-of-``REPEATS`` wall
+    time to build all tables from an empty code memo, units, lines and
+    characters per unit kind (see :func:`_unit_kind`), and the lines
+    per unit kind that store a register into ``R``.
     """
     best = None
     for _ in range(REPEATS):
@@ -153,15 +160,21 @@ def _codegen_size(modules):
         best = elapsed if best is None else min(best, elapsed)
     by_kind = {kind: {"units": 0, "lines": 0, "chars": 0}
                for kind in ("block", "region", "loop")}
+    writebacks = dict.fromkeys(by_kind, 0)
     for code in _MEMO.values():
         if code.fn is not None:
-            size = by_kind[_unit_kind(code)]
+            kind = _unit_kind(code)
+            size = by_kind[kind]
+            lines = code.source.splitlines()
             size["units"] += 1
-            size["lines"] += len(code.source.splitlines())
+            size["lines"] += len(lines)
             size["chars"] += len(code.source)
+            writebacks[kind] += sum(bool(_STORE.match(line))
+                                    for line in lines)
     totals = {key: sum(size[key] for size in by_kind.values())
               for key in ("units", "lines", "chars")}
-    return {**totals, "cold_s": best, "by_kind": by_kind}
+    return {**totals, "cold_s": best, "by_kind": by_kind,
+            "writebacks": writebacks}
 
 
 def main() -> int:
@@ -217,12 +230,14 @@ def main() -> int:
            f"code memo: {memo}")
     codegen = _codegen_size(modules)
     kinds = ", ".join(
-        f"{kind} {size['units']}/{size['lines']}/{size['chars']}"
+        f"{kind} {size['units']}/{size['lines']}/{size['chars']}/"
+        f"{codegen['writebacks'][kind]}"
         for kind, size in codegen["by_kind"].items())
     report("interp",
            f"generated code, all workloads baseline+rewritten: "
            f"{codegen['units']} units, {codegen['lines']} lines, "
-           f"{codegen['chars']} chars (units/lines/chars: {kinds}), "
+           f"{codegen['chars']} chars (units/lines/chars/register "
+           f"stores: {kinds}), "
            f"cold codegen {codegen['cold_s'] * 1e3:.1f}ms")
 
     payload = {

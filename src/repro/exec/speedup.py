@@ -153,7 +153,6 @@ def measure_selection(
     selection: SelectionResult,
     model: Optional[CostModel] = None,
     n: Optional[int] = None,
-    baseline=None,
     backend: Optional[str] = None,
 ) -> MeasuredSpeedup:
     """Rewrite *app* with *selection* and measure both programs.
@@ -166,9 +165,6 @@ def measure_selection(
         n: measurement input size (default: the workload's); choosing a
             different size than the profiling run shows how well the
             profile generalises.
-        baseline: optional precomputed ``(CycleReport, Memory)`` from
-            :func:`measure_baseline` with the *same* model and n;
-            :func:`measure_baseline` supplies it otherwise.
         backend: execution backend for both runs (``"walk"`` or
             ``"compiled"``; default ``$REPRO_BACKEND``, else compiled)
             — measurements are bit-identical across backends.
@@ -184,9 +180,7 @@ def measure_selection(
 
     rewritten = rewrite_module(app.module, selection.cuts, model)
 
-    if baseline is None:
-        baseline = measure_baseline(app, model, size, backend=backend)
-    base, base_memory = baseline
+    base, base_memory = measure_baseline(app, model, size, backend=backend)
 
     ise_memory = Memory(rewritten.module)
     ise_args = workload.driver(ise_memory, size)
@@ -394,7 +388,6 @@ def run_speedup(
     max_nodes: int = 40,
     area_budget: float = 2.0,
     area_method: str = "knapsack",
-    store=None,
     cache=None,
     prepare=None,
     backend: Optional[str] = None,
@@ -413,10 +406,10 @@ def run_speedup(
     guards the ``optimal`` algorithm (``BlockTooLargeError`` beyond
     it); ``area_budget`` (MAC units) applies to ``area``.
 
-    ``store``/``cache``/``prepare`` plug the persistent layer in
-    (normally via :meth:`repro.session.Session.speedup` — ``prepare``
-    is a ``(name, n, unroll) -> Application`` callable such as the
-    session's memoised :meth:`~repro.session.Session.prepare`):
+    ``cache``/``prepare`` plug the persistent layer in (normally via
+    :meth:`repro.session.Session.speedup` — ``prepare`` is a ``(name,
+    n, unroll) -> Application`` callable such as the session's
+    memoised, store-backed :meth:`~repro.session.Session.prepare`):
     preparation and identification warm-start from earlier
     invocations, and the rows stay bit-identical either way.  No
     baseline program runs: the app's profiling run at the same *n* is
@@ -437,7 +430,7 @@ def run_speedup(
             app = prepare(name, size, unroll)
         else:
             app = prepare_application(name, n=size, unroll=unroll,
-                                      store=store, backend=backend)
+                                      backend=backend)
         constraints = Constraints(nin=nin, nout=nout, ninstr=ninstr)
         try:
             selection = dispatch_selection(

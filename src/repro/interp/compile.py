@@ -27,13 +27,11 @@ generated Python source:
   own head is a **loop**: its body runs inside ``while True:``, so an
   iteration costs no dispatch-loop round trip and no register-dict
   read.  The loop-back re-checks the entry budget and bumps the head's
-  entry count; it writes no register.  Each side exit, and each
-  resume check after a ``CALL``, writes back the registers defined
-  before it and, once an iteration has looped back (``if _k0:``), the
-  ones the body defines after it, which still hold the previous
-  iteration's values.  A loop unit counts block entries in int locals
-  and adds them to ``C`` in a ``finally`` on every exit, traps
-  included.
+  entry count.  No path inside the loop writes a register: a loop
+  unit counts block entries in int locals, and its ``finally`` adds
+  them to ``C`` and writes each register the body defines back to
+  ``R`` once, on every exit, traps included.  A register that is not
+  a live-in starts as ``None`` and is written back only once defined.
   A chain ends at the first block that branches back to its head, so
   a back edge is never an internal side exit;
 * ``LOAD``/``STORE`` index the memory row **inline**: each unit binds
@@ -144,8 +142,10 @@ __all__ = [
 #: call depth.  v7: loop units write registers back, and every unit
 #: commits ``I._steps``, only on the paths that leave the closure (side
 #: exits, ``CALL`` resume checks, division traps); an ISE gate driving
-#: an output may write its dest's local directly.
-CODEGEN_VERSION = 7
+#: an output may write its dest's local directly.  v8: a loop unit
+#: writes its registers back only in its ``finally``; locals it defines
+#: that are not live-ins start as ``None`` and are written once set.
+CODEGEN_VERSION = 8
 
 _MASK = "4294967295"            # 0xFFFFFFFF
 _SIGN = "2147483648"            # 0x80000000
@@ -471,9 +471,6 @@ class _BlockCompiler:
         self.gate_locals = 0                  # AFU gate locals emitted
         self.rows: Dict[str, Tuple[str, str]] = {}  # array -> row, len
         self.steps = 0                        # steps since ``_s`` read
-        # Loop exits: (body line, indent, registers defined there); each
-        # gets the writebacks of the rest of the body behind ``if _k0:``.
-        self.exits: List[Tuple[int, int, frozenset]] = []
         self.loop = False
         self.out = _Emitter()
 
@@ -674,33 +671,14 @@ class _BlockCompiler:
 
         On a straight-line trace every def emitted so far has executed,
         so this leaves the caller's register dict walker-exact.  Every
-        caller is an exit point.  In a loop unit the exit is recorded:
-        once the body is emitted, :meth:`_emit_guarded_writebacks`
-        adds the registers the body defines after it.
+        caller is an exit point.  A loop unit emits nothing here: its
+        ``finally`` writes its registers back on every exit (see
+        :meth:`compile`).
         """
+        if self.loop:
+            return
         for reg_name in sorted(self.defined):
             self.out.emit(self._writeback(reg_name), indent)
-        if self.loop:
-            self.exits.append((len(self.out.lines), indent,
-                               frozenset(self.defined)))
-
-    def _emit_guarded_writebacks(self) -> None:
-        """Complete each recorded loop exit, once the body is emitted.
-
-        An exit in a later iteration must also write back the registers
-        the body defines after it: they still hold the previous
-        iteration's values, which the walker's dict would have.  Before
-        the first loop-back (``_k0`` is 0) those registers were never
-        defined in this unit, so ``R`` already holds what the walker's
-        does and the locals may be unbound.
-        """
-        lines = self.out.lines
-        for at, indent, defined in reversed(self.exits):
-            rest = sorted(self.defined - defined)
-            if rest:
-                lines[at:at] = ["    " * indent + "if _k0:"] + [
-                    "    " * (indent + 1) + self._writeback(reg_name)
-                    for reg_name in rest]
 
     def _writeback(self, reg_name: str) -> str:
         return f"R[{reg_name!r}] = {self.locals[reg_name]}"
@@ -713,8 +691,8 @@ class _BlockCompiler:
         count, and the next block's code follows immediately.
         An internal ``BR`` keeps the on-trace side inline and emits a
         *side exit* for the other target: the exact step count is
-        committed, every register defined so far is written back (in a
-        loop, see :meth:`_emit_guarded_writebacks`) and the off-trace
+        committed, every register defined so far is written back (a
+        loop unit's ``finally`` does that instead) and the off-trace
         label is returned to the dispatch loop, which dispatches it as
         a chain head.  The on-trace side commits nothing: it reaches
         another commit before anything can observe the counter.
@@ -741,20 +719,18 @@ class _BlockCompiler:
 
         A ``BR`` leaves by a side exit on its other target.  The
         loop-back then re-checks the entry budget guard against
-        ``_lim``, the last ``_s`` it admits (on failure:
-        write back everything and return the head label, so the
-        dispatch loop counts the head entry and the head's own guard
-        replays it on the walker), and bumps the head's entry count,
-        the local ``_k0``, added to ``C`` on exit.  It writes no
-        register: the exits write back what the body defined after
-        them once ``_k0`` is non-zero.
+        ``_lim``, the last ``_s`` it admits (on failure: commit the
+        step count and return the head label, so the dispatch loop
+        counts the head entry and the head's own guard replays it on
+        the walker), and bumps the head's entry count, the local
+        ``_k0``, added to ``C`` on exit.  No path here writes a
+        register: the unit's ``finally`` does, on every exit.
         """
         head = self.blocks[0].label
         emit = self.out.emit
         self._emit_internal_exit(insn, head)
         emit(f"_s += {self.steps}")
         emit("if _s > _lim:")
-        self._emit_writebacks(indent=2)
         emit("    I._steps = _s")
         emit(f"    return {head!r}")
         emit("_k0 += 1")
@@ -800,7 +776,8 @@ class _BlockCompiler:
                            budget: int) -> None:
         """Re-check the budget after a ``CALL`` returned (the callee
         spent steps the entry guard could not know); on failure write
-        back, as a side exit does, and resume the walker at *position*.
+        back, as a side exit does (a loop unit's ``finally`` does that),
+        and resume the walker at *position*.
         """
         emit = self.out.emit
         emit("_s = I._steps")
@@ -848,8 +825,9 @@ class _BlockCompiler:
                for index, block in enumerate(blocks)
                for position, insn in enumerate(block.instructions)]
         guard = self._budget(ops, 0)
-        # A dead-code trap may end the loop below, but the counters
-        # emitted until then still need their locals and their fold.
+        # A dead-code trap may end the loop below, but the counters and
+        # registers emitted until then still need their locals, their
+        # fold and their writebacks.
         counted = self.loop
         body = _Emitter()
         self.out = body
@@ -888,8 +866,6 @@ class _BlockCompiler:
                     self._emit_loop_back(insn)
                 else:
                     self._emit_terminator(insn, indent=1)
-            if self.loop:
-                self._emit_guarded_writebacks()
         except _DeadCode:
             # An unconditional trap ends the chain early (and so the
             # loop: its body can run at most once).
@@ -924,14 +900,27 @@ class _BlockCompiler:
         if counted:
             # Block entries of a loop unit are counted in the int locals
             # ``_k<index>`` (``_k0``: loop-backs into the head) and added
-            # to ``C`` on every exit, traps included.
+            # to ``C`` on every exit, traps included.  The same
+            # ``finally`` is the unit's only register writeback: a
+            # live-in holds its entry value until the body redefines it;
+            # any other register is ``None`` until its first def, and
+            # then ``R`` already holds what the walker's dict does.
             header.emit(" = ".join(f"_k{index}"
                                    for index in range(len(blocks)))
                         + " = 0")
+            late = [self.locals[reg_name]
+                    for reg_name in sorted(self.defined)
+                    if reg_name not in self.entry_reads]
+            if late:
+                header.emit(" = ".join(late) + " = None")
             header.emit("try:")
             footer.emit("finally:")
             for index, block in enumerate(blocks):
                 footer.emit(f"    C[{block.label!r}] += _k{index}")
+            for reg_name in sorted(self.defined):
+                check = ("" if reg_name in self.entry_reads else
+                         f"if {self.locals[reg_name]} is not None: ")
+                footer.emit(check + self._writeback(reg_name), 2)
             body.lines = ["    " + line for line in body.lines]
         if self.loop:
             header.emit("while True:", 1 + counted)

@@ -188,7 +188,7 @@ class Session:
             limits=self._limits(limits), n=n, unroll=unroll,
             max_nodes=max_nodes, area_budget=area_budget,
             area_method=area_method,
-            store=self.store, cache=self.cache, backend=self.backend,
+            cache=self.cache, backend=self.backend,
             prepare=lambda name, size, unr: self.prepare(
                 name, n=size, unroll=unr))
 

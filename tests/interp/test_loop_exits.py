@@ -1,22 +1,26 @@
 """Loop units write interpreter state only on the paths that leave them.
 
 A compiled loop unit (``repro.interp.compile``) keeps registers and the
-step count in locals while it iterates.  Its loop-back writes nothing
-back; each side exit and each post-``CALL`` resume check writes back
-what the body defined before it and, once an iteration has looped back
-(``if _k0:``), what the body defines after it.  An internal ``BR``
-commits ``I._steps`` inside its side-exit branch and a division inside
-its trap branch.  This suite checks:
+step count in locals while it iterates.  No path inside it writes a
+register: its ``finally`` writes each register the body defines back
+to ``R`` once, on every exit (side exits, post-``CALL`` resume checks,
+the loop-back budget exit and traps).  A register that is not a
+live-in starts as ``None`` and is written back only once defined.  An
+internal ``BR`` commits ``I._steps`` inside its side-exit branch and a
+division inside its trap branch.  This suite checks:
 
 * the source shape, on every loop unit of the 8 workloads, baseline and
-  ISE-rewritten: the iteration path outside exit branches stores no
-  register and commits no step count (except the commit a ``CALL``
-  needs);
+  ISE-rewritten: the iteration path outside exit branches commits no
+  step count (except the commit a ``CALL`` needs), no line outside the
+  ``finally`` stores into ``R``, the ``finally`` stores each defined
+  register exactly once, and every store of a register that is not a
+  live-in is guarded;
 * differentials against the walker at every step budget: a side exit
   in the first iteration into a block that reads a register the body
   defines only after that exit, a two-exit loop whose second exit
-  fires in a later iteration, and a division that traps in a later
-  iteration;
+  fires in a later iteration, a division that traps in a later
+  iteration, and a constant-zero division in a loop latch after a side
+  exit, which ends the unit's emission before its loop-back;
 * an ISE whose dest is also its operand, beside an output forwarding a
   port and one a gate writes straight into its dest's local.
 """
@@ -119,13 +123,41 @@ def test_iteration_path_writes_no_state(name, kind):
                 assert "CALL(" in path[number + 1], source
 
 
-def test_exits_write_back_the_rest_behind_k0():
-    """fir's rewritten loop: the head's side exit writes back the
-    body's registers only once an iteration has looped back."""
-    (source,) = _loop_sources(_workload_module("fir", "rewritten"))
-    exit_branch = source.split("return 'for_exit7'")[0]
-    assert "I._steps = _s + 2" in exit_branch
-    assert re.search(r"if _k0:\n(\s+R\['[^']+'\] = v\d+\n)+", exit_branch)
+_ASSIGNED = re.compile(r"(v\d+(?:, v\d+)*) = ")
+_STORE = re.compile(r"(?:if (v\d+) is not None: )?R\['([^']+)'\] = (v\d+)")
+
+
+@pytest.mark.parametrize("kind", ["baseline", "rewritten"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_finally_is_the_only_writeback(name, kind):
+    """No line outside a loop unit's ``finally`` stores into ``R``; the
+    ``finally`` stores each register the body defines once, a live-in
+    unconditionally and any other behind ``if v is not None:``, after
+    the header set it to ``None``."""
+    for source in _loop_sources(_workload_module(name, kind)):
+        assert "if _k0" not in source
+        lines = [line.strip() for line in source.splitlines()]
+        loop = lines.index("while True:")
+        tail = lines.index("finally:")
+        assert not any(_STORE.search(line) for line in lines[:tail]), source
+        live_in = {line.split(" = R[")[0] for line in lines[:loop]
+                   if " = R[" in line}
+        defined = {local for line in lines[loop:tail]
+                   for match in [_ASSIGNED.match(line)] if match
+                   for local in match.group(1).split(", ")}
+        unset = [line.split(" = ")[:-1] for line in lines[:loop]
+                 if line.endswith(" = None")]
+        assert set(sum(unset, [])) == defined - live_in, source
+        stores = [_STORE.fullmatch(line) for line in lines[tail + 1:]
+                  if "R[" in line]
+        assert all(stores), source
+        stored = [match.group(3) for match in stores]
+        assert sorted(stored) == sorted(defined), source
+        assert len({match.group(2) for match in stores}) == len(stores)
+        for match in stores:
+            guard, local = match.group(1, 3)
+            assert guard in (None, local), source
+            assert (guard is None) == (local in live_in), source
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +314,42 @@ def test_division_trap_in_a_later_iteration_every_index():
     assert _loop_heads(module) == ["loop"]
     outcome = _sweep_budget(module, [8, 0])
     assert outcome[0] == "trap" and outcome[2] == 3 + 3 * 6 + 2
+
+
+def _dead_latch_loop(op):
+    """``head -> latch -> head`` whose latch divides by a constant 0
+    after ``head``'s side exit to ``done``.  The trap ends emission
+    before the loop-back, so the unit runs its body at most once and
+    keeps only its ``try``/``finally``."""
+    return _module({
+        "entry": [copy_reg("i", C(2)), jmp("head")],
+        "head": [binop(Opcode.MUL, "t", R("i"), C(3)),
+                 binop(Opcode.SLT, "c", R("i"), R("n")),
+                 br(R("c"), "latch", "done")],
+        "latch": [binop(Opcode.ADD, "s", R("t"), C(1)),
+                  binop(op, "q", R("s"), C(0)),
+                  binop(Opcode.ADD, "i", R("i"), R("q")),
+                  jmp("head")],
+        "done": [binop(Opcode.SUB, "u", R("t"), R("c")), ret(R("u"))],
+    })
+
+
+class TestDeadLatch:
+    @pytest.mark.parametrize("op", [Opcode.DIV, Opcode.REM],
+                             ids=["div", "rem"])
+    def test_exit_taken_every_index(self, op):
+        module = _dead_latch_loop(op)
+        (source,) = [code.source for code in map(
+            _unit, discover_regions(module.functions["f"]))
+            if code.label == "head"]
+        assert "finally:" in source and "while True:" not in source
+        assert _sweep_budget(module, [0, 0])[:2] == ("ok", 6)
+
+    @pytest.mark.parametrize("op", [Opcode.DIV, Opcode.REM],
+                             ids=["div", "rem"])
+    def test_trap_taken_every_index(self, op):
+        outcome = _sweep_budget(_dead_latch_loop(op), [5, 0])
+        assert outcome[0] == "trap" and outcome[2] == 2 + 3 + 2
 
 
 # ----------------------------------------------------------------------
