@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``list`` — show the registered workloads (``--json`` for machines);
+* ``list`` — show the registered workloads;
 * ``ir`` — dump the optimised IR of a workload;
 * ``identify`` — best single cut of the hottest block (Problem 1);
 * ``select`` — choose up to Ninstr instructions with any algorithm
@@ -22,8 +22,8 @@ Subcommands:
 * ``check`` — statically verify a workload end to end: baseline IR
   (CFG/opcode/dataflow invariants), every selected cut through the
   independent mask-based constraint checker, and the rewritten clone
-  (ISE contracts, memory-chain preservation) — text or ``--json``,
-  exit 1 on any error diagnostic, nothing executed;
+  (ISE contracts, memory-chain preservation); exit 1 on any error
+  diagnostic, nothing executed;
 * ``fuzz`` — differential fuzzing: seeded generated programs through
   the whole stack (both backends, baseline vs rewritten, single vs
   batched lanes, verifier + selection checker), failures shrunk to
@@ -41,6 +41,26 @@ Subcommands:
   pull sweep units (one evaluation group each) until its queue drains
   (``--workers N`` shards the same queue over local processes); a
   worker started before its leader listens retries the connect.
+
+Every option is declared once, in :data:`_OPTIONS`; :data:`_VERBS`
+lists the options each verb takes and the few defaults it changes.
+Workload names are checked against the registry while the arguments
+are parsed, so a typo is an argparse usage error (exit status 2).
+
+``--json [PATH]`` (``list``, ``sweep``, ``speedup``, ``check``,
+``fuzz``, ``chaos``, ``cache stats``): a bare ``--json`` prints the
+machine-readable payload on stdout instead of the text report;
+``--json PATH`` writes it to PATH, leaves the text report on stdout
+unchanged and prints ``wrote PATH`` on stderr.  The value is optional,
+so write ``--json`` after any positional (``cache stats --json``, not
+``cache --json stats``).
+
+Errors: bad input that gets past the parser — a size a workload
+cannot run, a malformed port list or batch file, a block too large
+for Optimal selection, a program trap — ends the invocation with one
+stderr line ``<verb>: <message>`` and exit status 1.  A
+:class:`~repro.analysis.diagnostics.VerificationError` keeps its
+traceback: it reports a toolchain bug, not bad input.
 
 Verbs that execute programs accept ``--backend walk|compiled``
 (default: ``$REPRO_BACKEND``, else the compiled backend, DESIGN.md
@@ -63,28 +83,18 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from typing import List, Optional, Tuple
 
 from . import __version__
+from .analysis.diagnostics import VerificationError
 from .core import BlockTooLargeError, SearchLimits
+from .fuzz import SHAPES as FUZZ_SHAPES
+from .interp import TrapError
+from .pipeline import compile_workload, fill_inputs
 from .session import ALGORITHMS, Session
 from .store.artifacts import ArtifactStore, resolve_store, stock_store_dir
 from .workloads import WORKLOADS
-
-
-def _add_store(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--store", dest="store", action="store_true",
-                       default=None,
-                       help="use the persistent artifact store "
-                            "(the default; see also $REPRO_STORE)")
-    group.add_argument("--no-store", dest="store", action="store_false",
-                       help="disable the persistent store for this "
-                            "invocation (results are identical, later "
-                            "invocations start cold)")
-    parser.add_argument("--store-dir", default=None, metavar="PATH",
-                        help="store root (default: $REPRO_STORE, else "
-                             "~/.cache/repro)")
 
 
 def _resolve_store_args(args):
@@ -106,36 +116,11 @@ def _resolve_store_args(args):
     return store
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend",
-                        choices=["walk", "compiled"],
-                        default=None,
-                        help="execution backend for profiling and "
-                             "measurement (default: $REPRO_BACKEND, "
-                             "else compiled; results are bit-identical)")
-
-
 def _make_session(args) -> Session:
     """The one shared Session bootstrap behind every verb."""
     return Session(store=_resolve_store_args(args),
                    workers=getattr(args, "workers", None),
                    backend=getattr(args, "backend", None))
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("workload", help="registered workload name")
-    parser.add_argument("--n", type=int, default=None,
-                        help="profiling run size (default: workload's)")
-    parser.add_argument("--unroll", type=int, default=None,
-                        help="loop unroll factor (Section 9 extension)")
-    parser.add_argument("--nin", type=int, default=4,
-                        help="register-file read ports (default 4)")
-    parser.add_argument("--nout", type=int, default=2,
-                        help="register-file write ports (default 2)")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="max cuts considered per search")
-    _add_store(parser)
-    _add_backend(parser)
 
 
 def _limits(args) -> Optional[SearchLimits]:
@@ -144,19 +129,38 @@ def _limits(args) -> Optional[SearchLimits]:
     return SearchLimits(max_considered=args.limit)
 
 
+def _emit_json(dest: Optional[str], payload) -> bool:
+    """The one ``--json [PATH]`` writer (module doc).
+
+    *dest* ``"-"`` (a bare ``--json``) prints *payload* on stdout and
+    returns True: the verb then skips its text report.  A PATH gets the
+    file and a ``wrote PATH`` line on stderr; ``None`` writes nothing.
+    Both return False, so the text report still prints.
+    """
+    if dest is None:
+        return False
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if dest == "-":
+        sys.stdout.write(text)
+        return True
+    with open(dest, "w") as fh:
+        fh.write(text)
+    print(f"wrote {dest}", file=sys.stderr)
+    return False
+
+
 def cmd_list(args) -> int:
-    if args.json:
-        records = [
-            {
-                "name": name,
-                "entry": workload.entry,
-                "default_n": workload.default_n,
-                "description": workload.description,
-                "paper_benchmark": workload.paper_benchmark,
-            }
-            for name, workload in sorted(WORKLOADS.items())
-        ]
-        print(json.dumps(records, indent=2, sort_keys=True))
+    records = [
+        {
+            "name": name,
+            "entry": workload.entry,
+            "default_n": workload.default_n,
+            "description": workload.description,
+            "paper_benchmark": workload.paper_benchmark,
+        }
+        for name, workload in sorted(WORKLOADS.items())
+    ]
+    if _emit_json(args.json, records):
         return 0
     for name, workload in sorted(WORKLOADS.items()):
         star = "*" if workload.paper_benchmark else " "
@@ -248,19 +252,12 @@ def _csv_list(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _workload_names(text: str) -> List[str]:
-    """Registry names from a comma-separated list, or every registered
-    workload for ``all``."""
-    if text.strip().lower() == "all":
-        return sorted(WORKLOADS)
-    return _csv_list(text)
-
-
 def _csv_ints(text: str) -> List[int]:
     try:
         return [int(item) for item in _csv_list(text)]
     except ValueError:
-        raise SystemExit(f"bad integer list {text!r} (expected e.g. 2,4)")
+        raise ValueError(f"bad integer list {text!r} (expected e.g. "
+                         f"2,4)") from None
 
 
 def _port_pairs(text: str) -> List[Tuple[int, int]]:
@@ -271,9 +268,8 @@ def _port_pairs(text: str) -> List[Tuple[int, int]]:
             nin, nout = token.lower().split("x")
             pairs.append((int(nin), int(nout)))
         except ValueError:
-            raise SystemExit(
-                f"bad --ports entry {token!r} (expected NINxNOUT, "
-                f"e.g. 4x2)")
+            raise ValueError(f"bad --ports entry {token!r} (expected "
+                             f"NINxNOUT, e.g. 4x2)") from None
     return pairs
 
 
@@ -288,35 +284,26 @@ def _parse_ports(args) -> List[Tuple[int, int]]:
 
 
 def cmd_sweep(args) -> int:
-    from .explore import SweepSpec, format_table, write_csv, write_json
+    from .explore import SweepSpec, format_table, rows_payload, write_csv
 
-    try:
-        spec = SweepSpec(
-            workloads=tuple(_workload_names(args.workloads)),
-            ports=tuple(_parse_ports(args)),
-            ninstrs=tuple(_csv_ints(args.ninstr)),
-            algorithms=tuple(_csv_list(args.algos)),
-            models=tuple(_csv_list(args.models)),
-            n=args.n,
-            unroll=args.unroll,
-            limit=args.limit,
-            max_nodes=args.max_nodes,
-            area_budget=args.area_budget,
-            measure=args.measure,
-        )
-    except ValueError as exc:
-        # A typo'd axis is a usage error, not a crash.
-        raise SystemExit(f"sweep: {exc}")
+    spec = SweepSpec(
+        workloads=args.workloads,
+        ports=tuple(_parse_ports(args)),
+        ninstrs=tuple(_csv_ints(args.ninstr)),
+        algorithms=tuple(_csv_list(args.algos)),
+        models=tuple(_csv_list(args.models)),
+        n=args.n,
+        unroll=args.unroll,
+        limit=args.limit,
+        max_nodes=args.max_nodes,
+        area_budget=args.area_budget,
+        measure=args.measure,
+    )
     session = _make_session(args)
     echo = (lambda line: print(line, file=sys.stderr)) \
         if not args.quiet else None
-    try:
-        outcome = session.sweep(spec, use_cache=not args.no_cache,
-                                echo=echo, listen=args.listen)
-    except ValueError as exc:
-        # E.g. an --n too large for a workload's input arrays.
-        raise SystemExit(f"sweep: {exc}")
-    print(format_table(outcome.rows))
+    outcome = session.sweep(spec, use_cache=not args.no_cache,
+                            echo=echo, listen=args.listen)
     cache_note = ""
     if outcome.cache_stats is not None:
         cache_note = (f", cache {outcome.cache_stats['hits']} hit(s) / "
@@ -326,9 +313,8 @@ def cmd_sweep(args) -> int:
     print(f"{len(outcome.rows)} grid points in {outcome.sweep_s:.2f}s "
           f"({outcome.points_per_second:.2f} points/s{cache_note})",
           file=sys.stderr)
-    if args.json:
-        write_json(outcome, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
+    if not _emit_json(args.json, rows_payload(outcome)):
+        print(format_table(outcome.rows))
     if args.csv:
         write_csv(outcome, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
@@ -338,30 +324,22 @@ def cmd_sweep(args) -> int:
 def cmd_speedup(args) -> int:
     from .exec import format_speedup_table
 
-    names = _workload_names(args.workloads)
     session = _make_session(args)
-    try:
-        rows = session.speedup(
-            names,
-            nin=args.nin,
-            nout=args.nout,
-            ninstr=args.ninstr,
-            algorithm=args.algo,
-            limits=_limits(args),
-            n=args.n,
-            unroll=args.unroll,
-            max_nodes=args.max_nodes,
-            area_budget=args.area_budget,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"speedup: {exc}")
-    print(format_speedup_table(rows))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"rows": [row.as_dict() for row in rows]}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
+    rows = session.speedup(
+        args.workloads,
+        nin=args.nin,
+        nout=args.nout,
+        ninstr=args.ninstr,
+        algorithm=args.algo,
+        limits=_limits(args),
+        n=args.n,
+        unroll=args.unroll,
+        max_nodes=args.max_nodes,
+        area_budget=args.area_budget,
+    )
+    if not _emit_json(args.json,
+                      {"rows": [row.as_dict() for row in rows]}):
+        print(format_speedup_table(rows))
     broken = [row.workload for row in rows if not row.identical]
     if broken:
         print(f"\nFAIL: rewritten output diverged for "
@@ -391,6 +369,58 @@ def _print_fallbacks() -> None:
         print(f"walker fallbacks: {', '.join(parts)}", file=sys.stderr)
 
 
+def _read_batch_file(path: str, module) -> list:
+    """``--batch-file`` records as lanes, each checked as it is read.
+
+    A record is an object with any of ``args`` (a list of ints),
+    ``arrays`` (an array of *module* -> a list of ints that fits it)
+    and ``max_steps`` (an int); anything else is a ``ValueError`` that
+    names the record's index.
+    """
+    from .interp import Lane, Memory
+
+    with open(path) as fh:
+        try:
+            records = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON list of records")
+    rows = Memory(module).arrays
+    lanes = []
+    for index, record in enumerate(records):
+        where = f"{path}: record {index}"
+        if not isinstance(record, dict):
+            raise ValueError(f"{where}: expected an object")
+        unknown = sorted(set(record) - {"args", "arrays", "max_steps"})
+        if unknown:
+            raise ValueError(f"{where}: unknown key(s) {unknown}")
+        args = record.get("args", [])
+        if not _is_int_list(args):
+            raise ValueError(f"{where}: 'args' must be a list of ints")
+        arrays = record.get("arrays", {})
+        if not isinstance(arrays, dict):
+            raise ValueError(f"{where}: 'arrays' must be an object")
+        for name, values in arrays.items():
+            if name not in rows:
+                raise ValueError(f"{where}: unknown array {name!r}")
+            if not _is_int_list(values) or len(values) > len(rows[name]):
+                raise ValueError(f"{where}: array {name!r} must be a list "
+                                 f"of at most {len(rows[name])} ints")
+        max_steps = record.get("max_steps")
+        if max_steps is not None and type(max_steps) is not int:
+            raise ValueError(f"{where}: 'max_steps' must be an int")
+        lanes.append(Lane(args=tuple(args), arrays=arrays,
+                          max_steps=max_steps))
+    return lanes
+
+
+def _is_int_list(value) -> bool:
+    """A JSON list of ints (``true``/``false`` are not ints here)."""
+    return (isinstance(value, list)
+            and all(type(item) is int for item in value))
+
+
 def _run_batch_mode(args, workload, module, note) -> int:
     """Batched ``repro run``: N input lanes per call (DESIGN.md §12).
 
@@ -402,19 +432,15 @@ def _run_batch_mode(args, workload, module, note) -> int:
     lanes are arbitrary user records, so only trap-freeness can be
     checked (``verified: n/a``).
     """
-    from .interp import Lane, driver_lanes, image_verifier, run_batch
+    from .interp import driver_lanes, image_verifier, run_batch
 
     size = args.n if args.n is not None else workload.default_n
     if args.batch_file:
-        with open(args.batch_file) as fh:
-            records = json.load(fh)
-        lanes = [Lane(args=tuple(rec.get("args", ())),
-                      arrays=rec.get("arrays", {}),
-                      max_steps=rec.get("max_steps"))
-                 for rec in records]
+        lanes = _read_batch_file(args.batch_file, module)
         check = None
     else:
-        lanes = driver_lanes(module, workload.driver, size, args.inputs)
+        lanes = driver_lanes(module, partial(fill_inputs, workload), size,
+                             args.inputs)
         # Golden reference: one lane verified against the workload's
         # model; every timed lane is then held to its exact image.
         reference = run_batch(
@@ -472,15 +498,13 @@ def cmd_run(args) -> int:
     else:
         # The baseline needs only the optimised module — compiling is
         # cheap; a profiling pre-run would double the verb's wall time.
-        from .pipeline import compile_workload
-
         module = compile_workload(workload, unroll=args.unroll)
         note = "baseline"
     if args.inputs is not None or args.batch_file:
         return _run_batch_mode(args, workload, module, note)
     size = args.n if args.n is not None else workload.default_n
     memory = Memory(module)
-    run_args = workload.driver(memory, size)
+    run_args = fill_inputs(workload, memory, size)
     interp = Interpreter(module, memory=memory, backend=args.backend)
     start = time.perf_counter()
     outcome = interp.run(workload.entry, run_args)
@@ -509,27 +533,17 @@ def cmd_check(args) -> int:
     Pure analysis — nothing is executed; exit status 1 on any
     error-severity diagnostic (warnings are reported but pass).
     """
-    names = _workload_names(args.workload)
     session = _make_session(args)
     reports = [
         session.check(name, algorithm=args.algo, nin=args.nin,
                       nout=args.nout, ninstr=args.ninstr,
                       limits=_limits(args), n=args.n,
                       unroll=args.unroll, max_nodes=args.max_nodes)
-        for name in names
+        for name in args.workload
     ]
     ok = all(report.ok for report in reports)
-    if args.json is not None:
-        payload = json.dumps(
-            {"ok": ok, "reports": [r.as_dict() for r in reports]},
-            indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload)
-            print(f"wrote {args.json}", file=sys.stderr)
-    else:
+    if not _emit_json(args.json, {"ok": ok, "reports": [
+            report.as_dict() for report in reports]}):
         for index, report in enumerate(reports):
             if index:
                 print()
@@ -549,8 +563,9 @@ def cmd_fuzz(args) -> int:
     diagnostics.  ``--soak`` repeats rounds (advancing the base seed)
     until interrupted.
 
-    stdout carries the byte-stable summary (or ``--json``); per-round
-    soak telemetry goes to stderr like every other verb's timing.
+    stdout carries the byte-stable summary (or a bare ``--json``);
+    per-round soak telemetry goes to stderr like every other verb's
+    timing.
     """
     from .fuzz import check_invalid_corpus
 
@@ -601,14 +616,13 @@ def cmd_fuzz(args) -> int:
     except KeyboardInterrupt:
         print(f"soak interrupted after {rounds} round(s)",
               file=sys.stderr)
-    if args.json and last is not None:
-        payload = last.as_dict() if rounds == 1 else {
-            "rounds": rounds, "programs": programs, **totals,
-            "by_shape": dict(sorted(by_shape.items())),
-            "fallback_codes": dict(sorted(fallbacks.items())),
-            "failures": failed, "ok": not failed,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    payload = last.as_dict() if rounds == 1 else {
+        "rounds": rounds, "programs": programs, **totals,
+        "by_shape": dict(sorted(by_shape.items())),
+        "fallback_codes": dict(sorted(fallbacks.items())),
+        "failures": failed, "ok": not failed,
+    }
+    if _emit_json(args.json, payload):
         return 0 if not failed else 1
     shapes = " ".join(f"{shape}={num}"
                       for shape, num in sorted(by_shape.items()))
@@ -690,21 +704,17 @@ def cmd_chaos(args) -> int:
 
     echo = (lambda line: print(line, file=sys.stderr)) \
         if not args.quiet else None
-    workloads = tuple(_csv_list(args.workloads))
-    ports = _port_pairs(args.ports)
-    ninstrs = tuple(_csv_ints(args.ninstr))
-    algorithms = tuple(_csv_list(args.algos))
     report = run_chaos(
-        seed=args.seed, workers=args.workers, workloads=workloads,
-        ports=tuple(ports), ninstrs=ninstrs, algorithms=algorithms,
+        seed=args.seed, workers=args.workers, workloads=args.workloads,
+        ports=tuple(_port_pairs(args.ports)),
+        ninstrs=tuple(_csv_ints(args.ninstr)),
+        algorithms=tuple(_csv_list(args.algos)),
         limit=args.limit, n=args.n, server=args.server,
         unit_attempts=args.unit_attempts,
         unit_deadline=args.unit_deadline,
         cluster_deadline=args.deadline,
         workdir=args.workdir, echo=echo)
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
+    if not _emit_json(args.json, report.as_dict()):
         verdict = "OK" if report.ok else "FAILED"
         print(f"chaos soak {verdict} (seed {report.seed}, "
               f"server {report.server}, {report.workers} worker(s))")
@@ -733,13 +743,10 @@ def cmd_cache(args) -> int:
         return 1
     if args.action == "stats":
         info = store.info()
-        if args.json:
-            print(json.dumps({
-                "root": info.root,
-                "entries": info.entries,
-                "bytes": info.bytes,
-                "kinds": info.kinds,
-            }, indent=2, sort_keys=True))
+        if _emit_json(args.json, {"root": info.root,
+                                  "entries": info.entries,
+                                  "bytes": info.bytes,
+                                  "kinds": info.kinds}):
             return 0
         print(f"store {info.root}")
         print(f"  {info.entries} artifact(s), {info.bytes / 1024:.1f} KiB")
@@ -750,13 +757,274 @@ def cmd_cache(args) -> int:
         removed = store.clear()
         print(f"removed {removed} artifact(s) from {store.root}")
         return 0
-    if args.action == "gc":
-        removed, freed = store.gc(max_age_days=args.max_age_days)
-        print(f"removed {removed} artifact(s) older than "
-              f"{args.max_age_days:g} day(s) ({freed / 1024:.1f} KiB) "
-              f"from {store.root}")
-        return 0
-    raise SystemExit(f"unknown cache action {args.action!r}")
+    removed, freed = store.gc(max_age_days=args.max_age_days)
+    print(f"removed {removed} artifact(s) older than "
+          f"{args.max_age_days:g} day(s) ({freed / 1024:.1f} KiB) "
+          f"from {store.root}")
+    return 0
+
+
+def _workload(text: str) -> str:
+    """``type=`` of a workload name: a registered one, or a usage
+    error."""
+    if text not in WORKLOADS:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {text!r}; known: "
+            f"{', '.join(sorted(WORKLOADS))}")
+    return text
+
+
+def _workloads(text: str) -> Tuple[str, ...]:
+    """``type=`` of a comma-separated list of workload names, or
+    ``all`` for every registered workload (sorted)."""
+    if text.strip().lower() == "all":
+        return tuple(sorted(WORKLOADS))
+    names = tuple(_workload(name) for name in _csv_list(text))
+    if not names:
+        raise argparse.ArgumentTypeError("no workload named")
+    return names
+
+
+# Every option of every verb, declared once: ``add_argument`` keywords
+# keyed by option string.  ``%(default)s`` keeps each help line true
+# for the verbs that change a default (_VERBS).
+_OPTIONS = {
+    "workload": dict(type=_workload, help="registered workload name"),
+    "--workloads": dict(type=_workloads,
+                        help="comma-separated registry names, or 'all'"),
+    "--n": dict(type=int, default=None,
+                help="run size for profiling and measurement (default: "
+                     "each workload's)"),
+    "--unroll": dict(type=int, default=None,
+                     help="loop unroll factor (Section 9 extension)"),
+    "--nin": dict(type=int, default=4,
+                  help="register-file read ports (default %(default)s)"),
+    "--nout": dict(type=int, default=2,
+                   help="register-file write ports (default %(default)s)"),
+    "--ninstr": dict(type=int, default=16,
+                     help="instruction budget (default %(default)s)"),
+    "--limit": dict(type=int, default=None,
+                    help="max cuts considered per search"),
+    "--algo": dict(choices=ALGORITHMS, default="iterative",
+                   help="selection algorithm (default %(default)s)"),
+    "--max-nodes": dict(type=int, default=40,
+                        help="node guard for the optimal algorithm "
+                             "(compare and sweep report n/a above it)"),
+    "--area-budget": dict(type=float, default=2.0,
+                          help="silicon budget in MAC units for area "
+                               "selection (default %(default)s)"),
+    "--area-method": dict(choices=["knapsack", "greedy"],
+                          default="knapsack",
+                          help="area selector: exact DP or density "
+                               "greedy"),
+    "--store": dict(action="store_true", default=None,
+                    help="use the persistent artifact store (the "
+                         "default; see also $REPRO_STORE)"),
+    "--no-store": dict(dest="store", action="store_false",
+                       help="disable the persistent store for this "
+                            "invocation (results are identical, later "
+                            "invocations start cold)"),
+    "--store-dir": dict(default=None, metavar="PATH",
+                        help="store root: a directory, sqlite:PATH or "
+                             "tcp://HOST:PORT (default: $REPRO_STORE, "
+                             "else ~/.cache/repro)"),
+    "--backend": dict(choices=["walk", "compiled"], default=None,
+                      help="execution backend (default: $REPRO_BACKEND, "
+                           "else compiled; results are bit-identical)"),
+    "--json": dict(nargs="?", const="-", default=None, metavar="PATH",
+                   help="machine-readable report: on stdout instead of "
+                        "the text report, or to PATH (write it after "
+                        "any positional)"),
+    "--quiet": dict(action="store_true",
+                    help="suppress progress lines on stderr"),
+    "--workers": dict(type=int, default=None, metavar="N",
+                      help="local worker processes (sweep: default "
+                           "$REPRO_WORKERS, else serial, 0 = one per "
+                           "CPU; chaos: default 2); results are "
+                           "bit-identical to serial"),
+    "--listen": dict(default=None, metavar="HOST:PORT",
+                     help="sweep: also accept remote 'repro worker "
+                          "--connect' nodes on this address; store "
+                          "serve: bind address (default 127.0.0.1:9723; "
+                          "trusted networks only, the protocol is "
+                          "unauthenticated)"),
+    "--seed": dict(type=int, default=0,
+                   help="base seed (default %(default)s); same seed, "
+                        "same programs or faults"),
+    "--ports": dict(default=None,
+                    help="comma-separated NINxNOUT pairs, e.g. 2x1,4x2 "
+                         "(sweep: overrides --nins/--nouts)"),
+    "--nins": dict(default="4",
+                   help="comma-separated Nin values (crossed with "
+                        "--nouts; default %(default)s)"),
+    "--nouts": dict(default="2",
+                    help="comma-separated Nout values (default "
+                         "%(default)s)"),
+    "--algos": dict(default="iterative,clubbing,maxmiso",
+                    help="comma-separated algorithms out of iterative,"
+                         "optimal,clubbing,maxmiso,area (default "
+                         "%(default)s)"),
+    "--models": dict(default="default",
+                     help="comma-separated cost models (default,uniform)"),
+    "--measure": dict(action="store_true",
+                      help="also execute each grid point's selection "
+                           "(rewrite + run) and report the measured "
+                           "speedup next to the estimate"),
+    "--no-cache": dict(action="store_true",
+                       help="disable the identification memo AND the "
+                            "persistent store (cold baseline; results "
+                            "are identical, just slower)"),
+    "--csv": dict(default=None, metavar="PATH",
+                  help="write the flat per-point table here"),
+    "--connect": dict(required=True, metavar="HOST:PORT",
+                      help="address of the leader to serve (a refused "
+                           "connect is retried for 30 s)"),
+    "--name": dict(default=None,
+                   help="worker name in the leader's telemetry "
+                        "(default: hostname-derived)"),
+    "--rewrite": dict(action="store_true",
+                      help="select custom instructions and execute the "
+                           "ISE-rewritten program instead of the "
+                           "baseline"),
+    "--inputs": dict(type=int, default=None, metavar="N",
+                     help="batched mode: execute the workload over N "
+                          "input lanes in one call (driver runs once; "
+                          "every lane is verified bit-for-bit against a "
+                          "golden reference lane)"),
+    "--batch-file": dict(default=None, metavar="PATH",
+                         help="batched mode with explicit lanes: a JSON "
+                              "list of records {args: [...], arrays: "
+                              "{name: [...]}, max_steps: int} executed "
+                              "in order"),
+    "--count": dict(type=int, default=200,
+                    help="programs per campaign/round (default "
+                         "%(default)s)"),
+    "--shape": dict(choices=list(FUZZ_SHAPES), default=None,
+                    help="pin one generator shape (default: round-robin "
+                         "over all)"),
+    "--soak": dict(action="store_true",
+                   help="repeat rounds with advancing seeds until "
+                        "interrupted (telemetry per round on stderr)"),
+    "--artifacts": dict(default=None, metavar="DIR",
+                        help="write failing cases (original, reduced "
+                             "reproducer, report) under this directory"),
+    "--server": dict(choices=["restart", "down", "up"], default="restart",
+                     help="store-server profile: restart it mid-sweep "
+                          "(retries must absorb the outage), leave it "
+                          "down (degraded mode must kick in), or leave "
+                          "it up (pure injected faults)"),
+    "--unit-attempts": dict(type=int, default=4,
+                            help="per-unit attempt cap before quarantine "
+                                 "(default %(default)s)"),
+    "--unit-deadline": dict(type=float, default=60.0,
+                            help="seconds a unit may sit on one worker "
+                                 "before requeue (default %(default)s)"),
+    "--deadline": dict(type=float, default=600.0,
+                       help="overall chaos-sweep deadline in seconds "
+                            "(default %(default)s)"),
+    "--workdir": dict(default=None, metavar="DIR",
+                      help="keep the soak's stores here (default: a "
+                           "fresh temp dir)"),
+    "action": {},
+    "--max-age-days": dict(type=float, default=30.0,
+                           help="gc cutoff in days (default %(default)s)"),
+}
+
+# Option groups several verbs share; a tuple inside is a mutually
+# exclusive group.
+_STORE = [("--store", "--no-store"), "--store-dir", "--backend"]
+_COMMON = ["workload", "--n", "--unroll", "--nin", "--nout", "--limit",
+           *_STORE]
+# The comma-separated form of --ninstr (sweep and chaos grids).
+_NINSTR_LIST = dict(type=None, default="16",
+                    help="comma-separated instruction budgets (default "
+                         "%(default)s)")
+
+# verb -> (handler, help, options, {option: overridden keywords}).
+_VERBS = {
+    "list": (cmd_list, "list workloads", ["--json"], {}),
+    "ir": (cmd_ir, "dump optimised IR",
+           ["workload", "--n", "--unroll", *_STORE], {}),
+    "identify": (cmd_identify, "best single cut (Problem 1)", _COMMON, {}),
+    "select": (cmd_select, "select Ninstr cuts (Problem 2)",
+               [*_COMMON, "--ninstr", "--algo", "--max-nodes",
+                "--area-budget", "--area-method"], {}),
+    "compare": (cmd_compare, "compare all four algorithms",
+                [*_COMMON, "--ninstr", "--max-nodes"], {}),
+    "sweep": (cmd_sweep,
+              "run a design-space grid in one invocation (memoized "
+              "identification, JSON/CSV artifacts)",
+              ["--workloads", "--ports", "--nins", "--nouts", "--ninstr",
+               "--algos", "--models", "--n", "--unroll", "--limit",
+               "--max-nodes", "--area-budget", "--measure", "--no-cache",
+               "--json", "--csv", "--quiet", "--workers", "--listen",
+               *_STORE],
+              {"--workloads": dict(required=True),
+               "--ninstr": _NINSTR_LIST}),
+    "worker": (cmd_worker,
+               "join a running 'repro sweep --listen' leader and pull "
+               "sweep units (one evaluation group each) until its queue "
+               "drains", ["--connect", "--name", "--quiet"], {}),
+    "speedup": (cmd_speedup,
+                "measure end-to-end speedup by executing selected AFUs "
+                "(bit-exactness enforced)",
+                ["--workloads", "--n", "--unroll", "--nin", "--nout",
+                 "--ninstr", "--limit", "--algo", "--max-nodes",
+                 "--area-budget", "--json", *_STORE],
+                {"--workloads": dict(default="all")}),
+    "run": (cmd_run,
+            "execute one workload (optionally post-rewrite) and print "
+            "result, steps and wall time",
+            ["workload", "--n", "--unroll", "--rewrite", "--algo", "--nin",
+             "--nout", "--ninstr", "--limit", "--inputs", "--batch-file",
+             *_STORE], {}),
+    "check": (cmd_check,
+              "statically verify a workload: baseline IR, selected cuts "
+              "(independent checker) and the rewritten clone",
+              [*_COMMON, "--ninstr", "--algo", "--max-nodes", "--json"],
+              {"workload": dict(type=_workloads,
+                                help="registered workload name, a "
+                                     "comma-separated list, or 'all'")}),
+    "fuzz": (cmd_fuzz,
+             "differential fuzzing: generated programs through both "
+             "execution backends, rewrite and batch, bit-identical or it "
+             "fails",
+             ["--count", "--seed", "--shape", "--soak", "--artifacts",
+              "--nin", "--nout", "--ninstr", "--limit", "--json"],
+             {"--ninstr": dict(default=8)}),
+    "chaos": (cmd_chaos,
+              "seeded fault-injection soak: a store-backed cluster sweep "
+              "under store/wire/worker faults, asserted bit-identical to "
+              "the fault-free run",
+              ["--seed", "--workers", "--workloads", "--ports", "--ninstr",
+               "--algos", "--n", "--limit", "--server", "--unit-attempts",
+               "--unit-deadline", "--deadline", "--workdir", "--json",
+               "--quiet"],
+              {"--workers": dict(default=2),
+               "--workloads": dict(default="fir,crc32"),
+               "--ports": dict(default="2x1,2x2,4x1,4x2"),
+               "--ninstr": dict(_NINSTR_LIST, default="2"),
+               "--algos": dict(default="iterative,maxmiso"),
+               "--n": dict(default=16),
+               "--limit": dict(default=100000)}),
+    "afu": (cmd_afu, "emit Verilog for selected AFUs",
+            [*_COMMON, "--ninstr"], {"--ninstr": dict(default=2)}),
+    "cache": (cmd_cache, "inspect or maintain the persistent artifact "
+                         "store",
+              ["action", "--max-age-days", "--json", "--store-dir"],
+              {"action": dict(choices=["stats", "clear", "gc"],
+                              help="stats: entry/byte counts per "
+                                   "artifact kind; clear: drop "
+                                   "everything; gc: drop old entries")}),
+    "store": (cmd_store,
+              "run store services (serve: export a store over TCP for "
+              "tcp:// clients on other processes and nodes)",
+              ["action", "--listen", "--store-dir"],
+              {"action": dict(choices=["serve"],
+                              help="serve: accept tcp:// store clients "
+                                   "until interrupted"),
+               "--listen": dict(default="127.0.0.1:9723")}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -767,343 +1035,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("list", help="list workloads")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output (name, entry, "
-                        "default_n, description)")
-    p.set_defaults(fn=cmd_list)
-
-    p = sub.add_parser("ir", help="dump optimised IR")
-    p.add_argument("workload")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--unroll", type=int, default=None)
-    _add_store(p)
-    _add_backend(p)
-    p.set_defaults(fn=cmd_ir)
-
-    p = sub.add_parser("identify", help="best single cut (Problem 1)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_identify)
-
-    p = sub.add_parser("select", help="select Ninstr cuts (Problem 2)")
-    _add_common(p)
-    p.add_argument("--ninstr", type=int, default=16)
-    p.add_argument("--algo", choices=ALGORITHMS, default="iterative")
-    p.add_argument("--max-nodes", type=int, default=40,
-                   help="node guard for the optimal algorithm")
-    p.add_argument("--area-budget", type=float, default=2.0,
-                   help="silicon budget in MAC units for --algo area "
-                        "(default 2.0)")
-    p.add_argument("--area-method", choices=["knapsack", "greedy"],
-                   default="knapsack",
-                   help="area selector: exact DP or density greedy")
-    p.set_defaults(fn=cmd_select)
-
-    p = sub.add_parser("compare", help="compare all four algorithms")
-    _add_common(p)
-    p.add_argument("--ninstr", type=int, default=16)
-    p.add_argument("--max-nodes", type=int, default=40,
-                   help="node guard for the Optimal row (oversized "
-                        "blocks report n/a, like the paper)")
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser(
-        "sweep",
-        help="run a design-space grid in one invocation "
-             "(memoized identification, JSON/CSV artifacts)")
-    p.add_argument("--workloads", required=True,
-                   help="comma-separated registry names, or 'all'")
-    p.add_argument("--ports", default=None,
-                   help="comma-separated NINxNOUT pairs, e.g. 2x1,4x2 "
-                        "(overrides --nins/--nouts)")
-    p.add_argument("--nins", default="4",
-                   help="comma-separated Nin values (crossed with "
-                        "--nouts; default 4)")
-    p.add_argument("--nouts", default="2",
-                   help="comma-separated Nout values (default 2)")
-    p.add_argument("--ninstr", default="16",
-                   help="comma-separated instruction budgets (default 16)")
-    p.add_argument("--algos", default="iterative,clubbing,maxmiso",
-                   help="comma-separated algorithms out of iterative,"
-                        "optimal,clubbing,maxmiso,area")
-    p.add_argument("--models", default="default",
-                   help="comma-separated cost models (default,uniform)")
-    p.add_argument("--n", type=int, default=None,
-                   help="profiling run size shared by all workloads")
-    p.add_argument("--unroll", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None,
-                   help="max cuts considered per identification")
-    p.add_argument("--max-nodes", type=int, default=40,
-                   help="Optimal node guard (oversized -> n/a)")
-    p.add_argument("--area-budget", type=float, default=2.0,
-                   help="silicon budget for area rows (MAC units)")
-    p.add_argument("--measure", action="store_true",
-                   help="additionally execute each grid point's "
-                        "selection (rewrite + run) and report the "
-                        "measured speedup next to the estimate")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the identification memo AND the "
-                        "persistent store (cold baseline; results are "
-                        "identical, just slower)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the machine-readable sweep record here")
-    p.add_argument("--csv", default=None, metavar="PATH",
-                   help="write the flat per-point table here")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress progress lines on stderr")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="sweep worker processes (default: "
-                        "$REPRO_WORKERS, else serial; 0 = one per CPU; "
-                        "results bit-identical to serial)")
-    p.add_argument("--listen", default=None, metavar="HOST:PORT",
-                   help="additionally accept remote 'repro worker "
-                        "--connect' nodes on this address (workers "
-                        "return their rows and cache entries here and "
-                        "need no store of their own)")
-    _add_store(p)
-    _add_backend(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser(
-        "worker",
-        help="join a running 'repro sweep --listen' leader and pull "
-             "sweep units (one evaluation group each) until its queue "
-             "drains")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="address of the leader to serve (a refused "
-                        "connect is retried for 30 s)")
-    p.add_argument("--name", default=None,
-                   help="worker name in the leader's telemetry "
-                        "(default: hostname-derived)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-unit progress lines on stderr")
-    p.set_defaults(fn=cmd_worker)
-
-    p = sub.add_parser(
-        "speedup",
-        help="measure end-to-end speedup by executing selected AFUs "
-             "(bit-exactness enforced)")
-    p.add_argument("--workloads", default="all",
-                   help="comma-separated registry names, or 'all' "
-                        "(default)")
-    p.add_argument("--n", type=int, default=None,
-                   help="run size for profiling AND measurement "
-                        "(default: each workload's)")
-    p.add_argument("--unroll", type=int, default=None,
-                   help="loop unroll factor (Section 9 extension)")
-    p.add_argument("--nin", type=int, default=4,
-                   help="register-file read ports (default 4)")
-    p.add_argument("--nout", type=int, default=2,
-                   help="register-file write ports (default 2)")
-    p.add_argument("--ninstr", type=int, default=16)
-    p.add_argument("--limit", type=int, default=None,
-                   help="max cuts considered per search")
-    p.add_argument("--algo", choices=ALGORITHMS, default="iterative")
-    p.add_argument("--max-nodes", type=int, default=40,
-                   help="node guard for --algo optimal")
-    p.add_argument("--area-budget", type=float, default=2.0,
-                   help="silicon budget in MAC units for --algo area "
-                        "(default 2.0)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the machine-readable rows here")
-    _add_store(p)
-    _add_backend(p)
-    p.set_defaults(fn=cmd_speedup)
-
-    p = sub.add_parser(
-        "run",
-        help="execute one workload (optionally post-rewrite) and print "
-             "result, steps and wall time")
-    p.add_argument("workload", help="registered workload name")
-    p.add_argument("--n", type=int, default=None,
-                   help="run size (default: workload's)")
-    p.add_argument("--unroll", type=int, default=None,
-                   help="loop unroll factor (Section 9 extension)")
-    p.add_argument("--rewrite", action="store_true",
-                   help="select custom instructions and execute the "
-                        "ISE-rewritten program instead of the baseline")
-    p.add_argument("--algo", choices=ALGORITHMS, default="iterative",
-                   help="selection algorithm for --rewrite")
-    p.add_argument("--nin", type=int, default=4,
-                   help="register-file read ports for --rewrite")
-    p.add_argument("--nout", type=int, default=2,
-                   help="register-file write ports for --rewrite")
-    p.add_argument("--ninstr", type=int, default=16,
-                   help="instruction budget for --rewrite")
-    p.add_argument("--limit", type=int, default=None,
-                   help="max cuts considered per search (--rewrite)")
-    p.add_argument("--inputs", type=int, default=None, metavar="N",
-                   help="batched mode: execute the workload over N "
-                        "input lanes in one call (driver runs once; "
-                        "every lane is verified bit-for-bit against a "
-                        "golden reference lane)")
-    p.add_argument("--batch-file", default=None, metavar="PATH",
-                   help="batched mode with explicit lanes: a JSON list "
-                        "of records {args: [...], arrays: {name: "
-                        "[...]}, max_steps: int} executed in order")
-    _add_store(p)
-    _add_backend(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser(
-        "check",
-        help="statically verify a workload: baseline IR, selected "
-             "cuts (independent checker) and the rewritten clone")
-    p.add_argument("workload",
-                   help="registered workload name, a comma-separated "
-                        "list, or 'all'")
-    p.add_argument("--n", type=int, default=None,
-                   help="profiling run size (default: workload's)")
-    p.add_argument("--unroll", type=int, default=None,
-                   help="loop unroll factor (Section 9 extension)")
-    p.add_argument("--nin", type=int, default=4,
-                   help="register-file read ports (default 4)")
-    p.add_argument("--nout", type=int, default=2,
-                   help="register-file write ports (default 2)")
-    p.add_argument("--ninstr", type=int, default=16,
-                   help="instruction budget (default 16)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="max cuts considered per search")
-    p.add_argument("--algo", choices=ALGORITHMS, default="iterative",
-                   help="selection algorithm whose cuts are checked")
-    p.add_argument("--max-nodes", type=int, default=40,
-                   help="node guard for --algo optimal")
-    p.add_argument("--json", nargs="?", const="-", default=None,
-                   metavar="PATH",
-                   help="machine-readable report: to PATH, or stdout "
-                        "when no path is given")
-    _add_store(p)
-    _add_backend(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing: generated programs through both "
-             "execution backends, rewrite and batch, bit-identical or "
-             "it fails")
-    p.add_argument("--count", type=int, default=200,
-                   help="programs per campaign/round (default 200)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed; program i uses seed+i (default 0)")
-    from .fuzz import SHAPES as _FUZZ_SHAPES
-
-    p.add_argument("--shape", choices=list(_FUZZ_SHAPES), default=None,
-                   help="pin one generator shape (default: round-robin "
-                        "over all)")
-    p.add_argument("--soak", action="store_true",
-                   help="repeat rounds with advancing seeds until "
-                        "interrupted (telemetry per round on stderr)")
-    p.add_argument("--artifacts", default=None, metavar="DIR",
-                   help="write failing cases (original, reduced "
-                        "reproducer, report) under this directory")
-    p.add_argument("--nin", type=int, default=4,
-                   help="read ports for the selection phase (default 4)")
-    p.add_argument("--nout", type=int, default=2,
-                   help="write ports for the selection phase (default 2)")
-    p.add_argument("--ninstr", type=int, default=8,
-                   help="instruction budget for the selection phase "
-                        "(default 8)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="max cuts considered per search")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable campaign summary")
-    p.set_defaults(fn=cmd_fuzz)
-
-    p = sub.add_parser(
-        "chaos",
-        help="seeded fault-injection soak: a store-backed cluster "
-             "sweep under store/wire/worker faults, asserted "
-             "bit-identical to the fault-free run")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fault-schedule seed (default 0); same seed, "
-                        "same faults")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="local worker processes for the chaos sweep "
-                        "(default 2)")
-    p.add_argument("--workloads", default="fir,crc32",
-                   help="comma-separated registry names "
-                        "(default fir,crc32)")
-    p.add_argument("--ports", default="2x1,2x2,4x1,4x2",
-                   help="comma-separated NINxNOUT pairs "
-                        "(default 2x1,2x2,4x1,4x2)")
-    p.add_argument("--ninstr", default="2",
-                   help="comma-separated instruction budgets "
-                        "(default 2)")
-    p.add_argument("--algos", default="iterative,maxmiso",
-                   help="comma-separated algorithms (default "
-                        "iterative,maxmiso)")
-    p.add_argument("--n", type=int, default=16,
-                   help="profiling run size (default 16)")
-    p.add_argument("--limit", type=int, default=100000,
-                   help="max cuts considered per identification")
-    p.add_argument("--server", choices=["restart", "down", "up"],
-                   default="restart",
-                   help="store-server profile: restart it mid-sweep "
-                        "(retries must absorb the outage), leave it "
-                        "down (degraded mode must kick in), or leave "
-                        "it up (pure injected faults)")
-    p.add_argument("--unit-attempts", type=int, default=4,
-                   help="per-unit attempt cap before quarantine "
-                        "(default 4)")
-    p.add_argument("--unit-deadline", type=float, default=60.0,
-                   help="seconds a unit may sit on one worker before "
-                        "requeue (default 60)")
-    p.add_argument("--deadline", type=float, default=600.0,
-                   help="overall chaos-sweep deadline in seconds "
-                        "(default 600)")
-    p.add_argument("--workdir", default=None, metavar="DIR",
-                   help="keep the soak's stores here (default: a "
-                        "fresh temp dir)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report on stdout")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress progress lines on stderr")
-    p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser("afu", help="emit Verilog for selected AFUs")
-    _add_common(p)
-    p.add_argument("--ninstr", type=int, default=2)
-    p.set_defaults(fn=cmd_afu)
-
-    p = sub.add_parser(
-        "cache",
-        help="inspect or maintain the persistent artifact store")
-    p.add_argument("action", choices=["stats", "clear", "gc"],
-                   help="stats: entry/byte counts per artifact kind; "
-                        "clear: drop everything; gc: drop old entries")
-    p.add_argument("--max-age-days", type=float, default=30.0,
-                   help="gc cutoff in days (default 30)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable stats output")
-    p.add_argument("--store-dir", default=None, metavar="PATH",
-                   help="store root (default: $REPRO_STORE, else "
-                        "~/.cache/repro)")
-    p.set_defaults(fn=cmd_cache)
-
-    p = sub.add_parser(
-        "store",
-        help="run store services (serve: export a store over TCP "
-             "for tcp:// clients on other processes and nodes)")
-    p.add_argument("action", choices=["serve"],
-                   help="serve: accept tcp:// store clients until "
-                        "interrupted")
-    p.add_argument("--listen", default="127.0.0.1:9723",
-                   metavar="HOST:PORT",
-                   help="bind address (default 127.0.0.1:9723; trusted "
-                        "networks only — the protocol is unauthenticated)")
-    p.add_argument("--store-dir", default=None, metavar="PATH",
-                   help="backing store spec: a directory or "
-                        "sqlite:PATH (default: $REPRO_STORE, else "
-                        "~/.cache/repro)")
-    p.set_defaults(fn=cmd_store)
-
+    for verb, (handler, text, options, overrides) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        for option in options:
+            group = isinstance(option, tuple)
+            target = p.add_mutually_exclusive_group() if group else p
+            for name in option if group else (option,):
+                target.add_argument(
+                    name, **{**_OPTIONS[name], **overrides.get(name, {})})
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse *argv* and run its verb behind the one error boundary
+    (module doc): bad input exits 1 with one ``<verb>: <message>``
+    line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except VerificationError:
+        raise
+    except (ValueError, BlockTooLargeError, TrapError) as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ the oracle actually catches miscompiles).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,11 +57,12 @@ from ..interp import (
     Interpreter,
     Lane,
     Memory,
+    ProfileData,
     TrapError,
     run_batch,
 )
-from ..ir.dfg import function_dfgs
 from ..passes import optimize_module
+from ..pipeline import profiled_dfgs
 from .generator import GeneratedProgram
 
 __all__ = ["DEFAULT_LIMITS", "PHASE_OF_STAGE", "Divergence",
@@ -262,13 +264,8 @@ def run_differential(
         return report
 
     # ---- 3. selection + independent cut checker ----------------------
-    profile = _profile(module, entry, arg_sets[0], max_steps)
-    dfgs = []
-    for func in module.functions.values():
-        weights = profile.weights_for(func.name)
-        if weights:
-            dfgs.extend(function_dfgs(func, weights, min_nodes=2))
-    dfgs = [d for d in dfgs if d.weight > 0]
+    # The DFG weights' ground truth: arg set 0's walker block counts.
+    dfgs = profiled_dfgs(module, ProfileData(counts=Counter(baseline[0][3])))
     selection = None
     cons = Constraints(nin=nin, nout=nout, ninstr=ninstr)
     if dfgs:
@@ -377,11 +374,3 @@ def _cut_keys(selection) -> List[Tuple]:
     """The selected cuts as ``(block, nodes, merit)``, in pick order."""
     return [(cut.dfg.name, tuple(sorted(cut.nodes)), cut.merit)
             for cut in selection.cuts]
-
-
-def _profile(module, entry: str, args: Sequence[int],
-             max_steps: int = MAX_STEPS):
-    """Walker profile of one run (the DFG weights' ground truth)."""
-    interp = Interpreter(module, backend="walk", max_steps=max_steps)
-    interp.run(entry, args)
-    return interp.profile

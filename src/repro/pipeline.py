@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .frontend import analyze, lower_program, parse
 from .interp import Interpreter, Memory, ProfileData, TrapError
@@ -72,6 +72,37 @@ def compile_workload(workload: Workload, unroll: Optional[int] = None,
     return module
 
 
+def fill_inputs(workload: Workload, memory: Memory,
+                n: int) -> Sequence[int]:
+    """Run *workload*'s driver for size *n*: fill its input arrays in
+    *memory* and return the entry function's arguments.
+
+    An *n* below 1, or one that overflows an input array, raises
+    ``ValueError`` naming the workload and *n*.
+    """
+    if n < 1:
+        raise ValueError(f"workload {workload.name!r}: n={n} must be at "
+                         f"least 1")
+    try:
+        return workload.driver(memory, n)
+    except TrapError as exc:    # it only fills input arrays
+        raise ValueError(f"workload {workload.name!r}: n={n} is too "
+                         f"large ({exc})") from exc
+
+
+def profiled_dfgs(module: Module, profile: ProfileData,
+                  min_nodes: int = 2) -> List[DataFlowGraph]:
+    """One DFG of at least *min_nodes* nodes per block of *module* that
+    *profile* saw run, weighted by its execution count."""
+    dfgs: List[DataFlowGraph] = []
+    for func in module.functions.values():
+        weights = profile.weights_for(func.name)
+        if weights:             # else never executed
+            dfgs.extend(function_dfgs(func, weights, min_nodes=min_nodes))
+    # Ignore blocks that never ran: their weight is zero.
+    return [d for d in dfgs if d.weight > 0]
+
+
 def prepare_application(
     name_or_workload,
     n: Optional[int] = None,
@@ -104,15 +135,18 @@ def prepare_application(
             Profiles are bit-identical either way, so the store key
             deliberately excludes it.
 
-    An *n* that overflows one of the workload's input arrays raises
-    ``ValueError`` naming the workload, *n* and the array.
+    An *n* below 1, or one that overflows one of the workload's input
+    arrays, raises ``ValueError`` naming the workload, *n* (and the
+    array) — :func:`fill_inputs`.
     """
     workload = (name_or_workload
                 if isinstance(name_or_workload, Workload)
                 else get_workload(name_or_workload))
     size = n if n is not None else workload.default_n
 
-    if store is not None:
+    # A size below 1 is left to fill_inputs to reject, even where an
+    # older store holds an application for it.
+    if store is not None and size >= 1:
         key = workload_key(workload, size, unroll, if_convert, verify,
                            min_nodes)
         app = store.get("app", key)
@@ -122,11 +156,7 @@ def prepare_application(
     module = compile_workload(workload, unroll=unroll,
                               if_convert=if_convert)
     memory = Memory(module)
-    try:
-        args = workload.driver(memory, size)
-    except TrapError as exc:    # it only fills input arrays
-        raise ValueError(f"workload {workload.name!r}: n={size} is too "
-                         f"large ({exc})") from exc
+    args = fill_inputs(workload, memory, size)
     interpreter = Interpreter(module, memory=memory, backend=backend)
     outcome = interpreter.run(workload.entry, args)
     image = {name: array("i", row)
@@ -134,21 +164,12 @@ def prepare_application(
     if verify:
         workload.verify(memory, size)
 
-    dfgs: List[DataFlowGraph] = []
-    for func in module.functions.values():
-        weights = interpreter.profile.weights_for(func.name)
-        if not weights:
-            continue            # never executed
-        dfgs.extend(function_dfgs(func, weights, min_nodes=min_nodes))
-    # Ignore blocks that never ran: their weight is zero.
-    dfgs = [d for d in dfgs if d.weight > 0]
-
     app = Application(
         name=workload.name,
         module=module,
         entry=workload.entry,
         profile=interpreter.profile,
-        dfgs=dfgs,
+        dfgs=profiled_dfgs(module, interpreter.profile, min_nodes),
         profile_n=size,
         profile_value=outcome.value,
         profile_image=image,

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro import __version__
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.session import Session
 
 
 class TestList:
@@ -210,9 +211,10 @@ class TestSweep:
             main(["sweep", "--workloads", "fir", "--ports", "whoops",
                   "--quiet"])
 
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(SystemExit, match="unknown workload"):
+    def test_unknown_workload_rejected(self, capsys):
+        with pytest.raises(SystemExit):
             main(["sweep", "--workloads", "nope", "--quiet"])
+        assert "unknown workload 'nope'" in capsys.readouterr().err
 
     def test_bad_ninstr_list_rejected(self):
         with pytest.raises(SystemExit, match="bad integer list"):
@@ -371,3 +373,436 @@ class TestStoreFlags:
         assert main(self.SELECT + ["--store"]) == 0
         capsys.readouterr()
         assert (tmp_path / ".cache" / "repro").is_dir()
+
+
+# ----------------------------------------------------------------------
+# The front end: one option table, one --json [PATH], one error
+# boundary.
+# ----------------------------------------------------------------------
+ALGOS = ("iterative", "optimal", "clubbing", "maxmiso", "area")
+SHAPES = ("chain", "multiout", "branchy", "memory", "portlimit", "mixed")
+
+# Every verb's options as (option, dest, default, type name, choices,
+# action, required), generated from the parser as it stood before each
+# option was declared once in ``repro.cli._OPTIONS``.
+PINNED_OPTIONS = {
+    "list": [
+        ("--json", "json", False, None, None, "store_true", False),
+    ],
+    "ir": [
+        ("workload", "workload", None, None, None, "store", True),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+    ],
+    "identify": [
+        ("workload", "workload", None, None, None, "store", True),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+    ],
+    "select": [
+        ("workload", "workload", None, None, None, "store", True),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+        ("--ninstr", "ninstr", 16, "int", None, "store", False),
+        ("--algo", "algo", "iterative", None, ALGOS, "store", False),
+        ("--max-nodes", "max_nodes", 40, "int", None, "store", False),
+        ("--area-budget", "area_budget", 2.0, "float", None, "store", False),
+        ("--area-method", "area_method", "knapsack",
+         None, ("knapsack", "greedy"), "store", False),
+    ],
+    "compare": [
+        ("workload", "workload", None, None, None, "store", True),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+        ("--ninstr", "ninstr", 16, "int", None, "store", False),
+        ("--max-nodes", "max_nodes", 40, "int", None, "store", False),
+    ],
+    "sweep": [
+        ("--workloads", "workloads", None, None, None, "store", True),
+        ("--ports", "ports", None, None, None, "store", False),
+        ("--nins", "nins", "4", None, None, "store", False),
+        ("--nouts", "nouts", "2", None, None, "store", False),
+        ("--ninstr", "ninstr", "16", None, None, "store", False),
+        ("--algos", "algos", "iterative,clubbing,maxmiso",
+         None, None, "store", False),
+        ("--models", "models", "default", None, None, "store", False),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--max-nodes", "max_nodes", 40, "int", None, "store", False),
+        ("--area-budget", "area_budget", 2.0, "float", None, "store", False),
+        ("--measure", "measure", False, None, None, "store_true", False),
+        ("--no-cache", "no_cache", False, None, None, "store_true", False),
+        ("--json", "json", None, None, None, "store", False),
+        ("--csv", "csv", None, None, None, "store", False),
+        ("--quiet", "quiet", False, None, None, "store_true", False),
+        ("--workers", "workers", None, "int", None, "store", False),
+        ("--listen", "listen", None, None, None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+    ],
+    "worker": [
+        ("--connect", "connect", None, None, None, "store", True),
+        ("--name", "name", None, None, None, "store", False),
+        ("--quiet", "quiet", False, None, None, "store_true", False),
+    ],
+    "speedup": [
+        ("--workloads", "workloads", "all", None, None, "store", False),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--ninstr", "ninstr", 16, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--algo", "algo", "iterative", None, ALGOS, "store", False),
+        ("--max-nodes", "max_nodes", 40, "int", None, "store", False),
+        ("--area-budget", "area_budget", 2.0, "float", None, "store", False),
+        ("--json", "json", None, None, None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+    ],
+    "run": [
+        ("workload", "workload", None, None, None, "store", True),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--rewrite", "rewrite", False, None, None, "store_true", False),
+        ("--algo", "algo", "iterative", None, ALGOS, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--ninstr", "ninstr", 16, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--inputs", "inputs", None, "int", None, "store", False),
+        ("--batch-file", "batch_file", None, None, None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+    ],
+    "check": [
+        ("workload", "workload", None, None, None, "store", True),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--ninstr", "ninstr", 16, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--algo", "algo", "iterative", None, ALGOS, "store", False),
+        ("--max-nodes", "max_nodes", 40, "int", None, "store", False),
+        ("--json", "json", None, None, None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+    ],
+    "fuzz": [
+        ("--count", "count", 200, "int", None, "store", False),
+        ("--seed", "seed", 0, "int", None, "store", False),
+        ("--shape", "shape", None, None, SHAPES, "store", False),
+        ("--soak", "soak", False, None, None, "store_true", False),
+        ("--artifacts", "artifacts", None, None, None, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--ninstr", "ninstr", 8, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--json", "json", False, None, None, "store_true", False),
+    ],
+    "chaos": [
+        ("--seed", "seed", 0, "int", None, "store", False),
+        ("--workers", "workers", 2, "int", None, "store", False),
+        ("--workloads", "workloads", "fir,crc32", None, None, "store", False),
+        ("--ports", "ports", "2x1,2x2,4x1,4x2", None, None, "store", False),
+        ("--ninstr", "ninstr", "2", None, None, "store", False),
+        ("--algos", "algos", "iterative,maxmiso", None, None, "store", False),
+        ("--n", "n", 16, "int", None, "store", False),
+        ("--limit", "limit", 100000, "int", None, "store", False),
+        ("--server", "server", "restart",
+         None, ("restart", "down", "up"), "store", False),
+        ("--unit-attempts", "unit_attempts", 4, "int", None, "store", False),
+        ("--unit-deadline", "unit_deadline", 60.0,
+         "float", None, "store", False),
+        ("--deadline", "deadline", 600.0, "float", None, "store", False),
+        ("--workdir", "workdir", None, None, None, "store", False),
+        ("--json", "json", False, None, None, "store_true", False),
+        ("--quiet", "quiet", False, None, None, "store_true", False),
+    ],
+    "afu": [
+        ("workload", "workload", None, None, None, "store", True),
+        ("--n", "n", None, "int", None, "store", False),
+        ("--unroll", "unroll", None, "int", None, "store", False),
+        ("--nin", "nin", 4, "int", None, "store", False),
+        ("--nout", "nout", 2, "int", None, "store", False),
+        ("--limit", "limit", None, "int", None, "store", False),
+        ("--store", "store", None, None, None, "store_true", False),
+        ("--no-store", "store", True, None, None, "store_false", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+        ("--backend", "backend", None,
+         None, ("walk", "compiled"), "store", False),
+        ("--ninstr", "ninstr", 2, "int", None, "store", False),
+    ],
+    "cache": [
+        ("action", "action", None,
+         None, ("stats", "clear", "gc"), "store", True),
+        ("--max-age-days", "max_age_days", 30.0,
+         "float", None, "store", False),
+        ("--json", "json", False, None, None, "store_true", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+    ],
+    "store": [
+        ("action", "action", None, None, ("serve",), "store", True),
+        ("--listen", "listen", "127.0.0.1:9723", None, None, "store", False),
+        ("--store-dir", "store_dir", None, None, None, "store", False),
+    ],
+}
+
+# The rows that changed on purpose.  ``--json`` takes an optional PATH
+# on every verb that has it ...
+JSON_VERBS = ("list", "sweep", "speedup", "check", "fuzz", "chaos", "cache")
+JSON_ROW = ("--json", "json", None, None, None, "store", False)
+# ... and workload names are checked while parsing, by a converter.
+WORKLOAD_TYPES = {
+    **{(verb, "workload"): "_workload"
+       for verb in ("ir", "identify", "select", "compare", "run", "afu")},
+    ("check", "workload"): "_workloads",
+    ("sweep", "--workloads"): "_workloads",
+    ("speedup", "--workloads"): "_workloads",
+    ("chaos", "--workloads"): "_workloads",
+}
+
+
+def _parser_rows(parser):
+    import argparse
+
+    kinds = {argparse._StoreAction: "store",
+             argparse._StoreTrueAction: "store_true",
+             argparse._StoreFalseAction: "store_false"}
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {
+        verb: sorted(
+            ("/".join(a.option_strings) or a.dest, a.dest, a.default,
+             getattr(a.type, "__name__", None),
+             None if a.choices is None else tuple(a.choices),
+             kinds[type(a)], a.required)
+            for a in p._actions if type(a) in kinds)
+        for verb, p in sub.choices.items()}
+
+
+class TestParserPin:
+    def test_options_match_the_pinned_table(self):
+        expected = {}
+        for verb, rows in PINNED_OPTIONS.items():
+            changed = []
+            for row in rows:
+                if row[0] == "--json":
+                    row = JSON_ROW
+                type_name = WORKLOAD_TYPES.get((verb, row[0]))
+                if type_name:
+                    row = row[:3] + (type_name,) + row[4:]
+                changed.append(row)
+            expected[verb] = sorted(changed)
+        assert _parser_rows(build_parser()) == expected
+
+    def test_every_json_option_takes_an_optional_path(self):
+        import argparse
+
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        found = {verb: (a.nargs, a.const)
+                 for verb, p in sub.choices.items()
+                 for a in p._actions if a.dest == "json"}
+        assert found == {verb: ("?", "-") for verb in JSON_VERBS}
+
+    @pytest.mark.parametrize("verb", sorted(PINNED_OPTIONS))
+    def test_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {verb}")
+
+
+# --batch-file inputs that are rejected when the file is read, with
+# what the message says.
+BATCH_FILES = {
+    "not-object.json": ("[1, 2]", "record 0: expected an object"),
+    "bad-args.json": ('[{"args": ["x"]}]',
+                      "record 0: 'args' must be a list of ints"),
+    "bool-args.json": ('[{"args": [true]}]',
+                       "record 0: 'args' must be a list of ints"),
+    "bad-array.json": ('[{"arrays": {"nope": [1]}}]',
+                       "record 0: unknown array 'nope'"),
+    "long-array.json": ('[{"arrays": {"coeff": [0, 0, 0, 0, 0, 0, 0, 0, 0]}}]',
+                        "record 0: array 'coeff' must be a list of at "
+                        "most 8 ints"),
+    "bad-steps.json": ('[{"args": [3]}, {"max_steps": "x"}]',
+                       "record 1: 'max_steps' must be an int"),
+    "bad-key.json": ('[{"arg": [3]}]', "record 0: unknown key(s) ['arg']"),
+    "not-json.json": ("not json", "not JSON"),
+}
+
+
+class TestRejection:
+    """Bad input exits non-zero without a traceback: an argparse usage
+    error (exit 2) when the parser sees it, else one ``<verb>: ...``
+    stderr line (exit 1) from the error boundary in ``main``."""
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["select", "nope"], "usage"),
+        (["identify", "nope"], "usage"),
+        (["ir", "nope"], "usage"),
+        (["run", "nope"], "usage"),
+        (["afu", "nope"], "usage"),
+        (["compare", "nope"], "usage"),
+        (["check", "nope"], "usage"),
+        (["check", "fir,nope"], "usage"),
+        (["chaos", "--workloads", "nope"], "usage"),
+        (["select", "fir", "--n", "-5"], "error"),
+        (["speedup", "--workloads", "fir", "--n", "-5"], "error"),
+        (["sweep", "--workloads", "fir", "--n", "-5", "--quiet"], "error"),
+        (["select", "fir", "--n", "0"], "error"),
+        (["run", "fir", "--n", "100000"], "error"),
+        (["run", "fir", "--n", "-5"], "error"),
+        (["check", "fir", "--n", "100000"], "error"),
+        (["select", "fir", "--nin", "0"], "error"),
+        (["select", "fir", "--n", "16", "--algo", "optimal",
+          "--max-nodes", "2"], "error"),
+        (["sweep", "--workloads", "fir", "--ports", "whoops"], "error"),
+        *[(["run", "fir", "--batch-file", name], "error")
+          for name in BATCH_FILES],
+    ])
+    def test_rejected_without_traceback(self, argv, kind, tmp_path):
+        for name, (text, _) in BATCH_FILES.items():
+            (tmp_path / name).write_text(text)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_STORE="off")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        if kind == "usage":
+            assert proc.returncode == 2
+            assert lines[-1].startswith(f"repro {argv[0]}: error: ")
+        else:
+            assert proc.returncode == 1
+            assert len(lines) == 1
+            assert lines[0].startswith(f"{argv[0]}: ")
+
+    @pytest.mark.parametrize("name", sorted(BATCH_FILES))
+    def test_batch_file_checked_when_read(self, name, tmp_path):
+        text, message = BATCH_FILES[name]
+        (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fir", "--batch-file", str(tmp_path / name),
+                  "--no-store"])
+        assert str(exc.value).startswith(f"run: {tmp_path / name}: ")
+        assert message in str(exc.value)
+
+    def test_verification_error_keeps_its_traceback(self, monkeypatch):
+        from repro.analysis.diagnostics import VerificationError
+
+        def broken(self, *args, **kwargs):
+            raise VerificationError("select", [])
+
+        monkeypatch.setattr(Session, "select", broken)
+        with pytest.raises(VerificationError):
+            main(["select", "fir", "--no-store"])
+
+
+def _without_timings(value):
+    """*value* without its wall-clock fields (keys ending in ``_s``,
+    ``points_per_second``)."""
+    if isinstance(value, dict):
+        return {key: _without_timings(item) for key, item in value.items()
+                if not key.endswith("_s") and key != "points_per_second"}
+    if isinstance(value, list):
+        return [_without_timings(item) for item in value]
+    return value
+
+
+class TestJsonOption:
+    """``--json PATH`` leaves stdout as it is without ``--json``; a bare
+    ``--json`` prints the same payload on stdout instead."""
+
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["sweep", "--workloads", "fir", "--ports", "2x1,4x2", "--ninstr",
+         "2", "--algos", "iterative,maxmiso", "--limit", "100000",
+         "--n", "16", "--quiet", "--no-store"],
+        ["speedup", "--workloads", "fir", "--n", "16", "--ninstr", "2",
+         "--limit", "100000", "--no-store"],
+        ["check", "fir", "--n", "16", "--ninstr", "4", "--no-store"],
+        ["fuzz", "--count", "3", "--seed", "0"],
+        ["chaos", "--workloads", "fir", "--ports", "4x2", "--quiet"],
+        ["cache", "stats"],
+    ], ids=lambda argv: argv[0])
+    def test_both_forms(self, argv, capsys, tmp_path, monkeypatch):
+        from repro.chaos import ChaosReport
+
+        calls = []
+
+        def fake_chaos(**kwargs):
+            calls.append(kwargs)
+            return ChaosReport(seed=kwargs["seed"],
+                               workers=kwargs["workers"], server="up",
+                               rows=2, rows_identical=True, ok=True,
+                               failed_expected=True, chaos_s=1.5)
+
+        monkeypatch.setattr("repro.chaos.run_chaos", fake_chaos)
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        path = tmp_path / "out.json"
+
+        def run(extra):
+            code = main(argv + extra)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        code, text, _ = run([])
+        code_path, text_path, err = run(["--json", str(path)])
+        assert (code_path, text_path) == (code, text)
+        assert err.splitlines().count(f"wrote {path}") == 1
+        code_bare, bare, _ = run(["--json"])
+        assert code_bare == code
+        assert _without_timings(json.loads(bare)) == \
+            _without_timings(json.loads(path.read_text()))
+        if argv[0] != "sweep":
+            assert bare == path.read_text()
+        if argv[0] == "chaos":
+            assert {call["workloads"] for call in calls} == {("fir",)}

@@ -42,6 +42,19 @@ class TestPrepareApplication:
         with pytest.raises(ValueError, match=r"'sha': n=128 .*'msg'"):
             prepare_application("sha", n=128)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_size_below_one_is_a_value_error(self, n, tmp_path):
+        # Also when a store holds an application for that size.
+        from repro.store import ArtifactStore
+        from repro.store.keys import workload_key
+        from repro.workloads import WORKLOADS
+
+        store = ArtifactStore(tmp_path)
+        store.put("app", workload_key(WORKLOADS["fir"], n, None, True,
+                                      True, 2), "stale")
+        with pytest.raises(ValueError, match=rf"'fir': n={n} must be"):
+            prepare_application("fir", n=n, store=store)
+
 
 class TestPaperShapes:
     """Qualitative results the reproduction must preserve (Fig. 11)."""
