@@ -3,8 +3,8 @@
 Three layers, all pure (no execution, no mutation):
 
 * :mod:`repro.analysis.dataflow` — worklist dataflow framework
-  (dominance, reaching definitions, definite assignment; liveness
-  re-exported from ``ir/cfg.py``);
+  (dominance, reaching definitions, definite assignment, natural
+  loops; liveness re-exported from ``ir/cfg.py``);
 * :mod:`repro.analysis.verifier` — module/function verifier with the
   stable diagnostic codes of :mod:`repro.analysis.diagnostics`, plus
   rewrite-specific checks (memory-chain preservation, fused-region
@@ -21,6 +21,7 @@ from .dataflow import (
     DefiniteAssignment,
     Dominance,
     Liveness,
+    NaturalLoops,
     ReachingDefinitions,
     solve_forward,
 )

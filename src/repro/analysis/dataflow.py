@@ -9,7 +9,9 @@ analyses the verifier (and future passes) need:
   sites of each register may reach a block entry;
 * :class:`DefiniteAssignment` — the *must* counterpart: registers that
   are defined on **every** path from the entry, which is exactly the
-  "def-before-use along all paths" obligation of the verifier.
+  "def-before-use along all paths" obligation of the verifier;
+* :class:`NaturalLoops` — back edges, loop bodies and nesting depth,
+  and whether the CFG is reducible.
 
 Backward liveness already lives in :class:`repro.ir.cfg.Liveness`; it
 is re-exported here so analysis clients have one import surface.
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..ir.cfg import Liveness, predecessors, reverse_postorder
+from ..ir.cfg import Liveness, predecessors, reverse_postorder, successors
 from ..ir.function import Function
 
 __all__ = [
-    "DefiniteAssignment", "Dominance", "Liveness",
+    "DefiniteAssignment", "Dominance", "Liveness", "NaturalLoops",
     "ReachingDefinitions", "solve_forward",
 ]
 
@@ -222,3 +224,57 @@ class DefiniteAssignment:
         """Registers definitely assigned when *label* is entered
         (empty for unreachable blocks — nothing is guaranteed there)."""
         return self.defined_in.get(label, set())
+
+
+class NaturalLoops:
+    """Natural loops of a function's reachable CFG.
+
+    An edge ``u -> v`` is *retreating* when ``v`` does not come after
+    ``u`` in reverse postorder, and a *back edge* when, besides, ``v``
+    dominates ``u``.  The CFG is reducible exactly when every
+    retreating edge is a back edge; each back edge's target heads a
+    natural loop, whose body is every block that reaches one of its
+    latches without passing through the header.
+
+    Attributes:
+        order: reachable labels in reverse postorder.
+        dominance: the :class:`Dominance` the loops were found with.
+        reducible: False when some retreating edge is no back edge.
+        body: header -> labels of its loop, header included.
+        depth: label -> how many loops contain it (0 outside all).
+    """
+
+    def __init__(self, func: Function) -> None:
+        self.order = reverse_postorder(func)
+        self.dominance = Dominance(func)
+        index = {label: i for i, label in enumerate(self.order)}
+        preds = predecessors(func)
+        succs = successors(func)
+        self.reducible = True
+        latches: Dict[str, List[str]] = {}
+        for label in self.order:
+            for succ in succs[label]:
+                if index[succ] > index[label]:
+                    continue
+                if self.dominance.dominates(succ, label):
+                    latches.setdefault(succ, []).append(label)
+                else:
+                    self.reducible = False
+        self.body: Dict[str, Set[str]] = {}
+        for header in sorted(latches, key=index.__getitem__):
+            body = {header}
+            stack = [latch for latch in latches[header]
+                     if latch != header]
+            while stack:
+                label = stack.pop()
+                if label not in body:
+                    body.add(label)
+                    stack.extend(p for p in preds[label] if p in index)
+            self.body[header] = body
+        self.depth: Dict[str, int] = {
+            label: sum(label in body for body in self.body.values())
+            for label in self.order}
+
+    def max_depth(self) -> int:
+        """The deepest nesting of any block (0 for a loop-free CFG)."""
+        return max(self.depth.values(), default=0)

@@ -57,7 +57,9 @@ so write ``--json`` after any positional (``cache stats --json``, not
 
 Errors: bad input that gets past the parser — a size a workload
 cannot run, a malformed port list or batch file, a block too large
-for Optimal selection, a program trap — ends the invocation with one
+for Optimal selection, a program trap, a path that cannot be read or
+written (``--batch-file``, ``--json PATH``, ``--csv PATH``), an
+address ``store serve`` cannot bind — ends the invocation with one
 stderr line ``<verb>: <message>`` and exit status 1.  A
 :class:`~repro.analysis.diagnostics.VerificationError` keeps its
 traceback: it reports a toolchain bug, not bad input.
@@ -575,7 +577,8 @@ def cmd_fuzz(args) -> int:
     rounds = 0
     programs = 0
     failed: List[str] = []
-    totals = {"cuts": 0, "rewritten_blocks": 0, "traps": 0}
+    totals = {"cuts": 0, "rewritten_blocks": 0, "traps": 0,
+              "max_loop_depth": 0}
     fallbacks: dict = {}
     by_shape: dict = {}
     last = None
@@ -594,6 +597,8 @@ def cmd_fuzz(args) -> int:
             totals["cuts"] += result.cuts
             totals["rewritten_blocks"] += result.rewritten_blocks
             totals["traps"] += result.traps
+            totals["max_loop_depth"] = max(totals["max_loop_depth"],
+                                           result.max_loop_depth)
             for shape, num in result.by_shape.items():
                 by_shape[shape] = by_shape.get(shape, 0) + num
             for code, num in result.fallback_codes.items():
@@ -632,6 +637,7 @@ def cmd_fuzz(args) -> int:
     print(f"cuts:      {totals['cuts']} "
           f"(rewritten blocks {totals['rewritten_blocks']})")
     print(f"traps:     {totals['traps']}")
+    print(f"loops:     max depth {totals['max_loop_depth']}")
     if fallbacks:
         detail = ", ".join(f"{code}x{num}"
                            for code, num in sorted(fallbacks.items()))
@@ -1056,7 +1062,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except VerificationError:
         raise
-    except (ValueError, BlockTooLargeError, TrapError) as exc:
+    except (ValueError, BlockTooLargeError, TrapError, OSError) as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

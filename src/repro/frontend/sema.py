@@ -9,7 +9,10 @@ Everything is a 32-bit ``int``, so "type checking" reduces to shape rules:
   ``void`` functions cannot be used as values;
 * functions declared ``int`` must return a value on every ``return``;
 * ``break``/``continue`` must be inside a loop;
-* local names may shadow globals but not be redeclared in the same scope.
+* local names may shadow globals but not be redeclared in the same scope;
+* an array holds at most :data:`MAX_ARRAY_WORDS` words, and all arrays
+  together at most :data:`MAX_TOTAL_WORDS`: lowering allocates every
+  word up front.
 
 The checker also annotates the program with a :class:`SymbolTable` the IR
 generator consumes, avoiding a second resolution pass.
@@ -22,6 +25,12 @@ from typing import Dict, List, Set
 
 from . import ast_nodes as ast
 from .errors import SemanticError
+
+#: Words one global array may hold, and all of them together.  The
+#: largest workload array has 4,096 words; these limits only stop a
+#: declaration from allocating gigabytes when it is lowered.
+MAX_ARRAY_WORDS = 1 << 20
+MAX_TOTAL_WORDS = 1 << 22
 
 
 @dataclass
@@ -203,6 +212,7 @@ def analyze(program: ast.Program) -> SymbolTable:
     Raises :class:`SemanticError` on the first problem found.
     """
     symbols = SymbolTable()
+    total = 0
     for decl in program.globals:
         if decl.name in symbols.scalars or decl.name in symbols.arrays:
             raise SemanticError(f"redefinition of global {decl.name!r}",
@@ -213,6 +223,15 @@ def analyze(program: ast.Program) -> SymbolTable:
             if decl.size <= 0:
                 raise SemanticError(f"array {decl.name!r} must have "
                                     f"positive size", decl.line)
+            if decl.size > MAX_ARRAY_WORDS:
+                raise SemanticError(
+                    f"array {decl.name!r} has {decl.size} words; the "
+                    f"limit is {MAX_ARRAY_WORDS}", decl.line)
+            total += decl.size
+            if total > MAX_TOTAL_WORDS:
+                raise SemanticError(
+                    f"array {decl.name!r} brings the arrays to {total} "
+                    f"words; the limit is {MAX_TOTAL_WORDS}", decl.line)
             if decl.init is not None and len(decl.init) > decl.size:
                 raise SemanticError(
                     f"too many initialisers for {decl.name!r}", decl.line)

@@ -3,7 +3,8 @@
 :func:`run_campaign` drives N generated programs through the
 differential oracle, round-robining over the generator shapes (or
 pinned to one), and collects the telemetry a soak run is judged by:
-per-shape coverage, cuts found, blocks rewritten, trap counts, and the
+per-shape coverage, cuts found, blocks rewritten, trap counts, the
+deepest loop nest reached, and the
 delta of codegen *fallback codes* over the campaign (a silent surge of
 ``unsupported-opcode`` fallbacks would mean the compiled backend quietly
 stopped being exercised — the differential would still pass, on easier
@@ -68,6 +69,7 @@ class CampaignResult:
     cuts: int = 0
     rewritten_blocks: int = 0
     traps: int = 0
+    max_loop_depth: int = 0
     fallback_codes: Dict[str, int] = field(default_factory=dict)
     failures: List[FailureRecord] = field(default_factory=list)
 
@@ -82,6 +84,7 @@ class CampaignResult:
             "cuts": self.cuts,
             "rewritten_blocks": self.rewritten_blocks,
             "traps": self.traps,
+            "max_loop_depth": self.max_loop_depth,
             "fallback_codes": dict(sorted(self.fallback_codes.items())),
             "failures": [{
                 "seed": f.seed, "shape": f.shape, "stages": f.stages,
@@ -162,6 +165,8 @@ def run_campaign(
         result.cuts += report.cuts
         result.rewritten_blocks += report.rewritten_blocks
         result.traps += report.traps
+        result.max_loop_depth = max(result.max_loop_depth,
+                                    report.loop_depth)
         if not report.ok:
             if artifacts:
                 record = _write_artifacts(artifacts, program, report,

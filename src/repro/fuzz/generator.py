@@ -35,7 +35,14 @@ plus the paper's §4 constraint structure (see ``docs/paper_map.md``):
     few outputs — cut candidates that hover at the ``Nin``/``Nout``
     port budgets;
 ``mixed``
-    a statement soup of all of the above (the default fuzzing diet).
+    a statement soup of all of the above (the default fuzzing diet);
+``nested``
+    ``for`` nests 2–3 deep whose innermost loop holds a ``continue``
+    inside an ``if`` arm with code after it (a forward edge to the
+    ``for_step`` join that does not follow the branch), a ``break``,
+    a variable assigned after that ``break`` and read after the nest,
+    and a call.  Appended last, so every other ``(seed, shape)``
+    program is unchanged.
 
 Statements are rendered one per line, which is what makes the
 line-oriented shrinking in :mod:`repro.fuzz.reduce` effective.
@@ -56,7 +63,8 @@ __all__ = ["SHAPES", "GeneratedProgram", "InvalidProgram",
            "generate_program", "generate_invalid", "INVALID_KINDS"]
 
 #: Generator shapes, mixed-last (the default diet samples all of them).
-SHAPES = ("chain", "multiout", "branchy", "memory", "portlimit", "mixed")
+SHAPES = ("chain", "multiout", "branchy", "memory", "portlimit", "mixed",
+          "nested")
 
 #: Power-of-two sizes keep index masking a single AND.
 ARRAY = "mem"
@@ -124,6 +132,7 @@ class _Builder:
         self.locals = ["a", "b", "c"]
         self._temps = 0
         self._loops = 0
+        self.calls_helper = False
 
     # ------------------------------------------------------------------
     # Expression grammar (trap-free by construction).
@@ -340,6 +349,35 @@ class _Builder:
                                      self.shape_portlimit])
                 picked(body)
 
+    def shape_nested(self, body: _Body) -> None:
+        """Loop nests with inner ``break``/``continue`` and a call."""
+        rng = self.rng
+        self.calls_helper = True
+        late = self.temp(body, "0")
+
+        def innermost(b: _Body, var: str) -> None:
+            self.assign(b)
+            b.open(f"if ((({self.expr(2)}) & 3) != 0) {{")
+            b.emit(f"if ((({var}) & 1) == 0) {{ continue; }}")
+            self.assign(b)
+            b.close()
+            b.emit(f"if ((({self.expr(2)}) & 15) == 7) {{ break; }}")
+            b.emit(f"{late} = {self.expr(2)};")
+            b.emit(f"c = c + helper({var}, {rng.choice(self.locals)});")
+
+        def level(b: _Body, var: str, remaining: int) -> None:
+            if remaining == 0:
+                innermost(b, var)
+                return
+            self.assign(b)
+            self.loop(b, lambda inner, v: level(inner, v, remaining - 1),
+                      trip=rng.randint(2, 4))
+            b.emit(f"a = a ^ ({var});")
+
+        self.loop(body, lambda b, var: level(b, var, rng.randint(1, 2)),
+                  trip=rng.randint(2, 4))
+        body.emit(f"b = b + {late};")
+
     # ------------------------------------------------------------------
     def render(self) -> str:
         body = _Body()
@@ -352,6 +390,7 @@ class _Builder:
             "memory": self.shape_memory,
             "portlimit": self.shape_portlimit,
             "mixed": self.shape_mixed,
+            "nested": self.shape_nested,
         }[self.shape](body)
         if use_helper:
             body.emit(f"a = a + helper(b, {self.expr(2)});")
@@ -359,7 +398,7 @@ class _Builder:
             f"int {ARRAY}[{ARRAY_SIZE}] = {_INIT};",
             f"int {OUT_ARRAY}[{OUT_SIZE}];",
         ]
-        if use_helper:
+        if use_helper or self.calls_helper:
             lines += [
                 "int helper(int x, int y) {",
                 "  int acc = x;",
@@ -436,6 +475,7 @@ def _sema_corruptions(rng: random.Random, base: str) -> Tuple[str, str]:
                               "return x; }\n"),
         ("dup_param", base + "\nint g(int p, int p) { return p; }\n"),
         ("missing_return_value", base + "\nint g() { return; }\n"),
+        ("huge_array", base + "\nint huge[4000000000];\n"),
     ])
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import (
+    NaturalLoops,
     check_cut_record,
     check_rewrite,
     errors_of,
@@ -112,6 +113,7 @@ class DifferentialReport:
     baseline_steps: int = 0
     reference_steps: int = 0
     traps: int = 0
+    loop_depth: int = 0
 
     @property
     def ok(self) -> bool:
@@ -132,6 +134,7 @@ class DifferentialReport:
             "baseline_steps": self.baseline_steps,
             "reference_steps": self.reference_steps,
             "traps": self.traps,
+            "loop_depth": self.loop_depth,
         }
 
 
@@ -232,6 +235,8 @@ def run_differential(
                 f"{d.code}: {d.message}" for d in verifier_errors[:5]))
             return report
 
+    report.loop_depth = max(NaturalLoops(func).max_depth()
+                            for func in module.functions.values())
     arg_sets = [list(args) for args in program.arg_sets]
 
     # ---- 2. backend differential on the optimised module ------------

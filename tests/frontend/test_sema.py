@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.frontend import SemanticError, analyze, parse
+from repro.frontend.sema import MAX_ARRAY_WORDS, MAX_TOTAL_WORDS
 
 
 def check(source):
@@ -86,6 +87,25 @@ class TestArrays:
     def test_local_cannot_shadow_array(self):
         with pytest.raises(SemanticError):
             check("int a[4]; void f() { int a; }")
+
+    def test_array_size_limit(self):
+        """Sema rejects the size before lowering would allocate it."""
+        check(f"int a[{MAX_ARRAY_WORDS}]; void f() {{ }}")
+        with pytest.raises(SemanticError,
+                           match=f"array 'a' has 4000000000 words; "
+                                 f"the limit is {MAX_ARRAY_WORDS}"):
+            check("int a[4000000000]; void f() { }")
+
+    def test_total_words_limit(self):
+        arrays = " ".join(f"int a{k}[{MAX_ARRAY_WORDS}];"
+                          for k in range(MAX_TOTAL_WORDS
+                                         // MAX_ARRAY_WORDS))
+        check(arrays + " void f() { }")
+        with pytest.raises(SemanticError,
+                           match=f"array 'z' brings the arrays to "
+                                 f"{MAX_TOTAL_WORDS + 1} words; the "
+                                 f"limit is {MAX_TOTAL_WORDS}"):
+            check(arrays + " int z[1]; void f() { }")
 
 
 class TestCalls:

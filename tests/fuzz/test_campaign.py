@@ -12,12 +12,14 @@ from repro.session import Session
 
 
 def test_small_campaign_is_clean_and_covers_shapes():
-    result = run_campaign(count=12, seed=0)
+    count = 2 * len(SHAPES)
+    result = run_campaign(count=count, seed=0)
     assert result.ok
-    assert result.programs == 12
-    # Round-robin scheduling: every shape gets 12 / len(SHAPES) slots.
+    assert result.programs == count
+    # Round-robin scheduling: every shape gets count / len(SHAPES) slots.
     assert set(result.by_shape) == set(SHAPES)
-    assert all(n == 12 // len(SHAPES) for n in result.by_shape.values())
+    assert all(n == count // len(SHAPES)
+               for n in result.by_shape.values())
     assert result.cuts > 0, "interesting shapes must yield cuts"
     assert result.rewritten_blocks > 0
     assert not result.failures

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -705,6 +706,9 @@ class TestRejection:
         (["sweep", "--workloads", "fir", "--ports", "whoops"], "error"),
         *[(["run", "fir", "--batch-file", name], "error")
           for name in BATCH_FILES],
+        (["run", "fir", "--batch-file", "/nonexistent/lanes.json"],
+         "error"),
+        (["list", "--json", "/nonexistent/x.json"], "error"),
     ])
     def test_rejected_without_traceback(self, argv, kind, tmp_path):
         for name, (text, _) in BATCH_FILES.items():
@@ -724,6 +728,42 @@ class TestRejection:
             assert proc.returncode == 1
             assert len(lines) == 1
             assert lines[0].startswith(f"{argv[0]}: ")
+
+    def test_unwritable_csv(self, tmp_path):
+        """The sweep runs, then the ``--csv`` write fails: its stderr
+        timing line is followed by one ``sweep:`` line, exit 1."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_STORE="off")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--workloads", "fir",
+             "--ports", "4x2", "--ninstr", "1", "--quiet", "--csv",
+             "/nonexistent/x.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "sweep: [Errno 2] No such file or directory: "
+            "'/nonexistent/x.csv'")
+
+    def test_store_serve_bind_failure(self, tmp_path):
+        """An address already in use is one ``store:`` line, exit 1."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_STORE="off")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "store", "serve",
+                 "--listen", f"127.0.0.1:{port}", "--store-dir",
+                 str(tmp_path / "store")],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=120)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("store: ")
 
     @pytest.mark.parametrize("name", sorted(BATCH_FILES))
     def test_batch_file_checked_when_read(self, name, tmp_path):
