@@ -66,8 +66,9 @@ CODES = {
     # Compiled-backend fallback reasons (not IR errors).
     "C001": "block falls back to the walker: untranslatable opcode",
     "C002": "block falls back to the walker: unsupported operand",
-    "C003": "region falls back: chain link is not a JMP/BR into the "
-            "next block",
+    "C004": "function falls back: control flow the structuring cannot "
+            "express (irreducible, too deeply nested, or an edge it "
+            "cannot place)",
 }
 
 #: Diagnostic severities.  ``error`` fails gates; ``warning`` is

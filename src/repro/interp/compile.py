@@ -108,7 +108,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..ir.cfg import predecessors
+from ..analysis.dataflow import DefiniteAssignment, Liveness, NaturalLoops
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import Instruction, ISEInstruction
 from ..ir.opcodes import Opcode, opinfo
@@ -120,8 +120,7 @@ from .memory import TrapError
 __all__ = [
     "BlockCode", "CodeMemoStats", "ResumeOnWalker", "block_digest",
     "build_function_table", "clear_code_memo", "code_memo_stats",
-    "compile_block", "compile_region", "discover_regions",
-    "region_digest",
+    "compile_block", "compile_region", "function_digest",
 ]
 
 
@@ -145,7 +144,11 @@ __all__ = [
 #: an output may write its dest's local directly.  v8: a loop unit
 #: writes its registers back only in its ``finally``; locals it defines
 #: that are not live-ins start as ``None`` and are written once set.
-CODEGEN_VERSION = 8
+#: v9: one closure per function, its control flow structured from the
+#: dominator tree (``while True:``/``continue``/``break``/``if``); it
+#: returns the function's value, and registers go back to ``R`` only on
+#: a hand-off to the walker.
+CODEGEN_VERSION = 9
 
 _MASK = "4294967295"            # 0xFFFFFFFF
 _SIGN = "2147483648"            # 0x80000000
@@ -153,31 +156,26 @@ _SIGN = "2147483648"            # 0x80000000
 
 @dataclass
 class BlockCode:
-    """One block's — or one region's — compiled artifact (or fallback).
+    """One function's compiled artifact (or fallback).
 
     Attributes:
         fn: the generated closure, called as ``fn(I, R, M, CALL, C)``
-            with the interpreter, the register dict, the memory image's
-            arrays dict, the call-back into ``Interpreter._call`` (one
-            per call depth) and the function's block-entry tally, a
-            ``defaultdict(int)`` (region closures bump it at every
-            internal block boundary; loop closures add their local
-            counts on exit);
-            returns the successor label, or a 1-tuple ``(value,)`` for
-            ``RET``.  ``None`` when codegen fell back to the walker.
-        label: the head block's label (diagnostics only).
+            with the interpreter, the register dict (the parameters),
+            the memory image's arrays dict, the call-back into
+            ``Interpreter._call`` (one per call depth) and the
+            function's block-entry tally, a ``defaultdict(int)`` the
+            closure adds its local counts to on exit; returns the
+            function's value.  ``None`` when codegen fell back to the
+            walker.
+        label: the entry block's label (diagnostics only).
         source: the generated Python text (debugging aid; the step
             constants live in here as literals).
         digest: structural digest the memo is keyed on.
-        span: how many source blocks the closure threads (1 for a
-            plain per-block artifact, the chain length for a region).
-        loop: whether the closure iterates in place (its last block
-            loops back to its head).
         reason: diagnostic code explaining a fallback (``fn=None``):
-            ``C001``–``C003`` for honestly untranslatable units, a
-            verifier code (``V002``, ``V102``, …) when the unit fell
-            back because the IR itself is ill-formed.  ``None`` for
-            compiled artifacts.
+            ``C001``–``C004`` for honestly untranslatable functions, a
+            verifier code (``V002``, ``V102``, …) when the function
+            fell back because the IR itself is ill-formed.  ``None``
+            for compiled artifacts.
         detail: human-readable fallback detail (empty when compiled).
     """
 
@@ -185,8 +183,6 @@ class BlockCode:
     label: str
     source: str = ""
     digest: str = ""
-    span: int = 1
-    loop: bool = False
     reason: Optional[str] = None
     detail: str = ""
 
@@ -196,22 +192,21 @@ class CodeMemoStats:
     """Telemetry of the in-process code memo.
 
     ``compiled`` counts successful codegen runs (``regions`` of which
-    were multi-block chains, ``loops`` of which iterate inside their
-    closure), ``hits`` counts memo reuse, ``fallbacks``
-    counts untranslatable units, ``evictions`` counts LRU drops.
+    were functions of more than one block), ``hits`` counts memo
+    reuse, ``fallbacks`` counts untranslatable functions,
+    ``evictions`` counts LRU drops.
     ``fallback_codes`` breaks the fallbacks down by diagnostic code
     (see :attr:`BlockCode.reason`), so a sweep outcome or ``repro run``
-    can report *why* blocks punted to the walker, not just how many.
-    ``replays`` counts run-time hand-offs of a compiled unit to the
+    can report *why* functions punted to the walker, not just how many.
+    ``replays`` counts run-time hand-offs of a compiled frame to the
     walker (:class:`ResumeOnWalker`): 0 on a run whose step budget
-    never came close and whose live-in registers were all defined.
+    never came close.
     """
 
     compiled: int = 0
     hits: int = 0
     fallbacks: int = 0
     regions: int = 0
-    loops: int = 0
     evictions: int = 0
     replays: int = 0
     fallback_codes: Dict[str, int] = field(default_factory=dict)
@@ -227,7 +222,7 @@ class CodeMemoStats:
         """Flat dict for JSON artifacts and benchmark reports."""
         return {"compiled": self.compiled, "hits": self.hits,
                 "fallbacks": self.fallbacks, "regions": self.regions,
-                "loops": self.loops, "evictions": self.evictions,
+                "evictions": self.evictions,
                 "replays": self.replays,
                 "fallback_codes": dict(sorted(
                     self.fallback_codes.items()))}
@@ -245,8 +240,10 @@ _MEMO: "OrderedDict[str, BlockCode]" = OrderedDict()
 _STATS = CodeMemoStats()
 
 
-def _memoised(digest: str, compiler, unit) -> BlockCode:
-    """LRU memo lookup; on a miss, ``compiler(unit, digest)`` fills it.
+def _memoised(digest: str, region: bool,
+              build: Callable[[], BlockCode]) -> BlockCode:
+    """LRU memo lookup; on a miss, ``build()`` fills it (*region*: the
+    function has more than one block).
 
     A hit refreshes the entry's recency; an insert evicts
     least-recently-used entries down to the cap.  ``MEMO_LIMIT`` is
@@ -258,13 +255,12 @@ def _memoised(digest: str, compiler, unit) -> BlockCode:
         _MEMO.move_to_end(digest)
         _STATS.hits += 1
         return cached
-    code = compiler(unit, digest)
+    code = build()
     if code.fn is None:
         _STATS.count_fallback(code)
     else:
         _STATS.compiled += 1
-        _STATS.regions += code.span > 1
-        _STATS.loops += code.loop
+        _STATS.regions += region
     while _MEMO and len(_MEMO) >= MEMO_LIMIT:
         _MEMO.popitem(last=False)
         _STATS.evictions += 1
@@ -325,22 +321,18 @@ def block_digest(block: BasicBlock) -> str:
                             block.label, tuple(insns))
 
 
-def region_digest(blocks: Sequence[BasicBlock]) -> str:
-    """SHA-256 over a straight-line chain: its member block digests.
+def function_digest(params: Sequence[str],
+                    block_digests: Sequence[str]) -> str:
+    """SHA-256 over a function: its parameters and block digests.
 
     Purely structural by construction — a rewritten module's cloned
-    chain (identical instruction streams, identical labels, identical
-    AFU netlists) derives the same key as the sweep that first
-    compiled it, so ``repro run --rewrite`` reuses in-process region
-    closures instead of recompiling them.
+    function (identical instruction streams, labels and AFU netlists)
+    derives the same key as the run that first compiled it, so
+    ``repro run --rewrite`` reuses in-process closures instead of
+    recompiling them.
     """
-    return _region_key([block_digest(block) for block in blocks])
-
-
-def _region_key(member_digests: Sequence[str]) -> str:
-    """:func:`region_digest` from the member blocks' digests."""
-    return canonical_digest("regioncode-v1", CODEGEN_VERSION,
-                            tuple(member_digests))
+    return canonical_digest("funccode-v1", CODEGEN_VERSION,
+                            tuple(params), tuple(block_digests))
 
 
 # ----------------------------------------------------------------------
@@ -452,27 +444,40 @@ def _pure_expr(op: Opcode, reads: Sequence[str],
     raise _UnsupportedBlock("C001", f"opcode {op}")
 
 
-class _BlockCompiler:
-    """Translates a straight-line block chain into one Python closure.
+class _FunctionCompiler:
+    """Translates one function into one Python closure (module doc).
 
-    A single block is the degenerate chain of length one; longer
-    chains (regions) keep registers in locals across their internal
-    ``JMP`` links — internal terminators emit no writebacks and no
-    return, just the block-entry count bump (see module doc).
-    A chain whose last block loops back to its head iterates inside
-    the closure.
+    Control flow follows the dominator tree of the function's reachable
+    blocks (:class:`~repro.analysis.dataflow.NaturalLoops`): a loop
+    header opens ``while True:``; an edge to the innermost loop's
+    header is ``continue`` and one to its follow (the exit its
+    ``break`` reaches) is ``break``; a block with one forward
+    predecessor is emitted inline at that edge, and a block with
+    several — a join — after the code of its immediate dominator, so
+    the arms that reach it fall through into it.  Any other edge is
+    refused (``C004``), unless its target can be emitted once more in
+    place: a block whose own edges are all ``continue``, ``break``,
+    fall-through or ``RET`` (a ``for`` loop's step block, reached by a
+    ``continue`` nested in the body).
     """
 
-    def __init__(self, blocks: Sequence[BasicBlock]) -> None:
+    def __init__(self, blocks: Sequence[BasicBlock],
+                 params: Optional[Sequence[str]]) -> None:
         self.blocks = list(blocks)
+        self.params = params
         self.locals: Dict[str, str] = {}      # register name -> local
-        self.defined: set = set()             # registers defined so far
-        self.entry_reads: List[str] = []      # registers loaded at entry
+        self.index = {block.label: number
+                      for number, block in enumerate(self.blocks)}
         self.gate_locals = 0                  # AFU gate locals emitted
         self.rows: Dict[str, Tuple[str, str]] = {}  # array -> row, len
-        self.steps = 0                        # steps since ``_s`` read
-        self.loop = False
-        self.out = _Emitter()
+        self.limits: Dict[int, str] = {}      # back-edge guard -> local
+        self.checked: set = set()             # registers read unsafely
+        self.counted: set = set()             # labels with a ``_k`` local
+        self.resumes = False                  # a RW site is emitted
+        self.pend = 0                         # steps since ``_s`` exact
+        self.out: List[str] = []
+        self.ind = 1
+        self.live = True                      # code here is reachable
 
     # -- naming --------------------------------------------------------
     def _local(self, reg_name: str) -> str:
@@ -488,37 +493,63 @@ class _BlockCompiler:
             return f"({operand.value})"
         if not isinstance(operand, Reg):
             raise _UnsupportedBlock("C002", f"operand {operand!r}")
-        if operand.name not in self.defined:
-            if operand.name not in self.entry_reads:
-                self.entry_reads.append(operand.name)
         return self._local(operand.name)
 
     def _define(self, reg_name: str) -> str:
-        local = self._local(reg_name)
-        self.defined.add(reg_name)
-        return local
+        self.assigned.add(reg_name)
+        return self._local(reg_name)
 
     def _row(self, array: str) -> Tuple[str, str]:
         """The locals holding *array*'s row and its length, bound once
-        at unit entry."""
+        at closure entry."""
         names = self.rows.get(array)
         if names is None:
             names = self.rows[array] = (f"r{len(self.rows)}",
                                         f"n{len(self.rows)}")
         return names
 
+    def emit(self, line: str, extra: int = 0) -> None:
+        self.out.append("    " * (self.ind + extra) + line)
+
+    def _commit(self) -> str:
+        return f"I._steps = _s + {self.pend}" if self.pend else \
+            "I._steps = _s"
+
+    def _flush(self) -> None:
+        """Make ``_s`` exact: every path into a join, a loop header or
+        a ``break`` arrives with no pending steps."""
+        if self.pend:
+            self.emit(f"_s += {self.pend}")
+            self.pend = 0
+
     # -- per-op emission ----------------------------------------------
-    def _emit_insn(self, insn: Instruction, indent: int) -> None:
-        """Emit one instruction (never a terminator) at *indent*."""
+    def _emit_checks(self, insn: Instruction) -> None:
+        """The walker's ``read of undefined register`` trap, in operand
+        order, for every read the register may be unassigned at."""
+        for operand in insn.operands:
+            if not isinstance(operand, Reg):
+                continue
+            name = operand.name
+            if name in self.assigned:
+                continue
+            self.checked.add(name)
+            self.assigned.add(name)
+            self.emit(f"if {self._local(name)} is None:")
+            self.emit(self._commit(), 1)
+            self.emit(f"raise _TE({f'read of undefined register %{name}'!r})",
+                      1)
+
+    def _emit_insn(self, insn: Instruction) -> None:
+        """Emit one instruction (never a terminator)."""
         op = insn.opcode
-        emit = self.out.emit
+        emit = self.emit
         if op is Opcode.LOAD:
             index = self._read(insn.operands[0])
             dst = self._define(insn.dest)
             row, size = self._row(insn.array)
             emit(f"{dst} = {row}[{index}] if 0 <= {index} < {size} "
-                 f"else _LD(I, _s + {self.steps}, {insn.array!r}, "
-                 f"{index})", indent)
+                 f"else _LD(I, _s + {self.pend}, {insn.array!r}, "
+                 f"{index})")
             return
         if op is Opcode.STORE:
             index = self._read(insn.operands[0])
@@ -527,21 +558,17 @@ class _BlockCompiler:
             stored = (f"({wrap32(operand.value)})"
                       if isinstance(operand, Const) else _wrap(value))
             row, size = self._row(insn.array)
-            emit(f"if 0 <= {index} < {size}:", indent)
-            emit(f"    {row}[{index}] = {stored}", indent)
-            emit("else:", indent)
-            emit(f"    _ST(I, _s + {self.steps}, {insn.array!r}, {index}, "
-                 f"{value})", indent)
+            emit(f"if 0 <= {index} < {size}:")
+            emit(f"{row}[{index}] = {stored}", 1)
+            emit("else:")
+            emit(f"_ST(I, _s + {self.pend}, {insn.array!r}, {index}, "
+                 f"{value})", 1)
             return
         if op is Opcode.ISE:
-            self._emit_ise(insn, indent)
+            self._emit_ise(insn)
             return
-        if op is Opcode.CALL:
-            self._emit_call(insn, indent)
-            return
-        self._emit_pure(insn, indent)
-
-    def _emit_ise(self, insn: ISEInstruction, indent: int) -> None:
+        self._emit_pure(insn)
+    def _emit_ise(self, insn: ISEInstruction) -> None:
         """Inline the bound AFU's gate netlist as straight-line locals.
 
         Mirrors :meth:`FusedAFU.evaluate` plus the walker's write-back:
@@ -574,7 +601,7 @@ class _BlockCompiler:
                        for number, gate in enumerate(afu.gates)}
         msg = (f"trap inside custom instruction {insn} "
                f"(division by zero)")
-        emit = self.out.emit
+        emit = self.emit
         for number, gate in enumerate(afu.gates):
             op = gate.opcode
             if len(gate.inputs) < opinfo(op).arity:
@@ -595,13 +622,13 @@ class _BlockCompiler:
                     raise _UnsupportedBlock(
                         "V303", f"{insn}: undriven wire {wire!r}")
             expr = _pure_expr(op, args, operands)
-            self._emit_division_guard(op, operands, args, msg, indent)
+            self._emit_division_guard(op, operands, args, msg)
             local = (direct.get(gate.output)
                      if last_driver[gate.output] == number else None)
             if local is None:
                 local = f"g{self.gate_locals}"
                 self.gate_locals += 1
-            emit(f"{local} = {expr}", indent)
+            emit(f"{local} = {expr}")
             wires[gate.output] = local
         missing = [w for w in afu.output_wires if w not in wires]
         if missing:
@@ -613,24 +640,33 @@ class _BlockCompiler:
         if pairs:
             dests = ", ".join(dst for dst, _ in pairs)
             values = ", ".join(value for _, value in pairs)
-            emit(f"{dests} = {values}", indent)
+            emit(f"{dests} = {values}")
 
-    def _emit_call(self, insn: Instruction, indent: int) -> None:
+    def _emit_call(self, insn: Instruction, label: str,
+                   position: int) -> None:
+        """Commit the steps, call, then re-check the budget: the callee
+        spent steps no guard could know.  On failure the rest of the
+        frame runs on the walker, from the op after the ``CALL``."""
         args = ", ".join(self._read(op) for op in insn.operands)
         args = f"({args},)" if insn.operands else "()"
-        emit = self.out.emit
+        emit = self.emit
+        emit(self._commit())
         if insn.dest is None:
-            emit(f"CALL({insn.callee!r}, {args})", indent)
-            return
-        emit(f"_t = CALL({insn.callee!r}, {args})", indent)
-        emit("if _t is None:", indent)
-        void_msg = f"void result of {insn.callee!r} used"
-        emit(f"    raise _TE({void_msg!r})", indent)
-        emit(f"{self._define(insn.dest)} = _t", indent)
+            emit(f"CALL({insn.callee!r}, {args})")
+        else:
+            emit(f"_t = CALL({insn.callee!r}, {args})")
+            emit("if _t is None:")
+            void_msg = f"void result of {insn.callee!r} used"
+            emit(f"raise _TE({void_msg!r})", 1)
+            emit(f"{self._define(insn.dest)} = _t")
+        self.pend = 0
+        self.resumes = True
+        emit("_s = I._steps")
+        emit(f"if _s + {self._span(label, position + 1)} > I.max_steps:")
+        emit(f"raise _RW({label!r}, {position + 1})", 1)
 
     def _emit_division_guard(self, op: Opcode, operands: Sequence,
-                             reads: Sequence[str], msg: str,
-                             indent: int) -> None:
+                             reads: Sequence[str], msg: str) -> None:
         """Emit the ``TrapError`` check of a DIV/REM (no-op otherwise).
 
         The trap branch commits the exact step count before it raises,
@@ -642,19 +678,18 @@ class _BlockCompiler:
         if op not in _DIVISIONS:
             return
         divisor = operands[1]
-        emit = self.out.emit
-        commit = f"I._steps = _s + {self.steps}"
+        emit = self.emit
         if isinstance(divisor, Const):
             if divisor.value == 0:
-                emit(commit, indent)
-                emit(f"raise _TE({msg!r})", indent)
+                emit(self._commit())
+                emit(f"raise _TE({msg!r})")
                 raise _DeadCode()
             return
-        emit(f"if {reads[1]} == 0:", indent)
-        emit(f"    {commit}", indent)
-        emit(f"    raise _TE({msg!r})", indent)
+        emit(f"if {reads[1]} == 0:")
+        emit(self._commit(), 1)
+        emit(f"raise _TE({msg!r})", 1)
 
-    def _emit_pure(self, insn: Instruction, indent: int) -> None:
+    def _emit_pure(self, insn: Instruction) -> None:
         """Inline the ``evaluate_pure_op`` semantics of one pure op."""
         reads = [self._read(operand) for operand in insn.operands]
         if insn.dest is None:
@@ -662,282 +697,348 @@ class _BlockCompiler:
                                     f"pure op without dest: {insn}")
         expr = _pure_expr(insn.opcode, reads, insn.operands)
         self._emit_division_guard(insn.opcode, insn.operands, reads,
-                                  f"trap in {insn} (division by zero?)",
-                                  indent)
-        self.out.emit(f"{self._define(insn.dest)} = {expr}", indent)
+                                  f"trap in {insn} (division by zero?)")
+        self.emit(f"{self._define(insn.dest)} = {expr}")
 
-    def _emit_writebacks(self, indent: int) -> None:
-        """Write every register defined so far back to the dict ``R``.
+    # -- analysis ------------------------------------------------------
+    def _analyse(self) -> None:
+        """Reachable blocks, loops, joins, follows and placements."""
+        by_label = {block.label: block for block in self.blocks}
+        self.code: Dict[str, List[Instruction]] = {}
+        stack = [self.blocks[0].label]
+        while stack:
+            label = stack.pop()
+            if label in self.code:
+                continue
+            insns = by_label[label].instructions
+            end = next((number for number, insn in enumerate(insns)
+                        if insn.is_terminator), None)
+            if end is None:
+                # The walker's fall-through TrapError (and its exact
+                # step accounting) is easier to inherit than to
+                # replicate.  V002: an IR well-formedness failure.
+                raise _UnsupportedBlock("V002", "no terminator")
+            terminator = insns[end]
+            if terminator.opcode not in (Opcode.BR, Opcode.JMP,
+                                         Opcode.RET):
+                raise _UnsupportedBlock("C001",
+                                        f"terminator {terminator.opcode}")
+            for target in terminator.targets:
+                if target not in by_label:
+                    raise _UnsupportedBlock(
+                        "C004", f"edge to unknown block {target!r}")
+                stack.append(target)
+            self.code[label] = insns[:end + 1]
+        shim = Function("unit", params=self.params or ())
+        shim.blocks = [block for block in self.blocks
+                       if block.label in self.code]
+        shim.reindex()
+        loops = NaturalLoops(shim)
+        if not loops.reducible:
+            raise _UnsupportedBlock("C004", "irreducible control flow")
+        if self.params is None:
+            # A unit compiled without its function takes its live-ins
+            # as parameters.
+            self.params = sorted(Liveness(shim).live_in[shim.entry.label])
+            shim.params = list(self.params)
+        self.defined_in = DefiniteAssignment(shim).defined_in
+        self.loops = loops.body
+        self.order = {label: n for n, label in enumerate(loops.order)}
+        idom = loops.dominance.idom
+        succs = {label: list(dict.fromkeys(code[-1].targets))
+                 for label, code in self.code.items()}
+        self.forward = {label: [t for t in targets
+                                if not (t in self.loops
+                                        and label in self.loops[t])]
+                        for label, targets in succs.items()}
+        fpreds: Dict[str, int] = dict.fromkeys(self.code, 0)
+        for targets in self.forward.values():
+            for target in targets:
+                fpreds[target] += 1
+        self.fpreds = fpreds
+        # A loop's follow: the header's own exit, else the exit most
+        # edges take (then the earliest).  It is placed after the
+        # outermost loop that has it and dominates it.
+        self.follow: Dict[str, Optional[str]] = {}
+        self.home: Dict[str, str] = {}
+        for header in sorted(self.loops, key=lambda h: -len(self.loops[h])):
+            body = self.loops[header]
+            exits = [t for label in sorted(body, key=self.order.get)
+                     for t in succs[label] if t not in body]
+            own = [t for t in succs[header] if t not in body]
+            follow = (own[0] if own else
+                      min(exits, key=lambda t: (-exits.count(t),
+                                                self.order[t]))
+                      if exits else None)
+            self.follow[header] = follow
+            if (follow is not None and idom[follow] in body
+                    and follow not in self.home):
+                self.home[follow] = header
+        children: Dict[str, List[str]] = {label: [] for label in self.code}
+        for label in loops.order:
+            if label != shim.entry.label and fpreds[label] > 1 \
+                    and label not in self.home:
+                children[idom[label]].append(label)
+        self.joins = children
+        self.entry = shim.entry.label
+        self.span_memo: Dict[Tuple[str, int], int] = {}
 
-        On a straight-line trace every def emitted so far has executed,
-        so this leaves the caller's register dict walker-exact.  Every
-        caller is an exit point.  A loop unit emits nothing here: its
-        ``finally`` writes its registers back on every exit (see
-        :meth:`compile`).
-        """
-        if self.loop:
+    def _span(self, label: str, start: int) -> int:
+        """Steps from op *start* of *label* to the next budget check —
+        a ``CALL`` (included), a back edge or the ``RET`` — on the
+        longest path; back edges are the only cycles, so the forward
+        edges form a DAG."""
+        key = (label, start)
+        span = self.span_memo.get(key)
+        if span is None:
+            code = self.code[label]
+            span = next((number - start + 1
+                         for number in range(start, len(code))
+                         if code[number].opcode is Opcode.CALL), None)
+            if span is None:
+                span = len(code) - start + max(
+                    (self._span(t, 0) for t in self.forward[label]),
+                    default=0)
+            self.span_memo[key] = span
+        return span
+
+    # -- control flow --------------------------------------------------
+    def _count(self, label: str) -> None:
+        self.counted.add(label)
+        self.emit(f"_k{self.index[label]} += 1")
+
+    def _tree(self, label: str, ft: Optional[str]) -> None:
+        """Emit *label*, the joins it dominates and, for a header, its
+        loop; falling off the end reaches *ft* (``None``: nothing may
+        fall off)."""
+        if label in self.placed:
+            raise _UnsupportedBlock("C004", f"block {label!r} placed twice")
+        self.placed.add(label)
+        if label != self.entry:
+            self._count(label)
+        joins = self.joins[label]
+        if label not in self.loops:
+            self._sequence(label, joins, ft)
             return
-        for reg_name in sorted(self.defined):
-            self.out.emit(self._writeback(reg_name), indent)
-
-    def _writeback(self, reg_name: str) -> str:
-        return f"R[{reg_name!r}] = {self.locals[reg_name]}"
-
-    def _emit_internal_exit(self, insn: Instruction,
-                            fallthrough: str) -> None:
-        """Emit a mid-region terminator (control stays in the closure).
-
-        An internal ``JMP`` is pure fall-through — it commits no step
-        count, and the next block's code follows immediately.
-        An internal ``BR`` keeps the on-trace side inline and emits a
-        *side exit* for the other target: the exact step count is
-        committed, every register defined so far is written back (a
-        loop unit's ``finally`` does that instead) and the off-trace
-        label is returned to the dispatch loop, which dispatches it as
-        a chain head.  The on-trace side commits nothing: it reaches
-        another commit before anything can observe the counter.
-        """
-        op = insn.opcode
-        if op is Opcode.JMP:
+        body = self.loops[label]
+        self._flush()
+        self.emit("while True:")
+        self.ind += 1
+        self.stack.append(label)
+        self._sequence(label, [j for j in joins if j in body], None)
+        self.stack.pop()
+        self.ind -= 1
+        follow = self.follow[label]
+        self.live = follow is not None
+        after = [j for j in joins if j not in body]
+        if follow is None:
             return
-        if op is not Opcode.BR:
-            raise _UnsupportedBlock("C003", f"internal terminator {op}")
-        cond = self._read(insn.operands[0])
-        then_label, else_label = insn.targets
-        if fallthrough == then_label:
-            test, exit_label = f"{cond} == 0", else_label
+        self.pend = 0
+        if self.home.get(follow) == label:
+            self._chain([follow] + after, ft)
+            return
+        self._jump(follow, after[0] if after else ft)
+        self._chain(after, ft)
+
+    def _chain(self, labels: List[str], ft: Optional[str]) -> None:
+        for number, label in enumerate(labels):
+            self.live = True
+            self._tree(label, labels[number + 1]
+                       if number + 1 < len(labels) else ft)
+
+    def _sequence(self, label: str, joins: List[str],
+                  ft: Optional[str]) -> None:
+        self._block(label, joins[0] if joins else ft)
+        self._chain(joins, ft)
+
+    def _block(self, label: str, ft: Optional[str],
+               copy: bool = False) -> None:
+        """The ops and terminator of *label*; *copy* emits it once more
+        at a jump site, so its edges must not place any block."""
+        self.assigned = set(self.defined_in[label])
+        code = self.code[label]
+        try:
+            for position, insn in enumerate(code):
+                self.pend += 1
+                self._emit_checks(insn)
+                if insn.opcode is Opcode.CALL:
+                    self._emit_call(insn, label, position)
+                elif not insn.is_terminator:
+                    self._emit_insn(insn)
+        except _DeadCode:
+            self.dead.add(label)
+            self.live = False
+            return
+        terminator = code[-1]
+        if terminator.opcode is Opcode.RET:
+            value = (self._read(terminator.operands[0])
+                     if terminator.operands else "None")
+            self.emit(self._commit())
+            self.emit(f"return {value}")
+            self.live = False
+            return
+        targets = terminator.targets
+        if terminator.opcode is Opcode.JMP or targets[0] == targets[1]:
+            self._jump(targets[0], ft, copy)
+            return
+        cond = self._read(terminator.operands[0])
+        pend = self.pend
+        arms = []
+        for target in targets:
+            self.pend, self.live = pend, True
+            saved, self.out, self.ind = (self.out, self.ind), [], 0
+            self._jump(target, ft, copy)
+            arms.append((self.out, self.live))
+            self.out, self.ind = saved
+        (then, then_live), (other, other_live) = arms
+        tests = (f"{cond} != 0", f"{cond} == 0")
+        if not then_live or (not then and other_live):
+            first, rest, test = then, other, tests[0]
         else:
-            test, exit_label = f"{cond} != 0", then_label
-        emit = self.out.emit
-        emit(f"if {test}:")
-        emit(f"    I._steps = _s + {self.steps}")
-        self._emit_writebacks(indent=2)
-        emit(f"    return {exit_label!r}")
+            first, rest, test = other, then, tests[1]
+        if not first:
+            first, rest, test = rest, [], tests[first is then]
+        if not first:
+            self.live = True
+            return
+        self.emit(f"if {test}:")
+        self.out.extend("    " * (self.ind + 1) + line for line in first)
+        if rest and not (then_live and other_live):
+            self.out.extend("    " * self.ind + line for line in rest)
+        elif rest:
+            self.emit("else:")
+            self.out.extend("    " * (self.ind + 1) + line
+                            for line in rest)
+        self.pend = 0
+        self.live = then_live or other_live
 
-    def _emit_loop_back(self, insn: Instruction) -> None:
-        """Emit the last block's terminator of a loop unit.
-
-        A ``BR`` leaves by a side exit on its other target.  The
-        loop-back then re-checks the entry budget guard against
-        ``_lim``, the last ``_s`` it admits (on failure: commit the
-        step count and return the head label, so the dispatch loop
-        counts the head entry and the head's own guard replays it on
-        the walker), and bumps the head's entry count, the local
-        ``_k0``, added to ``C`` on exit.  No path here writes a
-        register: the unit's ``finally`` does, on every exit.
-        """
-        head = self.blocks[0].label
-        emit = self.out.emit
-        self._emit_internal_exit(insn, head)
-        emit(f"_s += {self.steps}")
-        emit("if _s > _lim:")
-        emit("    I._steps = _s")
-        emit(f"    return {head!r}")
-        emit("_k0 += 1")
-
-    def _emit_terminator(self, insn: Instruction, indent: int) -> None:
-        op = insn.opcode
-        emit = self.out.emit
-        if op is not Opcode.RET:
-            # Writebacks keep the caller's register dict walker-exact
-            # for successor blocks; a RET frame is discarded, so its
-            # writebacks are dead and skipped.
-            self._emit_writebacks(indent)
-        if op is Opcode.BR:
-            cond = self._read(insn.operands[0])
-            then_label, else_label = insn.targets
-            emit(f"return {then_label!r} if {cond} != 0 "
-                 f"else {else_label!r}", indent)
-        elif op is Opcode.JMP:
-            emit(f"return {insn.targets[0]!r}", indent)
-        elif op is Opcode.RET:
-            value = (self._read(insn.operands[0])
-                     if insn.operands else "(None)")
-            emit(f"return ({value},)", indent)
+    def _jump(self, target: str, ft: Optional[str],
+              copy: bool = False) -> None:
+        """Emit the edge to *target* at the current point (class doc)."""
+        header = self.stack[-1] if self.stack else None
+        if target == header:
+            self._flush()
+            count = f"_k{self.index[target]}"
+            self.counted.add(target)
+            self.emit(f"{count} += 1")
+            span = self._span(target, 0)
+            limit = self.limits.setdefault(span, f"_lim{span}")
+            self.resumes = True
+            self.emit(f"if _s > {limit}:")
+            self.emit("I._steps = _s", 1)
+            self.emit(f"raise _RW({target!r}, 0)", 1)
+            self.emit("continue")
+            self.live = False
+        elif header is not None and target == self.follow[header]:
+            self._flush()
+            self.emit("break")
+            self.live = False
+        elif target == ft:
+            self._flush()
+        elif (not copy and self.fpreds[target] == 1
+              and target not in self.home and target not in self.placed):
+            self._tree(target, ft)
+        elif (not copy and target not in self.loops
+              and self._copyable(target, ft)):
+            self._count(target)
+            self._block(target, ft, copy=True)
         else:
-            raise _UnsupportedBlock("C001", f"terminator {op}")
+            raise _UnsupportedBlock(
+                "C004", f"edge to {target!r} cannot be structured")
 
-    # -- step accounting -----------------------------------------------
-    @staticmethod
-    def _budget(ops: Sequence[Tuple[int, int, Instruction]],
-                first: int) -> int:
-        """Steps from ``ops[first]`` up to and including the next
-        ``CALL`` (or the end of the chain): an upper bound on every
-        path — a side exit only shortens it — until a callee runs or
-        control leaves the closure."""
-        total = 0
-        for _, _, insn in ops[first:]:
-            total += 1
-            if insn.opcode is Opcode.CALL:
-                break
-        return total
-
-    def _emit_resume_check(self, label: str, position: int,
-                           budget: int) -> None:
-        """Re-check the budget after a ``CALL`` returned (the callee
-        spent steps the entry guard could not know); on failure write
-        back, as a side exit does (a loop unit's ``finally`` does that),
-        and resume the walker at *position*.
-        """
-        emit = self.out.emit
-        emit("_s = I._steps")
-        emit(f"if _s + {budget} > I.max_steps:")
-        self._emit_writebacks(indent=2)
-        emit(f"    raise _RW({label!r}, {position})")
+    def _copyable(self, label: str, ft: Optional[str]) -> bool:
+        header = self.stack[-1] if self.stack else None
+        allowed = {ft, header,
+                   self.follow[header] if header is not None else None}
+        return all(target in allowed
+                   for target in self.code[label][-1].targets)
 
     # -- driver --------------------------------------------------------
     def compile(self, digest: str) -> BlockCode:
-        """Generate, ``compile()`` and instantiate the chain's closure."""
-        blocks = self.blocks
-        last = len(blocks) - 1
-        for index, block in enumerate(blocks):
-            terminator = block.terminator
-            if terminator is None:
-                # The walker's fall-through TrapError (and its exact
-                # step accounting) is easier to inherit than to
-                # replicate.  V002: this is an IR well-formedness
-                # failure, not a codegen limitation.
-                raise _UnsupportedBlock("V002", "no terminator")
-            if index < last:
-                nxt = blocks[index + 1].label
-                if terminator.opcode is Opcode.JMP:
-                    linked = terminator.targets[0] == nxt
-                elif terminator.opcode is Opcode.BR:
-                    # A degenerate BR (both targets equal) never links:
-                    # the side-exit emission needs a distinct off-trace
-                    # label.
-                    linked = (nxt in terminator.targets
-                              and terminator.targets[0]
-                              != terminator.targets[1])
-                else:
-                    linked = False
-                if not linked:
-                    raise _UnsupportedBlock(
-                        "C003",
-                        "chain link is not a JMP/BR into the next block")
-        head = blocks[0].label
-        terminator = blocks[last].terminator
-        self.loop = head in terminator.targets and (
-            terminator.opcode is Opcode.JMP
-            or (terminator.opcode is Opcode.BR
-                and terminator.targets[0] != terminator.targets[1]))
-        ops = [(index, position, insn)
-               for index, block in enumerate(blocks)
-               for position, insn in enumerate(block.instructions)]
-        guard = self._budget(ops, 0)
-        # A dead-code trap may end the loop below, but the counters and
-        # registers emitted until then still need their locals, their
-        # fold and their writebacks.
-        counted = self.loop
-        body = _Emitter()
-        self.out = body
-        emit = body.emit
-        try:
-            for number, (index, position, insn) in enumerate(ops):
-                label = blocks[index].label
-                if position == 0 and index > 0:
-                    # The walker records a block entry *before* running
-                    # the block; the bump sits between the previous
-                    # terminator's step commit and this block's first
-                    # op, so a trap anywhere in the region folds
-                    # identical counts into the profile.  A loop unit
-                    # counts in a local per block (see below).
-                    emit(f"_k{index} += 1" if counted
-                         else f"C[{label!r}] += 1")
-                elif position and ops[number - 1][2].opcode is Opcode.CALL:
-                    self._emit_resume_check(label, position,
-                                            self._budget(ops, number))
-                    self.steps = 0
-                self.steps += 1
-                # The step counter is observable only where control can
-                # leave the closure: a CALL (the callee counts on from
-                # it) and the unit's final terminator commit here; a
-                # side exit, a division trap and a memory slow path
-                # commit on their own branch.
-                leaves = (insn.is_terminator and index == last
-                          and not self.loop)
-                if insn.opcode is Opcode.CALL or leaves:
-                    emit(f"I._steps = _s + {self.steps}")
-                if not insn.is_terminator:
-                    self._emit_insn(insn, indent=1)
-                elif index < last:
-                    self._emit_internal_exit(insn, blocks[index + 1].label)
-                elif self.loop:
-                    self._emit_loop_back(insn)
-                else:
-                    self._emit_terminator(insn, indent=1)
-        except _DeadCode:
-            # An unconditional trap ends the chain early (and so the
-            # loop: its body can run at most once).
-            self.loop = False
-
-        header = _Emitter()
-        params = ["I", "R", "M", "CALL", "C"]
-        params += [f"{name}={name}" for name in ("_TE", "_RW", "_LD", "_ST")]
-        header.emit(f"def _block({', '.join(params)}):", 0)
-        # The entry guard: no op runs unless the budget provably lasts
-        # until the first CALL.  Both punts happen before any op, so
-        # the walker's replay from index 0 is side-effect clean.
-        resume = f"raise _RW({head!r}, 0)"
-        header.emit("_s = I._steps")
-        header.emit(f"if _s + {guard} > I.max_steps:")
-        header.emit(f"    {resume}")
-        if self.entry_reads:
-            header.emit("try:")
-            for reg_name in self.entry_reads:
-                header.emit(f"    {self.locals[reg_name]} = "
-                            f"R[{reg_name!r}]")
-            header.emit("except KeyError:")
-            header.emit(f"    {resume} from None")
+        """Generate, ``compile()`` and instantiate the closure."""
+        self._analyse()
+        self.placed: set = set()
+        self.dead: set = set()
+        self.stack: List[str] = []
+        self._tree(self.entry, None)
+        live = set()
+        stack = [self.entry]
+        while stack:
+            label = stack.pop()
+            if label not in live:
+                live.add(label)
+                if label not in self.dead:
+                    stack.extend(self.code[label][-1].targets)
+        if not live <= self.placed:
+            missing = sorted(live - self.placed, key=self.order.get)[0]
+            raise _UnsupportedBlock(
+                "C004", f"block {missing!r} cannot be placed")
+        body, self.out, self.ind = self.out, [], 1
+        emit = self.emit
+        head = self.entry
+        emit("_s = I._steps")
+        emit(f"if _s + {self._span(head, 0)} > I.max_steps:")
+        emit(f"raise _RW({head!r}, 0)", 1)
+        params = set(self.params)
+        for reg_name, local in self.locals.items():
+            if reg_name in params:
+                emit(f"{local} = R[{reg_name!r}]")
+        assigned = {name for code in self.code.values()
+                    for insn in code for name in insn.defs()}
+        unset = [local for name, local in self.locals.items()
+                 if name not in params
+                 and (name in self.checked
+                      or (self.resumes and name in assigned))]
+        if unset:
+            emit(" = ".join(unset) + " = None")
         # Rows are never replaced or resized while a program runs
-        # (see Memory), so one binding serves every iteration and call.
+        # (see Memory), so one binding serves the whole frame.
         for array, (row, size) in self.rows.items():
-            header.emit(f"{row} = M.get({array!r}, ())")
-            header.emit(f"{size} = len({row})")
-        if self.loop:
-            header.emit(f"_lim = I.max_steps - {guard}")
-        footer = _Emitter()
-        if counted:
-            # Block entries of a loop unit are counted in the int locals
-            # ``_k<index>`` (``_k0``: loop-backs into the head) and added
-            # to ``C`` on every exit, traps included.  The same
-            # ``finally`` is the unit's only register writeback: a
-            # live-in holds its entry value until the body redefines it;
-            # any other register is ``None`` until its first def, and
-            # then ``R`` already holds what the walker's dict does.
-            header.emit(" = ".join(f"_k{index}"
-                                   for index in range(len(blocks)))
-                        + " = 0")
-            late = [self.locals[reg_name]
-                    for reg_name in sorted(self.defined)
-                    if reg_name not in self.entry_reads]
-            if late:
-                header.emit(" = ".join(late) + " = None")
-            header.emit("try:")
-            footer.emit("finally:")
-            for index, block in enumerate(blocks):
-                footer.emit(f"    C[{block.label!r}] += _k{index}")
-            for reg_name in sorted(self.defined):
-                check = ("" if reg_name in self.entry_reads else
-                         f"if {self.locals[reg_name]} is not None: ")
-                footer.emit(check + self._writeback(reg_name), 2)
-            body.lines = ["    " + line for line in body.lines]
-        if self.loop:
-            header.emit("while True:", 1 + counted)
-            body.lines = ["    " + line for line in body.lines]
-
-        source = "\n".join(header.lines + body.lines
-                           + footer.lines) + "\n"
+            emit(f"{row} = M.get({array!r}, ())")
+            emit(f"{size} = len({row})")
+        for span, limit in sorted(self.limits.items()):
+            emit(f"{limit} = I.max_steps - {span}")
+        counts = [f"_k{self.index[label]}"
+                  for label in sorted(self.counted, key=self.index.get)]
+        header = self.out
+        footer: List[str] = []
+        if self.resumes:
+            # The frame goes on on the walker: write each register it
+            # may hold back to ``R`` (a live-in holds its entry value
+            # until redefined; any other is ``None`` until set).
+            footer.append("    except _RW:")
+            for reg_name in sorted(assigned & set(self.locals)):
+                local = self.locals[reg_name]
+                check = ("" if reg_name in params
+                         else f"if {local} is not None: ")
+                footer.append(f"        {check}R[{reg_name!r}] = {local}")
+            footer.append("        raise")
+        if counts:
+            # Block entries are counted in int locals and added to
+            # ``C`` on every exit, traps included.
+            header.append("    " + " = ".join(counts) + " = 0")
+            footer.append("    finally:")
+            footer.extend(f"        C[{label!r}] += _k{self.index[label]}"
+                          for label in sorted(self.counted,
+                                              key=self.index.get))
+        if footer:
+            header.append("    try:")
+            body = ["    " + line for line in body]
+        lines = ["def _unit(I, R, M, CALL, C, _TE=_TE, _RW=_RW, "
+                 "_LD=_LD, _ST=_ST):"] + header + body + footer
+        source = "\n".join(lines) + "\n"
         namespace: Dict[str, object] = {
             "_TE": TrapError, "_RW": ResumeOnWalker,
             "_LD": _load_slow, "_ST": _store_slow,
         }
-        kind = "block" if last == 0 else "region"
-        code = compile(source, f"<repro:{kind}:{digest[:12]}>", "exec")
+        try:
+            code = compile(source, f"<repro:unit:{digest[:12]}>", "exec")
+        except (SyntaxError, RecursionError) as exc:
+            # Deeper nesting than Python's static block limit.
+            raise _UnsupportedBlock("C004", f"nesting: {exc}") from None
         exec(code, namespace)
-        return BlockCode(fn=namespace["_block"], label=head,
-                         source=source, digest=digest,
-                         span=len(blocks), loop=self.loop)
+        return BlockCode(fn=namespace["_unit"], label=head,
+                         source=source, digest=digest)
 
 
 class _DeadCode(Exception):
@@ -945,164 +1046,62 @@ class _DeadCode(Exception):
     current emission path unreachable."""
 
 
-def compile_block(block: BasicBlock,
-                  digest: Optional[str] = None) -> BlockCode:
-    """Compile *block* unconditionally (no memo); see the module doc.
+def compile_block(block: BasicBlock, digest: Optional[str] = None,
+                  params: Optional[Sequence[str]] = None) -> BlockCode:
+    """Compile the one-block function *block* (no memo).
 
-    Returns a fallback :class:`BlockCode` (``fn=None``) when the block
-    cannot be translated — the dispatch loop then runs that block on
-    the walker's reference executor.
+    *params* are the function's parameters (``None``: the block's
+    live-ins).  Returns a fallback :class:`BlockCode` (``fn=None``)
+    when it cannot be translated — the whole frame then runs on the
+    walker.
     """
-    return _compile([block], digest if digest is not None
-                    else block_digest(block))
+    return _compile([block], digest, params)
 
 
 def compile_region(blocks: Sequence[BasicBlock],
-                   digest: Optional[str] = None) -> BlockCode:
-    """Compile a straight-line chain of blocks into one closure.
-
-    Each member must link into the next by a ``JMP`` to it or a ``BR``
-    with it as one of two distinct targets (as produced by
-    :func:`discover_regions`); anything else — or any member block
-    codegen cannot translate — returns a fallback artifact
-    (``fn=None``), and the dispatch loop runs the whole chain on the
-    walker's reference executor.
-    """
-    blocks = list(blocks)
-    return _compile(blocks, digest if digest is not None
-                    else region_digest(blocks))
+                   digest: Optional[str] = None,
+                   params: Optional[Sequence[str]] = None) -> BlockCode:
+    """Compile the function whose blocks are *blocks* (entry first)
+    into one closure (no memo); see :func:`compile_block`."""
+    return _compile(list(blocks), digest, params)
 
 
-def _compile(blocks: List[BasicBlock], digest: str) -> BlockCode:
+def _compile(blocks: List[BasicBlock], digest: Optional[str],
+             params: Optional[Sequence[str]]) -> BlockCode:
     try:
-        return _BlockCompiler(blocks).compile(digest)
+        if digest is None:
+            digest = function_digest(
+                params or (), [block_digest(block) for block in blocks])
+        return _FunctionCompiler(blocks, params).compile(digest)
     except _UnsupportedBlock as exc:
-        return BlockCode(fn=None, label=blocks[0].label, digest=digest,
-                         span=len(blocks), reason=exc.code,
+        return BlockCode(fn=None, label=blocks[0].label,
+                         digest=digest or "", reason=exc.code,
                          detail=exc.detail)
-
-
-def _chain_continuation(block: BasicBlock,
-                        candidates: Dict[str, BasicBlock]):
-    """The label *block*'s chain falls through into, or ``None``.
-
-    A ``JMP`` continues into its target when the target is a chain
-    candidate (single predecessor, not the entry, not a self-loop).  A
-    ``BR`` continues into one candidate target, superblock-style — the
-    other side becomes the closure's side exit.  When both targets are
-    candidates the one that does not immediately ``RET`` wins (it may
-    extend the trace further — the typical shape is a loop body whose
-    ``if`` skips to the latch, with an early ``return`` on the other
-    arm); on a tie the then-target wins.  A degenerate ``BR`` with
-    equal targets never continues.
-    """
-    terminator = block.terminator
-    if terminator is None:
-        return None
-    if terminator.opcode is Opcode.JMP:
-        target = terminator.targets[0]
-        return target if target in candidates else None
-    if terminator.opcode is not Opcode.BR:
-        return None
-    then_label, else_label = terminator.targets
-    if then_label == else_label:
-        return None
-    viable = [label for label in (then_label, else_label)
-              if label in candidates]
-    if len(viable) == 2:
-        viable.sort(key=lambda lbl: _ends_in_ret(candidates[lbl]))
-    return viable[0] if viable else None
-
-
-def _ends_in_ret(block: BasicBlock) -> bool:
-    """True when *block* terminates in ``RET`` (trace-choice tiebreak)."""
-    terminator = block.terminator
-    return (terminator is not None
-            and terminator.opcode is Opcode.RET)
-
-
-def discover_regions(func: Function) -> List[List[BasicBlock]]:
-    """Maximal single-entry block chains of *func*, heads first.
-
-    A block is a chain *candidate* when it has exactly one predecessor
-    and is neither the function entry nor its own predecessor.  The
-    heads — every non-candidate block — are fixed before any walk
-    starts.  Chains start at each head and follow
-    :func:`_chain_continuation` links — unconditional ``JMP`` targets
-    and one side of a ``BR`` — consuming each candidate at most once,
-    up to the first block that jumps or branches back to the head;
-    candidates no chain consumed (the off-trace side of a ``BR`` whose
-    other side won, or members of unreachable cycles) then head chains
-    of their own.  So every block is in exactly one chain, and every
-    executed block transfer either stays inside one closure or lands
-    on a chain head: the dispatch loop never needs a mid-chain entry
-    point.
-    """
-    preds = predecessors(func)
-    entry_label = func.entry.label
-    candidates: Dict[str, BasicBlock] = {}
-    for block in func.blocks:
-        label = block.label
-        if label == entry_label:
-            continue
-        pred_labels = preds.get(label, [])
-        if len(pred_labels) == 1 and pred_labels[0] != label:
-            candidates[label] = block
-
-    def walk(head: BasicBlock) -> List[BasicBlock]:
-        chain = [head]
-        current = head
-        while True:
-            terminator = current.terminator
-            if terminator is not None and head.label in terminator.targets:
-                # A block that branches back to the head ends the chain,
-                # so the chain is a loop unit rather than one whose
-                # back edge is a side exit.
-                break
-            target = _chain_continuation(current, candidates)
-            if target is None:
-                break
-            # Each candidate is consumed by exactly one chain; removal
-            # keeps the walk terminating even on adversarial CFGs.
-            current = candidates.pop(target)
-            chain.append(current)
-        return chain
-
-    # Heads are fixed before any walk pops a candidate.
-    heads = [block for block in func.blocks if block.label not in candidates]
-    regions = [walk(block) for block in heads]
-    while candidates:
-        # Leftover candidates (off-trace BR sides, unreachable cycles)
-        # in block order, longest-first from each: they head chains too.
-        for block in func.blocks:
-            if block.label in candidates:
-                del candidates[block.label]
-                regions.append(walk(block))
-                break
-    return regions
 
 
 def build_function_table(func: Function) -> Dict[str, Optional[Callable]]:
     """Dispatch table ``label -> closure`` for one function.
 
-    Every chain :func:`discover_regions` returns compiles, through the
-    memo, into one closure keyed on its head label.  Every other label
-    maps to ``None``: a chain's tails, and the head of a chain the
-    generator refused (the whole chain then runs on the walker's
-    reference executor).  The dispatch loop reaches a tail only after a
-    unit hands a block to the walker (:class:`ResumeOnWalker`).  Each
-    block is hashed once per build; region keys compose those digests.
+    The entry label maps to the function's closure, compiled through
+    the memo, and every other label to ``None``: the dispatch loop
+    runs the rest of a frame on the walker once the closure hands it
+    over (:class:`ResumeOnWalker`), and the whole frame when codegen
+    refused the function.  Each block is hashed once per build; the
+    memo key composes those digests.
     """
-    digests = {block.label: block_digest(block) for block in func.blocks}
-    table: Dict[str, Optional[Callable]] = dict.fromkeys(digests)
-    for chain in discover_regions(func):
-        head = chain[0]
-        if len(chain) > 1:
-            key = _region_key([digests[block.label] for block in chain])
-            code = _memoised(key, compile_region, chain)
-        else:
-            code = _memoised(digests[head.label], compile_block, head)
-        table[head.label] = code.fn
+    table: Dict[str, Optional[Callable]] = {
+        block.label: None for block in func.blocks}
+    if not func.blocks:
+        return table
+    key = function_digest(func.params,
+                          [block_digest(block) for block in func.blocks])
+    if len(func.blocks) > 1:
+        code = _memoised(key, True, lambda: compile_region(
+            func.blocks, key, func.params))
+    else:
+        code = _memoised(key, False, lambda: compile_block(
+            func.blocks[0], key, func.params))
+    table[func.entry.label] = code.fn
     return table
 
 
@@ -1115,7 +1114,7 @@ def clear_code_memo() -> int:
     dropped = len(_MEMO)
     _MEMO.clear()
     _STATS.compiled = _STATS.hits = _STATS.fallbacks = 0
-    _STATS.regions = _STATS.loops = 0
+    _STATS.regions = 0
     _STATS.evictions = _STATS.replays = 0
     _STATS.fallback_codes.clear()
     return dropped

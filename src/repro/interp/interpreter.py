@@ -211,27 +211,26 @@ class Interpreter:
         calls = self._calls
         while len(calls) <= depth:
             calls.append(partial(self._call, len(calls) + 1))
-        call = calls[depth]
-        arrays = self.memory.arrays
-        while True:
-            tally[label] += 1
-            fn = table[label]
-            if fn is None:
+        tally[label] += 1
+        fn = table[label]
+        if fn is None:
+            outcome = self._exec_block_ref(func_name, func.block(label),
+                                           regs, depth)
+        else:
+            try:
+                return fn(self, regs, self.memory.arrays, calls[depth],
+                          tally)
+            except ResumeOnWalker as resume:
+                from .compile import code_memo_stats
+                code_memo_stats().replays += 1
+                label, start = resume.args
                 outcome = self._exec_block_ref(
-                    func_name, func.block(label), regs, depth)
-            else:
-                try:
-                    outcome = fn(self, regs, arrays, call, tally)
-                except ResumeOnWalker as resume:
-                    from .compile import code_memo_stats
-                    code_memo_stats().replays += 1
-                    block_label, start = resume.args
-                    outcome = self._exec_block_ref(
-                        func_name, func.block(block_label), regs,
-                        depth, start)
-            if outcome.__class__ is tuple:
-                return outcome[0]
-            label = outcome
+                    func_name, func.block(label), regs, depth, start)
+        while outcome.__class__ is not tuple:
+            tally[outcome] += 1
+            outcome = self._exec_block_ref(
+                func_name, func.block(outcome), regs, depth)
+        return outcome[0]
 
     # ------------------------------------------------------------------
     # Walking backend (the reference oracle).

@@ -138,18 +138,22 @@ class TestFallbackTelemetry:
         assert code.reason == "C002"
         assert code.detail == "operand 'mystery'"
 
-    def test_fallback_reason_c003(self):
+    def test_fallback_reason_c004(self):
+        """An irreducible CFG: ``a`` and ``b`` form a loop with two
+        entries, so the whole function runs on the walker."""
         from repro.interp.compile import compile_region
+        from repro.ir.instructions import br, jmp
 
+        entry = BasicBlock("entry")
+        entry.append(br(Const(1), "a", "b"))
         first = BasicBlock("a")
-        first.append(ret(Const(0)))
+        first.append(jmp("b"))
         second = BasicBlock("b")
-        second.append(ret(Const(0)))
-        code = compile_region([first, second])
+        second.append(jmp("a"))
+        code = compile_region([entry, first, second])
         assert code.fn is None
-        assert code.reason == "C003"
-        assert code.detail == ("chain link is not a JMP/BR into the "
-                               "next block")
+        assert code.reason == "C004"
+        assert code.detail == "irreducible control flow"
 
     def test_stats_count_by_code(self):
         from repro.interp.compile import BlockCode, CodeMemoStats

@@ -22,7 +22,7 @@ class TestCodesTable:
             "V201", "V202",
             "V301", "V302", "V303", "V304", "V305", "V306",
             "S001", "S002", "S003", "S004", "S005", "S006",
-            "C001", "C002", "C003",
+            "C001", "C002", "C004",
         }
         assert expected == set(CODES)
 

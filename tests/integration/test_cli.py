@@ -381,7 +381,8 @@ class TestStoreFlags:
 # boundary.
 # ----------------------------------------------------------------------
 ALGOS = ("iterative", "optimal", "clubbing", "maxmiso", "area")
-SHAPES = ("chain", "multiout", "branchy", "memory", "portlimit", "mixed")
+SHAPES = ("chain", "multiout", "branchy", "memory", "portlimit", "mixed",
+          "nested")
 
 # Every verb's options as (option, dest, default, type name, choices,
 # action, required), generated from the parser as it stood before each

@@ -37,6 +37,7 @@ from repro.interp.compile import (
     clear_code_memo,
     code_memo_stats,
     compile_block,
+    compile_region,
 )
 from repro.ir.function import Function, GlobalArray, Module
 from repro.ir.instructions import ISEInstruction, jmp, ret, store
@@ -316,6 +317,5 @@ def test_compiled_path_never_calls_evaluate(monkeypatch):
 def test_rewritten_workloads_compile_without_fallback(name):
     _, module = _rewritten(name, 2 if name == "sha" else 8)
     for func in module.functions.values():
-        for block in func.blocks:
-            code = compile_block(block)
-            assert code.fn is not None, (block.label, code.reason)
+        code = compile_region(func.blocks, params=func.params)
+        assert code.fn is not None, (func.name, code.reason)

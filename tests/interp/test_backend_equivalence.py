@@ -485,12 +485,13 @@ class TestCodeMemo:
         assert stats.hits == 0 and stats.compiled == 0
 
     def test_rewritten_module_hits_shared_memo(self):
-        """An ISE-rewritten module's unmodified blocks — and its region
-        chains — must *hit* the memo an earlier run of the original
-        module populated, not recompile (regression: ``repro run
-        --rewrite`` after a sweep used to pay full codegen again).
-        Region digests are purely structural, so digest-equal chains
-        from the rewrite's clone reuse the original's closures."""
+        """An ISE-rewritten module's unmodified functions must *hit*
+        the memo an earlier run of the original module populated, not
+        recompile (regression: ``repro run --rewrite`` after a sweep
+        used to pay full codegen again).  Function digests are purely
+        structural, so a digest-equal function from the rewrite's clone
+        reuses the original's closure.  g721's callees are not all
+        rewritten; fir is one function, so it has none to reuse."""
         from repro import interp
         from repro.core import Constraints, select_iterative
         from repro.exec.rewrite import rewrite_module
@@ -498,7 +499,7 @@ class TestCodeMemo:
         from repro.pipeline import prepare_application
         from repro.workloads.registry import get_workload
 
-        name, n = "fir", RUN_SIZES["fir"]
+        name, n = "g721", RUN_SIZES["g721"]
         app = prepare_application(name, n=n)
         model = CostModel()
         selection = select_iterative(

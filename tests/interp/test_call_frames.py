@@ -2,19 +2,19 @@
 
 A compiled frame tallies block entries in its function's run-long
 tally, which ``Interpreter.run`` folds into the profile once, also when
-the run traps; loop units count in locals and add them on every exit;
+the run traps; a function's closure counts in locals and adds them on
+every exit;
 ``CALL`` is one callback per call depth (``repro.interp.interpreter``).
 Every test here runs hand-built IR on both backends and compares value,
 step count, profile counts and calls, and trap or budget text:
 
-* a trap and every budget expiry two frames deep, inside a loop unit
-  whose callers are loop units too, and a loop unit that never
-  iterates;
+* a trap and every budget expiry two frames deep, inside a loop whose
+  callers loop too, and a loop that never iterates;
 * a batch lane that traps inside a callee, followed by clean lanes;
 * the call-depth, unknown-callee and arity traps raised through a
   compiled ``CALL``, in the walker's order and with its text;
-* one hash per block when a dispatch table is built, and memo keys
-  equal to :func:`region_digest` / :func:`block_digest`.
+* one hash per block when a dispatch table is built, and a memo key
+  equal to :func:`function_digest` over the :func:`block_digest` s.
 """
 
 from __future__ import annotations
@@ -116,13 +116,11 @@ def _same(module, func, args, max_steps=10**6):
 class TestNestedLoopUnits:
     def test_every_frame_runs_a_loop_unit(self):
         module = _nested_loops()
-        for name, head in (("f", "head"), ("g", "head"), ("h", "loop")):
-            (chain,) = [chain for chain
-                        in codegen.discover_regions(module.functions[name])
-                        if chain[0].label == head]
-            code = (codegen.compile_region(chain) if len(chain) > 1
-                    else codegen.compile_block(chain[0]))
-            assert code.loop, name
+        for name in ("f", "g", "h"):
+            func = module.functions[name]
+            code = codegen.compile_region(func.blocks, params=func.params)
+            assert code.fn is not None, name
+            assert "while True:" in code.source, name
 
     def test_trap_two_frames_deep(self):
         module = _nested_loops()
@@ -257,10 +255,8 @@ class TestTableDigests:
         for func in module.functions.values():
             codegen.clear_code_memo()
             table = codegen.build_function_table(func)
-            expected = {}
-            for chain in codegen.discover_regions(func):
-                key = (codegen.region_digest(chain) if len(chain) > 1
-                       else codegen.block_digest(chain[0]))
-                expected[key] = table[chain[0].label]
+            key = codegen.function_digest(
+                func.params, [codegen.block_digest(block)
+                              for block in func.blocks])
             assert {key: code.fn for key, code in codegen._MEMO.items()
-                    } == expected
+                    } == {key: table[func.entry.label]}

@@ -1,26 +1,29 @@
-"""Loop units write interpreter state only on the paths that leave them.
+"""Compiled functions write interpreter state only on the paths that
+leave them.
 
-A compiled loop unit (``repro.interp.compile``) keeps registers and the
-step count in locals while it iterates.  No path inside it writes a
-register: its ``finally`` writes each register the body defines back
-to ``R`` once, on every exit (side exits, post-``CALL`` resume checks,
-the loop-back budget exit and traps).  A register that is not a
-live-in starts as ``None`` and is written back only once defined.  An
-internal ``BR`` commits ``I._steps`` inside its side-exit branch and a
-division inside its trap branch.  This suite checks:
+A function's closure (``repro.interp.compile``) keeps registers and the
+step count in locals.  No path in it writes a register: its
+``except _RW:`` handler writes each register the function defines back
+to ``R`` once, when the frame goes on on the walker (a post-``CALL``
+resume check or a failed back-edge guard).  A register that is not a
+parameter starts as ``None`` and is written back only once defined.  A
+``RET`` or a trap writes nothing back.  ``I._steps`` is committed only
+right before a ``CALL``, a ``return`` or a ``raise``.  This suite
+checks:
 
-* the source shape, on every loop unit of the 8 workloads, baseline and
-  ISE-rewritten: the iteration path outside exit branches commits no
-  step count (except the commit a ``CALL`` needs), no line outside the
-  ``finally`` stores into ``R``, the ``finally`` stores each defined
+* the source shape, on every function of the 8 workloads, baseline and
+  ISE-rewritten: every program has a loop, each back edge counts its
+  header, runs the guard and then ``continue``s, no step commit is
+  followed by anything but a call, a return or a raise, no line outside
+  the handler stores into ``R``, the handler stores each defined
   register exactly once, and every store of a register that is not a
-  live-in is guarded;
-* differentials against the walker at every step budget: a side exit
-  in the first iteration into a block that reads a register the body
+  parameter is guarded;
+* differentials against the walker at every step budget: an exit in
+  the first iteration into a block that reads a register the body
   defines only after that exit, a two-exit loop whose second exit
   fires in a later iteration, a division that traps in a later
-  iteration, and a constant-zero division in a loop latch after a side
-  exit, which ends the unit's emission before its loop-back;
+  iteration, and a constant-zero division in a loop latch after an
+  exit, which ends emission before the back edge;
 * an ISE whose dest is also its operand, beside an output forwarding a
   port and one a gate writes straight into its dest's local.
 """
@@ -35,12 +38,9 @@ import pytest
 from repro.core import Constraints, SearchLimits, select_iterative
 from repro.exec.rewrite import FusedAFU, FusedGate, rewrite_module
 from repro.hwmodel import CostModel
+from repro.analysis import NaturalLoops
 from repro.interp import ExecutionLimitExceeded, Interpreter, Memory, TrapError
-from repro.interp.compile import (
-    compile_block,
-    compile_region,
-    discover_regions,
-)
+from repro.interp.compile import compile_region
 from repro.ir.function import Function, GlobalArray, Module
 from repro.ir.instructions import (
     ISEInstruction,
@@ -77,50 +77,37 @@ def _workload_module(name, kind):
     return rewrite_module(app.module, selection.cuts, model).module
 
 
-def _unit(chain):
-    if len(chain) > 1:
-        return compile_region(chain)
-    return compile_block(chain[0])
+def _unit(func):
+    return compile_region(func.blocks, params=func.params)
 
 
 def _loop_sources(module):
-    return [code.source
-            for func in module.functions.values()
-            for code in map(_unit, discover_regions(func)) if code.loop]
-
-
-def _iteration_path(source):
-    """The lines of the ``while True:`` body outside every branch."""
-    lines = source.splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.strip() == "while True:")
-    base = len(lines[start + 1]) - len(lines[start + 1].lstrip())
-    path = []
-    for line in lines[start + 1:]:
-        indent = len(line) - len(line.lstrip())
-        if indent < base:
-            break
-        if indent == base:
-            path.append(line.strip())
-    return path
+    return [_unit(func).source for func in module.functions.values()
+            if NaturalLoops(func).body]
 
 
 @pytest.mark.parametrize("kind", ["baseline", "rewritten"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_iteration_path_writes_no_state(name, kind):
-    # adpcm-encode's loop latch joins two arms of an ``if``, so it heads
-    # a unit of its own and no unit loops; the other 7 programs have at
-    # least one loop unit.
+    # Every program has a loop, adpcm-encode's diamond latch included.
     sources = _loop_sources(_workload_module(name, kind))
-    assert bool(sources) == (name != "adpcm-encode")
+    assert sources
     for source in sources:
-        path = _iteration_path(source)
-        assert path[-1] == "_k0 += 1"
-        for number, line in enumerate(path):
-            assert not line.startswith("R["), source
+        lines = [line.strip() for line in source.splitlines()]
+        backs = [number for number, line in enumerate(lines)
+                 if line == "continue"]
+        assert backs, source
+        for number in backs:
+            assert lines[number - 1].startswith("raise _RW("), source
+            assert lines[number - 2] == "I._steps = _s", source
+            assert lines[number - 3].startswith("if _s > _lim"), source
+            assert re.fullmatch(r"_k\d+ \+= 1", lines[number - 4]), source
+        for number, line in enumerate(lines):
             if line.startswith("I._steps ="):
-                # A CALL's commit: the callee counts on from it.
-                assert "CALL(" in path[number + 1], source
+                # A commit: the callee counts on from it, or the frame
+                # leaves the closure.
+                assert lines[number + 1].startswith(
+                    ("CALL(", "_t = CALL(", "return", "raise")), source
 
 
 _ASSIGNED = re.compile(r"(v\d+(?:, v\d+)*) = ")
@@ -130,26 +117,30 @@ _STORE = re.compile(r"(?:if (v\d+) is not None: )?R\['([^']+)'\] = (v\d+)")
 @pytest.mark.parametrize("kind", ["baseline", "rewritten"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_finally_is_the_only_writeback(name, kind):
-    """No line outside a loop unit's ``finally`` stores into ``R``; the
-    ``finally`` stores each register the body defines once, a live-in
-    unconditionally and any other behind ``if v is not None:``, after
-    the header set it to ``None``."""
-    for source in _loop_sources(_workload_module(name, kind)):
-        assert "if _k0" not in source
+    """No line outside a closure's ``except _RW:`` handler stores into
+    ``R``; the handler stores each register the body defines once, a
+    parameter unconditionally and any other behind ``if v is not
+    None:``, after the header set it to ``None``."""
+    module = _workload_module(name, kind)
+    for func in module.functions.values():
+        source = _unit(func).source
+        if "except _RW:" not in source:
+            continue
         lines = [line.strip() for line in source.splitlines()]
-        loop = lines.index("while True:")
-        tail = lines.index("finally:")
-        assert not any(_STORE.search(line) for line in lines[:tail]), source
-        live_in = {line.split(" = R[")[0] for line in lines[:loop]
+        start = lines.index("try:")
+        tail = lines.index("except _RW:")
+        end = lines.index("raise", tail)
+        assert not any(_STORE.search(line)
+                       for line in lines[:tail]), source
+        live_in = {line.split(" = R[")[0] for line in lines[:start]
                    if " = R[" in line}
-        defined = {local for line in lines[loop:tail]
+        defined = {local for line in lines[start:tail]
                    for match in [_ASSIGNED.match(line)] if match
                    for local in match.group(1).split(", ")}
-        unset = [line.split(" = ")[:-1] for line in lines[:loop]
+        unset = [line.split(" = ")[:-1] for line in lines[:start]
                  if line.endswith(" = None")]
-        assert set(sum(unset, [])) == defined - live_in, source
-        stores = [_STORE.fullmatch(line) for line in lines[tail + 1:]
-                  if "R[" in line]
+        assert set(sum(unset, [])) >= defined - live_in, source
+        stores = [_STORE.fullmatch(line) for line in lines[tail + 1:end]]
         assert all(stores), source
         stored = [match.group(3) for match in stores]
         assert sorted(stored) == sorted(defined), source
@@ -205,8 +196,11 @@ def _sweep_budget(module, args):
 
 
 def _loop_heads(module):
-    return sorted(code.label for code in map(
-        _unit, discover_regions(module.functions["f"])) if code.loop)
+    """Headers of f's loops; its closure has one ``while True:`` each."""
+    func = module.functions["f"]
+    headers = sorted(NaturalLoops(func).body)
+    assert _unit(func).source.count("while True:") == len(headers)
+    return headers
 
 
 def _late_def_loop(t_before):
@@ -318,9 +312,9 @@ def test_division_trap_in_a_later_iteration_every_index():
 
 def _dead_latch_loop(op):
     """``head -> latch -> head`` whose latch divides by a constant 0
-    after ``head``'s side exit to ``done``.  The trap ends emission
-    before the loop-back, so the unit runs its body at most once and
-    keeps only its ``try``/``finally``."""
+    after ``head``'s exit to ``done``.  The trap ends emission before
+    the back edge, so the loop runs its body at most once: no
+    ``continue``, only its ``try``/``finally``."""
     return _module({
         "entry": [copy_reg("i", C(2)), jmp("head")],
         "head": [binop(Opcode.MUL, "t", R("i"), C(3)),
@@ -339,10 +333,8 @@ class TestDeadLatch:
                              ids=["div", "rem"])
     def test_exit_taken_every_index(self, op):
         module = _dead_latch_loop(op)
-        (source,) = [code.source for code in map(
-            _unit, discover_regions(module.functions["f"]))
-            if code.label == "head"]
-        assert "finally:" in source and "while True:" not in source
+        source = _unit(module.functions["f"]).source
+        assert "finally:" in source and "continue" not in source
         assert _sweep_budget(module, [0, 0])[:2] == ("ok", 6)
 
     @pytest.mark.parametrize("op", [Opcode.DIV, Opcode.REM],
@@ -394,12 +386,14 @@ class TestIseDests:
         assert outcome[:2] == ("ok", a - b)
 
     def test_only_the_unread_dest_is_written_by_its_gate(self):
-        source = _unit([_forwarding_ise_loop().functions["f"]
-                        .block("loop")]).source
+        source = _unit(_forwarding_ise_loop().functions["f"]).source
         body = [line.strip() for line in source.splitlines()]
-        # c (v2) takes w0 from its gate; a (v0) and b (v1) are read by
-        # the ports, so w1 goes through g0, and a, b are assigned after
-        # the last gate, b from a's entry value.
-        assert any(re.fullmatch(r"v2 = .*\(v0 \+ v1\).*", line)
+        local = {match.group(2): match.group(3) for match in
+                 map(_STORE.fullmatch, body) if match}
+        a, b, c = local["a"], local["b"], local["c"]
+        # c takes w0 from its gate; a and b are read by the ports, so
+        # w1 goes through g0, and a, b are assigned after the last
+        # gate, b from a's entry value.
+        assert any(re.fullmatch(rf"{c} = .*\({a} \+ {b}\).*", line)
                    for line in body)
-        assert "v0, v1 = g0, v0" in body
+        assert f"{a}, {b} = g0, {a}" in body

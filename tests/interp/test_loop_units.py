@@ -1,8 +1,8 @@
-"""Differential suite for loop units and inline memory access.
+"""Differential suite for compiled loops and inline memory access.
 
-A unit whose last block jumps, or branches on one side, back to its
-head iterates inside its closure, and ``LOAD``/``STORE`` index the
-bound memory rows inline (``repro.interp.compile``).  Every test here
+A function's closure runs each natural loop as ``while True:``, and
+``LOAD``/``STORE`` index the bound memory rows inline
+(``repro.interp.compile``).  Every test here
 runs hand-built IR on both backends and compares value, step count,
 memory, profile counts and calls, and trap or budget text:
 
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import NaturalLoops
 from repro.interp import ExecutionLimitExceeded, Interpreter, Memory, TrapError
 from repro.interp.compile import (
+    build_function_table,
     clear_code_memo,
     code_memo_stats,
-    compile_block,
     compile_region,
-    discover_regions,
 )
 from repro.ir.function import Function, GlobalArray, Module
 from repro.ir.instructions import (
@@ -101,11 +101,13 @@ def _sweep_budget(module, args):
 
 
 def _loop_units(module):
-    """Labels of the loop units the compiled backend builds for f."""
-    codes = [compile_region(chain) if len(chain) > 1
-             else compile_block(chain[0])
-             for chain in discover_regions(module.functions["f"])]
-    return sorted(code.label for code in codes if code.loop)
+    """Headers of the loops f's closure iterates in place: one
+    ``while True:`` per natural loop."""
+    func = module.functions["f"]
+    code = compile_region(func.blocks, params=func.params)
+    headers = sorted(NaturalLoops(func).body)
+    assert code.source.count("while True:") == len(headers)
+    return headers
 
 
 def _mid_exit_loop():
@@ -156,9 +158,8 @@ class TestLoopBudgetSweeps:
         _sweep_budget(module, [8])
 
     def test_self_loop_into_single_predecessor_exit(self):
-        """``done`` has one predecessor, so the chain could continue
-        into it through the loop's exit side; it ends at the back edge
-        instead, and ``loop`` iterates in place."""
+        """``done`` has one predecessor: it follows the loop, and
+        ``loop`` iterates in place, all in the entry's closure."""
         module = _module({
             "entry": [copy_reg("i", C(0)), copy_reg("s", C(0)),
                       jmp("loop")],
@@ -169,9 +170,10 @@ class TestLoopBudgetSweeps:
                      br(R("c"), "loop", "done")],
             "done": [binop(Opcode.MUL, "u", R("s"), R("i")), ret(R("u"))],
         })
-        chains = discover_regions(module.functions["f"])
-        assert [[b.label for b in chain] for chain in chains] == [
-            ["entry"], ["loop"], ["done"]]
+        table = build_function_table(module.functions["f"])
+        assert list(table) == ["entry", "loop", "done"]
+        assert table["entry"] is not None
+        assert table["loop"] is table["done"] is None
         assert _loop_units(module) == ["loop"]
         assert _same(module, [8])[:2] == ("ok", 36 * 8)
         _sweep_budget(module, [8])
@@ -224,11 +226,14 @@ class TestLoopBudgetSweeps:
         _sweep_budget(module, [10])
 
     def test_loop_units_are_counted(self):
+        """The loop is part of the function's one unit, counted as a
+        multi-block unit (``regions``)."""
         clear_code_memo()
         _outcome(_mid_exit_loop(), [20], "compiled")
         stats = code_memo_stats()
-        assert stats.loops == 1
-        assert stats.as_dict()["loops"] == 1
+        assert stats.regions == stats.compiled == 1
+        assert stats.as_dict()["regions"] == 1
+        assert _loop_units(_mid_exit_loop()) == ["head"]
 
 
 def _indexed_loop(op, offset, array="a"):

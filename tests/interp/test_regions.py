@@ -1,27 +1,23 @@
-"""Chain partition of the compiled backend's dispatch units.
+"""One compiled unit per function.
 
-:func:`repro.interp.compile.discover_regions` fixes its chain heads —
-every block that is not a chain candidate — before any walk starts,
-so each block belongs to exactly one unit.  This suite checks:
+:func:`repro.interp.compile.build_function_table` compiles each
+function into one closure keyed on its entry label; every other label
+maps to ``None``.  This suite checks:
 
 * on all 8 workloads, baseline and ISE-rewritten (iterative, Nin 4,
-  Nout 2): every block is in exactly one chain; every chain is, label
-  for label, a chain of :func:`_reference_regions` (the earlier walk,
-  which tested candidacy while walks were consuming candidates and so
-  also compiled consumed tails as units of their own); the dispatch
-  table maps each head to its memoised closure, whose source is the
-  chain's, and every tail to ``None``; the baseline modules hold 55
-  units;
-* on random CFGs: the partition holds and each chain is the maximal
-  :func:`_chain_continuation` walk from its head;
+  Nout 2): every function compiles, its table maps the entry to the
+  memoised closure, whose source is the function's, and every other
+  label to ``None``; the baseline modules hold 11 units, one per
+  function;
+* on random CFGs, reducible or not: the table holds at most the entry's
+  closure, and every run matches the walker at several step budgets;
 * a compiled run of every workload never runs a block on the walker;
-* a chain whose codegen falls back (``C002``) is ``None`` at every
+* a function whose codegen falls back (``C002``) is ``None`` at every
   label, and every run stays bit-identical to the walker.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -33,14 +29,12 @@ from repro.hwmodel import CostModel
 from repro.interp import ExecutionLimitExceeded, Interpreter, Memory
 from repro.interp import compile as codegen
 from repro.interp.compile import (
-    _chain_continuation,
+    block_digest,
     build_function_table,
     code_memo_stats,
-    compile_block,
     compile_region,
-    discover_regions,
+    function_digest,
 )
-from repro.ir.cfg import predecessors
 from repro.ir.function import Function, GlobalArray, Module
 from repro.ir.instructions import (
     ISEInstruction,
@@ -62,8 +56,9 @@ RUN_SIZES = {
     "crc32": 12, "g721": 16, "mixer": 24, "sha": 2,
 }
 
-#: Units of the 8 baseline modules (78 under the reference walk).
-BASELINE_UNITS = 55
+#: Units of the 8 baseline modules: one per function (55 chains and
+#: loop units before functions were compiled whole).
+BASELINE_UNITS = 11
 
 
 @lru_cache(maxsize=None)
@@ -78,89 +73,35 @@ def _modules(name):
     return app, {"baseline": app.module, "rewritten": rewritten.module}
 
 
-def _candidates(func):
-    """Blocks with one predecessor that are neither the entry nor
-    their own predecessor."""
-    preds = predecessors(func)
-    return {block.label: block for block in func.blocks
-            if block is not func.entry
-            and len(preds[block.label]) == 1
-            and preds[block.label][0] != block.label}
-
-
-def _walk(head, candidates):
-    """Follow :func:`_chain_continuation` from *head*, consuming
-    *candidates*, up to the first block that targets the head."""
-    chain = [head]
-    current = head
-    while True:
-        terminator = current.terminator
-        if terminator is not None and head.label in terminator.targets:
-            return chain
-        target = _chain_continuation(current, candidates)
-        if target is None:
-            return chain
-        current = candidates.pop(target)
-        chain.append(current)
-
-
-def _reference_regions(func):
-    """The earlier chain walk: a head is any block *still* in the
-    candidate dict when the head loop reaches it, so a tail that an
-    earlier walk consumed heads a unit of its own too."""
-    candidates = _candidates(func)
-    regions = [_walk(block, candidates) for block in func.blocks
-               if block.label not in candidates]
-    while candidates:
-        block = next(b for b in func.blocks if b.label in candidates)
-        del candidates[block.label]
-        regions.append(_walk(block, candidates))
-    return regions
-
-
-def _labels(chains):
-    return [[block.label for block in chain] for chain in chains]
-
-
-def _assert_partition(func, chains):
-    members = Counter(block.label for chain in chains for block in chain)
-    assert members == Counter(block.label for block in func.blocks)
-
-
-def _unit(chain):
-    """*chain*'s unit compiled afresh, outside the code memo (its
-    ``digest`` is the memo key)."""
-    if len(chain) > 1:
-        return compile_region(chain)
-    return compile_block(chain[0])
+def _key(func):
+    return function_digest(func.params,
+                           [block_digest(block) for block in func.blocks])
 
 
 @pytest.mark.parametrize("kind", ["baseline", "rewritten"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_units_partition_the_blocks(name, kind):
+    """Each function is one unit: its closure covers every block."""
     module = _modules(name)[1][kind]
     for func in module.functions.values():
-        chains = discover_regions(func)
-        _assert_partition(func, chains)
-        reference = _labels(_reference_regions(func))
-        assert all(labels in reference for labels in _labels(chains))
         table = build_function_table(func)
-        heads = {chain[0].label for chain in chains}
+        assert set(table) == {block.label for block in func.blocks}
         assert {label for label, fn in table.items()
-                if fn is not None} == heads
-        for chain in chains:
-            unit = _unit(chain)
-            code = codegen._MEMO[unit.digest]
-            assert code.source == unit.source
-            assert code.fn is not None
-            assert table[chain[0].label] is code.fn
+                if fn is not None} == {func.entry.label}
+        unit = compile_region(func.blocks, params=func.params)
+        code = codegen._MEMO[_key(func)]
+        assert code.source == unit.source
+        assert code.fn is not None
+        assert table[func.entry.label] is code.fn
 
 
 def test_baseline_unit_count():
     funcs = [func for name in sorted(WORKLOADS)
              for func in _modules(name)[1]["baseline"].functions.values()]
-    assert sum(len(discover_regions(f)) for f in funcs) == BASELINE_UNITS
-    assert sum(len(_reference_regions(f)) for f in funcs) == 78
+    tables = [build_function_table(func) for func in funcs]
+    assert sum(fn is not None for table in tables
+               for fn in table.values()) == BASELINE_UNITS
+    assert len(funcs) == BASELINE_UNITS
 
 
 @st.composite
@@ -184,22 +125,30 @@ def cfgs(draw):
     return func
 
 
+def _cfg_outcome(func, backend, max_steps):
+    module = Module("m")
+    module.add_function(func)
+    interp = Interpreter(module, max_steps=max_steps, backend=backend)
+    try:
+        result = ("ok", interp.run("f", [3]).value)
+    except ExecutionLimitExceeded as exc:
+        result = ("limit", str(exc))
+    except Exception as exc:  # noqa: BLE001 - the walker's own failure
+        result = (type(exc).__name__, str(exc))
+    return result + (interp._steps, dict(interp.profile.counts))
+
+
 @settings(max_examples=300, deadline=None)
 @given(cfgs())
 def test_random_cfgs_partition_into_maximal_walks(func):
-    chains = discover_regions(func)
-    _assert_partition(func, chains)
-    candidates = _candidates(func)
-    heads = [chain[0].label for chain in chains]
-    # Every non-candidate heads a chain, in block order, before any
-    # leftover candidate does.
-    fixed = [block.label for block in func.blocks
-             if block.label not in candidates]
-    assert heads[:len(fixed)] == fixed
-    for chain in chains:
-        candidates.pop(chain[0].label, None)
-        assert _labels([chain]) == _labels([_walk(chain[0], candidates)])
-    assert not candidates
+    """Reducible or not, a random CFG is one unit (or none), and runs
+    as the walker does at every budget up to 40 steps."""
+    table = build_function_table(func)
+    assert [label for label, fn in table.items()
+            if fn is not None] in ([], [func.entry.label])
+    for max_steps in range(1, 41):
+        assert (_cfg_outcome(func, "compiled", max_steps)
+                == _cfg_outcome(func, "walk", max_steps)), max_steps
 
 
 @pytest.mark.parametrize("kind", ["baseline", "rewritten"])
@@ -237,8 +186,8 @@ WIDE_AFU = FusedAFU(name="ise0", block="f/body",
 
 def _fallback_loop():
     """``head -> body -> latch -> head``, ``body`` holding the
-    untranslatable ISE: the loop unit falls back, and all three blocks
-    run on the walker, one per dispatch."""
+    untranslatable ISE: the function falls back, and every block runs
+    on the walker, one per dispatch."""
     module = Module("m")
     module.add_global(GlobalArray("a", 8, range(1, 9)))
     func = Function("f", params=["n"])
@@ -277,18 +226,15 @@ def _outcome(module, backend, max_steps):
 
 
 def test_refused_chain_runs_on_the_walker():
+    """The refused function runs on the walker, every label ``None``."""
     module = _fallback_loop()
     func = module.functions["f"]
-    chains = _labels(discover_regions(func))
-    assert ["head", "body", "latch"] in chains
-    loop = [func.block(label) for label in ("head", "body", "latch")]
-    assert compile_region(loop).reason == "C002"
+    assert compile_region(func.blocks, params=func.params).reason == "C002"
     total = _outcome(module, "walk", 10**6)[0][2]
     for max_steps in range(1, total + 2):
         walk = _outcome(module, "walk", max_steps)[0]
         comp, interp = _outcome(module, "compiled", max_steps)
         assert comp == walk, f"max_steps={max_steps}"
     table = interp._frames["f"][2]
-    assert table == {"entry": table["entry"], "head": None,
-                     "body": None, "latch": None, "done": table["done"]}
-    assert table["entry"] is not None and table["done"] is not None
+    assert table == {"entry": None, "head": None, "body": None,
+                     "latch": None, "done": None}
