@@ -10,8 +10,8 @@ analyses the verifier (and future passes) need:
 * :class:`DefiniteAssignment` — the *must* counterpart: registers that
   are defined on **every** path from the entry, which is exactly the
   "def-before-use along all paths" obligation of the verifier;
-* :class:`NaturalLoops` — back edges, loop bodies and nesting depth,
-  and whether the CFG is reducible.
+* :class:`NaturalLoops` — loop bodies, nesting depth and whether the
+  CFG is reducible.
 
 Backward liveness already lives in :class:`repro.ir.cfg.Liveness`; it
 is re-exported here so analysis clients have one import surface.
@@ -241,7 +241,6 @@ class NaturalLoops:
         dominance: the :class:`Dominance` the loops were found with.
         reducible: False when some retreating edge is no back edge.
         body: header -> labels of its loop, header included.
-        depth: label -> how many loops contain it (0 outside all).
     """
 
     def __init__(self, func: Function) -> None:
@@ -271,10 +270,8 @@ class NaturalLoops:
                     body.add(label)
                     stack.extend(p for p in preds[label] if p in index)
             self.body[header] = body
-        self.depth: Dict[str, int] = {
-            label: sum(label in body for body in self.body.values())
-            for label in self.order}
 
     def max_depth(self) -> int:
         """The deepest nesting of any block (0 for a loop-free CFG)."""
-        return max(self.depth.values(), default=0)
+        return max((sum(label in body for body in self.body.values())
+                    for label in self.order), default=0)

@@ -356,9 +356,8 @@ def _print_fallbacks() -> None:
     Empty for fully compiled programs that never replayed; otherwise it
     names the diagnostic code (``C0xx`` codegen limits, ``V0xx``
     ill-formed IR — see :data:`repro.analysis.diagnostics.CODES`) per
-    fallback unit, then the count of run-time replays (a compiled unit
-    handing a block to the walker near the step budget, or on an
-    undefined live-in register).
+    refused function, then the count of run-time replays (a compiled
+    function handing its frame to the walker near the step budget).
     """
     from .interp.compile import code_memo_stats
 

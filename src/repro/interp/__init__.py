@@ -1,6 +1,6 @@
 """IR interpreter: execution, memory image, profiling, the compiled
-region/block execution backends and batched N-inputs-per-call execution
-(DESIGN.md §11–§12)."""
+backend (one closure per function) and batched N-inputs-per-call
+execution (DESIGN.md §11–§12)."""
 
 from .batch import (
     BatchResult,

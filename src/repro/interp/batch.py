@@ -9,7 +9,7 @@ key the code memo.  At serving scale those costs dwarf the compiled
 loop itself.  :func:`run_batch` hoists all of it out of the input loop:
 
 * **one** interpreter executes every lane, so dispatch tables (and the
-  region closures behind them) are built once per function, not once
+  function closures behind them) are built once per function, not once
   per input;
 * **one** memory image is reset in place between lanes — each row is
   restored from a precomputed template with a slice assignment, then
@@ -129,7 +129,7 @@ def run_batch(module: Module, entry: str, lanes: Sequence[Lane],
         entry: function every lane calls.
         lanes: the input records, executed in order.
         backend: execution backend (``None`` defers to
-            ``$REPRO_BACKEND``, default compiled — regions).
+            ``$REPRO_BACKEND``, default compiled).
         max_steps: step budget per lane unless the lane overrides it.
         verify: optional check called with the memory image and the
             lane's result while the image still holds that lane's

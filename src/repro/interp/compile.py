@@ -1,100 +1,62 @@
-"""Compiled-block execution backend: per-block Python codegen.
+"""Compiled execution backend: one generated Python closure per function.
 
 The tree-walking interpreter (:mod:`repro.interp.interpreter`) pays, for
 every executed operation, the full dispatch tax: an opcode comparison
-chain, a list comprehension over operands with per-operand ``isinstance``
-checks, a call into :func:`~repro.passes.constant_folding.
-evaluate_pure_op` (itself a ~20-way comparison chain) and a dict write.
-This module removes that tax by translating each basic block *once* into
-generated Python source:
+chain, per-operand ``isinstance`` checks, a call into
+:func:`~repro.passes.constant_folding.evaluate_pure_op` and a dict
+write.  This module translates each function *once* into one closure:
 
-* registers become straight-line **local variables** — the register dict
-  is read once per live-in register at block entry and written once per
-  defined register at block exit (never for ``RET`` exits, where the
-  frame dies anyway);
-* maximal single-entry successor chains — **regions**, discovered from
-  the CFG by :func:`discover_regions` — compile into *one* closure:
-  live registers stay Python locals across the internal links, the
-  per-block dict read/write-back disappears from hot paths, and each
-  internal boundary costs one increment of the function's block-entry
-  tally (``C``) instead of a dispatch-loop round trip.  Chains
-  thread unconditional ``JMP`` links and, superblock-style, continue
-  through a ``BR`` into a single-predecessor target — the off-trace
-  side becomes an early *side exit* (walker-exact writebacks, then a
-  return of the off-trace label), which is what fuses a loop header
-  with its body into one closure;
-* a unit whose last block jumps, or branches on one side, back to its
-  own head is a **loop**: its body runs inside ``while True:``, so an
-  iteration costs no dispatch-loop round trip and no register-dict
-  read.  The loop-back re-checks the entry budget and bumps the head's
-  entry count.  No path inside the loop writes a register: a loop
-  unit counts block entries in int locals, and its ``finally`` adds
-  them to ``C`` and writes each register the body defines back to
-  ``R`` once, on every exit, traps included.  A register that is not
-  a live-in starts as ``None`` and is written back only once defined.
-  A chain ends at the first block that branches back to its head, so
-  a back edge is never an internal side exit;
-* ``LOAD``/``STORE`` index the memory row **inline**: each unit binds
-  the rows it touches and their lengths once, at entry, and an access
-  whose index passes ``0 <= i < len`` reads or writes the list
-  directly (a store wraps its value as :meth:`Memory.store` does).  An
-  out-of-range or negative index, or an array the memory image lacks
-  (bound as the empty row ``()``), takes the slow path, which commits
-  the exact step count and lets :meth:`Memory.load`/``store`` raise
-  the walker's trap;
-* opcode semantics are **inlined**: the 32-bit two's-complement wrap of
-  :func:`repro.ir.values.wrap32` is emitted as a closed-form expression
-  (``((v & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000``) exactly where an
-  operation can leave the canonical range, and *omitted* where it is a
-  provable identity (bitwise ops, comparisons, ``ASHR``, ``REM``,
-  ``SELECT``, ``COPY`` over canonical operands) — the differential suite
-  in ``tests/interp/test_backend_equivalence.py`` holds the generated
-  code bit-identical to ``evaluate_pure_op``;
-* ``ISEInstruction`` nodes **inline their AFU's gate netlist** as
-  straight-line locals built from the same per-opcode expressions as
-  software ops (:func:`_pure_expr`); an internal division that can hit
-  zero raises the walker's exact ``TrapError``, and no dest register
-  reaches ``R`` until the last gate has run (a gate driving an output
-  may write its dest's local directly when no port reads it);
-* step counting is accumulated as **constants**: one ``_s =
-  I._steps`` read at unit entry, and an exact ``I._steps = _s + k``
-  commit only on a path that leaves the closure: before a ``CALL`` and
-  the unit's final terminator, and inside the branch of a side exit,
-  a division trap or a memory slow path.  The path that stays in the
-  closure — an internal ``JMP`` link, the on-trace side of a ``BR``,
-  a loop-back — commits nothing.  The budget is checked by
-  one **guard at unit entry**, against the unit's step count up to its
-  first ``CALL``, once more after each ``CALL`` and, in a loop, at
-  every loop-back; when it could expire, the unit raises
-  :class:`ResumeOnWalker` (or, at a loop-back, returns its head label
-  so the next entry's guard raises it) and the walker's reference
-  executor runs the block from there, so
+* control flow follows the CFG's dominator tree (Relooper-style
+  structuring): a natural loop is ``while True:``, its back edge
+  ``continue`` and the edge to its exit ``break``; a forward branch is
+  ``if``/``else`` and its join the code after it; ``RET`` is ``return``.  A block whose own edges are all ``continue``, ``break``
+  or fall-through (a ``for`` loop's step block) is emitted once more at
+  a ``continue`` nested in the body.  An irreducible CFG, a forward
+  edge the structuring cannot place and nesting deeper than Python's
+  static block limit refuse the whole function (``C004``);
+* registers are **locals**: parameters are read from ``R`` once, at
+  entry, and registers go back to ``R`` only when the frame is handed
+  to the walker (``except _RW:``); a ``RET`` or a trap writes nothing
+  back, because the frame dies.  A read of a register that some path
+  leaves unassigned (:class:`~repro.analysis.dataflow.
+  DefiniteAssignment`) checks for ``None`` and raises the walker's
+  ``read of undefined register`` trap;
+* steps accumulate as **constants** in the local ``_s``; ``I._steps``
+  is committed only on a path that leaves the closure: before a
+  ``CALL``, a ``return`` or a ``raise``.  The budget is checked by a
+  guard at entry, after each ``CALL`` and at every back edge, each
+  sized by the longest acyclic path to the next check; when the budget
+  could expire before it, the closure raises :class:`ResumeOnWalker`
+  and the walker runs the rest of the frame from that op, so
   :class:`~repro.interp.interpreter.ExecutionLimitExceeded` fires at
   exactly the walker's step index with exactly its side effects;
-* block entry counts are tallied per function, by the dispatch loop and
-  the closures, into a ``defaultdict(int)`` the interpreter keeps for
-  the run, and folded into :class:`~repro.interp.profile.ProfileData`
-  once per :meth:`~repro.interp.interpreter.Interpreter.run`, not per
-  entry or per call frame.
+* block entries are counted in int locals and added, in one
+  ``finally`` (traps included), to the function's run-long tally
+  ``C``, which :meth:`~repro.interp.interpreter.Interpreter.run` folds
+  into :class:`~repro.interp.profile.ProfileData` once per run;
+* ``LOAD``/``STORE`` index the memory rows, bound once at entry,
+  **inline** when ``0 <= i < len`` holds (a store wraps its value as
+  :meth:`Memory.store` does); any other index, or an array the image
+  lacks (bound as ``()``), takes the slow path, which commits the exact
+  step count and lets :meth:`Memory.load`/``store`` raise the trap;
+* opcode semantics are **inlined**: the 32-bit wrap of
+  :func:`repro.ir.values.wrap32` is emitted in closed form exactly
+  where an operation can leave the canonical range, and omitted where
+  it is a provable identity; ``ISEInstruction`` nodes inline their
+  AFU's gate netlist through the same per-opcode expressions
+  (:func:`_pure_expr`).  ``tests/interp/test_backend_equivalence.py``
+  holds the generated code bit-identical to ``evaluate_pure_op``.
 
-Compiled closures are cached in a process-wide **LRU** memo keyed on
-structural digests (:func:`block_digest` per block,
-:func:`region_digest` — a pure composition of member block digests —
-per chain, both built on :func:`repro.store.keys.canonical_digest`):
-repeated sweep/measure runs over cloned modules — ``rewrite_module``
-always clones — reuse the compiled code of every block and region whose
-instruction stream is unchanged, and eviction at :data:`MEMO_LIMIT`
-drops the least-recently-used closure instead of the whole memo, so
-long sweeps keep hot region closures warm.
-
-:func:`build_function_table` maps each chain head to its closure and
-every other label to ``None``; the dispatch loop runs a ``None`` label
-on the walker's reference executor.  That covers a chain's tails,
-reached only after a unit hands a block to the walker, and every block
-of a chain the generator cannot translate (malformed IR without a
-terminator, opcodes it does not know).  The memo records refused
-chains as fallbacks, so :func:`code_memo_stats` makes the fallback
-rate observable.
+Closures are cached in a process-wide **LRU** memo keyed on
+:func:`function_digest`, a composition of the function's
+:func:`block_digest` s (built on
+:func:`repro.store.keys.canonical_digest`), so the clones
+``rewrite_module`` makes reuse the closure of every function whose
+instruction streams are unchanged.  :func:`build_function_table` maps
+the entry label to the closure and every other label to ``None``: the
+dispatch loop runs a refused function, and the rest of a frame handed
+over by :class:`ResumeOnWalker`, on the walker's reference executor.
+:func:`code_memo_stats` counts refusals by diagnostic code.
 
 The walker remains the semantic oracle: the compiled backend must match
 its ``RunResult`` values, step counts, profiles, traps and measured
@@ -105,7 +67,7 @@ and ``benchmarks/bench_interp.py`` enforce.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dataflow import DefiniteAssignment, Liveness, NaturalLoops
@@ -127,27 +89,11 @@ __all__ = [
 #: Bump when generated-code semantics change: digest-keyed closures from
 #: the old generator must not be reused by a process mixing versions
 #: (the memo is in-process only, so this mostly documents intent).
-#: v2: region compilation — closures take the per-frame profile counts
-#: dict ``C`` as a seventh parameter.  v3: AFU netlists are inlined as
-#: straight-line gate locals instead of calling ``FusedAFU.evaluate``.
-#: v4: an entry budget guard and :class:`ResumeOnWalker` replace the
-#: per-segment walker-exact twins; closures no longer take ``FN``.
-#: v5: loop units iterate inside their closure, memory rows are
-#: indexed inline, and closures take the arrays dict ``M`` in place of
-#: the ``LOAD``/``STORE`` accessors: ``fn(I, R, M, CALL, C)``.
-#: v6: ``C`` is the function's run-long ``defaultdict(int)`` tally
-#: (bumped as ``C[label] += 1``), loop units count block entries in int
-#: locals added to it in a ``finally``, and ``CALL`` is one callback per
-#: call depth.  v7: loop units write registers back, and every unit
-#: commits ``I._steps``, only on the paths that leave the closure (side
-#: exits, ``CALL`` resume checks, division traps); an ISE gate driving
-#: an output may write its dest's local directly.  v8: a loop unit
-#: writes its registers back only in its ``finally``; locals it defines
-#: that are not live-ins start as ``None`` and are written once set.
-#: v9: one closure per function, its control flow structured from the
-#: dominator tree (``while True:``/``continue``/``break``/``if``); it
-#: returns the function's value, and registers go back to ``R`` only on
-#: a hand-off to the walker.
+#: v2-v8: block chains (regions) and loop units as separate closures,
+#: dispatched label by label.  v9: one closure per function, its control
+#: flow structured from the dominator tree (``while True:``/``continue``/
+#: ``break``/``if``); it returns the function's value, and registers go
+#: back to ``R`` only on a hand-off to the walker.
 CODEGEN_VERSION = 9
 
 _MASK = "4294967295"            # 0xFFFFFFFF
@@ -159,23 +105,18 @@ class BlockCode:
     """One function's compiled artifact (or fallback).
 
     Attributes:
-        fn: the generated closure, called as ``fn(I, R, M, CALL, C)``
-            with the interpreter, the register dict (the parameters),
-            the memory image's arrays dict, the call-back into
-            ``Interpreter._call`` (one per call depth) and the
-            function's block-entry tally, a ``defaultdict(int)`` the
-            closure adds its local counts to on exit; returns the
-            function's value.  ``None`` when codegen fell back to the
-            walker.
+        fn: the generated closure, ``fn(I, R, M, CALL, C)`` with the
+            interpreter, the register dict (the parameters), the memory
+            image's arrays dict, ``Interpreter._call`` bound to the next
+            call depth and the function's block-entry tally, a
+            ``defaultdict(int)``; returns the function's value.
+            ``None`` when codegen fell back to the walker.
         label: the entry block's label (diagnostics only).
-        source: the generated Python text (debugging aid; the step
-            constants live in here as literals).
+        source: the generated Python text (debugging aid).
         digest: structural digest the memo is keyed on.
-        reason: diagnostic code explaining a fallback (``fn=None``):
-            ``C001``–``C004`` for honestly untranslatable functions, a
-            verifier code (``V002``, ``V102``, …) when the function
-            fell back because the IR itself is ill-formed.  ``None``
-            for compiled artifacts.
+        reason: diagnostic code of a fallback (``fn=None``): ``C0xx``
+            for an untranslatable function, a verifier code (``V002``,
+            ``V102``, …) for ill-formed IR; ``None`` when compiled.
         detail: human-readable fallback detail (empty when compiled).
     """
 
@@ -192,15 +133,12 @@ class CodeMemoStats:
     """Telemetry of the in-process code memo.
 
     ``compiled`` counts successful codegen runs (``regions`` of which
-    were functions of more than one block), ``hits`` counts memo
-    reuse, ``fallbacks`` counts untranslatable functions,
-    ``evictions`` counts LRU drops.
-    ``fallback_codes`` breaks the fallbacks down by diagnostic code
-    (see :attr:`BlockCode.reason`), so a sweep outcome or ``repro run``
-    can report *why* functions punted to the walker, not just how many.
-    ``replays`` counts run-time hand-offs of a compiled frame to the
-    walker (:class:`ResumeOnWalker`): 0 on a run whose step budget
-    never came close.
+    were functions of more than one block), ``hits`` memo reuse,
+    ``fallbacks`` untranslatable functions, broken down by diagnostic
+    code (:attr:`BlockCode.reason`) in ``fallback_codes``, and
+    ``evictions`` LRU drops.  ``replays`` counts run-time hand-offs of
+    a compiled frame to the walker (:class:`ResumeOnWalker`): 0 on a
+    run whose step budget never came close.
     """
 
     compiled: int = 0
@@ -220,59 +158,17 @@ class CodeMemoStats:
 
     def as_dict(self) -> dict:
         """Flat dict for JSON artifacts and benchmark reports."""
-        return {"compiled": self.compiled, "hits": self.hits,
-                "fallbacks": self.fallbacks, "regions": self.regions,
-                "evictions": self.evictions,
-                "replays": self.replays,
-                "fallback_codes": dict(sorted(
-                    self.fallback_codes.items()))}
+        return {**asdict(self), "fallback_codes": dict(sorted(
+            self.fallback_codes.items()))}
 
 
 #: Memo capacity.  Eviction is least-recently-used, one entry at a
-#: time: a long-lived session sweeping huge grids cannot accumulate
-#: closures (each of which pins its generated source and code object)
-#: without bound, while the hot working set — re-looked up on every
-#: run — stays warm instead of being dropped wholesale.
-#: Far above any realistic working set, so eviction is a backstop.
+#: time, so a long session cannot pin closures without bound while its
+#: hot working set stays warm; far above any realistic working set.
 MEMO_LIMIT = 4096
 
 _MEMO: "OrderedDict[str, BlockCode]" = OrderedDict()
 _STATS = CodeMemoStats()
-
-
-def _memoised(digest: str, region: bool,
-              build: Callable[[], BlockCode]) -> BlockCode:
-    """LRU memo lookup; on a miss, ``build()`` fills it (*region*: the
-    function has more than one block).
-
-    A hit refreshes the entry's recency; an insert evicts
-    least-recently-used entries down to the cap.  ``MEMO_LIMIT`` is
-    read at call time so tests can shrink it and observe eviction
-    without compiling thousands of blocks.
-    """
-    cached = _MEMO.get(digest)
-    if cached is not None:
-        _MEMO.move_to_end(digest)
-        _STATS.hits += 1
-        return cached
-    code = build()
-    if code.fn is None:
-        _STATS.count_fallback(code)
-    else:
-        _STATS.compiled += 1
-        _STATS.regions += region
-    while _MEMO and len(_MEMO) >= MEMO_LIMIT:
-        _MEMO.popitem(last=False)
-        _STATS.evictions += 1
-    _MEMO[digest] = code
-    return code
-
-
-def _operand_token(operand) -> Tuple:
-    """Canonical encoding of one operand for :func:`block_digest`."""
-    if isinstance(operand, Const):
-        return ("c", operand.value)
-    return ("r", operand.name)
 
 
 def _afu_token(afu) -> Tuple:
@@ -309,7 +205,8 @@ def block_digest(block: BasicBlock) -> str:
         record: Tuple = (
             insn.opcode.value,
             insn.dest,
-            tuple(_operand_token(op) for op in insn.operands),
+            tuple(("c", op.value) if isinstance(op, Const)
+                  else ("r", op.name) for op in insn.operands),
             insn.array,
             insn.callee,
             insn.targets,
@@ -339,28 +236,11 @@ def function_digest(params: Sequence[str],
 # Code generation.
 # ----------------------------------------------------------------------
 class _UnsupportedBlock(Exception):
-    """Raised by the generator when a unit cannot be translated.
-
-    Carries a stable diagnostic code (``C0xx`` for honest codegen
-    limits, a verifier ``V`` code when the real problem is ill-formed
-    IR — see :data:`repro.analysis.diagnostics.CODES`), so fallbacks
-    are diagnosed, never silent.
-    """
-
-    def __init__(self, code: str, detail: str) -> None:
-        super().__init__(f"{code}: {detail}")
-        self.code = code
-        self.detail = detail
-
-
-class _Emitter:
-    """Accumulates generated source lines with indentation tracking."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-
-    def emit(self, line: str, indent: int = 1) -> None:
-        self.lines.append("    " * indent + line)
+    """Raised by the generator when a function cannot be translated,
+    with a stable diagnostic code (``C0xx`` for codegen limits, a
+    verifier ``V`` code for ill-formed IR — see
+    :data:`repro.analysis.diagnostics.CODES`): ``args`` is ``(code,
+    detail)``."""
 
 
 def _load_slow(interp, steps: int, array: str, index: int) -> int:
@@ -400,7 +280,7 @@ def _pure_expr(op: Opcode, reads: Sequence[str],
     AFU netlist gates.  *reads* are the operand expressions (atoms,
     self-delimiting); *operands* the matching operands, consulted only
     for constness.  DIV/REM assume a non-zero divisor: the caller emits
-    the trap guard (:meth:`_BlockCompiler._emit_division_guard`).
+    the trap guard (:meth:`_FunctionCompiler._emit_division_guard`).
     """
     if op is Opcode.DIV:
         # int(a / b): float division truncates toward zero and is exact
@@ -447,18 +327,13 @@ def _pure_expr(op: Opcode, reads: Sequence[str],
 class _FunctionCompiler:
     """Translates one function into one Python closure (module doc).
 
-    Control flow follows the dominator tree of the function's reachable
-    blocks (:class:`~repro.analysis.dataflow.NaturalLoops`): a loop
-    header opens ``while True:``; an edge to the innermost loop's
-    header is ``continue`` and one to its follow (the exit its
+    A loop header opens ``while True:``; an edge to the innermost
+    loop's header is ``continue`` and one to its follow (the exit its
     ``break`` reaches) is ``break``; a block with one forward
-    predecessor is emitted inline at that edge, and a block with
-    several — a join — after the code of its immediate dominator, so
-    the arms that reach it fall through into it.  Any other edge is
-    refused (``C004``), unless its target can be emitted once more in
-    place: a block whose own edges are all ``continue``, ``break``,
-    fall-through or ``RET`` (a ``for`` loop's step block, reached by a
-    ``continue`` nested in the body).
+    predecessor is emitted inline at that edge, and a join after the
+    code of its immediate dominator, so the arms that reach it fall
+    through into it.  Any other edge is refused (``C004``) unless its
+    target can be emitted once more in place (:meth:`_jump`).
     """
 
     def __init__(self, blocks: Sequence[BasicBlock],
@@ -516,8 +391,8 @@ class _FunctionCompiler:
             "I._steps = _s"
 
     def _flush(self) -> None:
-        """Make ``_s`` exact: every path into a join, a loop header or
-        a ``break`` arrives with no pending steps."""
+        """Make ``_s`` exact: every path into a join, a loop header or a
+        ``break`` arrives with no pending steps."""
         if self.pend:
             self.emit(f"_s += {self.pend}")
             self.pend = 0
@@ -550,8 +425,7 @@ class _FunctionCompiler:
             emit(f"{dst} = {row}[{index}] if 0 <= {index} < {size} "
                  f"else _LD(I, _s + {self.pend}, {insn.array!r}, "
                  f"{index})")
-            return
-        if op is Opcode.STORE:
+        elif op is Opcode.STORE:
             index = self._read(insn.operands[0])
             operand = insn.operands[1]
             value = self._read(operand)
@@ -563,28 +437,26 @@ class _FunctionCompiler:
             emit("else:")
             emit(f"_ST(I, _s + {self.pend}, {insn.array!r}, {index}, "
                  f"{value})", 1)
-            return
-        if op is Opcode.ISE:
+        elif op is Opcode.ISE:
             self._emit_ise(insn)
-            return
-        self._emit_pure(insn)
+        else:
+            self._emit_pure(insn)
+
     def _emit_ise(self, insn: ISEInstruction) -> None:
         """Inline the bound AFU's gate netlist as straight-line locals.
 
         Mirrors :meth:`FusedAFU.evaluate` plus the walker's write-back:
-        input ports bind the operand reads (a repeated port keeps its
-        last value, as in the walker's dict), and every gate writes a
-        local through the same :func:`_pure_expr` as software ops.  The
-        last gate driving an output wire writes straight into its dest
-        register's local when no port of this ISE reads that local, the
-        wire is not an input port and no earlier dest took the local;
-        every other gate writes a fresh ``g<k>`` local, and the
-        remaining dests are assigned after the last gate, in one
-        parallel assignment, so an output forwarding a port sees its
-        entry value.  A trap leaves the closure before any write-back,
-        so a dest local written early is never observed.  Netlists the
-        walker would crash on (undriven wires, short gates,
-        non-canonical constants) fall back to it instead.
+        ports bind the operand reads (a repeated port keeps its last
+        value), and every gate writes a local through :func:`_pure_expr`.
+        The last gate driving an output wire writes straight into its
+        dest's local when no port reads that local, the wire is not a
+        port and no earlier dest took the local; every other gate writes
+        a fresh ``g<k>``, and the remaining dests are assigned after the
+        last gate in one parallel assignment, so an output forwarding a
+        port sees its entry value.  A trap writes nothing back, so an
+        early dest write is never observed.  Netlists the walker would
+        crash on (undriven wires, short gates, non-canonical constants)
+        fall back to it.
         """
         afu = insn.afu
         reads = [self._read(operand) for operand in insn.operands]
@@ -781,26 +653,22 @@ class _FunctionCompiler:
                 children[idom[label]].append(label)
         self.joins = children
         self.entry = shim.entry.label
-        self.span_memo: Dict[Tuple[str, int], int] = {}
+        # Forward edges run forward in reverse postorder (the CFG is
+        # reducible), so a backward sweep sees every successor first.
+        self.spans: Dict[str, int] = {}
+        for label in reversed(loops.order):
+            self.spans[label] = self._span(label, 0)
 
     def _span(self, label: str, start: int) -> int:
         """Steps from op *start* of *label* to the next budget check —
         a ``CALL`` (included), a back edge or the ``RET`` — on the
-        longest path; back edges are the only cycles, so the forward
-        edges form a DAG."""
-        key = (label, start)
-        span = self.span_memo.get(key)
-        if span is None:
-            code = self.code[label]
-            span = next((number - start + 1
-                         for number in range(start, len(code))
-                         if code[number].opcode is Opcode.CALL), None)
-            if span is None:
-                span = len(code) - start + max(
-                    (self._span(t, 0) for t in self.forward[label]),
-                    default=0)
-            self.span_memo[key] = span
-        return span
+        longest path."""
+        code = self.code[label]
+        for number in range(start, len(code)):
+            if code[number].opcode is Opcode.CALL:
+                return number - start + 1
+        return len(code) - start + max(
+            (self.spans[t] for t in self.forward[label]), default=0)
 
     # -- control flow --------------------------------------------------
     def _count(self, label: str) -> None:
@@ -810,35 +678,54 @@ class _FunctionCompiler:
     def _tree(self, label: str, ft: Optional[str]) -> None:
         """Emit *label*, the joins it dominates and, for a header, its
         loop; falling off the end reaches *ft* (``None``: nothing may
-        fall off)."""
-        if label in self.placed:
-            raise _UnsupportedBlock("C004", f"block {label!r} placed twice")
-        self.placed.add(label)
-        if label != self.entry:
-            self._count(label)
-        joins = self.joins[label]
-        if label not in self.loops:
-            self._sequence(label, joins, ft)
-            return
-        body = self.loops[label]
+        fall off).  The last block to follow, and a ``JMP`` target placed
+        here, are emitted by this same call, so a long run of ``if``
+        statements or loops does not nest Python frames."""
+        while True:
+            if label in self.placed:
+                raise _UnsupportedBlock("C004",
+                                        f"block {label!r} placed twice")
+            self.placed.add(label)
+            if label != self.entry:
+                self._count(label)
+            joins = self.joins[label]
+            if label in self.loops:
+                rest = self._loop(label, joins, ft)
+            elif joins:
+                self._block(label, joins[0])
+                rest = joins
+            else:
+                tail = self._block(label, ft, tail=True)
+                rest = [tail] if tail else []
+            if not rest:
+                return
+            self._chain(rest[:-1], rest[-1])
+            self.live = True
+            label = rest[-1]
+
+    def _loop(self, header: str, joins: List[str],
+              ft: Optional[str]) -> List[str]:
+        """Emit the loop *header* heads; returns the blocks to emit after
+        it, its follow first when the loop is where the follow goes."""
+        body = self.loops[header]
+        inner = [j for j in joins if j in body]
         self._flush()
         self.emit("while True:")
         self.ind += 1
-        self.stack.append(label)
-        self._sequence(label, [j for j in joins if j in body], None)
+        self.stack.append(header)
+        self._block(header, inner[0] if inner else None)
+        self._chain(inner, None)
         self.stack.pop()
         self.ind -= 1
-        follow = self.follow[label]
-        self.live = follow is not None
-        after = [j for j in joins if j not in body]
+        follow = self.follow[header]
+        self.live, self.pend = follow is not None, 0
         if follow is None:
-            return
-        self.pend = 0
-        if self.home.get(follow) == label:
-            self._chain([follow] + after, ft)
-            return
+            return []
+        after = [j for j in joins if j not in body]
+        if self.home.get(follow) == header:
+            return [follow] + after
         self._jump(follow, after[0] if after else ft)
-        self._chain(after, ft)
+        return after
 
     def _chain(self, labels: List[str], ft: Optional[str]) -> None:
         for number, label in enumerate(labels):
@@ -846,15 +733,12 @@ class _FunctionCompiler:
             self._tree(label, labels[number + 1]
                        if number + 1 < len(labels) else ft)
 
-    def _sequence(self, label: str, joins: List[str],
-                  ft: Optional[str]) -> None:
-        self._block(label, joins[0] if joins else ft)
-        self._chain(joins, ft)
-
-    def _block(self, label: str, ft: Optional[str],
-               copy: bool = False) -> None:
+    def _block(self, label: str, ft: Optional[str], copy: bool = False,
+               tail: bool = False) -> Optional[str]:
         """The ops and terminator of *label*; *copy* emits it once more
-        at a jump site, so its edges must not place any block."""
+        at a jump site, so its edges must not place any block.  With
+        *tail*, returns the target of a ``JMP`` that goes here rather
+        than placing it."""
         self.assigned = set(self.defined_in[label])
         code = self.code[label]
         try:
@@ -879,8 +763,7 @@ class _FunctionCompiler:
             return
         targets = terminator.targets
         if terminator.opcode is Opcode.JMP or targets[0] == targets[1]:
-            self._jump(targets[0], ft, copy)
-            return
+            return self._jump(targets[0], ft, copy, tail)
         cond = self._read(terminator.operands[0])
         pend = self.pend
         arms = []
@@ -912,16 +795,20 @@ class _FunctionCompiler:
         self.pend = 0
         self.live = then_live or other_live
 
-    def _jump(self, target: str, ft: Optional[str],
-              copy: bool = False) -> None:
-        """Emit the edge to *target* at the current point (class doc)."""
+    def _jump(self, target: str, ft: Optional[str], copy: bool = False,
+              tail: bool = False) -> Optional[str]:
+        """Emit the edge to *target* at the current point (class doc).
+
+        A target whose own edges all go to *ft*, the loop's header or
+        its follow (a ``for`` loop's step block, reached by a
+        ``continue`` nested in the body) is emitted once more here."""
         header = self.stack[-1] if self.stack else None
         if target == header:
             self._flush()
             count = f"_k{self.index[target]}"
             self.counted.add(target)
             self.emit(f"{count} += 1")
-            span = self._span(target, 0)
+            span = self.spans[target]
             limit = self.limits.setdefault(span, f"_lim{span}")
             self.resumes = True
             self.emit(f"if _s > {limit}:")
@@ -937,21 +824,17 @@ class _FunctionCompiler:
             self._flush()
         elif (not copy and self.fpreds[target] == 1
               and target not in self.home and target not in self.placed):
+            if tail:
+                return target
             self._tree(target, ft)
         elif (not copy and target not in self.loops
-              and self._copyable(target, ft)):
+              and set(self.code[target][-1].targets) <= {
+                  ft, header, self.follow.get(header)}):
             self._count(target)
             self._block(target, ft, copy=True)
         else:
             raise _UnsupportedBlock(
                 "C004", f"edge to {target!r} cannot be structured")
-
-    def _copyable(self, label: str, ft: Optional[str]) -> bool:
-        header = self.stack[-1] if self.stack else None
-        allowed = {ft, header,
-                   self.follow[header] if header is not None else None}
-        return all(target in allowed
-                   for target in self.code[label][-1].targets)
 
     # -- driver --------------------------------------------------------
     def compile(self, digest: str) -> BlockCode:
@@ -977,7 +860,7 @@ class _FunctionCompiler:
         emit = self.emit
         head = self.entry
         emit("_s = I._steps")
-        emit(f"if _s + {self._span(head, 0)} > I.max_steps:")
+        emit(f"if _s + {self.spans[head]} > I.max_steps:")
         emit(f"raise _RW({head!r}, 0)", 1)
         params = set(self.params)
         for reg_name, local in self.locals.items():
@@ -998,8 +881,7 @@ class _FunctionCompiler:
             emit(f"{size} = len({row})")
         for span, limit in sorted(self.limits.items()):
             emit(f"{limit} = I.max_steps - {span}")
-        counts = [f"_k{self.index[label]}"
-                  for label in sorted(self.counted, key=self.index.get)]
+        counted = sorted(self.counted, key=self.index.get)
         header = self.out
         footer: List[str] = []
         if self.resumes:
@@ -1013,14 +895,14 @@ class _FunctionCompiler:
                          else f"if {local} is not None: ")
                 footer.append(f"        {check}R[{reg_name!r}] = {local}")
             footer.append("        raise")
-        if counts:
+        if counted:
             # Block entries are counted in int locals and added to
             # ``C`` on every exit, traps included.
-            header.append("    " + " = ".join(counts) + " = 0")
+            header.append("    " + " = ".join(
+                f"_k{self.index[label]}" for label in counted) + " = 0")
             footer.append("    finally:")
             footer.extend(f"        C[{label!r}] += _k{self.index[label]}"
-                          for label in sorted(self.counted,
-                                              key=self.index.get))
+                          for label in counted)
         if footer:
             header.append("    try:")
             body = ["    " + line for line in body]
@@ -1033,7 +915,7 @@ class _FunctionCompiler:
         }
         try:
             code = compile(source, f"<repro:unit:{digest[:12]}>", "exec")
-        except (SyntaxError, RecursionError) as exc:
+        except SyntaxError as exc:
             # Deeper nesting than Python's static block limit.
             raise _UnsupportedBlock("C004", f"nesting: {exc}") from None
         exec(code, namespace)
@@ -1048,46 +930,43 @@ class _DeadCode(Exception):
 
 def compile_block(block: BasicBlock, digest: Optional[str] = None,
                   params: Optional[Sequence[str]] = None) -> BlockCode:
-    """Compile the one-block function *block* (no memo).
-
-    *params* are the function's parameters (``None``: the block's
-    live-ins).  Returns a fallback :class:`BlockCode` (``fn=None``)
-    when it cannot be translated — the whole frame then runs on the
-    walker.
-    """
-    return _compile([block], digest, params)
+    """Compile the one-block function *block*; see :func:`compile_region`."""
+    return compile_region([block], digest, params)
 
 
 def compile_region(blocks: Sequence[BasicBlock],
                    digest: Optional[str] = None,
                    params: Optional[Sequence[str]] = None) -> BlockCode:
     """Compile the function whose blocks are *blocks* (entry first)
-    into one closure (no memo); see :func:`compile_block`."""
-    return _compile(list(blocks), digest, params)
-
-
-def _compile(blocks: List[BasicBlock], digest: Optional[str],
-             params: Optional[Sequence[str]]) -> BlockCode:
+    into one closure (no memo); *params* are its parameters (``None``:
+    the entry's live-ins).  Returns a fallback :class:`BlockCode`
+    (``fn=None``) when it cannot be translated."""
+    blocks = list(blocks)
     try:
         if digest is None:
             digest = function_digest(
                 params or (), [block_digest(block) for block in blocks])
         return _FunctionCompiler(blocks, params).compile(digest)
+    except RecursionError:
+        # Structure nested deeper than the Python stack left here.
+        code, detail = "C004", "nesting: recursion limit"
     except _UnsupportedBlock as exc:
-        return BlockCode(fn=None, label=blocks[0].label,
-                         digest=digest or "", reason=exc.code,
-                         detail=exc.detail)
+        code, detail = exc.args
+    return BlockCode(fn=None, label=blocks[0].label, digest=digest or "",
+                     reason=code, detail=detail)
 
 
 def build_function_table(func: Function) -> Dict[str, Optional[Callable]]:
     """Dispatch table ``label -> closure`` for one function.
 
-    The entry label maps to the function's closure, compiled through
-    the memo, and every other label to ``None``: the dispatch loop
-    runs the rest of a frame on the walker once the closure hands it
-    over (:class:`ResumeOnWalker`), and the whole frame when codegen
-    refused the function.  Each block is hashed once per build; the
-    memo key composes those digests.
+    The entry label maps to the function's closure and every other
+    label to ``None``: the dispatch loop runs the rest of a frame on
+    the walker once the closure hands it over (:class:`ResumeOnWalker`),
+    and the whole frame when codegen refused the function.  Each block
+    is hashed once per build; the memo key composes those digests.  A
+    memo hit refreshes the entry's recency; an insert evicts
+    least-recently-used entries down to :data:`MEMO_LIMIT`, read at
+    call time so tests can shrink it.
     """
     table: Dict[str, Optional[Callable]] = {
         block.label: None for block in func.blocks}
@@ -1095,12 +974,23 @@ def build_function_table(func: Function) -> Dict[str, Optional[Callable]]:
         return table
     key = function_digest(func.params,
                           [block_digest(block) for block in func.blocks])
-    if len(func.blocks) > 1:
-        code = _memoised(key, True, lambda: compile_region(
-            func.blocks, key, func.params))
+    code = _MEMO.get(key)
+    if code is not None:
+        _MEMO.move_to_end(key)
+        _STATS.hits += 1
     else:
-        code = _memoised(key, False, lambda: compile_block(
-            func.blocks[0], key, func.params))
+        region = len(func.blocks) > 1
+        code = (compile_region(func.blocks, key, func.params) if region
+                else compile_block(func.blocks[0], key, func.params))
+        if code.fn is None:
+            _STATS.count_fallback(code)
+        else:
+            _STATS.compiled += 1
+            _STATS.regions += region
+        while _MEMO and len(_MEMO) >= MEMO_LIMIT:
+            _MEMO.popitem(last=False)
+            _STATS.evictions += 1
+        _MEMO[key] = code
     table[func.entry.label] = code.fn
     return table
 
@@ -1113,8 +1003,7 @@ def clear_code_memo() -> int:
     """
     dropped = len(_MEMO)
     _MEMO.clear()
-    _STATS.compiled = _STATS.hits = _STATS.fallbacks = 0
-    _STATS.regions = 0
+    _STATS.compiled = _STATS.hits = _STATS.fallbacks = _STATS.regions = 0
     _STATS.evictions = _STATS.replays = 0
     _STATS.fallback_codes.clear()
     return dropped

@@ -16,12 +16,11 @@ Two execution backends share this class (DESIGN.md §11–§12):
   per operation.  It is the semantic oracle the compiled backend is
   differentially tested against.
 * ``"compiled"`` (the default) — generated Python from
-  :mod:`repro.interp.compile`: maximal straight-line block chains
-  (regions) become one closure, loops iterate inside it, register
-  reads become locals, opcode semantics and memory accesses are
-  inlined, and step counters are aggregated.  Block entries are
-  tallied per function and folded into the profile once per
-  :meth:`Interpreter.run`, not per call frame.
+  :mod:`repro.interp.compile`: each function is one closure whose
+  control flow is structured Python, registers are locals, opcode
+  semantics and memory accesses are inlined, and step counters are
+  aggregated.  Block entries are tallied per function and folded into
+  the profile once per :meth:`Interpreter.run`, not per call frame.
 
 The compiled backend is bit-identical to the walker by obligation:
 results, step counts, profiles, traps and the exact step index at which
@@ -47,7 +46,7 @@ from .memory import Memory, TrapError
 from .profile import ProfileData
 
 #: The recognised execution backends, fastest-first: ``"compiled"``
-#: (region and per-block codegen) and ``"walk"`` (the reference oracle).
+#: (one closure per function) and ``"walk"`` (the reference oracle).
 BACKENDS = ("compiled", "walk")
 
 
@@ -75,18 +74,12 @@ class ExecutionLimitExceeded(RuntimeError):
 
 class ResumeOnWalker(Exception):
     """Signal: run block ``args[0]`` from instruction ``args[1]`` on the
-    walker's reference executor.
+    walker's reference executor, and the rest of the frame after it.
 
-    A compiled unit raises it only where the walker's exact trap point,
-    step count and committed side effects cannot be had on the fast
-    path: at entry (index 0, before any op has run) when a live-in
-    register is undefined or the step budget could expire inside the
-    unit, and after a ``CALL`` when the budget could expire before the
-    next one — then with every register the unit defined written back.
-    A loop unit whose loop-back fails the budget check returns its head
-    label instead; the head's entry guard then raises this signal.
-    After the replayed block, the dispatch loop runs each region tail
-    it reaches on the walker too (their table entries are ``None``).
+    A compiled function raises it where the step budget could expire
+    before its next check — at entry, after a ``CALL`` or at a back
+    edge — with every register it defined written back to the frame's
+    register dict, so the walker stops at exactly its own step index.
     It lives here, not in :mod:`repro.interp.compile`, so the dispatch
     loop needs nothing from the code generator per call frame.
     """
@@ -177,22 +170,13 @@ class Interpreter:
         """Run one call frame of ``func_name(*args)`` at call *depth*.
 
         Traps in the walker's order: depth, unknown callee, arity.  On
-        the compiled backend this is the dispatch loop over the
-        function's table, ``label -> closure``
-        (:func:`repro.interp.compile.build_function_table`).  Region
-        closures bump internal block entries in the function's tally
-        themselves (loop units count them in locals and add them on
-        exit).  The closures get the memory image's arrays dict as
-        ``M`` and, as ``CALL``, this method bound to ``depth + 1`` —
-        one callback per depth, built by the first frame at that depth.
-
-        A label whose table entry is ``None`` — a region's tail, or any
-        block of a chain the generator refused — runs on
-        :meth:`_exec_block_ref`.  A compiled unit hands a block to it on
-        :class:`ResumeOnWalker` (an undefined live-in register, or a
-        step budget that could expire inside the unit), counted in
-        ``code_memo_stats().replays``; the tails that follow then run
-        on the walker too, one block per dispatch.
+        the compiled backend the function's closure
+        (:func:`repro.interp.compile.build_function_table`) runs the
+        frame with this method bound to ``depth + 1`` as ``CALL`` (one
+        callback per depth).  A refused function runs on
+        :meth:`_exec_block_ref`, one block per dispatch, and so does the
+        rest of a frame handed over by :class:`ResumeOnWalker` (counted
+        in ``code_memo_stats().replays``).
         """
         if depth > 200:
             raise TrapError(f"call depth exceeded at {func_name!r}")
@@ -213,10 +197,8 @@ class Interpreter:
             calls.append(partial(self._call, len(calls) + 1))
         tally[label] += 1
         fn = table[label]
-        if fn is None:
-            outcome = self._exec_block_ref(func_name, func.block(label),
-                                           regs, depth)
-        else:
+        start = 0
+        if fn is not None:
             try:
                 return fn(self, regs, self.memory.arrays, calls[depth],
                           tally)
@@ -224,8 +206,8 @@ class Interpreter:
                 from .compile import code_memo_stats
                 code_memo_stats().replays += 1
                 label, start = resume.args
-                outcome = self._exec_block_ref(
-                    func_name, func.block(label), regs, depth, start)
+        outcome = self._exec_block_ref(func_name, func.block(label), regs,
+                                       depth, start)
         while outcome.__class__ is not tuple:
             tally[outcome] += 1
             outcome = self._exec_block_ref(
@@ -254,8 +236,7 @@ class Interpreter:
         """Execute one block walker-style, one dispatch per operation.
 
         Returns the successor label, or a 1-tuple ``(value,)`` when the
-        block returned — the same convention the compiled closures use,
-        so this doubles as the compiled backend's per-block fallback.
+        block returned; this doubles as the compiled backend's fallback.
         *start* skips the block's first instructions (see
         :class:`ResumeOnWalker`).
         Loop-invariant lookups (the operand resolver, memory accessors,

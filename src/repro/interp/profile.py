@@ -36,8 +36,8 @@ class ProfileData:
         :meth:`Interpreter.run <repro.interp.interpreter.Interpreter.run>`
         folds the tallies in once per run through this method — the
         totals are identical to the walker's per-entry
-        :meth:`record_block` calls.  Zero counts (a loop unit's block
-        that no iteration reached) are skipped: the walker never
+        :meth:`record_block` calls.  Zero counts (a block of a compiled
+        function that no run reached) are skipped: the walker never
         records them.
         """
         counts = self.counts

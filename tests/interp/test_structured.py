@@ -18,15 +18,22 @@ trap or budget text.  The shapes:
 * a ``continue``, nested in an ``if``, to a ``for`` loop's step block,
   which the closure emits once more at the ``continue``;
 * a read of a register that one path into it leaves undefined.
+
+A function of hundreds of ``if`` statements and loops in a row compiles
+whole, and one whose structuring runs out of Python stack falls back
+to the walker (``C004``) instead of raising.
 """
 
 from __future__ import annotations
+
+import inspect
+import sys
 
 import pytest
 
 from repro.frontend import compile_source
 from repro.interp import ExecutionLimitExceeded, Interpreter, Memory, TrapError
-from repro.interp.compile import build_function_table
+from repro.interp.compile import build_function_table, compile_region
 from repro.ir.function import Function, Module
 from repro.ir.instructions import binop, br, copy_reg, jmp, ret
 from repro.ir.opcodes import Opcode
@@ -210,3 +217,40 @@ def _one_sided_definition():
 def test_read_of_a_register_undefined_on_one_path(n, expected):
     outcome, _ = _sweep(_one_sided_definition(), [n])
     assert outcome[:2] == expected
+
+
+def test_long_runs_of_ifs_and_loops_compile_whole():
+    body = "\n".join(f"if (x > {i}) {{ s = s + {i}; }}\n"
+                     f"for (i = 0; i < x; i++) {{ s = s ^ i; }}"
+                     for i in range(400))
+    module = _source(f"int f(int x) {{ int s = 0; int i;\n{body}\n"
+                     f"return s; }}")
+    func = module.functions["f"]
+    assert len(func.blocks) > 2000
+    table = build_function_table(func)
+    assert table[func.entry.label] is not None
+    walk = _outcome(module, [3], "walk")
+    assert _outcome(module, [3], "compiled") == walk
+    for max_steps in (1, walk[2] // 2, walk[2]):
+        assert (_outcome(module, [3], "compiled", max_steps)
+                == _outcome(module, [3], "walk", max_steps))
+
+
+def test_running_out_of_stack_refuses_the_function():
+    text = "s = s + 1;"
+    for depth in range(12):
+        text = f"if (x > {depth}) {{ {text} }}"
+    func = _source(f"int f(int x) {{ int s = 0; {text} return s; }}"
+                   ).functions["f"]
+
+    def compiled_at(depth):
+        if depth > 0:
+            return compiled_at(depth - 1)
+        return compile_region(func.blocks, params=func.params)
+
+    assert compile_region(func.blocks, params=func.params).fn is not None
+    left = 20
+    code = compiled_at(sys.getrecursionlimit() - len(inspect.stack(0))
+                       - left)
+    assert (code.fn, code.reason) == (None, "C004")
+    assert code.detail == "nesting: recursion limit"
