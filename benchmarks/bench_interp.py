@@ -5,8 +5,8 @@ For every registered workload this measures interpreter throughput
 (dynamic steps per second) three ways:
 
 * **walk** — the tree-walking reference backend;
-* **compiled cold** — the compiled-block backend with an empty code
-  memo (the run pays per-block codegen);
+* **compiled cold** — the compiled backend with an empty code memo
+  (the run pays codegen, one closure per function);
 * **compiled warm** — the same run with the memo populated, the state
   every repeated sweep/measure invocation sees.
 
@@ -25,11 +25,11 @@ It is a CI **gate**, not telemetry: the job fails when
   byte-identical (the Fig. 9/10 artifact must not depend on the engine).
 
 It also records, as telemetry without a gate, the size of the generated
-code: compiled units, total source lines and characters (also split by
-unit kind: block, region, loop), the register-store lines (``R[...] =``)
-per unit kind, and the best cold codegen time for
-building every dispatch table of all workloads, baseline plus
-rewritten, from an empty code memo.
+code over all workloads, baseline plus rewritten: the functions built,
+the compiled units (one per distinct function), the code memo hits
+among them, total source lines and characters, the register-store lines
+(``R[...] =``), and the best cold codegen time for building every
+dispatch table from an empty code memo.
 
 Emits ``benchmarks/results/BENCH_interp.json``.
 
@@ -58,8 +58,8 @@ except ImportError:  # standalone run: benchmarks/ not on sys.path
 #: (the ISSUE's acceptance bar; the target is 5x, typically exceeded).
 MIN_SPEEDUP = 3.0
 
-#: A generated line that stores a register into ``R`` (a loop unit's
-#: ``finally`` guards some behind ``if v is not None:``).
+#: A generated line that stores a register into ``R`` (a closure's
+#: ``except _RW:`` handler guards some behind ``if v is not None:``).
 _STORE = re.compile(r"\s*(?:if v\d+ is not None: )?R\[")
 
 #: Differential rows config (kept small: selection, not execution, is
@@ -131,23 +131,16 @@ def _measure(module, workload):
     return row, (walk.value, walk_mem)
 
 
-def _unit_kind(code):
-    """``loop`` for a unit that iterates in place, else ``region`` for a
-    multi-block chain, else ``block``."""
-    if code.loop:
-        return "loop"
-    return "region" if code.span > 1 else "block"
-
-
 def _codegen_size(modules):
     """Cold codegen of every dispatch table of *modules*.
 
-    Returns ``{"units", "lines", "chars", "cold_s", "by_kind",
-    "writebacks"}``: the distinct compiled closures, their total
-    generated source lines and characters, the best-of-``REPEATS`` wall
-    time to build all tables from an empty code memo, units, lines and
-    characters per unit kind (see :func:`_unit_kind`), and the lines
-    per unit kind that store a register into ``R``.
+    Returns ``{"functions", "units", "hits", "lines", "chars",
+    "writebacks", "cold_s"}``: the functions built, the distinct
+    compiled closures, the code memo hits (functions a module shares
+    with one built before it), their total generated source lines and
+    characters, the lines that store a register into ``R``, and the
+    best-of-``REPEATS`` wall time to build all tables from an empty
+    code memo.
     """
     best = None
     for _ in range(REPEATS):
@@ -158,23 +151,13 @@ def _codegen_size(modules):
                 build_function_table(func)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    by_kind = {kind: {"units": 0, "lines": 0, "chars": 0}
-               for kind in ("block", "region", "loop")}
-    writebacks = dict.fromkeys(by_kind, 0)
-    for code in _MEMO.values():
-        if code.fn is not None:
-            kind = _unit_kind(code)
-            size = by_kind[kind]
-            lines = code.source.splitlines()
-            size["units"] += 1
-            size["lines"] += len(lines)
-            size["chars"] += len(code.source)
-            writebacks[kind] += sum(bool(_STORE.match(line))
-                                    for line in lines)
-    totals = {key: sum(size[key] for size in by_kind.values())
-              for key in ("units", "lines", "chars")}
-    return {**totals, "cold_s": best, "by_kind": by_kind,
-            "writebacks": writebacks}
+    sources = [code.source for code in _MEMO.values() if code.fn is not None]
+    lines = [line for source in sources for line in source.splitlines()]
+    return {"functions": sum(len(module.functions) for module in modules),
+            "units": len(sources), "hits": code_memo_stats().hits,
+            "lines": len(lines), "chars": sum(map(len, sources)),
+            "writebacks": sum(bool(_STORE.match(line)) for line in lines),
+            "cold_s": best}
 
 
 def main() -> int:
@@ -229,16 +212,12 @@ def main() -> int:
            f"worst warm speedup {worst:.2f}x (gate {MIN_SPEEDUP:.1f}x); "
            f"code memo: {memo}")
     codegen = _codegen_size(modules)
-    kinds = ", ".join(
-        f"{kind} {size['units']}/{size['lines']}/{size['chars']}/"
-        f"{codegen['writebacks'][kind]}"
-        for kind, size in codegen["by_kind"].items())
     report("interp",
            f"generated code, all workloads baseline+rewritten: "
-           f"{codegen['units']} units, {codegen['lines']} lines, "
-           f"{codegen['chars']} chars (units/lines/chars/register "
-           f"stores: {kinds}), "
-           f"cold codegen {codegen['cold_s'] * 1e3:.1f}ms")
+           f"{codegen['functions']} functions, {codegen['units']} units "
+           f"({codegen['hits']} memo hits), {codegen['lines']} lines, "
+           f"{codegen['chars']} chars, {codegen['writebacks']} register "
+           f"stores, cold codegen {codegen['cold_s'] * 1e3:.1f}ms")
 
     payload = {
         "config": {"min_speedup": MIN_SPEEDUP,

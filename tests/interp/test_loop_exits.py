@@ -139,7 +139,7 @@ def test_finally_is_the_only_writeback(name, kind):
                    for local in match.group(1).split(", ")}
         unset = [line.split(" = ")[:-1] for line in lines[:start]
                  if line.endswith(" = None")]
-        assert set(sum(unset, [])) >= defined - live_in, source
+        assert set(sum(unset, [])) == defined - live_in, source
         stores = [_STORE.fullmatch(line) for line in lines[tail + 1:end]]
         assert all(stores), source
         stored = [match.group(3) for match in stores]
